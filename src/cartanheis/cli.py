@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -90,7 +91,14 @@ def _parse_tols(args, mode="ad") -> dict:
         if k not in tols:
             raise ValueError(f"unknown tolerance {k!r}; "
                              f"known: {', '.join(sorted(tols))}")
-        tols[k] = float(v)
+        try:
+            val = float(v)
+        except ValueError:
+            val = math.nan
+        if not (math.isfinite(val) and val > 0):
+            raise ValueError(f"tolerance {k!r} must be a positive finite "
+                             f"number, got {v!r}")
+        tols[k] = val
     return tols
 
 

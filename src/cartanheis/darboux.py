@@ -562,9 +562,6 @@ class MCForm:
                         out[i, r, c] = j.gradient()
         return out
 
-    def slot_algebra(self, i, idx) -> psh.AlgebraValue:
-        return psh.AlgebraValue(self.n, self.values[i][(slice(None), slice(None)) + idx])
-
     def algebra_residuals(self) -> dict:
         """Worst Lie-algebra membership residuals across slots and grid points."""
         n = self.n
@@ -643,16 +640,6 @@ class MCForm:
         n = self.n
         return [self._slots[i][b][g] + 1j * self._slots[i][n + b][g]
                 for i in range(self.d)]
-
-    def trans_entry(self, b):
-        """theta^b slots (complex translation part)."""
-        n = self.n
-        return [self._slots[i][b][0] + 1j * self._slots[i][n + b][0]
-                for i in range(self.d)]
-
-    def contact_entry(self):
-        n = self.n
-        return [self._slots[i][2 * n + 1][0] for i in range(self.d)]
 
 
 def darboux_derivative(ff: FrameField) -> MCForm:

@@ -50,10 +50,6 @@ class NotCRInvariant(GeometryError):
         self.residual = residual
 
 
-class LinearSolveFailure(GeometryError):
-    pass
-
-
 class IllConditionedCoframe(GeometryError):
     pass
 

@@ -45,11 +45,6 @@ def coord_t_component(x, y, a, b, c):
     return acc
 
 
-def contact_value(x, y, vx, vy, vt):
-    """Theta evaluated on a coordinate vector at (x, y, .)."""
-    return frame_t_component(x, y, vx, vy, vt)
-
-
 # ---------------------------------------------------------------------------
 # points
 # ---------------------------------------------------------------------------
@@ -142,9 +137,6 @@ class HTangent:
         coord[2 * n] = coord_t_component(base.x, base.y, frame[:n], frame[n:2 * n],
                                          frame[2 * n])
         return HTangent(base, coord, frame)
-
-    def is_horizontal(self, tol=HORIZONTAL_TOL) -> bool:
-        return abs(self.frame[-1]) <= tol
 
 
 def reeb(base: HPoint) -> HTangent:

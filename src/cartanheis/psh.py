@@ -21,7 +21,7 @@ __all__ = [
     "PSHElement", "AlgebraValue", "ComplexSlices", "identity", "frame_to_matrix",
     "apply", "compose", "inverse", "decompose", "recompose", "psh_validate",
     "algebra_validate", "complexify", "realify", "random_rotation", "random_element",
-    "left_translation", "rotation_about_t",
+    "left_translation", "rotation_about_t", "project", "exp",
 ]
 
 
@@ -142,6 +142,32 @@ def recompose(p: HPoint, R: np.ndarray) -> PSHElement:
     return left_translation(p) @ rotation_about_t(p.n, R)
 
 
+def project(mats):
+    """Nearest group elements to a stack of near-group matrices (..., D, D).
+
+    The translation column is kept; the horizontal block is averaged with
+    its J-conjugate and replaced by its orthogonal polar factor, and the
+    T-row is rebuilt from the translation.  Returns the projected stack and
+    the largest entry change of each matrix.
+    """
+    mats = np.asarray(mats, dtype=float)
+    n = (mats.shape[-1] - 2) // 2
+    J0 = standard_j_block(n)
+    R = mats[..., 1:2 * n + 1, 1:2 * n + 1]
+    R = 0.5 * (R + J0.T @ R @ J0)       # enforce commutation with J
+    U, _, Vt = np.linalg.svd(R)
+    R = U @ Vt
+    yx = np.concatenate([mats[..., n + 1:2 * n + 1, 0],
+                         -mats[..., 1:n + 1, 0]], axis=-1)
+    out = np.zeros_like(mats)
+    out[..., 0, 0] = 1.0
+    out[..., 1:, 0] = mats[..., 1:, 0]
+    out[..., 1:2 * n + 1, 1:2 * n + 1] = R
+    out[..., 2 * n + 1, 1:2 * n + 1] = np.einsum("...i,...ij->...j", yx, R)
+    out[..., -1, -1] = 1.0
+    return out, np.max(np.abs(out - mats), axis=(-2, -1))
+
+
 @dataclass
 class Diagnostics:
     residuals: dict
@@ -205,15 +231,6 @@ class AlgebraValue:
         if self.mat.shape != (d, d):
             raise DimensionMismatch(f"matrix must be {d}x{d} for n={self.n}")
 
-    # named component views, all 1-based in the math indices
-    def w_trans(self, A: int):
-        """w^A for A in 1..2n+1."""
-        return self.mat[A, 0]
-
-    def w_rot(self, a: int, b: int):
-        """w_a{}^b for a, b in 1..2n (the b-component of the motion of e_a)."""
-        return self.mat[b, a]
-
     @property
     def translation(self) -> np.ndarray:
         return self.mat[1:, 0]
@@ -240,6 +257,31 @@ def algebra_validate(v: AlgebraValue, tol=1e-10) -> Diagnostics:
     tied = np.concatenate([m[n + 1:2 * n + 1, 0], -m[1:n + 1, 0]])
     res["bottom_row"] = float(np.max(np.abs(bottom - tied)))
     return Diagnostics(res, tol)
+
+
+_EXP_DEGREE = 18    # Taylor degree: truncation below 1e-17 on the unit 1-norm ball
+
+
+def exp(X):
+    """Group exponential of a stack of algebra values, shape (..., D, D).
+
+    Scaling and squaring: each matrix is scaled by 2^-s into the unit
+    1-norm ball, where the degree-18 Taylor polynomial is exact to rounding,
+    and the result is squared s times.
+    """
+    X = np.asarray(X, dtype=float)
+    norm = np.max(np.sum(np.abs(X), axis=-2), axis=-1)
+    s = np.zeros(norm.shape, dtype=int)
+    big = np.isfinite(norm) & (norm > 1.0)
+    s[big] = np.ceil(np.log2(norm[big])).astype(int)
+    Y = np.ldexp(X, -s[..., None, None])
+    eye = np.eye(X.shape[-1])
+    E = eye + Y / _EXP_DEGREE
+    for k in range(_EXP_DEGREE - 1, 0, -1):
+        E = eye + (Y @ E) / k
+    for k in range(int(np.max(s, initial=0))):
+        E = np.where((s > k)[..., None, None], E @ E, E)
+    return E
 
 
 @dataclass(frozen=True, eq=False)

@@ -12,13 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import numpy as np
-from scipy.linalg import expm
 
-from . import heis, psh
+from . import psh
 from .darboux import ChartGrid, MCForm
 from .errors import (DimensionMismatch, IntegrabilityFailure,
                      ProjectionDrift)
-from .heis import HPoint
 
 __all__ = ["EtaForm", "FrameSolution", "holonomy_residual", "integrate_frame",
            "congruence", "assemble_eta", "embed", "eta_from_frame_field",
@@ -49,25 +47,32 @@ def eta_from_frame_field(mc: MCForm) -> EtaForm:
     return EtaForm(mc.n, mc.grid, mc.values, provenance="from-frame")
 
 
+def _interpolate(line, s, stencil=4):
+    """Lagrange interpolation of a sampled line at many fractional positions.
+
+    ``line`` has the sample axis first, shape (N, ...); ``s`` is a 1-d array
+    of positions in [0, N-1].  Each position uses a ``stencil``-point window
+    around its edge, clamped at the boundary, so the field error is
+    O(h^stencil).  Returns shape (len(s), ...).
+    """
+    N = line.shape[0]
+    s = np.asarray(s, dtype=float)
+    w = min(stencil, N)
+    k = np.clip(np.floor(s).astype(int), 0, N - 2)
+    xs = np.clip(k - (w - 2) // 2, 0, N - w)[:, None] + np.arange(w)
+    out = 0
+    for a in range(w):
+        wt = np.ones(len(s))
+        for b in range(w):
+            if a != b:
+                wt = wt * ((s - xs[:, b]) / (xs[:, a] - xs[:, b]))
+        out = out + wt.reshape((-1,) + (1,) * (line.ndim - 1)) * line[xs[:, a]]
+    return out
+
+
 # ---------------------------------------------------------------------------
 # holonomy
 # ---------------------------------------------------------------------------
-
-def _interp_line(slot_line, s):
-    """Cubic Lagrange interpolation of a stacked slot line at position s."""
-    N = slot_line.shape[0]
-    k = min(max(int(np.floor(s)), 0), N - 2)
-    i0 = min(max(k - 1, 0), max(N - 4, 0))
-    xs = np.arange(i0, min(i0 + 4, N))
-    out = np.zeros_like(slot_line[0])
-    for a in range(len(xs)):
-        w = 1.0
-        for b in range(len(xs)):
-            if a != b:
-                w *= (s - xs[b]) / (xs[a] - xs[b])
-        out = out + w * slot_line[xs[a]]
-    return out
-
 
 def _edge_propagators(eta: EtaForm, axis: int, substeps=1) -> np.ndarray:
     """Product-rule propagators along every lattice edge of one axis.
@@ -79,28 +84,17 @@ def _edge_propagators(eta: EtaForm, axis: int, substeps=1) -> np.ndarray:
     while genuine curvature of the form only shrinks with the plaquette area.
     """
     h = eta.grid.spacing[axis]
-    w = np.moveaxis(eta.slots[axis], (0, 1), (-2, -1))    # (*grid, D, D)
-    ndim = eta.grid.ndim
-    if substeps == 1:
-        left = expm(0.5 * h * w)
-        sl_lo = [slice(None)] * ndim
-        sl_hi = [slice(None)] * ndim
-        sl_lo[axis] = slice(0, -1)
-        sl_hi[axis] = slice(1, None)
-        return left[tuple(sl_lo)] @ left[tuple(sl_hi)]
-    line_first = np.moveaxis(w, axis, 0)                  # (N, ..., D, D)
-    N = line_first.shape[0]
-    props = None
-    hh = h / substeps
-    for k in range(N - 1):
-        acc = None
-        for j in range(substeps):
-            w0 = _interp_line(line_first, k + j / substeps)
-            w1 = _interp_line(line_first, k + (j + 1) / substeps)
-            step = expm(0.5 * hh * w0) @ expm(0.5 * hh * w1)
-            acc = step if acc is None else acc @ step
-        acc = acc[None]
-        props = acc if props is None else np.concatenate([props, acc], axis=0)
+    line = np.moveaxis(eta.slots[axis], (0, 1, 2 + axis), (-2, -1, 0))
+    N = line.shape[0]
+    # substep endpoints k + j/substeps of every edge k, and the last node
+    pos = np.append(np.arange(N - 1)[:, None] + np.arange(substeps) / substeps,
+                    N - 1)
+    half = psh.exp(0.5 * (h / substeps) * _interpolate(line, pos))
+    steps = half[:-1] @ half[1:]
+    steps = steps.reshape((N - 1, substeps) + steps.shape[1:])
+    props = steps[:, 0]
+    for j in range(1, substeps):
+        props = props @ steps[:, j]
     return np.moveaxis(props, 0, axis)
 
 
@@ -185,63 +179,16 @@ class FrameSolution:
     frames: np.ndarray          # (*grid, D, D)
     base_index: tuple
     drift: float
-    order_tag: str = "rk4"
-
-    def frame_matrix(self, idx) -> psh.PSHElement:
-        return psh.PSHElement(self.n, self.frames[idx])
 
     def points(self) -> np.ndarray:
         """Translation parts, shape (*grid, 2n+1)."""
         return self.frames[..., 1:, 0]
 
 
-def _project_to_group(mat, n):
-    """Rebuild the nearest group element: polar-orthonormalised rotation block.
-
-    Returns the projected matrix and the size of the correction.
-    """
-    p = HPoint.from_coords(n, mat[1:, 0])
-    cols = psh._coord_frame_inverse(p) @ mat[1:, 1:]
-    R = cols[:2 * n, :2 * n]
-    J0 = heis.standard_j_block(n)
-    R = 0.5 * (R + J0.T @ R @ J0)       # enforce commutation with J
-    U, _, Vt = np.linalg.svd(R)
-    R2 = U @ Vt
-    out = psh.recompose(p, R2).mat
-    return out, float(np.max(np.abs(out - mat)))
-
-
-def _interp_slots(slot_line, s, stencil=4):
-    """Polynomial interpolation of a slot line at fractional position s.
-
-    slot_line has shape (N, D, D); a ``stencil``-point Lagrange window around
-    the edge, clamped at the boundary, gives field error O(h^stencil).
-    """
-    N = slot_line.shape[0]
-    k = int(np.floor(s))
-    k = min(max(k, 0), N - 2)
-    w = min(stencil, N)
-    i0 = min(max(k - (w - 2) // 2, 0), N - w)
-    xs = np.arange(i0, i0 + w)
-    ys = slot_line[xs]
-    out = np.zeros_like(ys[0])
-    for a in range(len(xs)):
-        wt = 1.0
-        for b in range(len(xs)):
-            if a != b:
-                wt *= (s - xs[b]) / (xs[a] - xs[b])
-        out = out + wt * ys[a]
-    return out
-
-
-def _edge_step(slot_line, k, h, F, substeps, stencil=4):
-    """RK4 along one lattice edge for F' = F w(s), s in [k, k+1]."""
-    for j in range(substeps):
-        s0 = k + j / substeps
-        hh = h / substeps
-        w0 = _interp_slots(slot_line, s0, stencil)
-        wh = _interp_slots(slot_line, s0 + 0.5 / substeps, stencil)
-        w1 = _interp_slots(slot_line, s0 + 1.0 / substeps, stencil)
+def _rk4_edge(F, w, hh):
+    """RK4 for F' = F w(s) over one edge; w[j] holds the start, midpoint and
+    end samples of substep j."""
+    for w0, wh, w1 in w:
         k1 = F @ w0
         k2 = (F + 0.5 * hh * k1) @ wh
         k3 = (F + 0.5 * hh * k2) @ wh
@@ -256,9 +203,11 @@ def integrate_frame(eta: EtaForm, basepoint_frame: psh.PSHElement, substeps=1,
     """Integrate dF = F eta over the grid, sweeping axis-ordered paths.
 
     The frame at lattice index (i1..id) is reached by walking axis 1 to i1,
-    then axis 2 to i2, and so on from the base corner.  Every step reprojects
-    onto the group; the largest correction is reported and must stay under
-    ``drift_tol``.
+    then axis 2 to i2, and so on from the base corner.  The sweep advances
+    a whole slab at a time: along axis a, every point whose later indices
+    are zero steps together.  Every step reprojects onto the group; the
+    largest correction is reported and must stay under ``drift_tol``, and a
+    step that overflows fails the same way.
     """
     eta.validate_shapes()
     if check_integrability:
@@ -274,22 +223,28 @@ def integrate_frame(eta: EtaForm, basepoint_frame: psh.PSHElement, substeps=1,
     frames = np.zeros(g.shape + (D, D))
     drift = 0.0
     frames[(0,) * d] = basepoint_frame.mat
-    # lexicographic sweep: predecessor differs in the last nonzero axis
-    for flat in range(1, g.npoints):
-        idx = np.unravel_index(flat, g.shape)
-        ax = max(i for i in range(d) if idx[i] > 0)
-        prev = list(idx)
-        prev[ax] -= 1
-        prev = tuple(prev)
-        line_sel = list(idx)
-        line_sel[ax] = slice(None)
-        slot_line = np.moveaxis(eta.slots[ax], (0, 1), (-2, -1))[tuple(line_sel)]
-        F = _edge_step(slot_line, idx[ax] - 1, g.spacing[ax], frames[prev],
-                       substeps, stencil)
-        F, corr = _project_to_group(F, eta.n)
-        drift = max(drift, corr)
-        frames[idx] = F
-    if drift > drift_tol:
+    for ax in range(d):
+        N = g.shape[ax]
+        tail = (0,) * (d - ax - 1)
+        # the slot line of every slab point, sample axis first: (N, *grid[:ax], D, D)
+        line = np.moveaxis(eta.slots[ax][(Ellipsis,) + tail],
+                           (0, 1, 2 + ax), (-2, -1, 0))
+        s0 = np.arange(N - 1)[:, None] + np.arange(substeps) / substeps
+        pos = s0[..., None] + np.array([0.0, 0.5, 1.0]) / substeps
+        w = _interpolate(line, pos.ravel(), stencil)
+        w = w.reshape(pos.shape + line.shape[1:])
+        hh = g.spacing[ax] / substeps
+        head = (slice(None),) * ax
+        for k in range(1, N):
+            with np.errstate(over="ignore", invalid="ignore"):
+                F = _rk4_edge(frames[head + (k - 1,) + tail], w[k - 1], hh)
+            if not np.all(np.isfinite(F)):
+                raise ProjectionDrift(f"frame integration overflowed along "
+                                      f"axis {ax} at step {k}")
+            F, corr = psh.project(F)
+            drift = max(drift, float(np.max(corr)))
+            frames[head + (k,) + tail] = F
+    if not drift <= drift_tol:
         raise ProjectionDrift(f"group reprojection correction {drift:.2e} "
                               f"exceeds {drift_tol:.0e}")
     return FrameSolution(eta.n, g, frames, (0,) * d, drift)

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import heis, psh
+from . import psh
 from .errors import NotFlat, NotTorsionFree, WrongClass
 from .heis import HPoint
 from .invariants import Analysis
@@ -58,36 +58,13 @@ def _require(cond, exc, msg):
         raise exc(msg)
 
 
-def _normal_phase_transport(an: Analysis) -> np.ndarray:
-    """Integrate the pure-imaginary normal-connection form into a phase field.
-
-    Along the axis-ordered lattice sweep accumulates psi with
-    d psi = i theta_n^n (trapezoid rule); exactness of theta_n^n in the flat
-    vertical case makes the result path-independent up to discretization.
-    """
-    ff = an.ff
-    d = an.d
-    slots = an.conn_slots["normal"][0][0]
-    w = np.stack([(1j * (s.value + np.zeros(an.batch))).real for s in slots])
-    psi = np.zeros(an.batch)
-    for flat in range(1, ff.grid.npoints):
-        idx = np.unravel_index(flat, an.batch)
-        ax = max(i for i in range(d) if idx[i] > 0)
-        prev = list(idx)
-        prev[ax] -= 1
-        prev = tuple(prev)
-        h = ff.grid.spacing[ax]
-        psi[idx] = psi[prev] + 0.5 * h * (w[ax][prev] + w[ax][idx])
-    return psi
-
-
 def detect_flat(an: Analysis, tol=1e-7) -> RigidMotionFit:
     """Fit a rigid motion carrying the model vertical subgroup onto the surface.
 
     Requires a vertical surface of codimension one with vanishing second
-    fundamental form; the returned motion is the frame at the base corner in
-    the parallel normal gauge, and the residual is the largest normal
-    coordinate left after undoing the motion.
+    fundamental form; the returned motion is the Darboux frame at the base
+    corner, and the residual is the largest normal coordinate left after
+    undoing the motion.
     """
     ff = an.ff
     n = an.n
@@ -99,15 +76,7 @@ def detect_flat(an: Analysis, tol=1e-7) -> RigidMotionFit:
     _require(iimax < tol, NotFlat,
              f"second fundamental form reaches {iimax:.2e} (tol {tol:.0e})")
 
-    psi = _normal_phase_transport(an)
-    base = (0,) * an.d
-    F = ff.frame_at(base)
-    c, s = float(np.cos(psi[base])), float(np.sin(psi[base]))
-    cols = F.cols.copy()
-    e_n, je_n = cols[:, n - 1].copy(), cols[:, 2 * n - 1].copy()
-    cols[:, n - 1] = c * e_n + s * je_n
-    cols[:, 2 * n - 1] = -s * e_n + c * je_n
-    motion = psh.frame_to_matrix(heis.FrameAtPoint(F.base, cols))
+    motion = ff.psh_at((0,) * an.d)
 
     inv = psh.inverse(motion)
     X = np.stack([x.value + np.zeros(an.batch) for x in ff.X])

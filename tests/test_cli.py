@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -158,3 +160,26 @@ def test_thread_cap_env(monkeypatch):
     monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
     cli._cap_threads()
     assert os.environ["OMP_NUM_THREADS"] == "2"
+
+
+@pytest.mark.parametrize("value", ["nan", "-1", "0", "inf", "abc"])
+def test_bad_tolerance_value(value, capsys):
+    assert run_cli("invariants", "--surface", "builtin:sphere(2,1)",
+                   "--grid", "5", "--tol", f"structure={value}") == 2
+    assert "structure" in capsys.readouterr().err
+
+
+def test_runs_without_scipy():
+    # the package must import and run a full roundtrip with scipy blocked
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.abspath(src), env.get("PYTHONPATH")) if p)
+    code = ("import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from cartanheis import cli\n"
+            "sys.exit(cli.main(['roundtrip', '--surface', "
+            "'builtin:sphere(2,1)', '--grid', '5']))\n")
+    res = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert res.returncode == 0, res.stderr

@@ -119,3 +119,36 @@ def test_complexify_realify_roundtrip(rng):
         bad = np.zeros((6, 6))
         bad[1, 1] = 1.0  # diagonal rotation entry breaks antisymmetry
         psh.complexify(psh.AlgebraValue(2, bad))
+
+
+def test_exp_of_translation_generator_is_quadratic(rng):
+    # X^3 = 0, so the series stops at I + X + X^2/2; norms up to 30 also
+    # exercise the squaring phase
+    X = np.stack([s * _random_algebra(2, rng).mat for s in (0.01, 0.5, 3.0, 30.0)])
+    X[:, 1:5, 1:5] = 0.0          # drop the rotation part
+    E = psh.exp(X)
+    exact = np.eye(6) + X + X @ X / 2
+    assert np.max(np.abs(E - exact) / (1 + np.abs(exact))) < 1e-14
+
+
+def test_exp_of_rotation_generator_is_cos_sin():
+    a = np.linspace(-10.0, 10.0, 41)
+    X = np.zeros((41, 4, 4))
+    X[:, 2, 1] = a
+    X[:, 1, 2] = -a
+    E = psh.exp(X)
+    exact = np.tile(np.eye(4), (41, 1, 1))
+    exact[:, 1, 1] = exact[:, 2, 2] = np.cos(a)
+    exact[:, 2, 1] = np.sin(a)
+    exact[:, 1, 2] = -np.sin(a)
+    assert np.max(np.abs(E - exact)) < 1e-13
+
+
+def test_exp_lands_in_the_group(rng):
+    for n in (1, 2, 3):
+        X = np.stack([s * _random_algebra(n, rng).mat
+                      for s in np.geomspace(1e-3, 5.0, 12)])
+        E = psh.exp(X)
+        assert E.shape == X.shape
+        for g in E:
+            assert psh.psh_validate(g).ok

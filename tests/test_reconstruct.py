@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from cartanheis import darboux, dsl, heis, invariants, psh, reconstruct
-from cartanheis.errors import DimensionMismatch, IntegrabilityFailure
+from cartanheis.errors import (DimensionMismatch, IntegrabilityFailure,
+                               ProjectionDrift)
 from conftest import analysis_for
 
 
@@ -137,6 +138,30 @@ def test_path_independence(rng):
     assert gap <= max(budget, 1e-9), (gap, budget)
 
 
+def test_slab_sweep_matches_pointwise_sweep():
+    # reference: one RK4 edge per lattice point in lexicographic order, the
+    # predecessor differing in the last nonzero axis
+    _, grid, ff, an = analysis_for("builtin:ellipsoid(2,1,1.3)", [4, 5, 3], "nu")
+    eta = _eta_of(an)
+    sol = reconstruct.integrate_frame(eta, ff.psh_at((0, 0, 0)), substeps=2,
+                                      stencil=6, check_integrability=False)
+    ref = np.zeros_like(sol.frames)
+    ref[0, 0, 0] = ff.psh_at((0, 0, 0)).mat
+    for idx in np.ndindex(*grid.shape):
+        if not any(idx):
+            continue
+        ax = max(i for i in range(3) if idx[i])
+        prev = idx[:ax] + (idx[ax] - 1,) + idx[ax + 1:]
+        line = np.moveaxis(eta.slots[ax], (0, 1), (-2, -1))[
+            idx[:ax] + (slice(None),) + idx[ax + 1:]]
+        s0 = idx[ax] - 1 + np.array([0.0, 0.5])
+        pos = (s0[:, None] + np.array([0.0, 0.5, 1.0]) / 2).ravel()
+        w = reconstruct._interpolate(line, pos, 6).reshape(2, 3, 6, 6)
+        F = reconstruct._rk4_edge(ref[prev], w, grid.spacing[ax] / 2)
+        ref[idx] = psh.project(F)[0]
+    assert np.max(np.abs(sol.frames - ref)) < 1e-14
+
+
 def test_congruence_identity_and_recovery(rng):
     _, grid, ff, _ = analysis_for("builtin:sphere(2,1)", 5)
     A = np.moveaxis(ff.matrix_values(), (0, 1), (-2, -1))
@@ -213,17 +238,36 @@ def test_projection_keeps_group_structure(rng):
         assert psh.psh_validate(sol.frames[idx], 1e-8).ok
 
 
-def test_projection_drift_guard():
+@pytest.mark.parametrize("scale", [40.0, 1e9])
+def test_projection_drift_guard(scale):
     # integrating a wildly non-integrable form without the gate must trip the
-    # reprojection-drift alarm rather than return silently corrupted frames
+    # reprojection-drift alarm rather than return silently corrupted frames;
+    # at 1e9 the RK4 steps overflow, which must fail the same way
     grid = darboux.ChartGrid([(-1, 1)] * 2 + [(-1, 1)], [5, 5, 3])
     rng = np.random.default_rng(0)
-    slots = rng.normal(scale=40.0, size=(3, 6, 6) + grid.shape)
+    slots = rng.normal(scale=scale, size=(3, 6, 6) + grid.shape)
     eta = reconstruct.EtaForm(2, grid, slots)
-    with pytest.raises(Exception) as e:
+    with pytest.raises(ProjectionDrift):
         reconstruct.integrate_frame(eta, psh.identity(2),
                                     check_integrability=False)
-    assert e.type.__name__ in ("ProjectionDrift", "InvalidFrame")
+
+
+@pytest.mark.parametrize("stencil", [4, 6])
+def test_interpolator_reproduces_polynomials(stencil, rng):
+    for N in range(2, 10):
+        deg = min(stencil, N) - 1
+        coef = rng.standard_normal((deg + 1, 2, 3))
+        poly = lambda s: np.einsum("kab,mk->mab", coef,
+                                   np.power.outer(s, np.arange(deg + 1)))
+        # interior positions, nodes, and positions in the clamped end windows
+        s = np.concatenate([np.linspace(0, N - 1, 4 * N - 3),
+                            [0.1, 0.45, N - 1.45, N - 1.1]])
+        got = reconstruct._interpolate(poly(np.arange(N, dtype=float)), s,
+                                       stencil)
+        assert got.shape == (len(s), 2, 3)
+        want = poly(s)
+        assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want)), \
+            (N, stencil)
 
 
 def test_roundtrip_property_all_builtins():
