@@ -2,7 +2,8 @@
 
 Exit codes: 0 success with all residuals under tolerance, 1 verdict failure
 (an identity or rigidity check missed its threshold), 2 input errors
-(surface syntax, singular charts, malformed arguments).
+(surface syntax, singular charts, charts leaving the domain of sqrt/ln/
+division, malformed arguments), 3 internal errors (a bug, not an input).
 """
 
 from __future__ import annotations
@@ -125,7 +126,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
 
     from . import report as rep
-    from .errors import (DslError, GeometryError, IntegrabilityFailure,
+    from .errors import (DomainError, DslError, GeometryError, IntegrabilityFailure,
                          NotCRInvariant, NotFlat, NotImmersed, NotTorsionFree,
                          SingularPoint, UnknownBuiltin, WrongClass)
     try:
@@ -133,7 +134,8 @@ def main(argv=None) -> int:
     except DslError as e:
         print(f"input error: {e}", file=sys.stderr)
         return 2
-    except (SingularPoint, NotCRInvariant, NotImmersed, UnknownBuiltin) as e:
+    except (SingularPoint, NotCRInvariant, NotImmersed, UnknownBuiltin,
+            DomainError) as e:
         print(f"input error: {type(e).__name__}: {e}", file=sys.stderr)
         return 2
     except (OSError, ValueError, json.JSONDecodeError) as e:
@@ -145,9 +147,9 @@ def main(argv=None) -> int:
     except GeometryError as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 1
-    except Exception as e:  # malformed inputs must never escape as tracebacks
-        print(f"input error: {type(e).__name__}: {e}", file=sys.stderr)
-        return 2
+    except Exception as e:  # a bug: report it without a traceback
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 3
     _emit(rpt, args, rep)
     return code
 
@@ -188,7 +190,7 @@ def _invariant_payload(rpt, ff, an, tols, rep, rigidity):
     rpt["class"] = cls.kind
     res = an.restriction_residuals()
     mc_res = an.mc.structure_residual()
-    rep.attach_fields(rpt, ff.nu_norm + np.zeros(ff.batch),
+    rep.attach_fields(rpt, ff.nu_norm,
                       np.sqrt(an.II_norm2), np.sqrt(an.torsion_norm2),
                       an.curvature["scalar"])
     rpt["residuals"]["structure"] = rep.residual_entry(mc_res, tols["structure"])

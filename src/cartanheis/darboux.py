@@ -115,13 +115,11 @@ class Leg:
         self.frame = frame
 
     def project_out(self, other, coeff):
-        chart = _axpy(coeff, other.chart, self.chart) if self.chart is not None \
-            and other.chart is not None else None
-        return Leg(chart, _axpy(coeff, other.frame, self.frame))
+        return Leg(_axpy(coeff, other.chart, self.chart),
+                   _axpy(coeff, other.frame, self.frame))
 
     def scaled(self, s):
-        chart = _scale(self.chart, s) if self.chart is not None else None
-        return Leg(chart, _scale(self.frame, s))
+        return Leg(_scale(self.chart, s), _scale(self.frame, s))
 
 
 def _cholesky(G):
@@ -193,23 +191,6 @@ class FrameField:
 
     # -- construction ---------------------------------------------------
 
-    def _frame_comps(self, v):
-        """Left-invariant frame components of a coordinate vector field at X."""
-        n = self.n
-        x, y = self.X[:n], self.X[n:2 * n]
-        tc = v[2 * n]
-        for b in range(n):
-            tc = tc - v[b] * y[b] + v[n + b] * x[b]
-        return list(v[:2 * n]) + [tc]
-
-    def _coord_comps(self, f):
-        n = self.n
-        x, y = self.X[:n], self.X[n:2 * n]
-        tc = f[2 * n]
-        for b in range(n):
-            tc = tc + f[b] * y[b] - f[n + b] * x[b]
-        return list(f[:2 * n]) + [tc]
-
     def _J(self, f):
         n = self.n
         return [-c for c in f[n:2 * n]] + list(f[:n]) + [self._zero]
@@ -226,12 +207,14 @@ class FrameField:
         self.X = [x.truncated(order - 1) for x in Xfull]
         self.Xi = [[x.deriv(i) for x in Xfull] for i in range(d)]
 
-        # contact pairing with the tangent directions
-        XiF = [self._frame_comps(v) for v in self.Xi]
-        self.theta_slots = [f[2 * n] for f in XiF]
-        th_vals = np.stack([t.value for t in self.theta_slots])
-        scale = np.sqrt(max(np.max(np.stack(
-            [v.value for f in XiF for v in f]) ** 2), 1e-30))
+        # contact pairing with the tangent directions; XiF holds the frame
+        # components of the chart tangent vectors
+        x, y = self.X[:n], self.X[n:2 * n]
+        self.theta_slots = [heis.frame_t_component(x, y, v[:n], v[n:2 * n], v[2 * n])
+                            for v in self.Xi]
+        XiF = self.XiF = [v[:2 * n] + [th] for v, th in zip(self.Xi, self.theta_slots)]
+        th_vals = jets.values(self.theta_slots)
+        scale = np.sqrt(max(np.max(jets.values(XiF) ** 2), 1e-30))
         worst = np.max(np.abs(th_vals), axis=0)
         if np.min(worst) < self.tol_singular * scale:
             loc = grid.flat_index(int(np.argmin(worst.reshape(-1))))
@@ -363,17 +346,16 @@ class FrameField:
             for e, je in zip(self.legs_n, self.legs_jn)]
 
     def _projected_norm_at(self, frame, centre):
-        vals = np.stack([c.value[centre] for c in frame])
+        vals = jets.values(frame)[(Ellipsis,) + centre]
         for e, je in zip(self.legs_t, self.legs_jt):
             for leg in (e, je):
-                ev = np.stack([c.value[centre] for c in leg.frame])
+                ev = jets.values(leg.frame)[(Ellipsis,) + centre]
                 vals = vals - (vals @ ev) * ev
         return float(np.linalg.norm(vals))
 
     def _check_cr_invariance(self, V, scale):
         n = self.n
-        Vf = np.stack([np.stack([c.value + np.zeros(self.batch) for c in v.frame])
-                       for v in V])
+        Vf = jets.values([v.frame for v in V])
         flat = Vf.reshape(len(V), 2 * n + 1, -1)
         M = np.transpose(flat, (2, 1, 0))                  # (N, 2n+1, 2m)
         G = np.einsum("nia,nib->nab", M, M)
@@ -420,35 +402,26 @@ class FrameField:
         A[0][0] = self._one
         for r in range(2 * n + 1):
             A[r + 1][0] = self.X[r]
+        x, y = self.X[:n], self.X[n:2 * n]
         for c, col in enumerate(self.frame_cols):
-            cc = self._coord_comps(col)
-            for r in range(2 * n + 1):
-                A[r + 1][c + 1] = cc[r]
+            A[2 * n + 1][c + 1] = heis.coord_t_component(x, y, col[:n], col[n:2 * n],
+                                                         col[2 * n])
+            for r in range(2 * n):
+                A[r + 1][c + 1] = col[r]
         return A
 
     def matrix_values(self):
-        A = self.matrix
-        D = len(A)
-        return np.stack([np.stack([A[r][c].value + np.zeros(self.batch)
-                                   for c in range(D)]) for r in range(D)])
+        return jets.values(self.matrix)
 
     def frame_at(self, idx) -> FrameAtPoint:
-        n = self.n
-        base = HPoint(n, np.array([self.X[b].value[idx] for b in range(n)]),
-                      np.array([self.X[n + b].value[idx] for b in range(n)]),
-                      float(self.X[2 * n].value[idx]))
-        cols = np.array([[c.value[idx] + 0.0 for c in col]
-                         for col in self.frame_cols]).T
-        return FrameAtPoint(base, cols)
+        return FrameAtPoint(self.point_at(idx), _value_at(self.frame_cols, idx).T)
 
     def psh_at(self, idx) -> psh.PSHElement:
         return psh.frame_to_matrix(self.frame_at(idx))
 
     def point_at(self, idx) -> HPoint:
-        n = self.n
-        return HPoint(n, np.array([self.X[b].value[idx] for b in range(n)]),
-                      np.array([self.X[n + b].value[idx] for b in range(n)]),
-                      float(self.X[2 * n].value[idx]))
+        coords = jets.values(self.X)[(Ellipsis,) + tuple(idx)]
+        return HPoint.from_coords(self.n, coords)
 
     # -- derived fields -----------------------------------------------------
 
@@ -464,8 +437,7 @@ class FrameField:
     @cached_property
     def coframe(self):
         """Pullback coframe slots: theta(d_i) and theta^j(d_i) over the chart."""
-        n = self.n
-        XiF = [self._frame_comps(v) for v in self.Xi]
+        XiF = self.XiF
         zco = [[_dot(XiF[i], self.legs_t[j].frame)
                 + 1j * _dot(XiF[i], self.legs_jt[j].frame)
                 for i in range(self.d)] for j in range(self.m)]
@@ -480,8 +452,7 @@ class FrameField:
 
     def continuity_residual(self):
         """Largest column jump between grid neighbours (gauge continuity)."""
-        cols = np.stack([np.stack([c.value + np.zeros(self.batch) for c in col])
-                         for col in self.frame_cols])
+        cols = jets.values(self.frame_cols)
         worst = 0.0
         for ax in range(2, cols.ndim):
             d = np.diff(cols, axis=ax)
@@ -518,13 +489,6 @@ class MCForm:
         zero1 = jets.constant(ctx1, 0.0, ff.batch)
         X1 = [x.truncated(ctx1.order) for x in ff.X]
         F1 = [[c.truncated(ctx1.order) for c in col] for col in ff.frame_cols]
-
-        def frame_comps1(v):
-            tc = v[2 * n]
-            for b in range(n):
-                tc = tc - v[b] * X1[n + b] + v[n + b] * X1[b]
-            return list(v[:2 * n]) + [tc]
-
         slots = []
         for i in range(d):
             dA = [[A[r][c].deriv(i) for c in range(D)] for r in range(D)]
@@ -533,7 +497,8 @@ class MCForm:
                 w = [dA[r][c] for r in range(1, D)]
                 if all(np.max(np.abs(x.c)) == 0 for x in w):
                     continue
-                z = frame_comps1(w)
+                z = w[:2 * n] + [heis.frame_t_component(
+                    X1[:n], X1[n:2 * n], w[:n], w[n:2 * n], w[2 * n])]
                 for r in range(2 * n + 1):
                     acc = zero1
                     for s in range(2 * n + 1):
@@ -544,10 +509,7 @@ class MCForm:
 
     @cached_property
     def values(self):
-        D = 2 * self.n + 2
-        return np.stack([np.stack([np.stack(
-            [self._slots[i][r][c].value + np.zeros(self.ff.batch)
-             for c in range(D)]) for r in range(D)]) for i in range(self.d)])
+        return jets.values(self._slots)
 
     @cached_property
     def d1(self):
@@ -650,6 +612,11 @@ def darboux_derivative(ff: FrameField) -> MCForm:
 # pointwise operations
 # ---------------------------------------------------------------------------
 
+def _value_at(field, idx):
+    """Values of a (nested) jet vector at one grid index, signed zeros cleared."""
+    return jets.values(field)[(Ellipsis,) + tuple(idx)] + 0.0
+
+
 def _point_field(imm, u, policy="canonical", tol=None) -> FrameField:
     grid = _single_point_grid(imm.chart, u)
     kw = {}
@@ -663,11 +630,8 @@ def contact_intersection(imm, u, tol=TOL_CR):
     ff = _point_field(imm, u, tol=tol)
     idx = (0,) * ff.d
     base = ff.point_at(idx)
-    out = []
-    for leg in ff.legs_t + ff.legs_jt:
-        out.append(heis.HTangent.from_frame(
-            base, np.array([c.value[idx] + 0.0 for c in leg.frame])))
-    return out
+    return [heis.HTangent.from_frame(base, _value_at(leg.frame, idx))
+            for leg in ff.legs_t + ff.legs_jt]
 
 
 def reeb_and_nu(imm, u, tol=TOL_CR):
@@ -675,10 +639,8 @@ def reeb_and_nu(imm, u, tol=TOL_CR):
     ff = _point_field(imm, u, tol=tol)
     idx = (0,) * ff.d
     base = ff.point_at(idx)
-    that = heis.HTangent.from_frame(
-        base, np.array([c.value[idx] + 0.0 for c in ff.that.frame]))
-    nu = heis.HTangent.from_frame(
-        base, np.array([c.value[idx] + 0.0 for c in ff.nu_frame]))
+    that = heis.HTangent.from_frame(base, _value_at(ff.that.frame, idx))
+    nu = heis.HTangent.from_frame(base, _value_at(ff.nu_frame, idx))
     return that, nu
 
 
@@ -693,12 +655,11 @@ def pullback_check(ff: FrameField, mc: MCForm | None = None) -> dict:
         mc = darboux_derivative(ff)
     n, m, d = ff.n, ff.m, ff.d
     w = mc.values
-    th = np.stack([t.value + np.zeros(ff.batch) for t in ff.theta_slots])
-    zco = ff.coframe["z"]
+    th = jets.values(ff.theta_slots)
+    zco = jets.values(ff.coframe["z"])
     res = {}
     worst_tan = 0.0
-    for j in range(m):
-        zv = np.stack([zco[j][i].value + np.zeros(ff.batch) for i in range(d)])
+    for j, zv in enumerate(zco):
         worst_tan = max(worst_tan,
                         float(np.max(np.abs(w[:, j + 1, 0] - zv.real))),
                         float(np.max(np.abs(w[:, n + j + 1, 0] - zv.imag))))
@@ -706,15 +667,15 @@ def pullback_check(ff: FrameField, mc: MCForm | None = None) -> dict:
     worst_n = 0.0
     for a_i, (e, je) in enumerate(zip(ff.legs_n, ff.legs_jn)):
         a = m + a_i
-        ca = _dot(ff.nu_frame, e).value + np.zeros(ff.batch)
-        cna = _dot(ff.nu_frame, je).value + np.zeros(ff.batch)
+        ca = jets.values(_dot(ff.nu_frame, e))
+        cna = jets.values(_dot(ff.nu_frame, je))
         worst_n = max(worst_n,
                       float(np.max(np.abs(w[:, a + 1, 0] - ca * th))),
                       float(np.max(np.abs(w[:, n + a + 1, 0] - cna * th))))
     res["normal_coframe"] = worst_n
     res["contact"] = float(np.max(np.abs(w[:, 2 * n + 1, 0] - th)))
-    nu2 = ff.nu_norm2.value + np.zeros(ff.batch)
-    comp2 = sum(np.abs(c.value + np.zeros(ff.batch)) ** 2 for c in ff.nu_comp) \
+    nu2 = jets.values(ff.nu_norm2)
+    comp2 = np.sum(np.abs(jets.values(ff.nu_comp)) ** 2, axis=0) \
         if ff.nu_comp else np.zeros(ff.batch)
     res["nu_components"] = float(np.max(np.abs(nu2 - comp2)))
     return res

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +38,15 @@ __all__ = ["Expr", "Immersion", "BlackBoxImmersion", "parse", "pretty_print",
 # ---------------------------------------------------------------------------
 
 class Expr:
+    """An expression node; ``apply`` computes its value from its children's."""
+
     __slots__ = ()
+
+    @property
+    def kids(self):
+        """The child nodes, in evaluation order."""
+        return tuple(v for v in (getattr(self, f) for f in self.__slots__)
+                     if isinstance(v, Expr))
 
     def __add__(self, other):
         return _fold_add(self, _as_expr(other))
@@ -63,7 +72,7 @@ class Num(Expr):
     __slots__ = ("v",)
     v: float
 
-    def eval(self, env):
+    def apply(self, env):
         return self.v
 
 
@@ -71,7 +80,7 @@ class Num(Expr):
 class Pi(Expr):
     __slots__ = ()
 
-    def eval(self, env):
+    def apply(self, env):
         return math.pi
 
 
@@ -80,7 +89,7 @@ class Param(Expr):
     __slots__ = ("name",)
     name: str
 
-    def eval(self, env):
+    def apply(self, env):
         return env[self.name]
 
 
@@ -91,9 +100,7 @@ class Bin(Expr):
     a: Expr
     b: Expr
 
-    def eval(self, env):
-        a = self.a.eval(env)
-        b = self.b.eval(env)
+    def apply(self, env, a, b):
         if self.op == "+":
             return a + b
         if self.op == "-":
@@ -109,8 +116,8 @@ class Pow(Expr):
     base: Expr
     k: int
 
-    def eval(self, env):
-        return self.base.eval(env) ** self.k
+    def apply(self, env, base):
+        return base ** self.k
 
 
 @dataclass(frozen=True)
@@ -118,8 +125,8 @@ class Neg(Expr):
     __slots__ = ("a",)
     a: Expr
 
-    def eval(self, env):
-        return -self.a.eval(env)
+    def apply(self, env, a):
+        return -a
 
 
 @dataclass(frozen=True)
@@ -128,24 +135,54 @@ class Fun(Expr):
     name: str
     arg: Expr
 
-    def eval(self, env):
-        x = self.arg.eval(env)
+    def apply(self, env, x):
         return _FUNCS[self.name](x)
+
+
+def evaluate(exprs, env):
+    """Values of expressions over one environment, each node computed once.
+
+    Generated formulas share subexpressions (a complex power reuses its
+    lower powers in both parts), which a tree walk would repeat exponentially
+    often.  Nodes are keyed by identity and run children first, left to
+    right, without recursion; a value is dropped once its last parent used it.
+    """
+    order, seen, uses = [], set(), Counter(id(e) for e in exprs)
+    stack = [(e, False) for e in reversed(exprs)]
+    while stack:
+        e, ready = stack.pop()
+        if ready:
+            order.append(e)
+        elif id(e) not in seen:
+            seen.add(id(e))
+            uses.update(id(k) for k in e.kids)
+            stack.append((e, True))
+            stack.extend((k, False) for k in reversed(e.kids))
+    memo = {}
+    for e in order:
+        memo[id(e)] = e.apply(env, *[memo[id(k)] for k in e.kids])
+        for k in e.kids:
+            uses[id(k)] -= 1
+            if not uses[id(k)]:
+                del memo[id(k)]
+    return [memo[id(e)] for e in exprs]
 
 
 def _div(a, b):
     if isinstance(b, Jet):
         return a / b
     b = np.asarray(b)
-    if np.any(np.abs(b) < 1e-300):
-        raise DomainError("division by zero")
+    bad = np.abs(b) < 1e-300
+    if np.any(bad):
+        raise DomainError.where("division by zero", bad)
     return a / b
 
 
 def _guard_pos(x, what):
     v = x.value if isinstance(x, Jet) else np.asarray(x)
-    if np.any(np.real(v) <= 0):
-        raise DomainError(f"{what} of non-positive argument")
+    bad = np.real(v) <= 0
+    if np.any(bad):
+        raise DomainError.where(f"{what} of non-positive argument", bad)
 
 
 def _sin(x):
@@ -274,9 +311,14 @@ class CExpr:
     __rmul__ = __mul__
 
     def __pow__(self, k):
-        out = CExpr(1.0)
-        for _ in range(int(k)):
-            out = out * self
+        # repeated squaring: O(log k) nodes, each shared by later products
+        out, base, k = CExpr(1.0), self, int(k)
+        while k:
+            if k & 1:
+                out = out * base
+            k >>= 1
+            if k:
+                base = base * base
         return out
 
     def conj(self):
@@ -408,10 +450,14 @@ def _tokenize(text: str):
 # parser
 # ---------------------------------------------------------------------------
 
+MAX_NESTING = 100   # parentheses, calls and unary minus; the parser recurses
+
+
 class _Parser:
     def __init__(self, text):
         self.toks = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> _Tok:
         return self.toks[self.pos]
@@ -470,10 +516,17 @@ class _Parser:
 
     def parse_unary(self, params) -> Expr:
         t = self.peek()
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise DslSyntaxError(f"expression nested deeper than {MAX_NESTING} levels",
+                                 t.line, t.col)
         if t.kind == "SYM" and t.text == "-":
             self.next()
-            return Neg(self.parse_unary(params))
-        return self.parse_power(params)
+            e = Neg(self.parse_unary(params))
+        else:
+            e = self.parse_power(params)
+        self.depth -= 1
+        return e
 
     def parse_power(self, params) -> Expr:
         base = self.parse_atom(params)
@@ -679,11 +732,8 @@ class Immersion:
     def values(self, u_arrays):
         env = dict(zip(self.params, [np.asarray(u, dtype=float) for u in u_arrays]))
         shape = np.broadcast_shapes(*[np.shape(v) for v in env.values()])
-        out = []
-        for e in self.coord_exprs:
-            v = e.eval(env)
-            out.append(np.broadcast_to(np.asarray(v, dtype=float), shape).copy())
-        return out
+        return [np.broadcast_to(np.asarray(v, dtype=float), shape).copy()
+                for v in evaluate(self.coord_exprs, env)]
 
     def jets(self, u_arrays, order=3, mode="ad", steps=None):
         """Taylor-expand every ambient coordinate at a batch of chart points."""
@@ -693,13 +743,8 @@ class Immersion:
         seeds = jets.variables(ctx, [np.asarray(u, dtype=float) for u in u_arrays])
         env = dict(zip(self.params, seeds))
         shape = np.broadcast_shapes(*[np.shape(u) for u in u_arrays])
-        out = []
-        for e in self.coord_exprs:
-            v = e.eval(env)
-            if not isinstance(v, Jet):
-                v = jets.constant(ctx, float(v), shape)
-            out.append(v)
-        return out
+        return [v if isinstance(v, Jet) else jets.constant(ctx, float(v), shape)
+                for v in evaluate(self.coord_exprs, env)]
 
     def jet(self, u) -> Jet2:
         """Pointwise second-order jet; u must lie inside the chart box."""
@@ -708,7 +753,7 @@ class Immersion:
             raise OutOfChart(f"{u.tolist()} outside chart box of {self.label!r}")
         js = self.jets([np.atleast_1d(ui) for ui in u], order=2)
         d = self.nparams
-        value = np.array([j.value[0] for j in js])
+        value = jets.values(js)[:, 0]
         d1 = np.array([[j.gradient()[i][0] for j in js] for i in range(d)])
         d2 = np.array([[[j.second(i, k)[0] for j in js] for k in range(d)]
                        for i in range(d)])
@@ -951,18 +996,23 @@ def _poly_eval(terms: dict, zs) -> CExpr:
     return acc
 
 
+HOLOGRAPH_MAX_DEGREE = 64
+
+
 def holograph(degree: int = 2, n: int = 2, m: int = 1, polys=None,
               label="holograph") -> Immersion:
     """Vertical graph {(z, F(z), t)} with holomorphic polynomial F.
 
-    Default is z_2 = z_1^2 in H_2.  ``polys`` may supply one coefficient dict
-    per normal coordinate to override the monomial default.
+    Default is z_2 = z_1^2 in H_2; the degree of the monomial default runs
+    from 2 to HOLOGRAPH_MAX_DEGREE.  ``polys`` may supply one coefficient
+    dict per normal coordinate to override the monomial default.
     """
     if not 1 <= m < n:
         raise UnknownBuiltin(f"holograph needs 1 <= m < n, got ({n}, {m})")
     if polys is None:
-        if degree < 2:
-            raise UnknownBuiltin("holograph degree must be >= 2")
+        if not 2 <= degree <= HOLOGRAPH_MAX_DEGREE:
+            raise UnknownBuiltin(f"holograph degree must be in "
+                                 f"2..{HOLOGRAPH_MAX_DEGREE}, got {degree}")
         mono = tuple([degree] + [0] * (m - 1))
         polys = [{mono: 1.0 + 0.0j} for _ in range(n - m)]
     params, chart, zs = _graph_params(n, m)
@@ -1064,21 +1114,37 @@ def coordinate_slice_plane() -> Immersion:
                      [param("u1"), param("u3"), param("u2"), num(0.0), num(0.0)])
 
 
-_BUILTIN_ARITY = {"heis_sub": (2, 2), "sphere": (2, 2), "holograph": (0, 1),
-                  "ellipsoid": (3, None)}
+# name -> (factory, argument kinds, fewest arguments); a trailing ``...``
+# repeats the kind before it
+_BUILTINS = {
+    "heis_sub": (heis_sub, (int, int), 2),
+    "sphere": (sphere, (int, float), 2),
+    "holograph": (holograph, (int,), 0),
+    "ellipsoid": (ellipsoid, (int, float, ...), 3),
+}
 
 
 def builtin(name: str, *args) -> Immersion:
-    """Construct one of the named builtin surfaces."""
-    if name == "heis_sub":
-        return heis_sub(int(args[0]), int(args[1]))
-    if name == "sphere":
-        return sphere(int(args[0]), float(args[1]))
-    if name == "holograph":
-        return holograph(int(args[0])) if args else holograph()
-    if name == "ellipsoid":
-        return ellipsoid(int(args[0]), *[float(a) for a in args[1:]])
-    raise UnknownBuiltin(f"unknown builtin surface {name!r}")
+    """Construct one of the named builtin surfaces.
+
+    Arguments must be finite, and integral where the kind is int (2.0 is
+    accepted for 2, 2.5 is not).
+    """
+    if name not in _BUILTINS:
+        raise UnknownBuiltin(f"unknown builtin surface {name!r}")
+    factory, kinds, fewest = _BUILTINS[name]
+    if kinds[-1] is ...:
+        kinds = kinds[:-1] + kinds[-2:-1] * (len(args) - len(kinds) + 1)
+    if not fewest <= len(args) <= len(kinds):
+        raise UnknownBuiltin(f"wrong number of arguments for {name!r}")
+    typed = []
+    for pos, (kind, a) in enumerate(zip(kinds, args), 1):
+        x = float(a)
+        if not math.isfinite(x) or (kind is int and x != int(x)):
+            raise UnknownBuiltin(f"argument {pos} of {name!r} must be a finite "
+                                 f"{'integer' if kind is int else 'number'}, got {a!r}")
+        typed.append(kind(x))
+    return factory(*typed)
 
 
 _SPEC_RE = re.compile(r"^builtin:([A-Za-z_][A-Za-z_0-9]*)\((.*)\)$")
@@ -1102,11 +1168,6 @@ def parse_surface_spec(spec: str) -> Immersion:
                     args.append(float(piece))
                 except ValueError:
                     raise UnknownBuiltin(f"bad builtin argument {piece!r} in {spec!r}")
-        if name not in _BUILTIN_ARITY:
-            raise UnknownBuiltin(f"unknown builtin surface {name!r}")
-        lo, hi = _BUILTIN_ARITY[name]
-        if len(args) < lo or (hi is not None and len(args) > hi):
-            raise UnknownBuiltin(f"wrong number of arguments for {name!r}")
         return builtin(name, *args)
     with open(spec, "r", encoding="utf-8") as fh:
         return parse(fh.read())

@@ -1,5 +1,7 @@
 """Exception taxonomy shared across the toolkit."""
 
+import numpy as np
+
 
 class GeometryError(Exception):
     """Base for all toolkit errors."""
@@ -22,7 +24,23 @@ class InvalidFrame(GeometryError):
 
 
 class DomainError(GeometryError):
-    """Evaluation left the domain of ln/sqrt/division."""
+    """Evaluation left the domain of ln/sqrt/division.
+
+    ``location`` is the batch index of the first offending point, which is
+    the grid index when a chart lattice is evaluated (None for a scalar).
+    """
+
+    def __init__(self, msg, location=None):
+        super().__init__(msg if location is None else f"{msg} at grid index {location}")
+        self.location = location
+
+    @classmethod
+    def where(cls, msg, bad):
+        """The error located at the first entry where the mask ``bad`` holds."""
+        bad = np.asarray(bad)
+        if bad.ndim == 0 or not bad.any():
+            return cls(msg)
+        return cls(msg, tuple(int(i) for i in np.argwhere(bad)[0]))
 
 
 class OutOfChart(GeometryError):

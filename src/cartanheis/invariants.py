@@ -26,14 +26,9 @@ from . import jets
 from .darboux import FrameField, MCForm, darboux_derivative, pullback_check
 from .errors import DegeneratePoint, IllConditionedCoframe, WrongClass
 
-__all__ = ["Analysis", "InvariantField", "extract", "second_fundamental_form",
-           "normal_connection", "tanaka_webster_solve", "webster_curvature",
-           "restriction_residuals", "ricci_nonpositivity_check",
+__all__ = ["Analysis", "InvariantField", "extract", "normal_connection",
+           "tanaka_webster_solve", "ricci_nonpositivity_check",
            "nu_from_curvature", "h_from_curvature", "theta_nn_from_intrinsic"]
-
-
-def _vals(j, batch):
-    return j.value + np.zeros(batch)
 
 
 class Analysis:
@@ -72,10 +67,8 @@ class Analysis:
     def coframe_condition(self):
         """Determinant margin of the dual tangent frame in chart components."""
         d = self.d
-        cols = [[_vals(c, self.batch) for c in leg.chart]
-                for leg in self.ff.legs_t + self.ff.legs_jt] \
-            + [[_vals(c, self.batch) for c in self.ff.that.chart]]
-        M = np.stack([np.stack(col) for col in cols])      # (d, d, batch)
+        M = jets.values([leg.chart for leg in self.ff.legs_t + self.ff.legs_jt]
+                        + [self.ff.that.chart])            # (d, d, batch)
         M = np.moveaxis(M.reshape(d, d, -1), -1, 0)
         sv = np.linalg.svd(M, compute_uv=False)
         return float(np.min(sv[:, -1] / sv[:, 0]))
@@ -149,18 +142,16 @@ class Analysis:
         for ai in range(cod):
             for j in range(m):
                 for k in range(m):
-                    h[ai, j, k] = _vals(self._ev1(mixed[j][ai], self.zhat1[k]),
-                                        self.batch)
-                    coef_bar[ai, j, k] = _vals(
-                        self._ev1(mixed[j][ai], [c.conj() for c in self.zhat1[k]]),
-                        self.batch)
-                coef_t[ai, j] = _vals(self._ev1(mixed[j][ai], self.that1), self.batch)
+                    h[ai, j, k] = jets.values(self._ev1(mixed[j][ai], self.zhat1[k]))
+                    coef_bar[ai, j, k] = jets.values(
+                        self._ev1(mixed[j][ai], [c.conj() for c in self.zhat1[k]]))
+                coef_t[ai, j] = jets.values(self._ev1(mixed[j][ai], self.that1))
         return {"h": h, "bar": coef_bar, "t": coef_t}
 
     @cached_property
     def nu_comp_vals(self):
-        return np.stack([_vals(c, self.batch) for c in self.ff.nu_comp]) \
-            if self.codim else np.zeros((0,) + self.batch, dtype=complex)
+        return jets.values(self.ff.nu_comp) if self.codim \
+            else np.zeros((0,) + self.batch, dtype=complex)
 
     def second_ff_residuals(self):
         """Residuals of the predicted lower-order coefficients of theta_j^a.
@@ -201,7 +192,7 @@ class Analysis:
                 for bi in range(cod):
                     acc = acc + self.ff.nu_comp[bi].truncated(1) \
                         * self._ev1(normal[bi][ai], zj)
-                out[ai, j] = _vals(acc, self.batch)
+                out[ai, j] = jets.values(acc)
         return out
 
     @cached_property
@@ -215,13 +206,11 @@ class Analysis:
         for ai in range(cod):
             for bi in range(cod):
                 for k in range(m):
-                    hol[ai, bi, k] = _vals(self._ev1(normal[ai][bi], self.zhat1[k]),
-                                           self.batch)
-                    anti[ai, bi, k] = _vals(
-                        self._ev1(normal[ai][bi],
-                                  [c.conj() for c in self.zhat1[k]]), self.batch)
-                reeb[ai, bi] = _vals(self._ev1(normal[ai][bi], self.that1),
-                                     self.batch)
+                    hol[ai, bi, k] = jets.values(
+                        self._ev1(normal[ai][bi], self.zhat1[k]))
+                    anti[ai, bi, k] = jets.values(
+                        self._ev1(normal[ai][bi], [c.conj() for c in self.zhat1[k]]))
+                reeb[ai, bi] = jets.values(self._ev1(normal[ai][bi], self.that1))
         skew = 0.0
         if cod:
             w = self.mc.values
@@ -280,26 +269,22 @@ class Analysis:
             for j in range(m):
                 for l in range(m):
                     diff = C[k, j, l] - (gamma_hol[k, j, l] - gamma_hol[k, l, j])
-                    res = max(res, float(np.max(np.abs(_vals(diff, self.batch)))))
-                    res = max(res, float(np.max(np.abs(_vals(E[k, j, l],
-                                                             self.batch)))))
+                    res = max(res, float(np.max(np.abs(jets.values(diff)))))
+                    res = max(res, float(np.max(np.abs(jets.values(E[k, j, l])))))
+        Fv, tv = jets.values(F), jets.values(torsion)
         for k in range(m):
             for j in range(m):
-                sym = _vals(F[k, j], self.batch) + np.conj(_vals(F[j, k], self.batch))
-                res = max(res, float(np.max(np.abs(sym))))
-                asym = _vals(torsion[k, j], self.batch) - _vals(torsion[j, k],
-                                                                self.batch)
-                res = max(res, float(np.max(np.abs(asym))))
+                res = max(res, float(np.max(np.abs(Fv[k, j] + np.conj(Fv[j, k])))))
+                res = max(res, float(np.max(np.abs(tv[k, j] - tv[j, k]))))
         # admissibility of the induced contact form: d theta-hat = i theta^l ^ theta^lbar
         adm = 0.0
         for j in range(m):
             for l in range(m):
-                v = _vals(self._two_form(dth, self.zhat1[j], zb[l]), self.batch)
+                v = jets.values(self._two_form(dth, self.zhat1[j], zb[l]))
                 adm = max(adm, float(np.max(np.abs(v - (1j if j == l else 0.0)))))
-                v = _vals(self._two_form(dth, self.zhat1[j], self.zhat1[l]),
-                          self.batch)
+                v = jets.values(self._two_form(dth, self.zhat1[j], self.zhat1[l]))
                 adm = max(adm, float(np.max(np.abs(v))))
-            v = _vals(self._two_form(dth, self.zhat1[j], self.that1), self.batch)
+            v = jets.values(self._two_form(dth, self.zhat1[j], self.that1))
             adm = max(adm, float(np.max(np.abs(v))))
         return {"gamma_hol": gamma_hol, "gamma_bar": gamma_bar, "gamma_0": gamma_0,
                 "torsion": torsion, "solve_residual": res, "admissibility": adm,
@@ -307,10 +292,7 @@ class Analysis:
 
     @cached_property
     def torsion_vals(self):
-        tw = self.tanaka_webster
-        m = self.m
-        return np.stack([np.stack([_vals(tw["torsion"][k, l], self.batch)
-                                   for l in range(m)]) for k in range(m)])
+        return jets.values(self.tanaka_webster["torsion"])
 
     @cached_property
     def intrinsic_conn_slots(self):
@@ -336,23 +318,18 @@ class Analysis:
         m, d = self.m, self.d
         tw = self.tanaka_webster
         s = self.intrinsic_conn_slots
-        sv = np.stack([np.stack([np.stack([_vals(s[j, k, i], self.batch)
-                                           for i in range(d)]) for k in range(m)])
-                       for j in range(m)])          # (m, m, d, batch)
+        sv = jets.values(s)                              # (m, m, d, batch)
         # tau^k and lowered-index companions as value slots
-        zv = np.stack([np.stack([_vals(c, self.batch) for c in row])
-                       for row in self.ff.coframe["z"]])  # (m, d, batch)
+        zv = jets.values(self.ff.coframe["z"])           # (m, d, batch)
         tor = self.torsion_vals
         tau = np.einsum("kl...,ld...->kd...", tor, np.conj(zv))
-        thv = np.stack([_vals(t, self.batch) for t in self.ff.theta_slots])
 
         lam = np.zeros((m, m, d, d) + self.batch, dtype=complex)
         for j in range(m):
             for k in range(m):
                 for p in range(d):
                     for q in range(p + 1, d):
-                        djk = _vals(s[j, k, q].deriv(p) - s[j, k, p].deriv(q),
-                                    self.batch)
+                        djk = jets.values(s[j, k, q].deriv(p) - s[j, k, p].deriv(q))
                         wedge = 0.0
                         for l in range(m):
                             wedge = wedge + sv[j, l, p] * sv[l, k, q] \
@@ -366,9 +343,8 @@ class Analysis:
                         lam[j, k, p, q] = djk - wedge - t1 + t2
                         lam[j, k, q, p] = -lam[j, k, p, q]
 
-        zh = np.stack([np.stack([_vals(c, self.batch) for c in row])
-                       for row in self.zhat1])       # (m, d, batch)
-        thh = np.stack([_vals(c, self.batch) for c in self.that1])
+        zh = jets.values(self.zhat1)                     # (m, d, batch)
+        thh = jets.values(self.that1)
 
         def pair(V, W):
             return np.einsum("jkpq...,p...,q...->jk...", lam, V, W)
@@ -420,21 +396,20 @@ class Analysis:
         5. mixed slots carry (h, i delta nu^a, normal derivative of nu) as
            their dual-frame coefficients.
         """
-        m, d = self.m, self.d
+        m = self.m
         pc = pullback_check(self.ff, self.mc)
         res = {"tangent_coframe": pc["tangent_coframe"],
                "normal_coframe": pc["normal_coframe"],
                "contact": pc["contact"]}
         # (4): tangent connection block
-        s = self.intrinsic_conn_slots
-        nu2 = self.ff.nu_norm2.value + np.zeros(self.batch)
-        thv = np.stack([_vals(t, self.batch) for t in self.ff.theta_slots])
+        nu2 = jets.values(self.ff.nu_norm2)
+        thv = jets.values(self.ff.theta_slots)
+        tan = jets.values(self.conn_slots["tan"])
+        intrinsic = jets.values(self.intrinsic_conn_slots)
         worst4 = 0.0
-        tan = self.conn_slots["tan"]
         for j in range(m):
             for k in range(m):
-                amb = np.stack([_vals(tan[j][k][i], self.batch) for i in range(d)])
-                intr = np.stack([_vals(s[j, k, i], self.batch) for i in range(d)])
+                amb, intr = tan[j, k], intrinsic[j, k]
                 if j == k:
                     intr = intr + 1j * nu2 * thv
                 worst4 = max(worst4, float(np.max(np.abs(amb - intr))))
@@ -463,7 +438,7 @@ class Analysis:
         m = self.m
         cur = self.curvature["curv"]
         A = self.torsion_vals
-        nu2 = self.ff.nu_norm2.value + np.zeros(self.batch)
+        nu2 = jets.values(self.ff.nu_norm2)
         if np.min(nu2) <= 0:
             raise WrongClass("surface is not completely non-vertical")
         worst = 0.0
@@ -482,7 +457,7 @@ class Analysis:
     def scalar_torsion_residual(self) -> float:
         """Relative residual of R = -|A|^2/|nu|^2 + m(m+1)|nu|^2."""
         R = self.curvature["scalar"]
-        nu2 = self.ff.nu_norm2.value + np.zeros(self.batch)
+        nu2 = jets.values(self.ff.nu_norm2)
         if np.min(nu2) <= 0:
             raise WrongClass("surface is not completely non-vertical")
         pred = -self.torsion_norm2 / nu2 + self.m * (self.m + 1) * nu2
@@ -495,7 +470,7 @@ class Analysis:
         if self.ff.policy != "nu":
             raise WrongClass("link identity is stated in the nu-adapted gauge")
         h = self.second_ff["h"][0]
-        nu = np.sqrt(self.ff.nu_norm2.value + np.zeros(self.batch))
+        nu = np.sqrt(jets.values(self.ff.nu_norm2))
         A = self.torsion_vals
         # the lowered-index torsion pairs with h through a conjugation
         return float(np.max(np.abs(h * nu - np.conj(A))))
@@ -508,11 +483,6 @@ class Analysis:
 # named operations over an analysis
 # ---------------------------------------------------------------------------
 
-def second_fundamental_form(an: Analysis):
-    """h coefficients with the residuals of the predicted companion terms."""
-    return {"h": an.second_ff["h"], **an.second_ff_residuals()}
-
-
 def normal_connection(an: Analysis):
     if an.codim == 0:
         return {"hol": np.zeros((0, 0, an.m) + an.batch, dtype=complex),
@@ -524,23 +494,9 @@ def normal_connection(an: Analysis):
 
 def tanaka_webster_solve(an: Analysis):
     tw = an.tanaka_webster
-    m = an.m
-    gam = {key: np.stack([np.stack([np.stack(
-        [_vals(tw[key][k, j, l], an.batch) for l in range(m)])
-        for j in range(m)]) for k in range(m)])
-        for key in ("gamma_hol", "gamma_bar")}
-    gam["gamma_0"] = np.stack([np.stack([_vals(tw["gamma_0"][k, j], an.batch)
-                                         for j in range(m)]) for k in range(m)])
+    gam = {key: jets.values(tw[key]) for key in ("gamma_hol", "gamma_bar", "gamma_0")}
     return {"torsion": an.torsion_vals, "solve_residual": tw["solve_residual"],
             "admissibility": tw["admissibility"], **gam}
-
-
-def webster_curvature(an: Analysis):
-    return an.curvature
-
-
-def restriction_residuals(an: Analysis):
-    return an.restriction_residuals()
 
 
 def ricci_nonpositivity_check(an: Analysis, tol=1e-8):
@@ -623,34 +579,32 @@ def theta_nn_from_intrinsic(an: Analysis):
     nrm = ff.nu_norm_jet()                       # |nu| as a second-order jet
     dn = [nrm.deriv(i) for i in range(d)]
     zd = [an._ev1(dn, an.zhat1[j]) for j in range(m)]          # Zhat_j |nu|
-    td = _vals(an._ev1(dn, an.that1), an.batch)                # That |nu|
+    td = jets.values(an._ev1(dn, an.that1))                    # That |nu|
     tw = an.tanaka_webster
 
+    zdv = jets.values(zd)
+    gamma_bar = jets.values(tw["gamma_bar"])
+    zbar = np.conj(jets.values(an.zhat1))
     S = np.zeros(an.batch, dtype=complex)
     for j in range(m):
-        dzd = [zd[j].deriv(i) for i in range(d)]
-        zbar_j = [np.conj(_vals(c, an.batch)) for c in an.zhat1[j]]
-        acc = sum(np.asarray(zbar_j[i]) * _vals(dzd[i], an.batch) for i in range(d))
+        dzd = jets.values([zd[j].deriv(i) for i in range(d)])
+        acc = sum(zbar[j, i] * dzd[i] for i in range(d))
         for k in range(m):
-            acc = acc - _vals(tw["gamma_bar"][k, j, j], an.batch) \
-                * _vals(zd[k], an.batch)
+            acc = acc - gamma_bar[k, j, j] * zdv[k]
         S = S + acc
-    grad2 = sum(np.abs(_vals(z, an.batch)) ** 2 for z in zd)
-    nuv = np.sqrt(ff.nu_norm2.value + np.zeros(an.batch))
+    grad2 = sum(np.abs(z) ** 2 for z in zdv)
+    nuv = np.sqrt(jets.values(ff.nu_norm2))
     A2 = an.torsion_norm2
     imb = (2 * S - 1j * m * td - 2 * grad2 / nuv - m * nuv ** 3 + A2 / nuv) / m
     imb_im_res = float(np.max(np.abs(imb.imag)))
     imb = imb.real
 
-    zv = np.stack([np.stack([_vals(c, an.batch) for c in row])
-                   for row in ff.coframe["z"]])
-    thv = np.stack([_vals(t, an.batch) for t in ff.theta_slots])
-    zdv = np.stack([_vals(z, an.batch) for z in zd])
+    zv = jets.values(ff.coframe["z"])
+    thv = jets.values(ff.theta_slots)
     cand = (np.einsum("j...,ji...->i...", zdv, zv)
             - np.einsum("j...,ji...->i...", np.conj(zdv), np.conj(zv))
             - 1j * imb * thv) / nuv
-    amb_slots = an.conn_slots["normal"][0][0]
-    amb = np.stack([_vals(s, an.batch) for s in amb_slots])
+    amb = jets.values(an.conn_slots["normal"][0][0])
     return {"candidate": cand, "ambient": amb,
             "residual": float(np.max(np.abs(cand - amb))),
             "imaginary_defect": imb_im_res}
@@ -698,7 +652,7 @@ def extract(ff: FrameField, mc: MCForm | None = None, with_curvature=True,
             res["ricci_hermitian"] = cur["hermitian"]
     return InvariantField(
         n=an.n, m=an.m, grid_shape=ff.batch,
-        nu_norm=ff.nu_norm + np.zeros(ff.batch),
+        nu_norm=ff.nu_norm.copy(),
         nu_components=an.nu_comp_vals,
         h=an.second_ff["h"],
         second_ff_norm2=an.II_norm2,

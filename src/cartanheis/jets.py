@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DomainError
 
-__all__ = ["JetContext", "Jet", "context", "variables", "constant", "lift"]
+__all__ = ["JetContext", "Jet", "context", "variables", "constant", "values"]
 
 
 def _monomials(nvars, order):
@@ -256,8 +256,9 @@ class Jet:
 
     def reciprocal(self):
         c = self.value
-        if np.any(np.abs(c) < 1e-300):
-            raise DomainError("division by zero in jet arithmetic")
+        bad = np.abs(c) < 1e-300
+        if np.any(bad):
+            raise DomainError.where("division by zero in jet arithmetic", bad)
         derivs = [1.0 / c]
         for k in range(1, self.ctx.order + 1):
             derivs.append(derivs[-1] * (-k) / c)
@@ -266,7 +267,8 @@ class Jet:
     def sqrt(self):
         c = self.value
         if np.iscomplexobj(c) or np.any(c <= 0):
-            raise DomainError("sqrt of non-positive value in jet arithmetic")
+            raise DomainError.where("sqrt of non-positive value in jet arithmetic",
+                                    np.real(c) <= 0)
         r = np.sqrt(c)
         derivs = [r, 0.5 / r, -0.25 / (r * c), 0.375 / (r * c * c)]
         return self._compose(derivs[: self.ctx.order + 1])
@@ -278,7 +280,8 @@ class Jet:
     def log(self):
         c = self.value
         if np.iscomplexobj(c) or np.any(c <= 0):
-            raise DomainError("ln of non-positive value in jet arithmetic")
+            raise DomainError.where("ln of non-positive value in jet arithmetic",
+                                    np.real(c) <= 0)
         derivs = [np.log(c), 1.0 / c, -1.0 / c ** 2, 2.0 / c ** 3]
         return self._compose(derivs[: self.ctx.order + 1])
 
@@ -313,5 +316,15 @@ def constant(ctx: JetContext, value, batch_shape=()) -> Jet:
     return Jet.const(ctx, value, batch_shape)
 
 
-def lift(ctx: JetContext, x) -> Jet:
-    return x if isinstance(x, Jet) else Jet.const(ctx, np.asarray(x))
+def values(tree) -> np.ndarray:
+    """Grid values of a jet field.
+
+    A single jet gives its value array (a view of its coefficients); a list
+    or object array of jets, nested to any depth, gives the values stacked
+    along leading axes, so ``values(rows)[r, c]`` is ``rows[r][c].value``.
+    Every jet the pipeline builds over a grid carries the full batch shape,
+    so no broadcast is needed.
+    """
+    if isinstance(tree, Jet):
+        return tree.c[0]
+    return np.stack([values(t) for t in tree])

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
-from . import psh
+from . import jets, psh
 from .darboux import ChartGrid, MCForm
 from .errors import (DimensionMismatch, IntegrabilityFailure,
                      ProjectionDrift)
@@ -298,24 +298,13 @@ class IntrinsicData:
 def intrinsic_data_from_analysis(an) -> IntrinsicData:
     """Collect the intrinsic fields of an analysed surface (extraction side)."""
     ff = an.ff
-    d, m, cod = an.d, an.m, an.codim
-    batch = an.batch
-    theta = np.stack([t.value + np.zeros(batch) for t in ff.theta_slots])
-    zco = np.stack([np.stack([c.value + np.zeros(batch) for c in row])
-                    for row in ff.coframe["z"]])
-    s = an.intrinsic_conn_slots
-    conn = np.stack([np.stack([np.stack([s[j, k, i].value + np.zeros(batch)
-                                         for i in range(d)]) for k in range(m)])
-                     for j in range(m)])
-    normal = np.zeros((cod, cod, d) + batch, dtype=complex)
-    for ai in range(cod):
-        for bi in range(cod):
-            for i in range(d):
-                normal[ai, bi, i] = an.conn_slots["normal"][ai][bi][i].value \
-                    + np.zeros(batch)
+    normal = jets.values(an.conn_slots["normal"]) if an.codim else \
+        np.zeros((0, 0, an.d) + an.batch, dtype=complex)
     return IntrinsicData(
-        n=an.n, m=m, grid=ff.grid, theta=theta, zco=zco, conn_slots=conn,
-        nu2=ff.nu_norm2.value + np.zeros(batch),
+        n=an.n, m=an.m, grid=ff.grid, theta=jets.values(ff.theta_slots),
+        zco=jets.values(ff.coframe["z"]),
+        conn_slots=jets.values(an.intrinsic_conn_slots),
+        nu2=jets.values(ff.nu_norm2).copy(),
         gtensor=an.second_ff["h"].copy(),
         mu=an.nu_comp_vals.copy(),
         mu_deriv=an.nabla_perp_nu.copy(),

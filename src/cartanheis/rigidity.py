@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import psh
+from . import jets, psh
 from .errors import NotFlat, NotTorsionFree, WrongClass
 from .heis import HPoint
 from .invariants import Analysis
@@ -79,7 +79,7 @@ def detect_flat(an: Analysis, tol=1e-7) -> RigidMotionFit:
     motion = ff.psh_at((0,) * an.d)
 
     inv = psh.inverse(motion)
-    X = np.stack([x.value + np.zeros(an.batch) for x in ff.X])
+    X = jets.values(ff.X)
     ones = np.ones((1,) + an.batch)
     moved = np.einsum("rc,c...->r...", inv.mat, np.concatenate([ones, X]))
     resid = max(float(np.max(np.abs(moved[n]))),
@@ -107,10 +107,9 @@ def detect_sphere(an: Analysis, tol=1e-7) -> SphereFit:
     _require(amax < tol, NotTorsionFree,
              f"pseudohermitian torsion reaches {amax:.2e} (tol {tol:.0e})")
 
-    nu = ff.nu_norm + np.zeros(an.batch)
-    a = np.stack([c.value + np.zeros(an.batch)
-                  for c in ff.legs_jn[0][:2 * n]]) / nu      # (2n, batch)
-    X = np.stack([x.value + np.zeros(an.batch) for x in ff.X])
+    nu = ff.nu_norm
+    a = jets.values(ff.legs_jn[0][:2 * n]) / nu               # (2n, batch)
+    X = jets.values(ff.X)
     cx = X[:n] - a[:n]
     cy = X[n:2 * n] - a[n:2 * n]
     ct = X[2 * n] - (np.einsum("b...,b...->...", a[:n], cy)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -183,3 +184,37 @@ def test_runs_without_scipy():
     res = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, timeout=300)
     assert res.returncode == 0, res.stderr
+
+
+@pytest.mark.parametrize("spec", ["builtin:heis_sub(1.5,2)", "builtin:sphere(2.7,1)",
+                                  "builtin:holograph(1.5)"])
+def test_non_integral_builtin_argument_exit_two(spec, capsys):
+    assert run_cli("check", "--surface", spec, "--grid", "5") == 2
+    assert "must be a finite integer" in capsys.readouterr().err
+
+
+def test_huge_holograph_degree_exits_two_promptly(capsys):
+    t0 = time.perf_counter()
+    assert run_cli("check", "--surface", "builtin:holograph(1e9)", "--grid", "5") == 2
+    assert time.perf_counter() - t0 < 5.0
+    assert "degree" in capsys.readouterr().err
+
+
+def test_chart_domain_failure_exit_two_with_location(capsys):
+    code = run_cli("check", "--surface", "builtin:ellipsoid(2,1,100)", "--grid", "5")
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("input error: DomainError")
+    assert "grid index (" in err
+
+
+def test_internal_error_exit_three(monkeypatch, capsys):
+    from cartanheis import invariants
+
+    def broken(self):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(invariants.Analysis, "restriction_residuals", broken)
+    code = run_cli("invariants", "--surface", "builtin:heis_sub(1,2)", "--grid", "3")
+    assert code == 3
+    assert capsys.readouterr().err.strip() == "internal error: RuntimeError: boom"

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from cartanheis import darboux, dsl, heis, psh
+from cartanheis import darboux, dsl, heis, invariants, psh
+from cartanheis.jets import Jet
 from cartanheis.errors import NotCRInvariant, SingularPoint
 from conftest import analysis_for
 
@@ -190,3 +191,54 @@ def test_constant_gauge_change_conjugates_omega():
     h[2 * n, n] = s
     conj = np.einsum("rc,ics...,st->irt...", np.linalg.inv(h), w0, h)
     assert np.max(np.abs(w1 - conj)) < 1e-12
+
+
+def _jets_in(obj, seen):
+    """Every jet reachable through lists, tuples, dicts, object arrays and legs."""
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, Jet):
+        yield obj
+    elif isinstance(obj, (list, tuple)):
+        for x in obj:
+            yield from _jets_in(x, seen)
+    elif isinstance(obj, dict):
+        for x in obj.values():
+            yield from _jets_in(x, seen)
+    elif isinstance(obj, np.ndarray) and obj.dtype == object:
+        for x in obj.flat:
+            yield from _jets_in(x, seen)
+    elif isinstance(obj, darboux.Leg):
+        yield from _jets_in([obj.chart, obj.frame], seen)
+
+
+@pytest.mark.parametrize("spec, policy, counts", [
+    ("builtin:sphere(2,1)", "nu", 3),
+    ("builtin:heis_sub(1,2)", "canonical", 3),
+    ("builtin:holograph()", "canonical", 3),
+    ("builtin:ellipsoid(3,1,1,1.3)", "nu", 3),
+    ("builtin:sphere(2,1)", "canonical", None),
+])
+def test_every_pipeline_jet_spans_the_grid(spec, policy, counts):
+    # jets.values reads jet fields without broadcasting, which is right only
+    # while every jet the pipeline builds carries the full batch shape
+    imm = dsl.parse_surface_spec(spec)
+    if counts is None:
+        centre = [(lo + hi) / 2 for lo, hi in imm.chart]
+        ff = darboux._point_field(imm, centre, policy=policy)
+    else:
+        ff = darboux.darboux_frame(imm, darboux.ChartGrid(imm.chart, counts),
+                                   policy=policy)
+    an = invariants.Analysis(ff)
+    for name in ("frame_cols", "matrix", "coframe", "duals"):
+        getattr(ff, name)
+    for name in ("zco1", "th1", "zhat1", "that1", "conn_slots", "_dz",
+                 "tanaka_webster", "intrinsic_conn_slots"):
+        getattr(an, name)
+    seen = set()
+    found = [j for obj in (ff, an.mc, an)
+             for j in _jets_in(list(vars(obj).values()), seen)]
+    assert len(found) > 100
+    bad = {j.batch_shape for j in found if j.batch_shape != ff.grid.shape}
+    assert not bad, f"jets with batch shapes {bad} on a {ff.grid.shape} grid"

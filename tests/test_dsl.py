@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -220,3 +222,63 @@ def test_random_expression_pretty_parse_fixed_point(expr):
     v1 = imm.values(u)
     v2 = dsl.parse(pp).values(u)
     assert np.allclose(v1[0], v2[0], rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("spec", [
+    "builtin:heis_sub(1.5,2)", "builtin:sphere(2.7,1)", "builtin:holograph(1.5)",
+    "builtin:ellipsoid(2.5,1,1.3)", "builtin:sphere(2,inf)", "builtin:holograph(65)"])
+def test_builtin_arguments_are_typed(spec):
+    with pytest.raises(UnknownBuiltin):
+        dsl.parse_surface_spec(spec)
+
+
+def test_builtin_integral_floats_accepted():
+    imm = dsl.parse_surface_spec("builtin:heis_sub(1.0,2.0)")
+    assert (imm.m, imm.n) == (1, 2)
+    assert dsl.parse_surface_spec("builtin:holograph(64)").n == 2
+
+
+def test_shared_subexpressions_evaluate_once():
+    # a doubly shared chain: a naive tree walk would take 2^80 steps
+    e = dsl.param("u1")
+    for _ in range(80):
+        e = dsl.Bin("*", e, e)
+    (v,) = dsl.evaluate([e], {"u1": np.array([1.0, -1.0])})
+    assert np.array_equal(v, [1.0, 1.0])
+    # a long left-leaning sum evaluates without recursion
+    s = dsl.param("u1")
+    for _ in range(5000):
+        s = dsl.Bin("+", s, dsl.num(1.0))
+    (v,) = dsl.evaluate([s], {"u1": np.array([0.5])})
+    assert v[0] == 5000.5
+
+
+def test_high_degree_holograph_jets_are_fast():
+    from cartanheis import darboux
+    imm = dsl.holograph(16)
+    grid = darboux.ChartGrid(imm.chart, 3)
+    t0 = time.perf_counter()
+    js = imm.jets(grid.points)
+    assert time.perf_counter() - t0 < 1.0
+    z = grid.points[0] + 1j * grid.points[1]
+    assert np.allclose(js[1].value + 1j * js[3].value, z ** 16, rtol=1e-13)
+
+
+def test_domain_error_location_from_chart_values():
+    text = PLANE.replace("x[1] = u1;", "x[1] = sqrt(u1);")
+    imm = dsl.parse(text)
+    u1 = np.array([[0.5, 0.1], [-0.2, 0.3]])
+    with pytest.raises(DomainError) as info:
+        imm.values([u1] + [np.full((2, 2), 0.1)] * 4)
+    assert info.value.location == (1, 0)
+
+
+@pytest.mark.parametrize("prefix, suffix", [
+    ("(" * 150, ")" * 150), ("-" * 150, ""), ("sin(" * 150, ")" * 150)])
+def test_deep_nesting_is_a_syntax_error(prefix, suffix):
+    text = PLANE.replace("x[1] = u1;", f"x[1] = {prefix}u1{suffix};")
+    with pytest.raises(DslSyntaxError) as info:
+        dsl.parse(text)
+    assert info.value.line == 6
+    shallow = PLANE.replace("x[1] = u1;", "x[1] = " + "(" * 90 + "u1" + ")" * 90 + ";")
+    assert dsl.parse(shallow).n == 2

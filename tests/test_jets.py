@@ -104,3 +104,45 @@ def test_complex_conjugation_and_batching():
     assert np.allclose(w.value.imag, 0)
     assert np.allclose(w.value.real, u.value ** 2 + v.value ** 2)
     assert np.allclose(w.real.gradient()[0], 2 * u.value)
+
+
+def test_values_of_single_and_nested_jets():
+    ctx = jets.context(2, 1)
+    u, v = jets.variables(ctx, [np.array([[1.0, 2.0, 3.0]]),
+                                np.array([[0.5, 0.25, -1.0]])])
+    w = u * v
+    assert np.array_equal(jets.values(w), u.value * v.value)
+    assert jets.values(w).shape == w.batch_shape == (1, 3)
+    rows = [[u, v], [w, u + v]]
+    vals = jets.values(rows)
+    assert vals.shape == (2, 2, 1, 3)
+    for r in range(2):
+        for c in range(2):
+            assert np.array_equal(vals[r, c], rows[r][c].value)
+    obj = np.empty((2, 2), dtype=object)
+    for r in range(2):
+        for c in range(2):
+            obj[r, c] = rows[r][c]
+    assert np.array_equal(jets.values(obj), vals)
+
+
+def test_values_mixes_real_and_complex():
+    ctx = jets.context(1, 2)
+    (u,) = jets.variables(ctx, [np.array([0.5, 1.5])])
+    z = u + 1j * u ** 2
+    vals = jets.values([u, z])
+    assert vals.dtype == complex
+    assert np.array_equal(vals[0], u.value.astype(complex))
+    assert np.array_equal(vals[1], z.value)
+
+
+def test_domain_error_carries_batch_location():
+    ctx = jets.context(1, 2)
+    (u,) = jets.variables(ctx, [np.array([[0.5, 1.0], [-0.25, 2.0]])])
+    with pytest.raises(DomainError) as info:
+        u.sqrt()
+    assert info.value.location == (1, 0)
+    assert "grid index (1, 0)" in str(info.value)
+    with pytest.raises(DomainError) as info:
+        (u - 1.0).reciprocal()
+    assert info.value.location == (0, 1)
