@@ -104,11 +104,17 @@ def _parse_tols(args, mode="ad") -> dict:
 
 
 def _parse_grid(text, d):
-    parts = [int(x) for x in text.split(",")]
+    try:
+        parts = [int(x) for x in text.split(",")]
+    except ValueError:
+        parts = []
+    if not parts or min(parts) < 1:
+        raise ValueError(f"--grid takes positive integer counts, e.g. 17 or "
+                         f"17,17,9; got {text!r}")
     if len(parts) == 1:
         parts = parts * d
     if len(parts) != d:
-        raise ValueError(f"grid needs 1 or {d} counts, got {len(parts)}")
+        raise ValueError(f"--grid needs 1 or {d} counts, got {len(parts)}")
     return parts
 
 
@@ -154,25 +160,15 @@ def main(argv=None) -> int:
     return code
 
 
-def _auto_policy(imm, grid, args, darboux, rigidity):
-    if args.policy != "auto":
-        return darboux.darboux_frame(imm, grid, policy=args.policy, mode=args.mode)
-    ff = darboux.darboux_frame(imm, grid, policy="canonical", mode=args.mode)
-    cls = rigidity.classify(ff.nu_norm)
-    if cls.kind == rigidity.COMPLETELY_NON_VERTICAL and imm.n - imm.m == 1:
-        ff = darboux.darboux_frame(imm, grid, policy="nu", mode=args.mode)
-    return ff
-
-
 def _base_setup(args):
-    from . import darboux, dsl, rigidity
+    from . import darboux, dsl
     imm = dsl.parse_surface_spec(args.surface)
     counts = _parse_grid(args.grid, imm.nparams)
     if args.command != "classify" and min(counts) < 3:
         raise ValueError("grid counts must be at least 3 per axis for "
                          "exterior-derivative commands")
     grid = darboux.ChartGrid(imm.chart, counts)
-    ff = _auto_policy(imm, grid, args, darboux, rigidity)
+    ff = darboux.darboux_frame(imm, grid, policy=args.policy, mode=args.mode)
     return imm, grid, ff
 
 
@@ -245,8 +241,8 @@ def _dispatch(args, rep):
                 an.theta_nn_residual() <= tols["theta_nn"]
         rng = np.random.default_rng(args.seed)
         Phi = psh.random_element(imm.n, rng)
-        ff2 = _auto_policy(dsl.transform_immersion(imm, Phi), grid, args,
-                           darboux, rigidity)
+        ff2 = darboux.darboux_frame(dsl.transform_immersion(imm, Phi), grid,
+                                    policy=args.policy, mode=args.mode)
         an2 = invariants.Analysis(ff2)
         gaps = [np.max(np.abs(ff2.nu_norm - ff.nu_norm)),
                 np.max(np.abs(an2.II_norm2 - an.II_norm2)),
@@ -288,7 +284,8 @@ def _dispatch(args, rep):
         rpt["verdicts"]["reconstruction_points"] = gap <= tols["roundtrip"]
         rpt["diagnostics"].append(f"reintegrated point gap {gap:.3e}")
         if args.command == "roundtrip":
-            ff2 = _auto_policy(moved, grid, args, darboux, rigidity)
+            ff2 = darboux.darboux_frame(moved, grid, policy=args.policy,
+                                        mode=args.mode)
             an2 = invariants.Analysis(ff2)
             gaps = {
                 "nu": float(np.max(np.abs(ff2.nu_norm - ff.nu_norm))),

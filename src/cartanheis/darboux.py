@@ -31,8 +31,10 @@ __all__ = ["ChartGrid", "FrameField", "MCForm", "darboux_frame",
            "darboux_derivative", "contact_intersection", "reeb_and_nu",
            "pullback_check"]
 
+POLICIES = ("auto", "canonical", "nu", "reverse")
 TOL_SINGULAR = 1e-8
 TOL_CR = 1e-8
+TOL_CLASS = 1e-7   # |nu| threshold between vertical and non-vertical points
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +164,10 @@ class FrameField:
       - "canonical": chart-axis seeds in their natural order (default);
       - "reverse": reversed tangent seed order (a different smooth gauge);
       - "nu": normal gauge with first normal leg -nu/|nu| (requires the
-        surface to be completely non-vertical on the grid).
+        surface to be completely non-vertical on the grid);
+      - "auto": "nu" on a completely non-vertical hypersurface (n - m = 1,
+        |nu| classified by ``rigidity.classify`` at ``TOL_CLASS``), otherwise
+        "canonical"; ``self.policy`` then holds the gauge used.
     ``normal_phases`` optionally rotates each normal pair (e_a, Je_a) by a
     fixed angle, i.e. replaces Z_a by e^{i psi} Z_a.
     """
@@ -171,6 +176,9 @@ class FrameField:
                  normal_phases=None, tol_singular=TOL_SINGULAR, tol_cr=TOL_CR):
         if order < 2:
             raise DimensionMismatch("frame construction needs jets of order >= 2")
+        if policy not in POLICIES:
+            raise ValueError(f"unknown frame gauge {policy!r}; "
+                             f"accepted: {', '.join(POLICIES)}")
         self.imm = imm
         self.grid = grid
         self.policy = policy
@@ -289,6 +297,11 @@ class FrameField:
         nu[2 * n] = nu[2 * n] - 1.0
         self.nu_frame = nu
         self.nu_norm2 = _dot(nu, nu)
+        if self.policy == "auto":
+            # deferred: rigidity imports this module through invariants
+            from .rigidity import COMPLETELY_NON_VERTICAL, classify
+            cnv = classify(self.nu_norm).kind == COMPLETELY_NON_VERTICAL
+            self.policy = "nu" if cnv and n - m == 1 else "canonical"
 
         # normal legs
         self.legs_n, self.legs_jn = [], []

@@ -355,37 +355,44 @@ def _prec(e) -> int:
     return _PREC_ATOM
 
 
-def expr_to_text(e) -> str:
+def _wrap(e, paren):
+    return ["(", e, ")"] if paren else [e]
+
+
+def _text_parts(e):
+    """The text of one node as literal strings around its child nodes."""
     if isinstance(e, Num):
-        return repr(e.v)
+        return [repr(e.v)]
     if isinstance(e, Pi):
-        return "pi"
+        return ["pi"]
     if isinstance(e, Param):
-        return e.name
+        return [e.name]
     if isinstance(e, Fun):
-        return f"{e.name}({expr_to_text(e.arg)})"
+        return [f"{e.name}(", e.arg, ")"]
     if isinstance(e, Neg):
-        inner = expr_to_text(e.a)
         # parenthesise anything below power precedence so that "-" never
         # rebinds to a subfactor on reparse
-        if _prec(e.a) < _PREC_POW:
-            inner = f"({inner})"
-        return f"-{inner}"
+        return ["-"] + _wrap(e.a, _prec(e.a) < _PREC_POW)
     if isinstance(e, Pow):
-        base = expr_to_text(e.base)
-        if _prec(e.base) < _PREC_ATOM:
-            base = f"({base})"
-        return f"{base}^{e.k}"
+        return _wrap(e.base, _prec(e.base) < _PREC_ATOM) + [f"^{e.k}"]
     if isinstance(e, Bin):
-        a, b = expr_to_text(e.a), expr_to_text(e.b)
         mine = _prec(e)
-        if _prec(e.a) < mine:
-            a = f"({a})"
         right_needs = _prec(e.b) < mine or (e.op in "-/" and _prec(e.b) == mine)
-        if right_needs:
-            b = f"({b})"
-        return f"{a} {e.op} {b}"
+        return (_wrap(e.a, _prec(e.a) < mine) + [f" {e.op} "]
+                + _wrap(e.b, right_needs))
     raise TypeError(f"unknown expression node {e!r}")
+
+
+def expr_to_text(e) -> str:
+    """Source text of an expression; iterative, so chain length is unbounded."""
+    out, todo = [], [e]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            out.append(item)
+        else:
+            todo.extend(reversed(_text_parts(item)))
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,8 @@ from functools import cached_property
 import numpy as np
 
 from . import jets
-from .darboux import FrameField, MCForm, darboux_derivative, pullback_check
+from .darboux import (TOL_CLASS, FrameField, MCForm, darboux_derivative,
+                      pullback_check)
 from .errors import DegeneratePoint, IllConditionedCoframe, WrongClass
 
 __all__ = ["Analysis", "InvariantField", "extract", "normal_connection",
@@ -502,7 +503,7 @@ def tanaka_webster_solve(an: Analysis):
 def ricci_nonpositivity_check(an: Analysis, tol=1e-8):
     """Largest eigenvalue of the Webster-Ricci form; vertical surfaces only."""
     numax = float(np.max(an.ff.nu_norm))
-    if numax > 1e-7:
+    if numax > TOL_CLASS:
         raise WrongClass(f"Ricci sign check applies to vertical surfaces "
                          f"(max |nu| = {numax:.2e})")
     ric = an.curvature["ricci"]
@@ -532,7 +533,7 @@ def h_from_curvature(an: Analysis, tol=1e-6):
     if an.codim != 1:
         raise WrongClass("curvature-determines-h needs codimension one")
     numax = float(np.max(an.ff.nu_norm))
-    if numax > 1e-7:
+    if numax > TOL_CLASS:
         raise WrongClass("curvature-determines-h applies to vertical surfaces")
     m = an.m
     cur = an.curvature["curv"]

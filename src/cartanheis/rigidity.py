@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jets, psh
+from .darboux import TOL_CLASS
 from .errors import NotFlat, NotTorsionFree, WrongClass
 from .heis import HPoint
 from .invariants import Analysis
@@ -40,7 +41,7 @@ class RigidMotionFit:
     image_residual: float
 
 
-def classify(nu_norm, tol=1e-7) -> VerticalityClass:
+def classify(nu_norm, tol=TOL_CLASS) -> VerticalityClass:
     """Vertical / completely non-vertical / mixed, from the |nu| field."""
     nu = np.asarray(nu_norm, dtype=float)
     lo, hi = float(np.min(nu)), float(np.max(nu))

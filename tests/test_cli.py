@@ -126,6 +126,27 @@ def test_grid_validation(capsys):
                    "--grid", "2") == 2
     assert run_cli("invariants", "--surface", "builtin:sphere(2,1)",
                    "--grid", "5,5") == 2
+    for bad in ("0", "-2", "abc", "3,"):
+        capsys.readouterr()
+        assert run_cli("classify", "--surface", "builtin:heis_sub(1,2)",
+                       "--grid", bad) == 2, bad
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and "--grid" in err, (bad, err)
+
+
+@pytest.mark.parametrize("command, builds", [("invariants", 1), ("check", 2)])
+def test_one_frame_build_per_surface(command, builds, monkeypatch, capsys):
+    from cartanheis import darboux
+    calls = []
+    build = darboux.FrameField._build
+
+    def counted(self, order):
+        calls.append(self.imm)
+        return build(self, order)
+
+    monkeypatch.setattr(darboux.FrameField, "_build", counted)
+    assert run_cli(command, "--surface", "builtin:sphere(2,1)", "--grid", "5") == 0
+    assert len(calls) == builds
 
 
 def test_corpus_valid_files_roundtrip():

@@ -242,3 +242,29 @@ def test_every_pipeline_jet_spans_the_grid(spec, policy, counts):
     assert len(found) > 100
     bad = {j.batch_shape for j in found if j.batch_shape != ff.grid.shape}
     assert not bad, f"jets with batch shapes {bad} on a {ff.grid.shape} grid"
+
+
+@pytest.mark.parametrize("spec, counts, gauge", [
+    ("builtin:sphere(2,1)", 5, "nu"),
+    ("builtin:ellipsoid(2,1,1.3)", 5, "nu"),
+    ("builtin:ellipsoid(3,1,1,1.3)", 5, "nu"),
+    ("builtin:holograph()", 5, "canonical"),
+    ("builtin:heis_sub(1,2)", 5, "canonical"),
+])
+@pytest.mark.parametrize("mode", ["ad", "fd"])
+def test_auto_gauge_resolves_inside_one_build(spec, counts, gauge, mode):
+    imm = dsl.parse_surface_spec(spec)
+    grid = darboux.ChartGrid(imm.chart, counts)
+    ff = darboux.darboux_frame(imm, grid, policy="auto", mode=mode)
+    assert ff.policy == gauge
+    explicit = darboux.darboux_frame(imm, grid, policy=gauge, mode=mode)
+    assert np.array_equal(ff.matrix_values(), explicit.matrix_values())
+
+
+def test_unknown_gauge_is_rejected():
+    imm = dsl.builtin("sphere", 2, 1.0)
+    grid = darboux.ChartGrid(imm.chart, 3)
+    with pytest.raises(ValueError) as info:
+        darboux.darboux_frame(imm, grid, policy="nuu")
+    for name in ("'nuu'", "auto", "canonical", "nu", "reverse"):
+        assert name in str(info.value)

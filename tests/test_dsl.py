@@ -253,6 +253,21 @@ def test_shared_subexpressions_evaluate_once():
     assert v[0] == 5000.5
 
 
+def test_long_sum_source_reparses():
+    terms = " + ".join(f"{k}*u1" for k in range(3000))
+    text = ("surface long_sum {\n  n = 2; m = 1;\n  params = [u1, u2, u3];\n"
+            "  chart = [[-0.5, 0.5], [-0.5, 0.5], [-0.5, 0.5]];\n}\n"
+            "x[1] = u1;  x[2] = 0.0;\ny[1] = u2;  y[2] = 0.0;\n"
+            f"t = u3 + {terms};\n")
+    imm = dsl.parse(text)
+    src = imm.source()
+    again = dsl.parse(src)
+    assert again.source() == src
+    pts = [np.array([-0.5, 0.1, 0.5])] * 3
+    for a, b in zip(imm.values(pts), again.values(pts)):
+        assert np.array_equal(a, b)
+
+
 def test_high_degree_holograph_jets_are_fast():
     from cartanheis import darboux
     imm = dsl.holograph(16)
