@@ -180,6 +180,15 @@ def _config_echo(args):
     return cfg
 
 
+def _holonomy_note(verdict):
+    """The holonomy diagnostic: value, path taken and, when the edges were
+    subdivided, the refinement order observed."""
+    note = f"holonomy per area {verdict['holonomy']:.3e} ({verdict['path']} path"
+    if "edge_refinement_order" in verdict:
+        note += f", edge refinement order {verdict['edge_refinement_order']:.2f}"
+    return note + ")"
+
+
 def _invariant_payload(rpt, ff, an, tols, rep, rigidity):
     import numpy as np
     cls = rigidity.classify(ff.nu_norm, tols["class"])
@@ -211,15 +220,15 @@ def _dispatch(args, rep):
     tols = _parse_tols(args, args.mode)
     rpt = rep.new_report(args.command, _config_echo(args))
 
+    imm, grid, ff = _base_setup(args)
+    rpt["metadata"]["gauge"] = ff.policy
     if args.command == "classify":
-        imm, grid, ff = _base_setup(args)
         cls = rigidity.classify(ff.nu_norm, tols["class"])
         rpt["class"] = cls.kind
         rpt["nu"] = {"min": cls.nu_min, "max": cls.nu_max,
                      "mean": float(np.mean(ff.nu_norm))}
         return rpt, 0
 
-    imm, grid, ff = _base_setup(args)
     an = invariants.Analysis(ff)
     cls = _invariant_payload(rpt, ff, an, tols, rep, rigidity)
 
@@ -231,8 +240,7 @@ def _dispatch(args, rep):
         eta = reconstruct.eta_from_frame_field(mc)
         verdict = reconstruct.integrability_verdict(eta, tols["holonomy"])
         rpt["verdicts"]["integrable"] = verdict["pass"]
-        rpt["diagnostics"].append(
-            f"holonomy per area {verdict['holonomy']:.3e}")
+        rpt["diagnostics"].append(_holonomy_note(verdict))
         if cls.kind == rigidity.COMPLETELY_NON_VERTICAL and an.codim == 1 \
                 and ff.policy == "nu":
             rpt["verdicts"]["h_torsion_link"] = \
@@ -265,6 +273,7 @@ def _dispatch(args, rep):
         eta = reconstruct.assemble_eta(data)
         verdict = reconstruct.integrability_verdict(eta, tols["holonomy"])
         rpt["verdicts"]["integrable"] = verdict["pass"]
+        rpt["diagnostics"].append(_holonomy_note(verdict))
         if not verdict["pass"]:
             rpt["diagnostics"].append(verdict["reason"])
             return rpt, 1

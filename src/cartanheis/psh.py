@@ -10,6 +10,7 @@ rotation about the t-axis.
 from __future__ import annotations
 
 from dataclasses import dataclass
+import math
 
 import numpy as np
 
@@ -21,7 +22,7 @@ __all__ = [
     "PSHElement", "AlgebraValue", "ComplexSlices", "identity", "frame_to_matrix",
     "apply", "compose", "inverse", "decompose", "recompose", "psh_validate",
     "algebra_validate", "complexify", "realify", "random_rotation", "random_element",
-    "left_translation", "rotation_about_t", "project", "exp",
+    "left_translation", "rotation_about_t", "project", "exp", "exp_pair",
 ]
 
 
@@ -259,29 +260,69 @@ def algebra_validate(v: AlgebraValue, tol=1e-10) -> Diagnostics:
     return Diagnostics(res, tol)
 
 
-_EXP_DEGREE = 18    # Taylor degree: truncation below 1e-17 on the unit 1-norm ball
+_EXP_MAX_DEGREE = 18    # remainder bound 2.2e-17 on the unit 1-norm ball
+_EXP_TOL = 2.0 ** -54   # half the unit roundoff of float64
 
 
-def exp(X):
-    """Group exponential of a stack of algebra values, shape (..., D, D).
+def _exp_degree(theta) -> int:
+    """Smallest Taylor degree m in 1..18 whose remainder bound
+    theta^(m+1) e^theta / (m+1)! is at most half the unit roundoff, for a
+    1-norm theta <= 1; 18 when theta is not finite."""
+    if not math.isfinite(theta):
+        return _EXP_MAX_DEGREE
+    bound = math.exp(theta) * theta
+    for m in range(1, _EXP_MAX_DEGREE):
+        bound *= theta / (m + 1)
+        if bound <= _EXP_TOL:
+            return m
+    return _EXP_MAX_DEGREE
+
+
+def _horner(Z, coef):
+    """sum_k coef[k] Z^k for a stack of square matrices, by Horner's rule."""
+    S = np.zeros(Z.shape)
+    for k, c in enumerate(reversed(coef)):
+        if k:
+            S = Z @ S
+        S.reshape(S.shape[:-2] + (-1,))[..., ::Z.shape[-1] + 1] += c
+    return S
+
+
+def exp_pair(X):
+    """exp(X) and exp(-X) of a stack of algebra values, shape (..., D, D).
 
     Scaling and squaring: each matrix is scaled by 2^-s into the unit
-    1-norm ball, where the degree-18 Taylor polynomial is exact to rounding,
-    and the result is squared s times.
+    1-norm ball and the Taylor series is split in Y^2 = Y Y into an even
+    part E = sum Y^2k/(2k)! and an odd part O = Y sum Y^2k/(2k+1)!, so
+    exp(Y) = E + O and exp(-Y) = E - O share every product.  The degree is
+    the least that is exact to rounding at the largest scaled norm of the
+    batch (see ``_exp_degree``).  Both factors are squared s times.  A
+    non-finite matrix keeps the full degree and gives a non-finite pair; the
+    other matrices of the batch are unaffected.
     """
     X = np.asarray(X, dtype=float)
     norm = np.max(np.sum(np.abs(X), axis=-2), axis=-1)
     s = np.zeros(norm.shape, dtype=int)
     big = np.isfinite(norm) & (norm > 1.0)
     s[big] = np.ceil(np.log2(norm[big])).astype(int)
-    Y = np.ldexp(X, -s[..., None, None])
-    eye = np.eye(X.shape[-1])
-    E = eye + Y / _EXP_DEGREE
-    for k in range(_EXP_DEGREE - 1, 0, -1):
-        E = eye + (Y @ E) / k
+    scale = np.ldexp(1.0, -s)
+    Y = X * scale[..., None, None]
+    m = _exp_degree(float(np.max(norm * scale, initial=0.0)))
+    Z = Y @ Y
+    E = _horner(Z, [1 / math.factorial(j) for j in range(0, m + 1, 2)])
+    O = Y @ _horner(Z, [1 / math.factorial(j) for j in range(1, m + 1, 2)])
+    P = np.empty((2,) + O.shape)
+    np.add(E, O, out=P[0])
+    np.subtract(E, O, out=P[1])
     for k in range(int(np.max(s, initial=0))):
-        E = np.where((s > k)[..., None, None], E @ E, E)
-    return E
+        P = np.where((s > k)[..., None, None], P @ P, P)
+    return P[0], P[1]
+
+
+def exp(X):
+    """Group exponential of a stack of algebra values: the first factor of
+    ``exp_pair``."""
+    return exp_pair(X)[0]
 
 
 @dataclass(frozen=True, eq=False)

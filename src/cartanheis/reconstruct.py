@@ -74,14 +74,18 @@ def _interpolate(line, s, stencil=4):
 # holonomy
 # ---------------------------------------------------------------------------
 
-def _edge_propagators(eta: EtaForm, axis: int, substeps=1) -> np.ndarray:
-    """Product-rule propagators along every lattice edge of one axis.
+def _edge_propagators(eta: EtaForm, axis: int, substeps=1):
+    """Product-rule propagators along every lattice edge of one axis, and
+    their inverses.
 
     With one substep the edge (idx -> idx+1) uses
     exp(h/2 w(u)) exp(h/2 w(u+e)): second-order accurate, leaving an O(h^3)
     defect per plaquette for integrable forms.  More substeps subdivide the
     edge with cubic-interpolated samples, refining the defect at third order
     while genuine curvature of the form only shrinks with the plaquette area.
+    The inverse of each edge is the product of the exp(-h/2 w) halves, taken
+    in reverse order, from the same exponential pass.  Returns (forward,
+    backward), each with the edge index on ``axis``.
     """
     h = eta.grid.spacing[axis]
     line = np.moveaxis(eta.slots[axis], (0, 1, 2 + axis), (-2, -1, 0))
@@ -89,21 +93,26 @@ def _edge_propagators(eta: EtaForm, axis: int, substeps=1) -> np.ndarray:
     # substep endpoints k + j/substeps of every edge k, and the last node
     pos = np.append(np.arange(N - 1)[:, None] + np.arange(substeps) / substeps,
                     N - 1)
-    half = psh.exp(0.5 * (h / substeps) * _interpolate(line, pos))
-    steps = half[:-1] @ half[1:]
-    steps = steps.reshape((N - 1, substeps) + steps.shape[1:])
-    props = steps[:, 0]
+    w = line if substeps == 1 else _interpolate(line, pos)
+    half, back = psh.exp_pair((0.5 * h / substeps) * w)
+    shape = (N - 1, substeps) + half.shape[1:]
+    steps = (half[:-1] @ half[1:]).reshape(shape)
+    undo = (back[1:] @ back[:-1]).reshape(shape)
+    fwd, bwd = steps[:, 0], undo[:, 0]
     for j in range(1, substeps):
-        props = props @ steps[:, j]
-    return np.moveaxis(props, 0, axis)
+        fwd = fwd @ steps[:, j]
+        bwd = undo[:, j] @ bwd
+    return np.moveaxis(fwd, 0, axis), np.moveaxis(bwd, 0, axis)
 
 
+@np.errstate(invalid="ignore", over="ignore")
 def holonomy_residual(eta: EtaForm, substeps=1) -> dict:
     """Per-plaquette loop defects of the one-form, all axis pairs.
 
     Returns the raw Frobenius defect fields together with the maximum defect
     normalised by plaquette area, which is the quantity compared against the
-    integrability threshold.
+    integrability threshold.  A non-finite or overflowing loop makes both
+    maxima non-finite, without a warning.
     """
     eta.validate_shapes()
     g = eta.grid
@@ -111,30 +120,46 @@ def holonomy_residual(eta: EtaForm, substeps=1) -> dict:
     edges = {ax: _edge_propagators(eta, ax, substeps=substeps)
              for ax in range(d) if g.shape[ax] > 1}
     fields = {}
-    worst_norm = 0.0
+    per_area = []
     eye = np.eye(2 * eta.n + 2)
+
+    def cut(arr, axis, lo=None, hi=None):
+        sl = [slice(None)] * d
+        sl[axis] = slice(lo, hi)
+        return arr[tuple(sl)]
+
     for p in range(d):
         for q in range(p + 1, d):
             if p not in edges or q not in edges:
                 continue
-            Ep, Eq = edges[p], edges[q]
-
-            def cut(arr, axis, lo=None, hi=None):
-                sl = [slice(None)] * d
-                sl[axis] = slice(lo, hi)
-                return arr[tuple(sl)]
-
+            (Ep, Ep_inv), (Eq, Eq_inv) = edges[p], edges[q]
             A = cut(Ep, q, 0, -1)                    # bottom edge
             B = cut(Eq, p, 1, None)                  # right edge
-            C = cut(Ep, q, 1, None)                  # top edge
-            Dm = cut(Eq, p, 0, -1)                   # left edge
-            loop = A @ B @ np.linalg.inv(C) @ np.linalg.inv(Dm)
+            Ci = cut(Ep_inv, q, 1, None)             # top edge, reversed
+            Di = cut(Eq_inv, p, 0, -1)               # left edge, reversed
+            loop = A @ B @ Ci @ Di
             defect = np.sqrt(np.sum((loop - eye) ** 2, axis=(-2, -1)))
             fields[(p, q)] = defect
-            area = g.spacing[p] * g.spacing[q]
-            worst_norm = max(worst_norm, float(np.max(defect)) / area)
-    worst = max((float(np.max(f)) for f in fields.values()), default=0.0)
-    return {"fields": fields, "max": worst, "max_per_area": worst_norm}
+            per_area.append(np.max(defect) / (g.spacing[p] * g.spacing[q]))
+    worst = float(np.max([np.max(f) for f in fields.values()], initial=0.0))
+    return {"fields": fields, "max": worst,
+            "max_per_area": float(np.max(per_area, initial=0.0))}
+
+
+def _nonfinite_reason(eta: EtaForm, hol: dict) -> str:
+    """Name the first grid index where the form, or else a plaquette loop,
+    is not finite."""
+    bad = ~np.all(np.isfinite(eta.slots), axis=(0, 1, 2))
+    if bad.any():
+        where = "one-form value"
+    else:
+        where = "plaquette loop"
+        bad = np.zeros(eta.grid.shape, dtype=bool)
+        for f in hol["fields"].values():
+            bad[tuple(slice(0, k) for k in f.shape)] |= ~np.isfinite(f)
+    idx = tuple(int(i) for i in np.argwhere(bad)[0])
+    return (f"plaquette holonomy is not finite: first non-finite {where} "
+            f"at grid index {idx}")
 
 
 def integrability_verdict(eta: EtaForm, tol=1e-6) -> dict:
@@ -145,21 +170,28 @@ def integrability_verdict(eta: EtaForm, tol=1e-6) -> dict:
     refine at third order while a genuine curvature term only scales with
     the plaquette area (second order), so the observed refinement order
     separates the two cases without grid-dependent magic constants.
+    ``path`` records which of the two decided; a non-finite defect fails
+    the verdict at the first non-finite grid index.
     """
     hol = holonomy_residual(eta)
-    out = {"holonomy": hol["max_per_area"], "pass": True, "reason": ""}
+    out = {"holonomy": hol["max_per_area"], "pass": True, "reason": "",
+           "path": "fast"}
+    if not np.isfinite(hol["max_per_area"]):
+        out.update({"pass": False, "reason": _nonfinite_reason(eta, hol)})
+        return out
     if hol["max_per_area"] <= tol:
         return out
     # subdividing the edges shrinks the truncation defect of an integrable
     # form by ~4 while an area-law obstruction around the same plaquette is
     # unchanged, so the shrink factor separates the two cases
     fine = holonomy_residual(eta, substeps=2)
+    out["path"] = "subdivided"
+    shrink = np.log2(max(hol["max"], 1e-300) / max(fine["max"], 1e-300))
+    out["edge_refinement_order"] = float(shrink)
     if fine["max_per_area"] <= tol:
         out["holonomy"] = fine["max_per_area"]
         return out
-    shrink = np.log2(max(hol["max"], 1e-300) / max(fine["max"], 1e-300))
-    out["edge_refinement_order"] = float(shrink)
-    if shrink < 1.2:
+    if not shrink >= 1.2:
         out["pass"] = False
         out["reason"] = (
             f"plaquette holonomy {hol['max_per_area']:.2e} per unit area does "

@@ -99,6 +99,8 @@ def _text(report) -> str:
     cfg = md.get("config", {})
     lines.append("  " + "  ".join(f"{k}={v}" for k, v in sorted(cfg.items())
                                   if v is not None))
+    if "gauge" in md:
+        lines.append(f"  gauge: {md['gauge']}")
     if report["class"] is not None:
         lines.append(f"class: {report['class']}")
     rows = [("field", "min", "max", "mean")]

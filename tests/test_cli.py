@@ -239,3 +239,38 @@ def test_internal_error_exit_three(monkeypatch, capsys):
     code = run_cli("invariants", "--surface", "builtin:heis_sub(1,2)", "--grid", "3")
     assert code == 3
     assert capsys.readouterr().err.strip() == "internal error: RuntimeError: boom"
+
+
+@pytest.mark.parametrize("spec,gauge", [("builtin:sphere(2,1)", "nu"),
+                                        ("builtin:heis_sub(1,2)", "canonical")])
+def test_report_records_the_resolved_gauge(spec, gauge, capsys):
+    assert run_cli("classify", "--surface", spec, "--grid", "5",
+                   "--format", "structured") == 0
+    tree = report.reparse(capsys.readouterr().out)
+    assert tree["metadata"]["config"]["policy"] == "auto"
+    assert tree["metadata"]["gauge"] == gauge
+    assert run_cli("classify", "--surface", spec, "--grid", "5") == 0
+    assert f"gauge: {gauge}" in capsys.readouterr().out.splitlines()[2]
+    assert run_cli("classify", "--surface", spec, "--grid", "5",
+                   "--policy", "reverse", "--format", "structured") == 0
+    assert report.reparse(capsys.readouterr().out)["metadata"]["gauge"] == "reverse"
+
+
+def test_holonomy_diagnostic_states_path(tmp_path, capsys):
+    blobs = []
+    for _ in range(2):
+        path = tmp_path / "check.json"
+        assert run_cli("check", "--surface", "builtin:sphere(2,1)", "--grid", "5",
+                       "--format", "structured", "--out", str(path)) == 0
+        blobs.append(path.read_bytes())
+    assert blobs[0] == blobs[1]
+    notes = report.reparse(blobs[0].decode())["diagnostics"]
+    assert any(n.startswith("holonomy per area") and n.endswith("(fast path)")
+               for n in notes), notes
+    # at 7^3 the reintegrated points miss their gate (exit 1); only the
+    # holonomy note matters here
+    run_cli("roundtrip", "--surface", "builtin:holograph()", "--grid", "7",
+            "--format", "structured")
+    notes = report.reparse(capsys.readouterr().out)["diagnostics"]
+    hol = [n for n in notes if n.startswith("holonomy per area")]
+    assert len(hol) == 1 and "(subdivided path, edge refinement order 1.2" in hol[0]

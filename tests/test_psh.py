@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -152,3 +154,78 @@ def test_exp_lands_in_the_group(rng):
         assert E.shape == X.shape
         for g in E:
             assert psh.psh_validate(g).ok
+
+
+def _horner18_exp(X):
+    """Reference: scaling and squaring around a fixed degree-18 Horner pass."""
+    norm = np.max(np.sum(np.abs(X), axis=-2), axis=-1)
+    s = np.where(norm > 1.0, np.ceil(np.log2(np.maximum(norm, 1.0))), 0).astype(int)
+    Y = np.ldexp(X, -s[..., None, None])
+    eye = np.eye(X.shape[-1])
+    E = eye + Y / 18
+    for k in range(17, 0, -1):
+        E = eye + (Y @ E) / k
+    for k in range(int(np.max(s, initial=0))):
+        E = np.where((s > k)[..., None, None], E @ E, E)
+    return E
+
+
+def _algebra_batch(n, rng, norms):
+    out = []
+    for t in norms:
+        m = _random_algebra(n, rng).mat
+        out.append(t * m / np.max(np.sum(np.abs(m), axis=0)))
+    return np.stack(out)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_exp_pair_factors_are_inverse(n, rng):
+    # the rounding error of a product scales with its factors' norms, which
+    # reach about 60 at norm 30, so the bound is taken relative to them
+    X = _algebra_batch(n, rng, np.geomspace(1e-3, 30.0, 24))
+    E, Einv = psh.exp_pair(X)
+    eye = np.eye(2 * n + 2)
+    size = (np.max(np.sum(np.abs(E), axis=-2), axis=-1)
+            * np.max(np.sum(np.abs(Einv), axis=-2), axis=-1))
+    for prod in (E @ Einv, Einv @ E):
+        err = np.max(np.abs(prod - eye), axis=(-2, -1))
+        assert np.all(err <= 1e-14 * size), err / size
+    assert np.array_equal(psh.exp(X), E)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_exp_pair_matches_degree18_reference(n, rng):
+    X = _algebra_batch(n, rng, np.geomspace(1e-3, 30.0, 24))
+    E, Einv = psh.exp_pair(X)
+    for got, want in ((E, _horner18_exp(X)), (Einv, _horner18_exp(-X))):
+        rel = np.max(np.abs(got - want), axis=(-2, -1)) / \
+            np.max(np.abs(want), axis=(-2, -1))
+        assert np.max(rel) < 1e-14
+    # one matrix of the batch at a time: each gets its own degree
+    for x, e in zip(X[::5], E[::5]):
+        assert np.max(np.abs(psh.exp(x) - e)) < 1e-14 * np.max(np.abs(e))
+
+
+def test_exp_degree_follows_the_norm():
+    thetas = np.concatenate([[0.0], np.geomspace(1e-12, 1.0, 60)])
+    degrees = [psh._exp_degree(t) for t in thetas]
+    assert all(1 <= m <= 18 for m in degrees)
+    assert degrees == sorted(degrees)
+    assert psh._exp_degree(1.0) == 18
+    assert psh._exp_degree(0.086) < 18
+    for t in (np.nan, np.inf):
+        assert psh._exp_degree(t) == 18
+    # the least degree whose remainder bound is at most half the roundoff
+    bound = lambda t, m: t ** (m + 1) * math.exp(t) / math.factorial(m + 1)
+    for t, m in zip(thetas, degrees):
+        assert m == 18 or bound(t, m) <= 2.0 ** -54
+        assert m == 1 or bound(t, m - 1) > 2.0 ** -54
+
+
+def test_exp_pair_non_finite_matrix_stays_local(rng):
+    X = _algebra_batch(2, rng, np.geomspace(1e-3, 0.5, 6))
+    X[2, 1, 0] = np.nan
+    E, Einv = psh.exp_pair(X)
+    assert np.all(np.isnan(E[2, :, 0])) and np.all(np.isnan(Einv[2, :, 0]))
+    keep = [0, 1, 3, 4, 5]
+    assert np.max(np.abs(E[keep] - _horner18_exp(X[keep]))) < 1e-15

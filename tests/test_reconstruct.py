@@ -299,3 +299,100 @@ def test_embedded_sphere_is_round(rng):
     radii = np.linalg.norm(centred[:, :4], axis=1)
     assert np.max(np.abs(radii - 1.0)) < 1e-6
     assert np.max(np.abs(centred[:, 4])) < 1e-6
+
+
+def _holonomy_with_inverses(eta, substeps):
+    """Reference loop defects: forward propagators from psh.exp, closed with
+    general matrix inverses."""
+    g, d = eta.grid, eta.grid.ndim
+    edges = {}
+    for ax in range(d):
+        h = g.spacing[ax]
+        line = np.moveaxis(eta.slots[ax], (0, 1, 2 + ax), (-2, -1, 0))
+        N = line.shape[0]
+        pos = np.append(np.arange(N - 1)[:, None]
+                        + np.arange(substeps) / substeps, N - 1)
+        half = psh.exp(0.5 * (h / substeps)
+                       * reconstruct._interpolate(line, pos))
+        steps = (half[:-1] @ half[1:]).reshape((N - 1, substeps) + half.shape[1:])
+        props = steps[:, 0]
+        for j in range(1, substeps):
+            props = props @ steps[:, j]
+        edges[ax] = np.moveaxis(props, 0, ax)
+
+    def cut(arr, axis, lo, hi):
+        sl = [slice(None)] * d
+        sl[axis] = slice(lo, hi)
+        return arr[tuple(sl)]
+
+    fields = {}
+    for p in range(d):
+        for q in range(p + 1, d):
+            loop = (cut(edges[p], q, 0, -1) @ cut(edges[q], p, 1, None)
+                    @ np.linalg.inv(cut(edges[p], q, 1, None))
+                    @ np.linalg.inv(cut(edges[q], p, 0, -1)))
+            fields[(p, q)] = np.sqrt(np.sum((loop - np.eye(loop.shape[-1])) ** 2,
+                                            axis=(-2, -1)))
+    return fields
+
+
+@pytest.mark.parametrize("spec", ["builtin:sphere(2,1)", "builtin:holograph()",
+                                  "builtin:ellipsoid(2,1,1.3)",
+                                  "builtin:heis_sub(1,2)"])
+def test_holonomy_matches_general_inverse_reference(spec):
+    _, _, _, an = analysis_for(spec, 9, "auto")
+    forms = (_eta_of(an), reconstruct.assemble_eta(
+        reconstruct.intrinsic_data_from_analysis(an)))
+    for eta in forms:
+        for substeps in (1, 2):
+            got = reconstruct.holonomy_residual(eta, substeps)
+            want = _holonomy_with_inverses(eta, substeps)
+            assert got["fields"].keys() == want.keys()
+            for pq, field in want.items():
+                assert np.max(np.abs(got["fields"][pq] - field)) < 1e-14
+
+
+def test_holonomy_needs_no_general_inverse(monkeypatch):
+    _, _, _, an = analysis_for("builtin:holograph()", 5)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.inv called in holonomy")
+
+    monkeypatch.setattr(np.linalg, "inv", refuse)
+    verdict = reconstruct.integrability_verdict(_eta_of(an))
+    assert verdict["path"] == "subdivided"
+    reconstruct.holonomy_residual(_eta_of(an), substeps=3)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_form_fails_integrability(bad):
+    grid = darboux.ChartGrid([(-1, 1)] * 3, 5)
+    slots = np.zeros((3, 4, 4) + grid.shape)
+    slots[1, 2, 0, 3, 1, 2] = bad
+    eta = reconstruct.EtaForm(1, grid, slots)
+    hol = reconstruct.holonomy_residual(eta)
+    assert not np.isfinite(hol["max"]) and not np.isfinite(hol["max_per_area"])
+    verdict = reconstruct.integrability_verdict(eta)
+    assert verdict["pass"] is False
+    assert "grid index (3, 1, 2)" in verdict["reason"]
+    with pytest.raises(IntegrabilityFailure, match=r"\(3, 1, 2\)"):
+        reconstruct.integrate_frame(eta, psh.identity(1))
+
+
+def test_overflowing_form_fails_integrability():
+    # finite slots whose edge exponentials overflow: the loop, not the form,
+    # is where the holonomy stops being finite
+    grid = darboux.ChartGrid([(-1, 1)] * 3, 5)
+    slots = np.random.default_rng(0).normal(scale=1e9, size=(3, 4, 4) + grid.shape)
+    verdict = reconstruct.integrability_verdict(reconstruct.EtaForm(1, grid, slots))
+    assert verdict["pass"] is False
+    assert "plaquette loop at grid index (0, 0, 0)" in verdict["reason"]
+
+
+def test_verdict_reports_its_path():
+    for spec, policy, path in (("builtin:sphere(2,1)", "nu", "fast"),
+                               ("builtin:holograph()", "canonical", "subdivided")):
+        _, _, _, an = analysis_for(spec, 7, policy)
+        verdict = reconstruct.integrability_verdict(_eta_of(an))
+        assert verdict["pass"] and verdict["path"] == path
+        assert ("edge_refinement_order" in verdict) == (path == "subdivided")
