@@ -88,69 +88,29 @@ def _single_point_grid(chart, u):
 
 
 # ---------------------------------------------------------------------------
-# jet vectors and small jet linear algebra
+# jet linear algebra
 # ---------------------------------------------------------------------------
 
-def _dot(a, b):
-    acc = a[0] * b[0]
-    for x, y in zip(a[1:], b[1:]):
-        acc = acc + x * y
-    return acc
+def _solve(A, B):
+    """A^{-1} B for a square jet matrix A and a jet or constant matrix B.
+
+    The value part is inverted pointwise; the nilpotent rest N = A - A(0)
+    is removed by the steps X <- A(0)^{-1} (B - N X), which are exact after
+    ``order`` steps because every product of order + 1 factors of N vanishes.
+    """
+    A0inv = np.linalg.inv(A.value)
+    N = A - A.value
+    X = A0inv @ B
+    for _ in range(A.ctx.order):
+        X = A0inv @ (B - N @ X)
+    return X
 
 
-def _scale(a, s):
-    return [x * s for x in a]
-
-
-def _axpy(s, a, b):
-    """b - s*a componentwise."""
-    return [y - s * x for x, y in zip(a, b)]
-
-
-class Leg:
-    """A tangent field carried as chart components plus ambient frame components."""
-
-    __slots__ = ("chart", "frame")
-
-    def __init__(self, chart, frame):
-        self.chart = chart
-        self.frame = frame
-
-    def project_out(self, other, coeff):
-        return Leg(_axpy(coeff, other.chart, self.chart),
-                   _axpy(coeff, other.frame, self.frame))
-
-    def scaled(self, s):
-        return Leg(_scale(self.chart, s), _scale(self.frame, s))
-
-
-def _cholesky(G):
-    k = len(G)
-    L = [[None] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(i + 1):
-            s = G[i][j]
-            for p in range(j):
-                s = s - L[i][p] * L[j][p]
-            L[i][j] = s.sqrt() if i == j else s / L[j][j]
-    return L
-
-
-def _chol_solve(L, rhs):
-    k = len(L)
-    y = [None] * k
-    for i in range(k):
-        s = rhs[i]
-        for p in range(i):
-            s = s - L[i][p] * y[p]
-        y[i] = s / L[i][i]
-    x = [None] * k
-    for i in reversed(range(k)):
-        s = y[i]
-        for p in range(i + 1, k):
-            s = s - L[p][i] * x[p]
-        x[i] = s / L[i][i]
-    return x
+def _project_out(w, legs):
+    """w minus its components along the orthonormal legs, one leg at a time."""
+    for e in legs:
+        w = w - (w @ e) * e
+    return w
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +130,12 @@ class FrameField:
         "canonical"; ``self.policy`` then holds the gauge used.
     ``normal_phases`` optionally rotates each normal pair (e_a, Je_a) by a
     fixed angle, i.e. replaces Z_a by e^{i psi} Z_a.
+
+    Every field is one tensor jet over the grid: vectors of frame
+    components have length 2n+1, and the legs are stacked as rows
+    (``legs_t``, ``legs_jt``: (m, 2n+1); ``legs_n``, ``legs_jn``:
+    (n-m, 2n+1)).  ``charts`` holds the chart components of e_1..e_m,
+    Je_1..Je_m and the induced Reeb field, (2m+1, d).
     """
 
     def __init__(self, imm, grid, policy="canonical", mode="ad", order=3,
@@ -194,35 +160,38 @@ class FrameField:
         self.tol_singular = tol_singular
         self.tol_cr = tol_cr
         self.normal_phases = normal_phases
-        imm.rank_check(grid.points)
-        self._build(order)
+        if mode == "ad":
+            # the frame's own jets carry the Jacobian for the rank check
+            Xfull = imm.jets(grid.points, order=order)
+            imm.rank_check(grid.points, jac=Xfull.gradient())
+        else:
+            imm.rank_check(grid.points)
+            Xfull = imm.jets(grid.points, order=order, mode=mode,
+                             steps=[0.5 * s for s in grid.spacing])
+        self._build(Xfull)
 
     # -- construction ---------------------------------------------------
 
     def _J(self, f):
-        n = self.n
-        return [-c for c in f[n:2 * n]] + list(f[:n]) + [self._zero]
+        """J on frame components, (a, b, t) -> (-b, a, 0)."""
+        return f @ np.pad(heis.standard_j_block(self.n), (0, 1)).T
 
-    def _build(self, order):
-        imm, grid = self.imm, self.grid
+    def _build(self, Xfull):
+        grid = self.grid
         n, m, d = self.n, self.m, self.d
-        steps = [0.5 * s for s in grid.spacing] if self.mode == "fd" else None
-        Xfull = imm.jets(grid.points, order=order, mode=self.mode, steps=steps)
-        self.ctx = jets.context(d, order - 1)
+        self.ctx = jets.context(d, Xfull.ctx.order - 1)
         self.batch = grid.shape
-        self._zero = jets.constant(self.ctx, 0.0, self.batch)
-        self._one = jets.constant(self.ctx, 1.0, self.batch)
-        self.X = [x.truncated(order - 1) for x in Xfull]
-        self.Xi = [[x.deriv(i) for x in Xfull] for i in range(d)]
-
-        # contact pairing with the tangent directions; XiF holds the frame
-        # components of the chart tangent vectors
+        self.X = Xfull.truncated(self.ctx.order)
         x, y = self.X[:n], self.X[n:2 * n]
-        self.theta_slots = [heis.frame_t_component(x, y, v[:n], v[n:2 * n], v[2 * n])
-                            for v in self.Xi]
-        XiF = self.XiF = [v[:2 * n] + [th] for v, th in zip(self.Xi, self.theta_slots)]
-        th_vals = jets.values(self.theta_slots)
-        scale = np.sqrt(max(np.max(jets.values(XiF) ** 2), 1e-30))
+
+        # XiF[:, i] holds the frame components of the chart tangent vector
+        # d_i: the coordinate derivatives with the last row turned into the
+        # contact pairing theta(d_i)
+        XiF = self.XiF = Xfull.jacobian()
+        XiF[2 * n] = heis.frame_t_component(x, y, XiF[:n], XiF[n:2 * n], XiF[2 * n])
+        theta = self.theta_slots = XiF[2 * n]
+        th_vals = jets.values(theta)
+        scale = np.sqrt(max(np.max(XiF.value ** 2), 1e-30))
         worst = np.max(np.abs(th_vals), axis=0)
         if np.min(worst) < self.tol_singular * scale:
             loc = grid.flat_index(int(np.argmin(worst.reshape(-1))))
@@ -238,139 +207,106 @@ class FrameField:
                 "refine or shrink the chart box")
         self.pivot = k0
 
-        recip = self.theta_slots[k0].reciprocal()
-        y0_chart = [self._zero] * d
-        y0_chart[k0] = recip
-        y0 = Leg(y0_chart, _scale(XiF[k0], recip))
-
-        V = []
-        for i in range(d):
-            if i == k0:
-                continue
-            chart = [self._zero] * d
-            chart[i] = self._one
-            chart[k0] = -(self.theta_slots[i] * recip)
-            V.append(Leg(chart, _axpy(self.theta_slots[i], y0.frame, XiF[i])))
-
-        self._check_cr_invariance(V, scale)
-
-        # Gram factor for expressing horizontal tangent fields in chart terms
-        G = [[_dot(a.frame, b.frame) for b in V] for a in V]
-        L = _cholesky(G)
-
-        def chart_of(frame):
-            rhs = [_dot(frame, v.frame) for v in V]
-            coefs = _chol_solve(L, rhs)
-            chart = [self._zero] * d
-            for c, v in zip(coefs, V):
-                chart = [ch + c * vc for ch, vc in zip(chart, v.chart)]
-            return chart
+        # y0 = d_k0 / theta(d_k0) is transverse; V_i = d_i - t_i d_k0 with
+        # t_i = theta(d_i) / theta(d_k0) (i != k0) span TM ∩ ker Θ
+        recip = theta[k0].reciprocal()
+        t = theta * recip
+        others = [i for i in range(d) if i != k0]
+        y0f = XiF[:, k0] * recip
+        self._check_cr_invariance(XiF.value[..., others] - XiF.value[..., k0:k0 + 1]
+                                  * t.value[..., None, others], scale)
 
         # tangent legs: J-adapted Gram-Schmidt over the seed fields
-        seeds = list(V) if self.policy != "reverse" else list(reversed(V))
-        self.legs_t, self.legs_jt = [], []
-        for seed in seeds:
-            if len(self.legs_t) == m:
+        N = 2 * n + 1
+        seeds = others if self.policy != "reverse" else others[::-1]
+        tangent = []                      # e_1, Je_1, e_2, Je_2, ...
+        for i in seeds:
+            if len(tangent) == 2 * m:
                 break
-            w = seed
-            for e, je in zip(self.legs_t, self.legs_jt):
-                w = w.project_out(e, _dot(w.frame, e.frame))
-                w = w.project_out(je, _dot(w.frame, je.frame))
-            n2 = _dot(w.frame, w.frame)
+            w = _project_out(XiF[:, i] - t[i] * XiF[:, k0], tangent)
+            n2 = w @ w
             if np.min(n2.value) < (1e-6 * scale) ** 2:
                 continue  # seed already spanned by earlier complex legs
-            e = w.scaled(n2.sqrt().reciprocal())
-            jf = self._J(e.frame)
-            self.legs_t.append(e)
-            self.legs_jt.append(Leg(chart_of(jf), jf))
-        if len(self.legs_t) != m:
+            e = w * n2.sqrt().reciprocal()
+            tangent += [e, self._J(e)]
+        if len(tangent) != 2 * m:
             raise NotCRInvariant("could not complete a J-adapted tangent frame; "
                                  "seed fields degenerate on this chart")
 
         # induced Reeb field and fundamental vector field
-        that = y0
-        for e, je in zip(self.legs_t, self.legs_jt):
-            that = that.project_out(e, _dot(that.frame, e.frame))
-            that = that.project_out(je, _dot(that.frame, je.frame))
-        self.that = that
-        nu = list(that.frame)
-        nu[2 * n] = nu[2 * n] - 1.0
-        self.nu_frame = nu
-        self.nu_norm2 = _dot(nu, nu)
+        self.that_frame = _project_out(y0f, tangent)
+        nu = self.nu_frame = self.that_frame - np.eye(N)[2 * n]
+        self.nu_norm2 = nu @ nu
         if self.policy == "auto":
             # deferred: rigidity imports this module through invariants
             from .rigidity import COMPLETELY_NON_VERTICAL, classify
             cnv = classify(self.nu_norm).kind == COMPLETELY_NON_VERTICAL
             self.policy = "nu" if cnv and n - m == 1 else "canonical"
 
+        # chart components of (e_j, Je_j, That), one order below the frame:
+        # they are the dual basis of the coframe K = (e_j . d_i, Je_j . d_i,
+        # theta(d_i)), since the legs are orthonormal and horizontal and
+        # That is orthogonal to them with theta(That) = 1
+        low = self.ctx.order - 1
+        legs = jets.stack([e.truncated(low) for e in tangent[0::2] + tangent[1::2]])
+        K = jets.stack([*(legs @ XiF.truncated(low)), theta.truncated(low)])
+        self.charts = _solve(K, np.eye(d)).T
+
         # normal legs
-        self.legs_n, self.legs_jn = [], []
+        normal = []                       # e_a, Je_a pairs
         if n > m:
             cands = []
             if self.policy == "nu":
                 if np.min(self.nu_norm2.value) < (10 * self.tol_singular) ** 2:
                     raise WrongClass("nu-adapted gauge needs a completely "
                                      "non-vertical surface")
-                cands.append([-c for c in nu])
-            for a in range(2 * n):
-                f = [self._zero] * (2 * n + 1)
-                f[a] = self._one
-                cands.append(f)
-            order_scores = []
+                cands.append(-nu)
+            cands += list(np.eye(N)[:2 * n])
             centre = tuple(s // 2 for s in grid.shape)
-            for f in cands:
-                order_scores.append(self._projected_norm_at(f, centre))
+            legs = [e.value[centre] for e in tangent]
+            order_scores = [np.linalg.norm(_project_out(
+                f.value[centre] if isinstance(f, Jet) else f, legs)) for f in cands]
             # keep candidate order but drop ones that die at the centre first
-            idx = [i for i in range(len(cands))]
+            idx = list(range(len(cands)))
             if self.policy != "nu":
                 idx.sort(key=lambda i: -order_scores[i])
             for i in idx:
-                if len(self.legs_n) == n - m:
+                if len(normal) == 2 * (n - m):
                     break
-                w = cands[i]
-                for e, je in zip(self.legs_t, self.legs_jt):
-                    w = _axpy(_dot(w, e.frame), e.frame, w)
-                    w = _axpy(_dot(w, je.frame), je.frame, w)
-                for e, je in zip(self.legs_n, self.legs_jn):
-                    w = _axpy(_dot(w, e), e, w)
-                    w = _axpy(_dot(w, je), je, w)
-                n2 = _dot(w, w)
+                if isinstance(cands[i], Jet):
+                    # -nu = T - That comes first and is orthogonal to the
+                    # tangent legs already
+                    w, n2 = cands[i], self.nu_norm2
+                else:
+                    w = _project_out(jets.constant(self.ctx, cands[i], self.batch),
+                                     tangent + normal)
+                    n2 = w @ w
                 if np.min(n2.value) < 1e-12:
                     continue
-                e = _scale(w, n2.sqrt().reciprocal())
-                self.legs_n.append(e)
-                self.legs_jn.append(self._J(e))
-            if len(self.legs_n) != n - m:
+                e = w * n2.sqrt().reciprocal()
+                normal += [e, self._J(e)]
+            if len(normal) != 2 * (n - m):
                 raise SingularPoint("could not complete the normal frame")
-            if self.normal_phases is not None:
-                rotated, jrotated = [], []
-                for (e, je), psi in zip(zip(self.legs_n, self.legs_jn),
-                                        self.normal_phases):
-                    c, s = float(np.cos(psi)), float(np.sin(psi))
-                    e2 = [c * a + s * b for a, b in zip(e, je)]
-                    rotated.append(e2)
-                    jrotated.append(self._J(e2))
-                self.legs_n, self.legs_jn = rotated, jrotated
+            phases = () if self.normal_phases is None else self.normal_phases
+            for a, psi in enumerate(phases):
+                c, s = float(np.cos(psi)), float(np.sin(psi))
+                e = c * normal[2 * a] + s * normal[2 * a + 1]
+                normal[2 * a:2 * a + 2] = [e, self._J(e)]
+        # the frame columns, row c holding column c: e_1..e_n, Je_1..Je_n, T;
+        # the legs are views of its rows
+        tcol = jets.constant(self.ctx, np.eye(N)[2 * n], self.batch)
+        cols = self._cols = jets.stack(tangent[0::2] + normal[0::2] + tangent[1::2]
+                                       + normal[1::2] + [tcol])
+        self.legs_t, self.legs_n = cols[:m], cols[m:n]
+        self.legs_jt, self.legs_jn = cols[n:n + m], cols[n + m:2 * n]
 
         # fundamental vector field components against the normal legs (Levi
         # normalisation: nu = sum_a nu_comp[a] Z_a + conj, |nu|^2 = sum |nu_comp|^2)
-        self.nu_comp = [
-            _dot(nu, e) + 1j * _dot(nu, je)
-            for e, je in zip(self.legs_n, self.legs_jn)]
+        self.nu_comp = self.legs_n @ nu + 1j * (self.legs_jn @ nu)
 
-    def _projected_norm_at(self, frame, centre):
-        vals = jets.values(frame)[(Ellipsis,) + centre]
-        for e, je in zip(self.legs_t, self.legs_jt):
-            for leg in (e, je):
-                ev = jets.values(leg.frame)[(Ellipsis,) + centre]
-                vals = vals - (vals @ ev) * ev
-        return float(np.linalg.norm(vals))
-
-    def _check_cr_invariance(self, V, scale):
+    def _check_cr_invariance(self, Vf, scale):
         n = self.n
-        Vf = jets.values([v.frame for v in V])
-        flat = Vf.reshape(len(V), 2 * n + 1, -1)
-        M = np.transpose(flat, (2, 1, 0))                  # (N, 2n+1, 2m)
+        M = Vf.reshape((-1,) + Vf.shape[-2:])             # (N, 2n+1, 2m)
         G = np.einsum("nia,nib->nab", M, M)
         Jf = np.concatenate([-M[:, n:2 * n], M[:, :n], np.zeros_like(M[:, :1])],
                             axis=1)
@@ -391,40 +327,34 @@ class FrameField:
 
     @cached_property
     def frame_cols(self):
-        """Frame components of the Darboux columns (e_1..e_n, Je_1..Je_n, T)."""
-        n, m = self.n, self.m
-        cols = []
-        for leg in self.legs_t:
-            cols.append(leg.frame)
-        for e in self.legs_n:
-            cols.append(e)
-        for leg in self.legs_jt:
-            cols.append(leg.frame)
-        for je in self.legs_jn:
-            cols.append(je)
-        tcol = [self._zero] * (2 * n) + [self._one]
-        cols.append(tcol)
-        return cols
+        """Frame components of the Darboux columns (e_1..e_n, Je_1..Je_n, T).
 
-    @cached_property
-    def matrix(self):
-        """The group-valued moving frame A(u) as a (2n+2)^2 nest of jets."""
+        One (2n+1, 2n+1) jet whose row c holds column c of the frame; the
+        leg fields are views of its rows.
+        """
+        return self._cols
+
+    def matrix(self, order=None):
+        """The group-valued moving frame A(u) as one (2n+2, 2n+2) jet.
+
+        Built on each call and not kept, truncated to ``order`` if given;
+        at 7^5 points it would be the largest field.
+        """
         n = self.n
         D = 2 * n + 2
-        A = [[self._zero] * D for _ in range(D)]
-        A[0][0] = self._one
-        for r in range(2 * n + 1):
-            A[r + 1][0] = self.X[r]
-        x, y = self.X[:n], self.X[n:2 * n]
-        for c, col in enumerate(self.frame_cols):
-            A[2 * n + 1][c + 1] = heis.coord_t_component(x, y, col[:n], col[n:2 * n],
-                                                         col[2 * n])
-            for r in range(2 * n):
-                A[r + 1][c + 1] = col[r]
+        order = self.ctx.order if order is None else order
+        X, F = self.X.truncated(order), self.frame_cols.truncated(order).T
+        corner = np.zeros((D, D))
+        corner[0, 0] = 1.0
+        A = jets.constant(X.ctx, corner, self.batch)
+        A[1:, 0] = X
+        A[1:2 * n + 1, 1:] = F[:2 * n]
+        A[2 * n + 1, 1:] = heis.coord_t_component(X[:n], X[n:2 * n],
+                                                  F[:n], F[n:2 * n], F[2 * n])
         return A
 
     def matrix_values(self):
-        return jets.values(self.matrix)
+        return jets.values(self.matrix(order=0))
 
     def frame_at(self, idx) -> FrameAtPoint:
         return FrameAtPoint(self.point_at(idx), _value_at(self.frame_cols, idx).T)
@@ -433,8 +363,7 @@ class FrameField:
         return psh.frame_to_matrix(self.frame_at(idx))
 
     def point_at(self, idx) -> HPoint:
-        coords = jets.values(self.X)[(Ellipsis,) + tuple(idx)]
-        return HPoint.from_coords(self.n, coords)
+        return HPoint.from_coords(self.n, self.X.value[tuple(idx)])
 
     # -- derived fields -----------------------------------------------------
 
@@ -449,19 +378,18 @@ class FrameField:
 
     @cached_property
     def coframe(self):
-        """Pullback coframe slots: theta(d_i) and theta^j(d_i) over the chart."""
-        XiF = self.XiF
-        zco = [[_dot(XiF[i], self.legs_t[j].frame)
-                + 1j * _dot(XiF[i], self.legs_jt[j].frame)
-                for i in range(self.d)] for j in range(self.m)]
+        """Pullback coframe slots: theta(d_i), (d,), and theta^j(d_i), (m, d)."""
+        m, n = self.m, self.n
+        P = self.frame_cols @ self.XiF
+        zco = P[:m] + 1j * P[n:n + m]
         return {"theta": self.theta_slots, "z": zco}
 
     @cached_property
     def duals(self):
-        """Chart components of the dual tangent fields (Zhat_j and That)."""
-        zhat = [[0.5 * (e.chart[i] - 1j * je.chart[i]) for i in range(self.d)]
-                for e, je in zip(self.legs_t, self.legs_jt)]
-        return {"zhat": zhat, "that": list(self.that.chart)}
+        """Chart components of the dual tangent fields (Zhat_j, (m, d), and That)."""
+        m = self.m
+        zhat = 0.5 * (self.charts[:m] - 1j * self.charts[m:2 * m])
+        return {"zhat": zhat, "that": self.charts[2 * m]}
 
     def continuity_residual(self):
         """Largest column jump between grid neighbours (gauge continuity)."""
@@ -494,48 +422,56 @@ class MCForm:
         self._slots = self._compute()
 
     def _compute(self):
+        """Slot tensor (d, 2n+1, 2n+1): rows 1.. and columns ..2n of A^{-1} dA/du_i.
+
+        The first row and the T column of every slot vanish, so only the
+        rest is stored.  The frame block of A^{-1} is the transpose of the
+        frame columns F, so the rest of slot i is F^T z, z holding the frame
+        components of the columns of dA/du_i.  They are read off without
+        forming A: the point column gives d_i X (the column XiF[:, i]), and
+        a frame column f gives d_i f plus the T-component the moving base
+        point adds.
+        """
         ff = self.ff
         n, d = self.n, self.d
-        D = 2 * n + 2
-        A = ff.matrix
-        ctx1 = jets.context(d, ff.ctx.order - 1)
-        zero1 = jets.constant(ctx1, 0.0, ff.batch)
-        X1 = [x.truncated(ctx1.order) for x in ff.X]
-        F1 = [[c.truncated(ctx1.order) for c in col] for col in ff.frame_cols]
-        slots = []
+        N = 2 * n + 1
+        low = ff.ctx.order - 1
+        FT = ff.frame_cols.T[:, :-1]                   # frame columns but T, as columns
+        F1, XiF1 = ff.frame_cols.truncated(low), ff.XiF.truncated(low)
+        slots = jets.constant(XiF1.ctx, np.zeros((d, N, N)), ff.batch)
+        slots[:, :, 0] = (F1 @ XiF1).T
+        # the T-components the moving base adds to the frame columns, (d, 2n)
+        corr = heis.frame_t_component(XiF1[:n].T, XiF1[n:2 * n].T,
+                                      F1[:-1, :n].T, F1[:-1, n:2 * n].T, 0.0)
         for i in range(d):
-            dA = [[A[r][c].deriv(i) for c in range(D)] for r in range(D)]
-            out = [[zero1] * D for _ in range(D)]
-            for c in range(D):
-                w = [dA[r][c] for r in range(1, D)]
-                if all(np.max(np.abs(x.c)) == 0 for x in w):
-                    continue
-                z = w[:2 * n] + [heis.frame_t_component(
-                    X1[:n], X1[n:2 * n], w[:n], w[n:2 * n], w[2 * n])]
-                for r in range(2 * n + 1):
-                    acc = zero1
-                    for s in range(2 * n + 1):
-                        acc = acc + F1[r][s] * z[s]
-                    out[r + 1][c] = acc
-            slots.append(out)
+            z = FT.deriv(i)
+            z[2 * n] = z[2 * n] - corr[i]
+            slots[i, :, 1:] = F1 @ z
         return slots
 
     @cached_property
     def values(self):
-        return jets.values(self._slots)
+        D = 2 * self.n + 2
+        w = np.zeros((self.d, D, D) + self.ff.batch)
+        w[:, 1:, :-1] = np.moveaxis(self._slots.value, (-3, -2, -1), (0, 1, 2))
+        return w
 
     @cached_property
     def d1(self):
-        """d1[i, r, c, p] = d/du_p of slot i entry (r, c)."""
-        D = 2 * self.n + 2
-        out = np.zeros((self.d, D, D, self.d) + self.ff.batch)
-        for i in range(self.d):
-            for r in range(D):
-                for c in range(D):
-                    j = self._slots[i][r][c]
-                    if isinstance(j, Jet) and np.max(np.abs(j.c)) != 0:
-                        out[i, r, c] = j.gradient()
-        return out
+        """d1[i, r, c, p] = d/du_p of slot i entry (r + 1, c), a view of the slot jet.
+
+        The first row and the last column of every slot are constant zero.
+        """
+        g = self._slots.gradient()                   # (p, *batch, i, r, c)
+        nb = len(self.ff.batch)
+        return g.transpose((nb + 1, nb + 2, nb + 3, 0) + tuple(range(1, nb + 1)))
+
+    @cached_property
+    def conn(self):
+        """theta_g^b slots as one complex (n, n, d) jet: conn[g-1, b-1, i]."""
+        n = self.n
+        s = self._slots
+        return (s[:, :n, 1:n + 1] + 1j * s[:, n:2 * n, 1:n + 1]).transpose(2, 1, 0)
 
     def algebra_residuals(self) -> dict:
         """Worst Lie-algebra membership residuals across slots and grid points."""
@@ -568,12 +504,14 @@ class MCForm:
         w = self.values
         worst = 0.0
         if method == "jet":
+            # d1 leaves out the zero first row and last column, where the
+            # commutator vanishes as well
             dw = self.d1
             for p in range(self.d):
                 for q in range(p + 1, self.d):
                     comm = (np.einsum("rs...,sc...->rc...", w[p], w[q])
                             - np.einsum("rs...,sc...->rc...", w[q], w[p]))
-                    resid = dw[q][:, :, p] - dw[p][:, :, q] + comm
+                    resid = dw[q][:, :, p] - dw[p][:, :, q] + comm[1:, :-1]
                     worst = max(worst, float(np.max(np.abs(resid))))
             return worst
 
@@ -608,14 +546,6 @@ class MCForm:
                 worst = max(worst, float(np.max(np.abs(dpq - dqp + comm))))
         return worst
 
-    # complex entry views (1-based frame indices) ---------------------------
-
-    def conn_entry(self, g, b):
-        """theta_g^b slots: list over chart axes of complex jets."""
-        n = self.n
-        return [self._slots[i][b][g] + 1j * self._slots[i][n + b][g]
-                for i in range(self.d)]
-
 
 def darboux_derivative(ff: FrameField) -> MCForm:
     return MCForm(ff)
@@ -626,8 +556,8 @@ def darboux_derivative(ff: FrameField) -> MCForm:
 # ---------------------------------------------------------------------------
 
 def _value_at(field, idx):
-    """Values of a (nested) jet vector at one grid index, signed zeros cleared."""
-    return jets.values(field)[(Ellipsis,) + tuple(idx)] + 0.0
+    """Values of a jet field at one grid index, signed zeros cleared."""
+    return field.value[tuple(idx)] + 0.0
 
 
 def _point_field(imm, u, policy="canonical", tol=None) -> FrameField:
@@ -643,8 +573,8 @@ def contact_intersection(imm, u, tol=TOL_CR):
     ff = _point_field(imm, u, tol=tol)
     idx = (0,) * ff.d
     base = ff.point_at(idx)
-    return [heis.HTangent.from_frame(base, _value_at(leg.frame, idx))
-            for leg in ff.legs_t + ff.legs_jt]
+    legs = np.concatenate([_value_at(ff.legs_t, idx), _value_at(ff.legs_jt, idx)])
+    return [heis.HTangent.from_frame(base, leg) for leg in legs]
 
 
 def reeb_and_nu(imm, u, tol=TOL_CR):
@@ -652,7 +582,7 @@ def reeb_and_nu(imm, u, tol=TOL_CR):
     ff = _point_field(imm, u, tol=tol)
     idx = (0,) * ff.d
     base = ff.point_at(idx)
-    that = heis.HTangent.from_frame(base, _value_at(ff.that.frame, idx))
+    that = heis.HTangent.from_frame(base, _value_at(ff.that_frame, idx))
     nu = heis.HTangent.from_frame(base, _value_at(ff.nu_frame, idx))
     return that, nu
 
@@ -678,17 +608,15 @@ def pullback_check(ff: FrameField, mc: MCForm | None = None) -> dict:
                         float(np.max(np.abs(w[:, n + j + 1, 0] - zv.imag))))
     res["tangent_coframe"] = worst_tan
     worst_n = 0.0
-    for a_i, (e, je) in enumerate(zip(ff.legs_n, ff.legs_jn)):
+    nu_comp = jets.values(ff.nu_comp)             # <nu, e_a> + i <nu, Je_a>
+    for a_i, comp in enumerate(nu_comp):
         a = m + a_i
-        ca = jets.values(_dot(ff.nu_frame, e))
-        cna = jets.values(_dot(ff.nu_frame, je))
         worst_n = max(worst_n,
-                      float(np.max(np.abs(w[:, a + 1, 0] - ca * th))),
-                      float(np.max(np.abs(w[:, n + a + 1, 0] - cna * th))))
+                      float(np.max(np.abs(w[:, a + 1, 0] - comp.real * th))),
+                      float(np.max(np.abs(w[:, n + a + 1, 0] - comp.imag * th))))
     res["normal_coframe"] = worst_n
     res["contact"] = float(np.max(np.abs(w[:, 2 * n + 1, 0] - th)))
     nu2 = jets.values(ff.nu_norm2)
-    comp2 = np.sum(np.abs(jets.values(ff.nu_comp)) ** 2, axis=0) \
-        if ff.nu_comp else np.zeros(ff.batch)
+    comp2 = np.sum(np.abs(nu_comp) ** 2, axis=0)
     res["nu_components"] = float(np.max(np.abs(nu2 - comp2)))
     return res

@@ -17,6 +17,7 @@ Whitespace-insensitive, ``#`` comments.  Expressions support + - * / ^
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from collections import Counter
@@ -743,15 +744,19 @@ class Immersion:
                 for v in evaluate(self.coord_exprs, env)]
 
     def jets(self, u_arrays, order=3, mode="ad", steps=None):
-        """Taylor-expand every ambient coordinate at a batch of chart points."""
+        """Taylor-expand the ambient coordinates at a batch of chart points.
+
+        Returns one jet of tensor shape (2n+1,), one entry per coordinate.
+        """
         if mode == "fd":
             return fd_jets(self.values, self.nparams, u_arrays, order, steps=steps)
         ctx = jets.context(self.nparams, order)
         seeds = jets.variables(ctx, [np.asarray(u, dtype=float) for u in u_arrays])
         env = dict(zip(self.params, seeds))
         shape = np.broadcast_shapes(*[np.shape(u) for u in u_arrays])
-        return [v if isinstance(v, Jet) else jets.constant(ctx, float(v), shape)
-                for v in evaluate(self.coord_exprs, env)]
+        return jets.stack([v if isinstance(v, Jet)
+                           else jets.constant(ctx, float(v), shape)
+                           for v in evaluate(self.coord_exprs, env)])
 
     def jet(self, u) -> Jet2:
         """Pointwise second-order jet; u must lie inside the chart box."""
@@ -760,18 +765,21 @@ class Immersion:
             raise OutOfChart(f"{u.tolist()} outside chart box of {self.label!r}")
         js = self.jets([np.atleast_1d(ui) for ui in u], order=2)
         d = self.nparams
-        value = jets.values(js)[:, 0]
-        d1 = np.array([[j.gradient()[i][0] for j in js] for i in range(d)])
-        d2 = np.array([[[j.second(i, k)[0] for j in js] for k in range(d)]
-                       for i in range(d)])
+        value = js.value[0]
+        d1 = js.gradient()[:, 0]
+        d2 = np.array([[js.second(i, k)[0] for k in range(d)] for i in range(d)])
         return Jet2(value, d1, d2)
 
-    def rank_check(self, grid_points, floor=1e-8):
-        """Raise NotImmersed unless all Jacobian singular values clear the floor."""
-        js = self.jets(grid_points, order=1)
-        jac = np.stack([j.gradient() for j in js], axis=1)  # (d, 2n+1, batch...)
-        jac = np.moveaxis(jac.reshape(jac.shape[0], jac.shape[1], -1), -1, 0)
-        sv = np.linalg.svd(np.swapaxes(jac, 1, 2), compute_uv=False)
+    def rank_check(self, grid_points, floor=1e-8, jac=None):
+        """Raise NotImmersed unless all Jacobian singular values clear the floor.
+
+        ``jac`` is the Jacobian as the gradient of the coordinate jets,
+        (d, *batch, 2n+1), when the caller has the jets already.
+        """
+        if jac is None:
+            jac = self.jets(grid_points, order=1).gradient()
+        jac = np.moveaxis(jac.reshape(jac.shape[0], -1, jac.shape[-1]), 1, 0)
+        sv = np.linalg.svd(jac, compute_uv=False)
         worst = float(np.min(sv[:, self.nparams - 1]))
         if worst < floor:
             idx = int(np.argmin(sv[:, self.nparams - 1]))
@@ -822,129 +830,54 @@ def fd_jets(values_fn, d, u_arrays, order, steps=None):
     if steps is None:
         steps = [1e-3] * d
     ctx = jets.context(d, order)
+    shape = np.broadcast_shapes(*[np.shape(u) for u in u_arrays])
     cache = {}
 
-    def ev(off):
+    def ev(*moves):
+        """Coordinates, (*batch, 2n+1), k_i steps away along each axis i."""
+        off = [0] * d
+        for i, k in moves:
+            off[i] = k
+        off = tuple(off)
         if off not in cache:
             pts = [u_arrays[i] + off[i] * steps[i] for i in range(d)]
-            cache[off] = values_fn(pts)
+            cache[off] = np.stack([np.broadcast_to(v, shape) for v in values_fn(pts)],
+                                  axis=-1)
         return cache[off]
 
-    ncoords = len(ev((0,) * d))
-    shape = np.broadcast_shapes(*[np.shape(u) for u in u_arrays])
-    coeffs = [np.zeros((ctx.ncoeff,) + shape) for _ in range(ncoords)]
+    def set_coeff(axes, deriv):
+        alpha = [0] * d
+        for i in axes:
+            alpha[i] += 1
+        coeffs[ctx.index[tuple(alpha)]] = deriv / math.prod(map(math.factorial, alpha))
 
-    def axis_off(i, k):
-        off = [0] * d
-        off[i] = k
-        return tuple(off)
+    f0 = ev()
+    coeffs = np.zeros((ctx.ncoeff,) + f0.shape)
+    coeffs[0] = f0
+    for i in range(d if order >= 1 else 0):
+        h = steps[i]
+        p1, m1, p2, m2 = ev((i, 1)), ev((i, -1)), ev((i, 2)), ev((i, -2))
+        set_coeff([i], (8 * (p1 - m1) - (p2 - m2)) / (12 * h))
+        if order >= 2:
+            set_coeff([i, i], (-p2 + 16 * p1 - 30 * f0 + 16 * m1 - m2) / (12 * h * h))
+        if order >= 3:
+            set_coeff([i, i, i], (p2 - 2 * p1 + 2 * m1 - m2) / (2 * h ** 3))
+    for i, j in itertools.combinations(range(d), 2) if order >= 2 else ():
+        def cross(s):
+            return ((ev((i, s), (j, s)) + ev((i, -s), (j, -s)) - ev((i, s), (j, -s))
+                     - ev((i, -s), (j, s))) / (4 * s * s * steps[i] * steps[j]))
 
-    def set_coeff(alpha, deriv_vals):
-        fac = 1.0
-        for a in alpha:
-            fac *= math.factorial(a)
-        k = ctx.index[tuple(alpha)]
-        for c in range(ncoords):
-            coeffs[c][k] = deriv_vals[c] / fac
-
-    f0 = ev((0,) * d)
-    for c in range(ncoords):
-        coeffs[c][0] = f0[c]
-
-    if order >= 1:
-        for i in range(d):
-            h = steps[i]
-            p1, m1 = ev(axis_off(i, 1)), ev(axis_off(i, -1))
-            p2, m2 = ev(axis_off(i, 2)), ev(axis_off(i, -2))
-            alpha = [0] * d
-            alpha[i] = 1
-            set_coeff(alpha, [(8 * (p1[c] - m1[c]) - (p2[c] - m2[c])) / (12 * h)
-                              for c in range(ncoords)])
-    if order >= 2:
-        for i in range(d):
-            h = steps[i]
-            p1, m1 = ev(axis_off(i, 1)), ev(axis_off(i, -1))
-            p2, m2 = ev(axis_off(i, 2)), ev(axis_off(i, -2))
-            alpha = [0] * d
-            alpha[i] = 2
-            set_coeff(alpha, [(-p2[c] + 16 * p1[c] - 30 * f0[c] + 16 * m1[c] - m2[c])
-                              / (12 * h * h) for c in range(ncoords)])
-        for i in range(d):
-            for j in range(i + 1, d):
-                hi, hj = steps[i], steps[j]
-
-                def two(si, sj):
-                    off = [0] * d
-                    off[i], off[j] = si, sj
-                    return ev(tuple(off))
-
-                def cross(scale):
-                    pp, mm = two(scale, scale), two(-scale, -scale)
-                    pm, mp = two(scale, -scale), two(-scale, scale)
-                    return [(pp[c] + mm[c] - pm[c] - mp[c])
-                            / (4 * scale * scale * hi * hj)
-                            for c in range(ncoords)]
-
-                c1, c2 = cross(1), cross(2)   # Richardson: O(step^4)
-                alpha = [0] * d
-                alpha[i] += 1
-                alpha[j] += 1
-                set_coeff(alpha, [(4 * c1[c] - c2[c]) / 3.0
-                                  for c in range(ncoords)])
-    if order >= 3:
-        for i in range(d):
-            h = steps[i]
-            p1, m1 = ev(axis_off(i, 1)), ev(axis_off(i, -1))
-            p2, m2 = ev(axis_off(i, 2)), ev(axis_off(i, -2))
-            alpha = [0] * d
-            alpha[i] = 3
-            set_coeff(alpha, [(p2[c] - 2 * p1[c] + 2 * m1[c] - m2[c]) / (2 * h ** 3)
-                              for c in range(ncoords)])
-        for i in range(d):
-            for j in range(d):
-                if i == j:
-                    continue
-                hi, hj = steps[i], steps[j]
-
-                def two(si, sj):
-                    off = [0] * d
-                    off[i], off[j] = si, sj
-                    return ev(tuple(off))
-
-                alpha = [0] * d
-                alpha[i] += 2
-                alpha[j] += 1
-                if alpha[i] + alpha[j] > order:
-                    continue
-                vals = []
-                for c in range(ncoords):
-                    top = two(1, 1)[c] - 2 * ev(axis_off(j, 1))[c] + two(-1, 1)[c]
-                    bot = two(1, -1)[c] - 2 * ev(axis_off(j, -1))[c] + two(-1, -1)[c]
-                    vals.append((top - bot) / (2 * hi * hi * hj))
-                set_coeff(alpha, vals)
-        for i in range(d):
-            for j in range(i + 1, d):
-                for k in range(j + 1, d):
-                    hi, hj, hk = steps[i], steps[j], steps[k]
-
-                    def three(si, sj, sk):
-                        off = [0] * d
-                        off[i], off[j], off[k] = si, sj, sk
-                        return ev(tuple(off))
-
-                    vals = []
-                    for c in range(ncoords):
-                        acc = 0.0
-                        for si in (1, -1):
-                            for sj in (1, -1):
-                                for sk in (1, -1):
-                                    acc = acc + si * sj * sk * three(si, sj, sk)[c]
-                        vals.append(acc / (8 * hi * hj * hk))
-                    alpha = [0] * d
-                    alpha[i], alpha[j], alpha[k] = 1, 1, 1
-                    set_coeff(alpha, vals)
-
-    return [Jet(ctx, c) for c in coeffs]
+        set_coeff([i, j], (4 * cross(1) - cross(2)) / 3.0)   # Richardson: O(step^4)
+    for i, j in itertools.permutations(range(d), 2) if order >= 3 else ():
+        top = ev((i, 1), (j, 1)) - 2 * ev((j, 1)) + ev((i, -1), (j, 1))
+        bot = ev((i, 1), (j, -1)) - 2 * ev((j, -1)) + ev((i, -1), (j, -1))
+        set_coeff([i, i, j], (top - bot) / (2 * steps[i] * steps[i] * steps[j]))
+    for i, j, k in itertools.combinations(range(d), 3) if order >= 3 else ():
+        acc = 0.0
+        for si, sj, sk in itertools.product((1, -1), repeat=3):
+            acc = acc + si * sj * sk * ev((i, si), (j, sj), (k, sk))
+        set_coeff([i, j, k], acc / (8 * steps[i] * steps[j] * steps[k]))
+    return Jet(ctx, coeffs, 1)
 
 # ---------------------------------------------------------------------------
 # builtin surfaces

@@ -26,23 +26,18 @@ HORIZONTAL_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
-# scalar-generic conversion helpers (work on floats, arrays and jets)
+# conversion helpers: component vectors lead, so the same code serves one
+# point (1-D arrays) and jet fields (tensor jets with the index on axis 0)
 # ---------------------------------------------------------------------------
 
 def frame_t_component(x, y, vx, vy, vt):
     """T-component of the vector (vx, vy, vt) in the left-invariant frame at (x, y, .)."""
-    acc = vt
-    for b in range(len(x)):
-        acc = acc - vx[b] * y[b] + vy[b] * x[b]
-    return acc
+    return vt - y @ vx + x @ vy
 
 
 def coord_t_component(x, y, a, b, c):
     """dt-component of a*e + b*Je + c*T at base (x, y, .)."""
-    acc = c
-    for k in range(len(x)):
-        acc = acc + a[k] * y[k] - b[k] * x[k]
-    return acc
+    return c + y @ a - x @ b
 
 
 # ---------------------------------------------------------------------------

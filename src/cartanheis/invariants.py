@@ -45,109 +45,63 @@ class Analysis:
     # -- coframe machinery --------------------------------------------------
 
     @cached_property
-    def _k1(self):
-        return jets.context(self.d, 1)
-
-    @cached_property
     def zco1(self):
-        """theta-hat^j slots truncated to first order."""
-        return [[s.truncated(1) for s in row] for row in self.ff.coframe["z"]]
+        """theta-hat^j slots truncated to first order, (m, d)."""
+        return self.ff.coframe["z"].truncated(1)
 
     @cached_property
     def th1(self):
-        return [s.truncated(1) for s in self.ff.theta_slots]
+        return self.ff.theta_slots.truncated(1)
 
     @cached_property
     def zhat1(self):
-        return [[c.truncated(1) for c in row] for row in self.ff.duals["zhat"]]
+        """Chart components of Zhat_j, first order, (m, d)."""
+        return self.ff.duals["zhat"].truncated(1)
 
     @cached_property
     def that1(self):
-        return [c.truncated(1) for c in self.ff.duals["that"]]
+        return self.ff.duals["that"].truncated(1)
 
     def coframe_condition(self):
         """Determinant margin of the dual tangent frame in chart components."""
         d = self.d
-        M = jets.values([leg.chart for leg in self.ff.legs_t + self.ff.legs_jt]
-                        + [self.ff.that.chart])            # (d, d, batch)
+        M = jets.values(self.ff.charts)                    # (d, d, batch)
         M = np.moveaxis(M.reshape(d, d, -1), -1, 0)
         sv = np.linalg.svd(M, compute_uv=False)
         return float(np.min(sv[:, -1] / sv[:, 0]))
 
-    def _ev1(self, slots, vec):
-        """Pair a one-form (chart slots) with a tangent field (chart comps)."""
-        acc = slots[0] * vec[0]
-        for s, v in zip(slots[1:], vec[1:]):
-            acc = acc + s * v
-        return acc
-
     @cached_property
     def _dz(self):
-        """Exterior derivatives of the induced coframe, as first-order jets.
+        """Chart derivatives of the induced coframe, as real first-order jets.
 
-        _dz[k][p][q] = d theta-hat^k (d_p, d_q), antisymmetric in (p, q);
-        _dth[p][q] likewise for theta-hat.
+        With theta-hat^k = a^k + i b^k, returns the Jacobians (ga, gb, gth):
+        ga[k, q, p] = d_p a^k(d_q), (m, d, d), gb likewise and gth[q, p] for
+        theta-hat.  The exterior derivative d a^k (d_p, d_q) is
+        ga[k, q, p] - ga[k, p, q], so a pairing x . da . y is
+        y . ga . x - x . ga . y.
         """
-        m, d = self.m, self.d
-        zco = self.ff.coframe["z"]
-        dz = [[[None] * d for _ in range(d)] for _ in range(m)]
-        for k in range(m):
-            for p in range(d):
-                for q in range(d):
-                    if p < q:
-                        dz[k][p][q] = zco[k][q].deriv(p) - zco[k][p].deriv(q)
-                    elif p > q:
-                        dz[k][p][q] = -dz[k][q][p]
-        th = self.ff.theta_slots
-        dth = [[None] * d for _ in range(d)]
-        for p in range(d):
-            for q in range(p + 1, d):
-                dth[p][q] = th[q].deriv(p) - th[p].deriv(q)
-                dth[q][p] = -dth[p][q]
-        return dz, dth
-
-    def _two_form(self, comp, V, W):
-        """Evaluate an antisymmetric slot table comp[p][q] on chart vectors."""
-        acc = None
-        for p in range(self.d):
-            for q in range(self.d):
-                if p == q or comp[p][q] is None:
-                    continue
-                if p < q:
-                    term = comp[p][q] * (V[p] * W[q] - V[q] * W[p])
-                    acc = term if acc is None else acc + term
-        return acc if acc is not None else jets.constant(self._k1, 0.0, self.batch)
+        z = self.ff.coframe["z"]
+        return z.real.jacobian(), z.imag.jacobian(), self.ff.theta_slots.jacobian()
 
     # -- second fundamental form and normal connection -----------------------
 
     @cached_property
     def conn_slots(self):
-        """Ambient connection entries restricted to the chart, first order."""
-        n, m = self.n, self.m
-        tan = [[self.mc.conn_entry(j + 1, k + 1) for k in range(m)]
-               for j in range(m)]
-        mixed = [[self.mc.conn_entry(j + 1, m + 1 + ai) for ai in range(self.codim)]
-                 for j in range(m)]
-        normal = [[self.mc.conn_entry(m + 1 + ai, m + 1 + bi)
-                   for bi in range(self.codim)] for ai in range(self.codim)]
-        return {"tan": tan, "mixed": mixed, "normal": normal}
+        """Ambient connection entries restricted to the chart, first order.
+
+        Each block is one complex jet indexed [g, b, i] for theta_g^b(d_i).
+        """
+        m = self.m
+        conn = self.mc.conn
+        return {"tan": conn[:m, :m], "mixed": conn[:m, m:], "normal": conn[m:, m:]}
 
     @cached_property
     def second_ff(self):
         """h[a][j][k] plus the predicted other coefficients of theta_j^a."""
-        m, cod = self.m, self.codim
-        mixed = self.conn_slots["mixed"]
-        h = np.zeros((cod, m, m) + self.batch, dtype=complex)
-        coef_bar = np.zeros_like(h)
-        coef_t = np.zeros((cod, m) + self.batch, dtype=complex)
-        for ai in range(cod):
-            for j in range(m):
-                for k in range(m):
-                    h[ai, j, k] = jets.values(self._ev1(mixed[j][ai], self.zhat1[k]))
-                    coef_bar[ai, j, k] = jets.values(
-                        self._ev1(mixed[j][ai], [c.conj() for c in self.zhat1[k]]))
-                coef_t[ai, j] = jets.values(self._ev1(mixed[j][ai], self.that1))
-        return {"h": h, "bar": coef_bar, "t": coef_t}
+        mixed = self.conn_slots["mixed"].transpose(1, 0, 2)     # (a, j, i)
+        zhat = self.zhat1.T
+        return {"h": _pair(mixed, zhat), "bar": _pair(mixed, zhat.conj()),
+                "t": _pair(mixed, self.that1)}
 
     @cached_property
     def nu_comp_vals(self):
@@ -180,40 +134,23 @@ class Analysis:
     @cached_property
     def nabla_perp_nu(self):
         """Normal-connection derivative of nu: entries <nabla_{Zhat_j} nu, Z_a>."""
-        m, cod = self.m, self.codim
-        out = np.zeros((cod, m) + self.batch, dtype=complex)
-        normal = self.conn_slots["normal"]
-        for ai in range(cod):
-            for j in range(m):
-                zj = self.zhat1[j]
-                # directional derivative of nu^a along Zhat_j, then the
-                # connection correction from the normal block
-                dcomp = [self.ff.nu_comp[ai].deriv(i) for i in range(self.d)]
-                acc = self._ev1(dcomp, zj)
-                for bi in range(cod):
-                    acc = acc + self.ff.nu_comp[bi].truncated(1) \
-                        * self._ev1(normal[bi][ai], zj)
-                out[ai, j] = jets.values(acc)
-        return out
+        zhat = self.zhat1.T
+        # directional derivative of nu^a along Zhat_j, then the connection
+        # correction from the normal block
+        out = _pair(self.ff.nu_comp.jacobian(), zhat)
+        conn = _pair(self.conn_slots["normal"], zhat)          # (b, a, j)
+        return out + np.einsum("b...,baj...->aj...", self.nu_comp_vals, conn)
 
     @cached_property
     def normal_conn_coeffs(self):
         """theta_a^b expanded on (theta-hat^k, theta-hat^kbar, theta-hat)."""
-        m, cod = self.m, self.codim
         normal = self.conn_slots["normal"]
-        hol = np.zeros((cod, cod, m) + self.batch, dtype=complex)
-        anti = np.zeros_like(hol)
-        reeb = np.zeros((cod, cod) + self.batch, dtype=complex)
-        for ai in range(cod):
-            for bi in range(cod):
-                for k in range(m):
-                    hol[ai, bi, k] = jets.values(
-                        self._ev1(normal[ai][bi], self.zhat1[k]))
-                    anti[ai, bi, k] = jets.values(
-                        self._ev1(normal[ai][bi], [c.conj() for c in self.zhat1[k]]))
-                reeb[ai, bi] = jets.values(self._ev1(normal[ai][bi], self.that1))
+        zhat = self.zhat1.T
+        hol = _pair(normal, zhat)
+        anti = _pair(normal, zhat.conj())
+        reeb = _pair(normal, self.that1)
         skew = 0.0
-        if cod:
+        if self.codim:
             w = self.mc.values
             nb = self.n
             blk = (w[:, self.m + 1:nb + 1, self.m + 1:nb + 1]
@@ -230,63 +167,61 @@ class Analysis:
         Solves d theta-hat^k = theta-hat^j ^ theta-hat_j^k + theta-hat ^ tau^k
         with skew-hermitian connection and admissible torsion by reading the
         coefficients off the dual frame; the unused sectors of the equation
-        are returned as residuals.
+        are returned as residuals.  A two-form paired with chart vectors V,
+        W is V . dz . W, so the pairings with (Zhat_j, conj Zhat_j, That)
+        for all indices at once are two jet products per form.
         """
-        m, d = self.m, self.d
+        m = self.m
         cond = self.coframe_condition()
         if cond < 1e-10:
             raise IllConditionedCoframe(
                 f"dual coframe condition {cond:.2e} too small")
-        dz, dth = self._dz
-        zb = [[c.conj() for c in row] for row in self.zhat1]
-        D = np.empty((m, m, m), dtype=object)     # coefficient of z_j, zbar_l in dz^k
-        C = np.empty((m, m, m), dtype=object)
-        E = np.empty((m, m, m), dtype=object)
-        F = np.empty((m, m), dtype=object)
-        G = np.empty((m, m), dtype=object)
-        for k in range(m):
-            for j in range(m):
-                for l in range(m):
-                    D[k, j, l] = self._two_form(dz[k], self.zhat1[j], zb[l])
-                    C[k, j, l] = self._two_form(dz[k], self.zhat1[j], self.zhat1[l])
-                    E[k, j, l] = self._two_form(dz[k], zb[j], zb[l])
-                F[k, j] = self._two_form(dz[k], self.zhat1[j], self.that1)
-                G[k, j] = self._two_form(dz[k], zb[j], self.that1)
+        # pair d theta-hat^k with x, y in (e_j, Je_j, That): the charts of
+        # these fields are real, so each pairing is a real jet product, and
+        # Zhat_j = (e_j - i Je_j) / 2 enters through the block combinations
+        ga, gb, gth = self._dz
+        ch = self.ff.charts                                # (2m+1, d): e, Je, That
 
+        def pairing(g):
+            """x . d(form) . y for x in (e, Je), y in (e, Je, That): (m, 2m, 2m+1)."""
+            M = ch @ (g @ ch.T)
+            return M.transpose(0, 2, 1)[:, :2 * m] - M[:, :2 * m]
+
+        Sa, Sb = pairing(ga), pairing(gb)
+        e, je, t = slice(0, m), slice(m, 2 * m), 2 * m
+
+        def cplx(re, im):
+            return re + 1j * im
+
+        # coefficient of z_j, zbar_l in dz^k: Zhat_j . dz^k . conj Zhat_l
+        D = 0.25 * cplx(Sa[:, e, e] + Sa[:, je, je] - Sb[:, e, je] + Sb[:, je, e],
+                        Sb[:, e, e] + Sb[:, je, je] + Sa[:, e, je] - Sa[:, je, e])
         gamma_bar = D                              # Gamma^k_{j, lbar} = D[k][j][l]
-        gamma_hol = np.empty((m, m, m), dtype=object)
-        for k in range(m):
-            for j in range(m):
-                for l in range(m):
-                    gamma_hol[k, j, l] = -(D[j, k, l].conj())
-        gamma_0 = F                                # Gamma^k_{j, 0}
-        torsion = np.empty((m, m), dtype=object)
-        for k in range(m):
-            for l in range(m):
-                torsion[k, l] = -G[k, l]
+        gamma_hol = -(D.transpose(1, 0, 2).conj())
+        # Gamma^k_{j, 0} = Zhat_j . dz^k . That; torsion from conj Zhat_j
+        gamma_0 = 0.5 * cplx(Sa[:, e, t] + Sb[:, je, t], Sb[:, e, t] - Sa[:, je, t])
+        torsion = -0.5 * cplx(Sa[:, e, t] - Sb[:, je, t], Sb[:, e, t] + Sa[:, je, t])
 
-        res = 0.0
-        for k in range(m):
-            for j in range(m):
-                for l in range(m):
-                    diff = C[k, j, l] - (gamma_hol[k, j, l] - gamma_hol[k, l, j])
-                    res = max(res, float(np.max(np.abs(jets.values(diff)))))
-                    res = max(res, float(np.max(np.abs(jets.values(E[k, j, l])))))
-        Fv, tv = jets.values(F), jets.values(torsion)
-        for k in range(m):
-            for j in range(m):
-                res = max(res, float(np.max(np.abs(Fv[k, j] + np.conj(Fv[j, k])))))
-                res = max(res, float(np.max(np.abs(tv[k, j] - tv[j, k]))))
+        # the unused sectors need values only
+        S = jets.values(Sa) + 1j * jets.values(Sb)
+        uu, uv, vu, vv = S[:, e, e], S[:, e, je], S[:, je, e], S[:, je, je]
+        Cv = 0.25 * (uu - 1j * uv - 1j * vu - vv)          # z_j, z_l in dz^k
+        Ev = 0.25 * (uu + 1j * uv + 1j * vu - vv)          # zbar_j, zbar_l
+        ghv = jets.values(gamma_hol)
+        res = max(float(np.max(np.abs(Cv - (ghv - np.swapaxes(ghv, 1, 2))))),
+                  float(np.max(np.abs(Ev))))
+        Fv, tv = jets.values(gamma_0), jets.values(torsion)
+        res = max(res, float(np.max(np.abs(Fv + np.conj(np.swapaxes(Fv, 0, 1))))),
+                  float(np.max(np.abs(tv - np.swapaxes(tv, 0, 1)))))
         # admissibility of the induced contact form: d theta-hat = i theta^l ^ theta^lbar
-        adm = 0.0
-        for j in range(m):
-            for l in range(m):
-                v = jets.values(self._two_form(dth, self.zhat1[j], zb[l]))
-                adm = max(adm, float(np.max(np.abs(v - (1j if j == l else 0.0)))))
-                v = jets.values(self._two_form(dth, self.zhat1[j], self.zhat1[l]))
-                adm = max(adm, float(np.max(np.abs(v))))
-            v = jets.values(self._two_form(dth, self.zhat1[j], self.that1))
-            adm = max(adm, float(np.max(np.abs(v))))
+        zh = jets.values(self.zhat1)
+        w = np.concatenate([zh, np.conj(zh), jets.values(self.that1)[None]])
+        g = jets.values(gth)                               # g[q, p] = d_p theta(d_q)
+        v = (np.einsum("lq...,qp...,jp...->jl...", w, g, zh)
+             - np.einsum("jq...,qp...,lp...->jl...", zh, g, w))
+        eye = np.eye(m).reshape((m, m) + (1,) * len(self.batch))
+        adm = max(float(np.max(np.abs(v[:, m:2 * m] - 1j * eye))),
+                  float(np.max(np.abs(v[:, :m]))), float(np.max(np.abs(v[:, 2 * m]))))
         return {"gamma_hol": gamma_hol, "gamma_bar": gamma_bar, "gamma_0": gamma_0,
                 "torsion": torsion, "solve_residual": res, "admissibility": adm,
                 "condition": cond}
@@ -297,19 +232,14 @@ class Analysis:
 
     @cached_property
     def intrinsic_conn_slots(self):
-        """theta-hat_j^k as chart slots (first-order jets)."""
-        m, d = self.m, self.d
+        """theta-hat_j^k as chart slots, one first-order (m, m, d) jet."""
         tw = self.tanaka_webster
-        s = np.empty((m, m, d), dtype=object)
-        for j in range(m):
-            for k in range(m):
-                for i in range(d):
-                    acc = tw["gamma_0"][k, j] * self.th1[i]
-                    for l in range(m):
-                        acc = acc + tw["gamma_hol"][k, j, l] * self.zco1[l][i]
-                        acc = acc + tw["gamma_bar"][k, j, l] * self.zco1[l][i].conj()
-                    s[j, k, i] = acc
-        return s
+        # gamma_hol z + gamma_bar conj z with z = a + i b, as real products
+        gh, gb = tw["gamma_hol"].transpose(1, 0, 2), tw["gamma_bar"].transpose(1, 0, 2)
+        p, q = gh + gb, gh - gb
+        a, b = self.zco1.real, self.zco1.imag
+        return (tw["gamma_0"].T[:, :, None] * self.th1
+                + (p.real @ a - q.imag @ b) + 1j * (p.imag @ a + q.real @ b))
 
     # -- curvature ------------------------------------------------------------
 
@@ -320,6 +250,7 @@ class Analysis:
         tw = self.tanaka_webster
         s = self.intrinsic_conn_slots
         sv = jets.values(s)                              # (m, m, d, batch)
+        ds = jets.values(_exterior(s))                   # (m, m, d, d, batch)
         # tau^k and lowered-index companions as value slots
         zv = jets.values(self.ff.coframe["z"])           # (m, d, batch)
         tor = self.torsion_vals
@@ -330,7 +261,7 @@ class Analysis:
             for k in range(m):
                 for p in range(d):
                     for q in range(p + 1, d):
-                        djk = jets.values(s[j, k, q].deriv(p) - s[j, k, p].deriv(q))
+                        djk = ds[j, k, p, q]
                         wedge = 0.0
                         for l in range(m):
                             wedge = wedge + sv[j, l, p] * sv[l, k, q] \
@@ -480,6 +411,21 @@ class Analysis:
         return theta_nn_from_intrinsic(self)["residual"]
 
 
+def _exterior(form):
+    """d of a one-form given by its chart slots on the last axis of a jet.
+
+    Returns the jet of one order lower with two trailing chart axes,
+    out[..., p, q] = d_p form[..., q] - d_q form[..., p].
+    """
+    g = form.jacobian()                      # g[..., q, p] = d_p form[..., q]
+    return g.transpose(*range(form.nt - 1), form.nt, form.nt - 1) - g
+
+
+def _pair(a, b):
+    """Values of the contraction a @ b, from the values alone."""
+    return jets.values(a.truncated(0) @ b.truncated(0))
+
+
 # ---------------------------------------------------------------------------
 # named operations over an analysis
 # ---------------------------------------------------------------------------
@@ -578,18 +524,18 @@ def theta_nn_from_intrinsic(an: Analysis):
     m, d = an.m, an.d
     ff = an.ff
     nrm = ff.nu_norm_jet()                       # |nu| as a second-order jet
-    dn = [nrm.deriv(i) for i in range(d)]
-    zd = [an._ev1(dn, an.zhat1[j]) for j in range(m)]          # Zhat_j |nu|
-    td = jets.values(an._ev1(dn, an.that1))                    # That |nu|
+    dn = nrm.jacobian()
+    zd = an.zhat1 @ dn                                         # Zhat_j |nu|
+    td = jets.values(an.that1 @ dn)                            # That |nu|
     tw = an.tanaka_webster
 
     zdv = jets.values(zd)
+    dzd = jets.values(zd.jacobian())                           # (m, d, batch)
     gamma_bar = jets.values(tw["gamma_bar"])
     zbar = np.conj(jets.values(an.zhat1))
     S = np.zeros(an.batch, dtype=complex)
     for j in range(m):
-        dzd = jets.values([zd[j].deriv(i) for i in range(d)])
-        acc = sum(zbar[j, i] * dzd[i] for i in range(d))
+        acc = sum(zbar[j, i] * dzd[j, i] for i in range(d))
         for k in range(m):
             acc = acc - gamma_bar[k, j, j] * zdv[k]
         S = S + acc

@@ -1,10 +1,21 @@
 """Truncated multivariate Taylor arithmetic (forward-mode AD, orders 0..3).
 
-A ``Jet`` stores the Taylor coefficients of a scalar quantity with respect
-to ``nvars`` chart variables, truncated at total degree ``order``, as a
-numpy array of shape ``(ncoeff, *batch)``.  Batch axes let a whole grid of
-chart points flow through one arithmetic operation.  Derivatives obtained
-this way are exact up to rounding; there is no truncation error.
+A ``Jet`` stores the Taylor coefficients of a scalar, vector or matrix
+quantity with respect to ``nvars`` chart variables, truncated at total
+degree ``order``, as one numpy array of layout ``(ncoeff, *batch, *shape)``.
+Batch axes let a whole grid of chart points flow through one arithmetic
+operation; the trailing tensor axes (``shape``, empty for a scalar jet) make
+a vector or matrix of jets one object.  Derivatives obtained this way are
+exact up to rounding; there is no truncation error.
+
+``+``, ``-``, ``*`` and ``/`` act entrywise and broadcast over the tensor
+axes as numpy does (right-aligned); a numpy operand broadcasts against the
+value array ``(*batch, *shape)``.  ``a @ b`` is the jet matrix product: it
+contracts the last axis of ``a`` with the second-to-last of ``b`` (1-D
+operands are promoted as in numpy) by one loop over the multiplication
+table, ``out[k] += a[i] @ b[j]``, each entry one batched contraction over
+the whole grid.  ``values`` gives the grid values with the tensor axes
+first, ``(*shape, *batch)``, the layout every module boundary uses.
 """
 
 from __future__ import annotations
@@ -16,7 +27,8 @@ import numpy as np
 
 from .errors import DomainError
 
-__all__ = ["JetContext", "Jet", "context", "variables", "constant", "values"]
+__all__ = ["JetContext", "Jet", "context", "variables", "constant", "stack",
+           "values"]
 
 
 def _monomials(nvars, order):
@@ -48,31 +60,32 @@ class JetContext:
 
     @property
     def mul_table(self):
-        # list of (k_out, i, j) with monomial_i * monomial_j = monomial_k
+        # list of (k_out, i, j, first) with monomial_i * monomial_j =
+        # monomial_k; first marks the earliest entry writing to k
         if self._mul_table is None:
-            table = []
+            table, seen = [], set()
             for i, a in enumerate(self.monomials):
                 for j, b in enumerate(self.monomials):
                     if sum(a) + sum(b) <= self.order:
-                        c = tuple(x + y for x, y in zip(a, b))
-                        table.append((self.index[c], i, j))
+                        k = self.index[tuple(x + y for x, y in zip(a, b))]
+                        table.append((k, i, j, k not in seen))
+                        seen.add(k)
             self._mul_table = table
         return self._mul_table
 
     @property
     def deriv_tables(self):
-        # per variable: list of (dst_index_in_lower_ctx, src_index, factor)
+        # per variable: (source index, factor), one entry per monomial of
+        # the next lower order, in that order
         if self._deriv_tables is None:
-            lower = context(self.nvars, self.order - 1) if self.order > 0 else None
+            lower = context(self.nvars, self.order - 1)
             tables = []
             for v in range(self.nvars):
                 tab = []
-                if lower is not None:
-                    for dst, alpha in enumerate(lower.monomials):
-                        src_alpha = list(alpha)
-                        src_alpha[v] += 1
-                        src = self.index[tuple(src_alpha)]
-                        tab.append((dst, src, float(src_alpha[v])))
+                for alpha in lower.monomials:
+                    src_alpha = list(alpha)
+                    src_alpha[v] += 1
+                    tab.append((self.index[tuple(src_alpha)], float(src_alpha[v])))
                 tables.append(tab)
             self._deriv_tables = tables
         return self._deriv_tables
@@ -86,44 +99,51 @@ def context(nvars: int, order: int) -> JetContext:
     return JetContext(nvars, order)
 
 
+def _lift(c, nt, to):
+    """Coefficients with singleton tensor axes inserted up to ``to`` axes."""
+    if to == nt:
+        return c
+    i = c.ndim - nt
+    return c.reshape(c.shape[:i] + (1,) * (to - nt) + c.shape[i:])
+
+
 class Jet:
-    """Taylor coefficients of one scalar over a batch of base points."""
+    """Taylor coefficients of a scalar or tensor over a batch of base points.
 
-    __slots__ = ("ctx", "c")
+    ``c`` has layout ``(ncoeff, *batch, *shape)`` and ``nt`` counts the
+    trailing tensor axes.
+    """
 
-    def __init__(self, ctx: JetContext, coeffs: np.ndarray):
+    __slots__ = ("ctx", "c", "nt")
+    # numpy defers to the reflected operators, so ``array * jet`` is a jet
+    __array_ufunc__ = None
+
+    def __init__(self, ctx: JetContext, coeffs: np.ndarray, nt: int = 0):
         self.ctx = ctx
         self.c = coeffs
-
-    # -- constructors -------------------------------------------------
-
-    @staticmethod
-    def const(ctx, value, batch_shape=()):
-        value = np.asarray(value)
-        c = np.zeros((ctx.ncoeff,) + np.broadcast_shapes(value.shape, batch_shape),
-                     dtype=value.dtype if value.dtype.kind == "c" else float)
-        c[0] = value
-        return Jet(ctx, c)
+        self.nt = nt
 
     # -- basic views ---------------------------------------------------
 
     @property
     def value(self):
+        """Values at the base points, layout ``(*batch, *shape)`` (a view)."""
         return self.c[0]
 
     @property
+    def shape(self):
+        return self.c.shape[self.c.ndim - self.nt:]
+
+    @property
     def batch_shape(self):
-        return self.c.shape[1:]
+        return self.c.shape[1:self.c.ndim - self.nt]
 
     def gradient(self):
-        """First-derivative coefficients, shape (nvars, *batch)."""
-        ctx = self.ctx
-        rows = []
-        for v in range(ctx.nvars):
-            e = [0] * ctx.nvars
-            e[v] = 1
-            rows.append(self.c[ctx.index[tuple(e)]])
-        return np.stack(rows)
+        """First-derivative coefficients, shape (nvars, *batch, *shape), a view."""
+        if self.ctx.order == 0:
+            raise ValueError("an order-0 jet has no gradient")
+        # the degree-one monomials follow the constant, in variable order
+        return self.c[1:1 + self.ctx.nvars]
 
     def second(self, i, j):
         """Second partial derivative d2/du_i du_j (not the Taylor coefficient)."""
@@ -135,13 +155,22 @@ class Jet:
 
     def deriv(self, v: int) -> "Jet":
         """Partial derivative as a jet of one order lower."""
+        return self._partials([v], ())
+
+    def jacobian(self) -> "Jet":
+        """All first partials as one jet of one order lower, shape (*shape, nvars)."""
+        return self._partials(range(self.ctx.nvars), (self.ctx.nvars,))
+
+    def _partials(self, variables, axis):
         if self.ctx.order == 0:
             raise ValueError("cannot differentiate an order-0 jet")
         lower = context(self.ctx.nvars, self.ctx.order - 1)
-        out = np.zeros((lower.ncoeff,) + self.c.shape[1:], dtype=self.c.dtype)
-        for dst, src, fac in self.ctx.deriv_tables[v]:
-            out[dst] = fac * self.c[src]
-        return Jet(lower, out)
+        out = np.empty((lower.ncoeff,) + self.c.shape[1:] + axis, dtype=self.c.dtype)
+        for v in variables:
+            dst = out[..., v] if axis else out
+            for k, (src, fac) in enumerate(self.ctx.deriv_tables[v]):
+                np.multiply(self.c[src, ...], fac, out=dst[k, ...])
+        return Jet(lower, out, self.nt + len(axis))
 
     def truncated(self, order: int) -> "Jet":
         if order == self.ctx.order:
@@ -149,69 +178,113 @@ class Jet:
         if order > self.ctx.order:
             raise ValueError("cannot raise jet order by truncation")
         lower = context(self.ctx.nvars, order)
-        return Jet(lower, self.c[: lower.ncoeff].copy())
+        return Jet(lower, self.c[: lower.ncoeff].copy(), self.nt)
 
     def conj(self):
-        return Jet(self.ctx, np.conj(self.c))
+        return Jet(self.ctx, np.conj(self.c), self.nt)
 
     @property
     def real(self):
-        return Jet(self.ctx, np.ascontiguousarray(self.c.real))
+        return Jet(self.ctx, np.ascontiguousarray(self.c.real), self.nt)
 
     @property
     def imag(self):
-        return Jet(self.ctx, np.ascontiguousarray(self.c.imag))
+        return Jet(self.ctx, np.ascontiguousarray(self.c.imag), self.nt)
+
+    # -- tensor axes ----------------------------------------------------
+
+    def _key(self, key):
+        return (slice(None),) * (self.c.ndim - self.nt) + (
+            key if isinstance(key, tuple) else (key,))
+
+    def __getitem__(self, key):
+        c = self.c[self._key(key)]
+        return Jet(self.ctx, c, c.ndim - (self.c.ndim - self.nt))
+
+    def __setitem__(self, key, jet):
+        view = self.c[self._key(key)]
+        view[...] = _lift(jet.c, jet.nt, view.ndim - (self.c.ndim - self.nt))
+
+    def __len__(self):
+        if not self.nt:
+            raise TypeError("len() of a scalar jet")
+        return self.c.shape[-self.nt]
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+    def transpose(self, *axes):
+        """Permute the tensor axes (reversed when no axes are given)."""
+        nb = self.c.ndim - self.nt
+        axes = axes or tuple(reversed(range(self.nt)))
+        return Jet(self.ctx, self.c.transpose(tuple(range(nb))
+                                              + tuple(nb + a for a in axes)),
+                   self.nt)
+
+    @property
+    def T(self):
+        return self.transpose()
+
+    def sum(self, axis=-1):
+        """Sum over one tensor axis."""
+        return Jet(self.ctx, self.c.sum(axis=self.c.ndim - self.nt + axis % self.nt),
+                   self.nt - 1)
 
     # -- arithmetic ----------------------------------------------------
 
-    def _coerce(self, other):
-        if isinstance(other, Jet):
-            if other.ctx is not self.ctx:
-                raise ValueError("jet context mismatch")
-            return other
-        return None
+    def _aligned(self, other):
+        if other.ctx is not self.ctx:
+            raise ValueError("jet context mismatch")
+        nt = max(self.nt, other.nt)
+        return _lift(self.c, self.nt, nt), _lift(other.c, other.nt, nt), nt
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is not None:
-            return Jet(self.ctx, self.c + o.c)
+        if isinstance(other, Jet):
+            a, b, nt = self._aligned(other)
+            return Jet(self.ctx, a + b, nt)
         arr = np.asarray(other)
         shape = np.broadcast_shapes(self.c.shape[1:], arr.shape)
-        out = np.zeros((self.ctx.ncoeff,) + shape,
+        out = np.empty((self.ctx.ncoeff,) + shape,
                        dtype=np.result_type(self.c.dtype, arr.dtype))
-        out += self.c
+        out[...] = self.c
         out[0] += arr
-        return Jet(self.ctx, out)
+        return Jet(self.ctx, out, self.nt)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet(self.ctx, -self.c)
+        return Jet(self.ctx, -self.c, self.nt)
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, Jet) else -np.asarray(other))
+        if isinstance(other, Jet):
+            a, b, nt = self._aligned(other)
+            return Jet(self.ctx, a - b, nt)
+        return self + (-np.asarray(other))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return Jet(self.ctx, self.c * other)
-        a, b = self.c, o.c
-        shape = np.broadcast_shapes(a.shape[1:], b.shape[1:])
-        out = np.zeros((self.ctx.ncoeff,) + shape, dtype=np.result_type(a.dtype, b.dtype))
-        for k, i, j in self.ctx.mul_table:
-            out[k] += a[i] * b[j]
-        return Jet(self.ctx, out)
+        if not isinstance(other, Jet):
+            return Jet(self.ctx, self.c * other, self.nt)
+        a, b, nt = self._aligned(other)
+        out = np.empty((self.ctx.ncoeff,) + np.broadcast_shapes(a.shape[1:], b.shape[1:]),
+                       dtype=np.result_type(a.dtype, b.dtype))
+        _table_product(self.ctx, np.multiply, a, b, out)
+        return Jet(self.ctx, out, nt)
 
     __rmul__ = __mul__
 
+    def __matmul__(self, other):
+        return _matmul(self, other)
+
+    def __rmatmul__(self, other):
+        return _matmul(other, self)
+
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return Jet(self.ctx, self.c / other)
-        return self * o.reciprocal()
+        if not isinstance(other, Jet):
+            return Jet(self.ctx, self.c / other, self.nt)
+        return self * other.reciprocal()
 
     def __rtruediv__(self, other):
         return self.reciprocal() * other
@@ -221,7 +294,7 @@ class Jet:
             raise TypeError("jet powers must be integers")
         if k < 0:
             return self.reciprocal() ** (-k)
-        result = Jet.const(self.ctx, 1.0, self.batch_shape)
+        result = constant(self.ctx, 1.0, self.batch_shape)
         base = self
         k = int(k)
         while k:
@@ -233,19 +306,17 @@ class Jet:
 
     # -- analytic functions --------------------------------------------
 
-    def _nilpotent(self):
-        x = self.c.copy()
-        x[0] = 0
-        return Jet(self.ctx, x)
-
     def _compose(self, dvals):
         """Evaluate sum_k dvals[k]/k! * (self - value)^k; dvals[k] = f^(k)(value)."""
-        out = Jet.const(self.ctx, np.asarray(dvals[0]), self.batch_shape)
-        out = Jet(out.ctx, out.c.astype(np.result_type(out.c.dtype, self.c.dtype), copy=False))
+        c0 = np.asarray(dvals[0])
+        out = np.zeros(self.c.shape, dtype=np.result_type(c0.dtype, self.c.dtype))
+        out[0] = c0
+        out = Jet(self.ctx, out, self.nt)
         if self.ctx.order == 0:
             return out
-        x = self._nilpotent()
-        term = x
+        x = self.c.copy()
+        x[0] = 0
+        x = term = Jet(self.ctx, x, self.nt)
         fact = 1.0
         for k in range(1, self.ctx.order + 1):
             fact *= k
@@ -294,7 +365,71 @@ class Jet:
         return self._compose([co, -s, -co, s][: self.ctx.order + 1])
 
     def __repr__(self):
-        return f"Jet(order={self.ctx.order}, value={self.value!r})"
+        return f"Jet(order={self.ctx.order}, shape={self.shape}, value={self.value!r})"
+
+
+def _table_product(ctx, op, a, b, out):
+    """out[k] = sum of op(a[i], b[j]) over the table entries (k, i, j)."""
+    # [k, ...] keeps a view where a scalar jet without batch would give a number
+    tmp = np.empty_like(out[0, ...])
+    for k, i, j, first in ctx.mul_table:
+        if first:
+            op(a[i, ...], b[j, ...], out=out[k, ...])
+        else:
+            op(a[i, ...], b[j, ...], out=tmp)
+            out[k, ...] += tmp
+
+
+def _matmul(a, b):
+    """a @ b for two jets, or for a jet and a numpy matrix (one ``@`` in all)."""
+    jet = a if isinstance(a, Jet) else b
+    ctx = jet.ctx
+    A, na = (a.c, a.nt) if isinstance(a, Jet) else (np.asarray(a), None)
+    B, nb = (b.c, b.nt) if isinstance(b, Jet) else (np.asarray(b), None)
+    # promote 1-D operands to a row (left) or a column (right), as numpy does
+    avec = (na if na is not None else A.ndim) == 1
+    bvec = (nb if nb is not None else B.ndim) == 1
+    if avec:
+        A = A[..., None, :]
+        na = None if na is None else 2
+    if bvec:
+        B = B[..., None]
+        nb = None if nb is None else 2
+    if na is not None and nb is not None:
+        if a.ctx is not b.ctx:
+            raise ValueError("jet context mismatch")
+        nt = max(na, nb)
+        A, B = _lift(A, na, nt), _lift(B, nb, nt)
+        stack = np.broadcast_shapes(A.shape[1:-2], B.shape[1:-2])
+        out = np.empty((ctx.ncoeff,) + stack + (A.shape[-2], B.shape[-1]),
+                       dtype=np.result_type(A.dtype, B.dtype))
+        op = _contraction(A, B)
+        if op is np.matmul:
+            # BLAS takes a small matrix only with unit stride along its rows
+            A, B = (x if x.strides[-1] == x.itemsize else np.ascontiguousarray(x)
+                    for x in (A, B))
+        _table_product(ctx, op, A, B, out)
+    else:
+        nt = na if na is not None else nb
+        out = A @ B
+    if avec:
+        out = out[..., 0, :]
+    if bvec:
+        out = out[..., 0]
+    return Jet(ctx, out, nt - avec - bvec)
+
+
+def _contraction(A, B):
+    """The batched contraction for each table entry of A @ B.
+
+    numpy's batched ``@`` pays a fixed cost per small matrix, so a row or
+    column result is cheaper as one einsum over the whole batch.
+    """
+    return _einsum if 1 in (A.shape[-2], B.shape[-1]) else np.matmul
+
+
+def _einsum(a, b, out):
+    np.einsum("...ps,...sr->...pr", a, b, out=out)
 
 
 def variables(ctx: JetContext, values) -> list[Jet]:
@@ -303,28 +438,45 @@ def variables(ctx: JetContext, values) -> list[Jet]:
         raise ValueError("one seed value per chart variable required")
     out = []
     for v, val in enumerate(values):
-        j = Jet.const(ctx, np.asarray(val, dtype=float))
+        val = np.asarray(val, dtype=float)
+        c = np.zeros((ctx.ncoeff,) + val.shape)
+        c[0] = val
         if ctx.order >= 1:
-            e = [0] * ctx.nvars
-            e[v] = 1
-            j.c[ctx.index[tuple(e)]] = 1.0
-        out.append(j)
+            c[1 + v] = 1.0
+        out.append(Jet(ctx, c))
     return out
 
 
 def constant(ctx: JetContext, value, batch_shape=()) -> Jet:
-    return Jet.const(ctx, value, batch_shape)
+    """Constant jet over ``batch_shape``; the axes of ``value`` are tensor axes."""
+    value = np.asarray(value)
+    c = np.zeros((ctx.ncoeff,) + tuple(batch_shape) + value.shape,
+                 dtype=value.dtype if value.dtype.kind == "c" else float)
+    c[0] = value
+    return Jet(ctx, c, value.ndim)
 
 
-def values(tree) -> np.ndarray:
-    """Grid values of a jet field.
+def stack(items, axis=0) -> Jet:
+    """Stack jets of one tensor shape along a new tensor axis.
 
-    A single jet gives its value array (a view of its coefficients); a list
-    or object array of jets, nested to any depth, gives the values stacked
-    along leading axes, so ``values(rows)[r, c]`` is ``rows[r][c].value``.
-    Every jet the pipeline builds over a grid carries the full batch shape,
-    so no broadcast is needed.
+    Nested lists (or object arrays) of jets stack along leading axes, so
+    ``stack(rows)[r, c]`` is ``rows[r][c]``.
     """
-    if isinstance(tree, Jet):
-        return tree.c[0]
-    return np.stack([values(t) for t in tree])
+    items = [t if isinstance(t, Jet) else stack(t) for t in items]
+    nt = max(t.nt for t in items) + 1
+    cs = [_lift(t.c, t.nt, nt - 1) for t in items]
+    return Jet(items[0].ctx, np.stack(cs, axis=cs[0].ndim - nt + 1 + axis % nt), nt)
+
+
+def values(jet: Jet) -> np.ndarray:
+    """Grid values of a jet field with the tensor axes first: ``(*shape, *batch)``.
+
+    A view for a scalar jet, a contiguous copy otherwise: ``values(J)[r, c]``
+    is ``J[r, c].value``.  Every jet the pipeline builds over a grid carries
+    the full batch shape, so no broadcast is needed.
+    """
+    v = jet.c[0]
+    if not jet.nt:
+        return v
+    nb = v.ndim - jet.nt
+    return np.ascontiguousarray(np.moveaxis(v, range(nb, v.ndim), range(jet.nt)))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -194,7 +196,7 @@ def test_constant_gauge_change_conjugates_omega():
 
 
 def _jets_in(obj, seen):
-    """Every jet reachable through lists, tuples, dicts, object arrays and legs."""
+    """Every jet reachable through lists, tuples, dicts and object arrays."""
     if id(obj) in seen:
         return
     seen.add(id(obj))
@@ -209,8 +211,6 @@ def _jets_in(obj, seen):
     elif isinstance(obj, np.ndarray) and obj.dtype == object:
         for x in obj.flat:
             yield from _jets_in(x, seen)
-    elif isinstance(obj, darboux.Leg):
-        yield from _jets_in([obj.chart, obj.frame], seen)
 
 
 @pytest.mark.parametrize("spec, policy, counts", [
@@ -239,7 +239,8 @@ def test_every_pipeline_jet_spans_the_grid(spec, policy, counts):
     seen = set()
     found = [j for obj in (ff, an.mc, an)
              for j in _jets_in(list(vars(obj).values()), seen)]
-    assert len(found) > 100
+    # a tensor jet counts once per entry
+    assert sum(math.prod(j.shape) for j in found) > 100
     bad = {j.batch_shape for j in found if j.batch_shape != ff.grid.shape}
     assert not bad, f"jets with batch shapes {bad} on a {ff.grid.shape} grid"
 

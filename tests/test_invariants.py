@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cartanheis import darboux, dsl, invariants
+from cartanheis import darboux, dsl, invariants, jets
 from cartanheis.errors import DegeneratePoint, WrongClass
 from conftest import analysis_for
 
@@ -35,15 +35,15 @@ def test_sphere_normal_connection_is_contact_multiple(sphere_nu):
     # theta_n^n = i |nu|^2 theta-hat on the unit sphere in the nu gauge
     _, _, ff, an = sphere_nu
     slots = an.conn_slots["normal"][0][0]
-    th = np.stack([t.value + np.zeros(ff.batch) for t in ff.theta_slots])
-    got = np.stack([s.value + np.zeros(ff.batch) for s in slots])
+    th = jets.values(ff.theta_slots)
+    got = jets.values(slots)
     assert np.max(np.abs(got - 1j * th)) < 1e-12
 
 
 def test_codim_one_normal_connection_imaginary(ellipsoid_nu):
     _, _, ff, an = ellipsoid_nu
     slots = an.conn_slots["normal"][0][0]
-    got = np.stack([s.value + np.zeros(ff.batch) for s in slots])
+    got = jets.values(slots)
     assert np.max(np.abs(got.real)) < 1e-13  # skew-hermitian 1x1 block
     assert an.normal_conn_coeffs["skew_hermitian"] < 1e-13
 
@@ -124,7 +124,7 @@ def test_theta_nn_sphere_closed_form(sphere_nu):
     _, _, ff, an = sphere_nu
     out = invariants.theta_nn_from_intrinsic(an)
     assert out["residual"] < 1e-12
-    th = np.stack([t.value + np.zeros(ff.batch) for t in ff.theta_slots])
+    th = jets.values(ff.theta_slots)
     assert np.max(np.abs(out["candidate"] - 1j * th)) < 1e-12
 
 

@@ -94,6 +94,8 @@ def test_domain_guards():
         u.sqrt()
     with pytest.raises(DomainError):
         u.log()
+    with pytest.raises(ValueError):
+        u.truncated(0).gradient()
 
 
 def test_complex_conjugation_and_batching():
@@ -114,7 +116,7 @@ def test_values_of_single_and_nested_jets():
     assert np.array_equal(jets.values(w), u.value * v.value)
     assert jets.values(w).shape == w.batch_shape == (1, 3)
     rows = [[u, v], [w, u + v]]
-    vals = jets.values(rows)
+    vals = jets.values(jets.stack(rows))
     assert vals.shape == (2, 2, 1, 3)
     for r in range(2):
         for c in range(2):
@@ -123,14 +125,14 @@ def test_values_of_single_and_nested_jets():
     for r in range(2):
         for c in range(2):
             obj[r, c] = rows[r][c]
-    assert np.array_equal(jets.values(obj), vals)
+    assert np.array_equal(jets.values(jets.stack(obj)), vals)
 
 
 def test_values_mixes_real_and_complex():
     ctx = jets.context(1, 2)
     (u,) = jets.variables(ctx, [np.array([0.5, 1.5])])
     z = u + 1j * u ** 2
-    vals = jets.values([u, z])
+    vals = jets.values(jets.stack([u, z]))
     assert vals.dtype == complex
     assert np.array_equal(vals[0], u.value.astype(complex))
     assert np.array_equal(vals[1], z.value)
@@ -146,3 +148,67 @@ def test_domain_error_carries_batch_location():
     with pytest.raises(DomainError) as info:
         (u - 1.0).reciprocal()
     assert info.value.location == (0, 1)
+
+
+def test_numpy_operand_on_the_left_gives_a_jet():
+    ctx = jets.context(2, 2)
+    u, v = jets.variables(ctx, [np.array([0.5, 1.5]), np.array([-1.0, 2.0])])
+    for got, want in ((np.array([2.0, 3.0]) * u, u * np.array([2.0, 3.0])),
+                      (np.array([2.0, 3.0]) + u, u + np.array([2.0, 3.0])),
+                      (np.array([2.0, 3.0]) - u, -u + np.array([2.0, 3.0])),
+                      (np.float64(2.0) * v, v * 2.0)):
+        assert isinstance(got, jets.Jet)
+        assert np.array_equal(got.c, want.c)
+
+
+def _random_jet(rng, ctx, batch, shape, complex_):
+    c = rng.standard_normal((ctx.ncoeff,) + batch + shape)
+    if complex_:
+        c = c + 1j * rng.standard_normal(c.shape)
+    return jets.Jet(ctx, c, len(shape))
+
+
+def _loop_matmul(a, b):
+    """Reference a @ b from scalar jet products, one entry at a time."""
+    p, s = a.shape
+    r = b.shape[1]
+    rows = []
+    for i in range(p):
+        row = []
+        for k in range(r):
+            acc = a[i, 0] * b[0, k]
+            for j in range(1, s):
+                acc = acc + a[i, j] * b[j, k]
+            row.append(acc)
+        rows.append(row)
+    return jets.stack(rows)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+@pytest.mark.parametrize("complex_", [False, True])
+@pytest.mark.parametrize("shapes", [((2, 3), (3, 4)), ((1, 5), (5, 1))])
+@pytest.mark.parametrize("batch", [(), (4, 5)])
+def test_matmul_matches_scalar_jet_products(order, complex_, shapes, batch):
+    rng = np.random.default_rng(order + 10 * len(batch) + 100 * shapes[0][0])
+    ctx = jets.context(3, order)
+    a = _random_jet(rng, ctx, batch, shapes[0], complex_)
+    b = _random_jet(rng, ctx, batch, shapes[1], complex_ and order % 2 == 0)
+    got, want = a @ b, _loop_matmul(a, b)
+    assert got.shape == want.shape and got.batch_shape == batch
+    scale = np.max(np.abs(want.c))
+    assert np.max(np.abs(got.c - want.c)) <= 1e-14 * scale
+
+
+def test_tensor_axes_match_scalar_jets():
+    ctx = jets.context(2, 2)
+    u, v = jets.variables(ctx, [np.linspace(0.1, 1, 4), np.linspace(-1, 1, 4)])
+    w = u * v
+    J = jets.stack([[u, v], [w, u + v]])
+    assert J.shape == (2, 2) and J.batch_shape == (4,)
+    assert np.shares_memory(J.value, J.c)
+    assert np.array_equal(J[1, 0].c, w.c)
+    assert np.array_equal(J.T[0, 1].c, w.c)
+    assert np.allclose(J.sum(0)[1].c, (v + u + v).c, rtol=0, atol=1e-15)
+    assert np.array_equal(J.jacobian()[1, 0, :].c, jets.stack([w.deriv(0), w.deriv(1)]).c)
+    assert np.array_equal(J.truncated(1)[0, 1].c, v.truncated(1).c)
+    assert np.array_equal(J.gradient()[..., 1, 0], w.gradient())
