@@ -288,7 +288,7 @@ class FrameField:
             if len(normal) != 2 * (n - m):
                 raise SingularPoint("could not complete the normal frame")
             phases = () if self.normal_phases is None else self.normal_phases
-            for a, psi in enumerate(phases):
+            for a, psi in zip(range(n - m), phases):
                 c, s = float(np.cos(psi)), float(np.sin(psi))
                 e = c * normal[2 * a] + s * normal[2 * a + 1]
                 normal[2 * a:2 * a + 2] = [e, self._J(e)]
@@ -334,16 +334,15 @@ class FrameField:
         """
         return self._cols
 
-    def matrix(self, order=None):
-        """The group-valued moving frame A(u) as one (2n+2, 2n+2) jet.
+    def matrix(self):
+        """The group-valued moving frame A(u) as one (2n+2, 2n+2) order-0 jet.
 
-        Built on each call and not kept, truncated to ``order`` if given;
-        at 7^5 points it would be the largest field.
+        Built on each call and not kept; at 7^5 points it would be the
+        largest field.
         """
         n = self.n
         D = 2 * n + 2
-        order = self.ctx.order if order is None else order
-        X, F = self.X.truncated(order), self.frame_cols.truncated(order).T
+        X, F = self.X.truncated(0), self.frame_cols.truncated(0).T
         corner = np.zeros((D, D))
         corner[0, 0] = 1.0
         A = jets.constant(X.ctx, corner, self.batch)
@@ -354,7 +353,7 @@ class FrameField:
         return A
 
     def matrix_values(self):
-        return jets.values(self.matrix(order=0))
+        return jets.values(self.matrix())
 
     def frame_at(self, idx) -> FrameAtPoint:
         return FrameAtPoint(self.point_at(idx), _value_at(self.frame_cols, idx).T)

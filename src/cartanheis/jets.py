@@ -14,8 +14,9 @@ value array ``(*batch, *shape)``.  ``a @ b`` is the jet matrix product: it
 contracts the last axis of ``a`` with the second-to-last of ``b`` (1-D
 operands are promoted as in numpy) by one loop over the multiplication
 table, ``out[k] += a[i] @ b[j]``, each entry one batched contraction over
-the whole grid.  ``values`` gives the grid values with the tensor axes
-first, ``(*shape, *batch)``, the layout every module boundary uses.
+the whole grid; a sum over a tensor axis is a product with ``np.ones``.
+``values`` gives the grid values with the tensor axes first,
+``(*shape, *batch)``, the layout every module boundary uses.
 """
 
 from __future__ import annotations
@@ -225,11 +226,6 @@ class Jet:
     def T(self):
         return self.transpose()
 
-    def sum(self, axis=-1):
-        """Sum over one tensor axis."""
-        return Jet(self.ctx, self.c.sum(axis=self.c.ndim - self.nt + axis % self.nt),
-                   self.nt - 1)
-
     # -- arithmetic ----------------------------------------------------
 
     def _aligned(self, other):
@@ -403,12 +399,7 @@ def _matmul(a, b):
         stack = np.broadcast_shapes(A.shape[1:-2], B.shape[1:-2])
         out = np.empty((ctx.ncoeff,) + stack + (A.shape[-2], B.shape[-1]),
                        dtype=np.result_type(A.dtype, B.dtype))
-        op = _contraction(A, B)
-        if op is np.matmul:
-            # BLAS takes a small matrix only with unit stride along its rows
-            A, B = (x if x.strides[-1] == x.itemsize else np.ascontiguousarray(x)
-                    for x in (A, B))
-        _table_product(ctx, op, A, B, out)
+        _table_product(ctx, _contraction(A, B), A, B, out)
     else:
         nt = na if na is not None else nb
         out = A @ B
@@ -422,8 +413,9 @@ def _matmul(a, b):
 def _contraction(A, B):
     """The batched contraction for each table entry of A @ B.
 
-    numpy's batched ``@`` pays a fixed cost per small matrix, so a row or
-    column result is cheaper as one einsum over the whole batch.
+    A row or column result (dot products, matrix times vector) goes through
+    one einsum over the whole batch: with ``np.matmul`` alone the 17^3 and
+    5^3 benchmark workloads (desk17, motions) run 3-5% slower.
     """
     return _einsum if 1 in (A.shape[-2], B.shape[-1]) else np.matmul
 
@@ -456,8 +448,8 @@ def constant(ctx: JetContext, value, batch_shape=()) -> Jet:
     return Jet(ctx, c, value.ndim)
 
 
-def stack(items, axis=0) -> Jet:
-    """Stack jets of one tensor shape along a new tensor axis.
+def stack(items) -> Jet:
+    """Stack jets of one tensor shape along a new leading tensor axis.
 
     Nested lists (or object arrays) of jets stack along leading axes, so
     ``stack(rows)[r, c]`` is ``rows[r][c]``.
@@ -465,7 +457,7 @@ def stack(items, axis=0) -> Jet:
     items = [t if isinstance(t, Jet) else stack(t) for t in items]
     nt = max(t.nt for t in items) + 1
     cs = [_lift(t.c, t.nt, nt - 1) for t in items]
-    return Jet(items[0].ctx, np.stack(cs, axis=cs[0].ndim - nt + 1 + axis % nt), nt)
+    return Jet(items[0].ctx, np.stack(cs, axis=cs[0].ndim - nt + 1), nt)
 
 
 def values(jet: Jet) -> np.ndarray:

@@ -193,6 +193,9 @@ def test_constant_gauge_change_conjugates_omega():
     h[2 * n, n] = s
     conj = np.einsum("rc,ics...,st->irt...", np.linalg.inv(h), w0, h)
     assert np.max(np.abs(w1 - conj)) < 1e-12
+    # phases past the last normal pair are ignored
+    ff2 = darboux.darboux_frame(imm, grid, policy="nu", normal_phases=(psi, 0.7))
+    assert np.array_equal(darboux.darboux_derivative(ff2).values, w1)
 
 
 def _jets_in(obj, seen):
@@ -231,14 +234,15 @@ def test_every_pipeline_jet_spans_the_grid(spec, policy, counts):
         ff = darboux.darboux_frame(imm, darboux.ChartGrid(imm.chart, counts),
                                    policy=policy)
     an = invariants.Analysis(ff)
-    for name in ("frame_cols", "matrix", "coframe", "duals"):
+    for name in ("frame_cols", "coframe", "duals"):
         getattr(ff, name)
     for name in ("zco1", "th1", "zhat1", "that1", "conn_slots", "_dz",
                  "tanaka_webster", "intrinsic_conn_slots"):
         getattr(an, name)
     seen = set()
+    # the frame matrix is built on each call and not kept, so walk it here
     found = [j for obj in (ff, an.mc, an)
-             for j in _jets_in(list(vars(obj).values()), seen)]
+             for j in _jets_in(list(vars(obj).values()), seen)] + [ff.matrix()]
     # a tensor jet counts once per entry
     assert sum(math.prod(j.shape) for j in found) > 100
     bad = {j.batch_shape for j in found if j.batch_shape != ff.grid.shape}
