@@ -167,9 +167,7 @@ def _base_setup(args):
     if args.command != "classify" and min(counts) < 3:
         raise ValueError("grid counts must be at least 3 per axis for "
                          "exterior-derivative commands")
-    grid = darboux.ChartGrid(imm.chart, counts)
-    ff = darboux.darboux_frame(imm, grid, policy=args.policy, mode=args.mode)
-    return imm, grid, ff
+    return imm, darboux.ChartGrid(imm.chart, counts)
 
 
 def _config_echo(args):
@@ -189,26 +187,15 @@ def _holonomy_note(verdict):
     return note + ")"
 
 
-def _invariant_payload(rpt, ff, an, tols, rep, rigidity):
-    import numpy as np
-    cls = rigidity.classify(ff.nu_norm, tols["class"])
-    rpt["class"] = cls.kind
-    res = an.restriction_residuals()
-    mc_res = an.mc.structure_residual()
-    rep.attach_fields(rpt, ff.nu_norm,
-                      np.sqrt(an.II_norm2), np.sqrt(an.torsion_norm2),
-                      an.curvature["scalar"])
-    rpt["residuals"]["structure"] = rep.residual_entry(mc_res, tols["structure"])
-    rpt["residuals"]["incon2"] = rep.residual_entry(res["max"], tols["incon2"])
-    if cls.kind == rigidity.VERTICAL:
-        rpt["residuals"]["gauss"] = rep.residual_entry(an.gauss_residual(),
-                                                       tols["gauss"])
-    if cls.kind == rigidity.COMPLETELY_NON_VERTICAL and an.codim == 1:
-        rpt["residuals"]["nver15"] = rep.residual_entry(
-            an.cnv_curvature_residual(), tols["nver15"])
-        rpt["residuals"]["nver28"] = rep.residual_entry(
-            an.scalar_torsion_residual(), tols["nver28"])
-    return cls
+def _invariant_payload(rpt, summary, tols, rep):
+    """The class, field tables and residuals of one surface's summary."""
+    rpt["metadata"]["gauge"] = summary.plan.policy
+    rpt["metadata"]["decisions"] = summary.plan.decisions()
+    rpt["class"] = summary.kind
+    rep.attach_fields(rpt, *(summary.table(key) for key in
+                             ("nu", "II_norm", "torsion_norm", "R")))
+    for key, value in summary.residuals.items():
+        rpt["residuals"][key] = rep.residual_entry(value, tols[key])
 
 
 def _dispatch(args, rep):
@@ -220,20 +207,28 @@ def _dispatch(args, rep):
     tols = _parse_tols(args, args.mode)
     rpt = rep.new_report(args.command, _config_echo(args))
 
-    imm, grid, ff = _base_setup(args)
-    rpt["metadata"]["gauge"] = ff.policy
+    imm, grid = _base_setup(args)
     if args.command == "classify":
-        cls = rigidity.classify(ff.nu_norm, tols["class"])
+        plan = darboux.plan_frame(imm, grid, policy=args.policy, mode=args.mode)
+        rpt["metadata"]["gauge"] = plan.policy
+        rpt["metadata"]["decisions"] = plan.decisions()
+        cls = plan.verticality(tols["class"])
         rpt["class"] = cls.kind
-        rpt["nu"] = {"min": cls.nu_min, "max": cls.nu_max,
-                     "mean": float(np.mean(ff.nu_norm))}
+        rpt["nu"] = {"min": cls.nu_min, "max": cls.nu_max, "mean": plan.nu_mean}
         return rpt, 0
 
-    an = invariants.Analysis(ff)
-    cls = _invariant_payload(rpt, ff, an, tols, rep, rigidity)
-
     if args.command == "invariants":
+        summary = invariants.sweep(imm, grid, policy=args.policy, mode=args.mode,
+                                   tol_class=tols["class"])
+        _invariant_payload(rpt, summary, tols, rep)
         return rpt, 0 if rep.all_pass(rpt) else 1
+
+    # reconstruction reads whole-grid slot values: one whole-grid analysis
+    ff = darboux.darboux_frame(imm, grid, policy=args.policy, mode=args.mode)
+    an = invariants.Analysis(ff)
+    summary = invariants.Summary(ff.plan, grid, tols["class"]).fold(an)
+    _invariant_payload(rpt, summary, tols, rep)
+    kind = summary.kind
 
     if args.command == "check":
         mc = an.mc
@@ -241,7 +236,7 @@ def _dispatch(args, rep):
         verdict = reconstruct.integrability_verdict(eta, tols["holonomy"])
         rpt["verdicts"]["integrable"] = verdict["pass"]
         rpt["diagnostics"].append(_holonomy_note(verdict))
-        if cls.kind == rigidity.COMPLETELY_NON_VERTICAL and an.codim == 1 \
+        if kind == rigidity.COMPLETELY_NON_VERTICAL and an.codim == 1 \
                 and ff.policy == "nu":
             rpt["verdicts"]["h_torsion_link"] = \
                 an.h_torsion_link_residual() <= tols["link"]
@@ -259,7 +254,7 @@ def _dispatch(args, rep):
         worst = float(max(gaps))
         rpt["verdicts"]["rigid_motion_invariance"] = worst <= tols["invariance"]
         rpt["diagnostics"].append(f"rigid-motion invariance gap {worst:.3e}")
-        if cls.kind == rigidity.VERTICAL and an.codim == 1:
+        if kind == rigidity.VERTICAL and an.codim == 1:
             try:
                 fit = rigidity.detect_flat(an, tols["flat"])
                 rpt["fits"]["flat"] = {"motion": fit.motion.mat.tolist(),
@@ -310,7 +305,7 @@ def _dispatch(args, rep):
             rpt["diagnostics"].append(
                 "re-extracted field gaps " +
                 " ".join(f"{k}={v:.3e}" for k, v in sorted(gaps.items())))
-        if cls.kind == rigidity.COMPLETELY_NON_VERTICAL and an.codim == 1 \
+        if kind == rigidity.COMPLETELY_NON_VERTICAL and an.codim == 1 \
                 and float(np.max(np.sqrt(an.torsion_norm2))) < tols["torsion"]:
             fit = rigidity.detect_sphere(an, tols["torsion"])
             rpt["fits"]["sphere"] = {

@@ -14,27 +14,60 @@ Because frames are built by fixed-order Gram–Schmidt from smooth seed
 fields, the output varies smoothly over the chart; derivative exactness is
 limited only by how the immersion jets were produced (exact in AD mode,
 O(step²..⁴) in FD mode).
+
+The choices a build makes over its whole batch (pivot, seeds, gauge,
+normal candidates) form a ``FramePlan``.  ``plan_frame`` makes them once
+over a grid from first-order jets; a frame built on a ``GridBlock`` of that
+grid with the plan then agrees with the whole-grid frame at every point
+of the block.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from . import heis, jets, psh
-from .errors import (DimensionMismatch, NotCRInvariant, SingularPoint, WrongClass)
+from . import dsl, heis, jets, psh
+from .errors import (DimensionMismatch, NotCRInvariant, SingularPoint,
+                     WrongClass)
 from .heis import FrameAtPoint, HPoint
-from .jets import Jet
 
-__all__ = ["ChartGrid", "FrameField", "MCForm", "darboux_frame",
-           "darboux_derivative", "contact_intersection", "reeb_and_nu",
-           "pullback_check"]
+__all__ = ["ChartGrid", "GridBlock", "FramePlan", "plan_frame", "FrameField",
+           "MCForm", "darboux_frame", "darboux_derivative", "contact_intersection",
+           "reeb_and_nu", "pullback_check", "classify", "VerticalityClass"]
 
 POLICIES = ("auto", "canonical", "nu", "reverse")
 TOL_SINGULAR = 1e-8
 TOL_CR = 1e-8
 TOL_CLASS = 1e-7   # |nu| threshold between vertical and non-vertical points
+FRAME_ORDER = 3    # jet order of the immersion a frame is built from
+NU = -1            # the normal candidate -nu in ``FramePlan.normals``
+
+VERTICAL, COMPLETELY_NON_VERTICAL, MIXED = ("Vertical", "CompletelyNonVertical",
+                                            "Mixed")
+
+
+@dataclass(frozen=True)
+class VerticalityClass:
+    kind: str
+    nu_min: float
+    nu_max: float
+    tol: float
+
+
+def classify(nu_norm, tol=TOL_CLASS) -> VerticalityClass:
+    """Vertical / completely non-vertical / mixed, from the |nu| field."""
+    nu = np.asarray(nu_norm, dtype=float)
+    lo, hi = float(np.min(nu)), float(np.max(nu))
+    if hi < tol:
+        kind = VERTICAL
+    elif lo > tol:
+        kind = COMPLETELY_NON_VERTICAL
+    else:
+        kind = MIXED
+    return VerticalityClass(kind, lo, hi, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -75,6 +108,33 @@ class ChartGrid:
     def flat_index(self, flat):
         return np.unravel_index(flat, self.shape)
 
+    def blocks(self, count):
+        """``count`` near-equal contiguous ranges of the C-order flat index."""
+        bounds = [k * self.npoints // count for k in range(count + 1)]
+        return [GridBlock(self, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
+class GridBlock:
+    """Points ``start:stop`` of a grid's C-order flat index, as a 1-D batch.
+
+    A view of the parent grid: the points are slices of its points, the
+    spacing is its spacing (finite-difference steps follow the lattice), and
+    ``flat_index`` names the parent's grid index.
+    """
+
+    def __init__(self, grid, start, stop):
+        self.parent, self.start, self.stop = grid, start, stop
+        self.chart, self.spacing = grid.chart, grid.spacing
+        self.shape = (stop - start,)
+        self.points = [p.reshape(-1)[start:stop] for p in grid.points]
+
+    @property
+    def npoints(self):
+        return self.stop - self.start
+
+    def flat_index(self, flat):
+        return self.parent.flat_index(self.start + flat)
+
 
 def _single_point_grid(chart, u):
     g = ChartGrid.__new__(ChartGrid)
@@ -103,7 +163,7 @@ def _solve(A, B):
     X = A0inv @ B
     for _ in range(A.ctx.order):
         X = A0inv @ (B - N @ X)
-    return X
+    return X if isinstance(X, jets.Jet) else jets.Jet(A.ctx, X[None], A.nt)
 
 
 def _project_out(w, legs):
@@ -111,6 +171,295 @@ def _project_out(w, legs):
     for e in legs:
         w = w - (w @ e) * e
     return w
+
+
+def _apply_j(f):
+    """J on frame components, (a, b, t) -> (-b, a, 0)."""
+    n = (f.shape[-1] - 1) // 2
+    return f @ np.pad(heis.standard_j_block(n), (0, 1)).T
+
+
+def _chart_tangents(X, low):
+    """Frame components of the chart tangent vectors d_i, one order below X.
+
+    Column i holds d_i X with the last row turned into the contact pairing
+    theta(d_i); ``low`` is X truncated one order down.
+    """
+    n = (X.shape[-1] - 1) // 2
+    XiF = X.jacobian()
+    XiF[2 * n] = heis.frame_t_component(low[:n], low[n:2 * n], XiF[:n],
+                                        XiF[n:2 * n], XiF[2 * n])
+    return XiF
+
+
+def _tangent_legs(XiF, t, k0, seeds, m, floor=None):
+    """J-adapted Gram-Schmidt over the seed fields V_i = d_i - t_i d_k0.
+
+    Returns the legs e_1, Je_1, e_2, Je_2, ... and the seeds used.  With a
+    ``floor``, a seed whose projected squared norm dips below it anywhere is
+    skipped as spanned by earlier complex legs.
+    """
+    tangent, used = [], []
+    for i in seeds:
+        if len(tangent) == 2 * m:
+            break
+        w = _project_out(XiF[:, i] - t[i] * XiF[:, k0], tangent)
+        n2 = w @ w
+        if floor is not None and np.min(n2.value) < floor:
+            continue
+        e = w * n2.sqrt().reciprocal()
+        tangent += [e, _apply_j(e)]
+        used.append(i)
+    return tangent, tuple(used)
+
+
+def _normal_legs(cands, tangent, nu, nu_norm2, count, floor=None):
+    """Normal legs e_a, Je_a from the candidates (``NU`` or an ambient axis).
+
+    -nu = T - That is orthogonal to the tangent legs already; an ambient
+    frame axis is projected off the legs so far.  With a ``floor``, a
+    candidate whose squared norm dips below it anywhere is skipped.
+    """
+    normal, used = [], []
+    for i in cands:
+        if len(normal) == 2 * count:
+            break
+        if i == NU:
+            w, n2 = -nu, nu_norm2
+        else:
+            axis = np.eye(nu.shape[-1])[i]
+            w = _project_out(jets.constant(nu.ctx, axis, nu.batch_shape),
+                             tangent + normal)
+            n2 = w @ w
+        if floor is not None and np.min(n2.value) < floor:
+            continue
+        e = w * n2.sqrt().reciprocal()
+        normal += [e, _apply_j(e)]
+        used.append(i)
+    return normal, tuple(used)
+
+
+# ---------------------------------------------------------------------------
+# the frame plan
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class FramePlan:
+    """Every batch-wide decision of a frame build, made once over a grid.
+
+    A frame build picks the transverse pivot axis, the tangent seeds that
+    survive the ``(1e-6 scale)^2`` test, the gauge (``auto`` resolved from
+    the verticality class at ``TOL_CLASS``) and the normal candidates (in
+    the order of their projected norms at the grid centre, less those that
+    come within 1e-12 of zero).  A frame built on a block of the grid with
+    this plan makes none of these choices itself, so its columns agree
+    with the whole-grid build at every point of the block.
+
+    ``seeds`` are chart axes; ``normals`` are ambient frame axes (X_1..X_n,
+    Y_1..Y_n as 0..2n-1) or ``NU`` for -nu.  ``condition`` is the smallest
+    ratio of singular values of the dual tangent frame, checked by the
+    Tanaka-Webster solve; ``nu_min``, ``nu_max`` and ``nu_mean`` summarise
+    |nu| over the grid.
+    """
+
+    n: int
+    policy: str
+    nu_class: str
+    nu_min: float
+    nu_max: float
+    nu_mean: float
+    scale: float
+    pivot: int
+    seeds: tuple
+    normals: tuple
+    condition: float
+
+    def verticality(self, tol=TOL_CLASS) -> VerticalityClass:
+        """The verticality class of the grid at ``tol``."""
+        return classify((self.nu_min, self.nu_max), tol)
+
+    def decisions(self) -> dict:
+        """The decisions as report entries; ambient axes are named X_j, Y_j."""
+        names = ["-nu" if i == NU else
+                 f"X{i + 1}" if i < self.n else f"Y{i - self.n + 1}"
+                 for i in self.normals]
+        return {"gauge": {"class": self.nu_class, "nu_min": self.nu_min},
+                "pivot_axis": self.pivot, "tangent_seed_axes": list(self.seeds),
+                "normal_candidates": names}
+
+
+def _frame_legs(XiF, grid, n, m, policy, tol_singular, tol_cr, plan=None):
+    """The legs of a frame from its chart tangents ``XiF`` (``_chart_tangents``).
+
+    Returns the tangent legs (e_1, Je_1, ...), That, nu, |nu|^2, the chart
+    components of (e_j, Je_j, That) one order below XiF, the normal legs
+    (e_a, Je_a, ...) and the plan.  Given a plan, every batch-wide choice is
+    read from it.  Without one, each is made here from the values over the
+    batch, the value checks run (the contact singularity, the pivot, CR
+    invariance, the tangent and normal frames and the nu-gauge guard), and
+    the choices come back as the batch's plan.
+    """
+    d = 2 * m + 1
+    N = 2 * n + 1
+    theta = XiF[2 * n]
+    if plan is None:
+        th_vals = jets.values(theta)
+        scale = np.sqrt(max(np.max(XiF.value ** 2), 1e-30))
+        worst = np.max(np.abs(th_vals), axis=0)
+        if np.min(worst) < tol_singular * scale:
+            loc = _location(grid, np.argmin(worst.reshape(-1)))
+            raise SingularPoint(
+                "contact form vanishes on the whole tangent space "
+                f"(dim TM ∩ ker Θ > 2m) near grid index {loc}", location=loc)
+        mins = np.min(np.abs(th_vals.reshape(d, -1)), axis=1)
+        k0 = int(np.argmax(mins))
+        if mins[k0] < tol_singular * scale:
+            raise SingularPoint(
+                "no chart direction is uniformly transverse to ker Θ; "
+                "refine or shrink the chart box")
+    else:
+        k0 = plan.pivot
+
+    # y0 = d_k0 / theta(d_k0) is transverse; V_i = d_i - t_i d_k0 with
+    # t_i = theta(d_i) / theta(d_k0) (i != k0) span TM ∩ ker Θ
+    recip = theta[k0].reciprocal()
+    t = theta * recip
+    if plan is None:
+        others = [i for i in range(d) if i != k0]
+        _check_cr_invariance(XiF.value[..., others] - XiF.value[..., k0:k0 + 1]
+                             * t.value[..., None, others], n, scale, tol_cr, grid)
+        tangent, seeds = _tangent_legs(XiF, t, k0, others[::-1] if policy == "reverse"
+                                       else others, m, floor=(1e-6 * scale) ** 2)
+        if len(tangent) != 2 * m:
+            raise NotCRInvariant("could not complete a J-adapted tangent frame; "
+                                 "seed fields degenerate on this chart")
+    else:
+        tangent, seeds = _tangent_legs(XiF, t, k0, plan.seeds, m)
+
+    # induced Reeb field and fundamental vector field
+    that = _project_out(XiF[:, k0] * recip, tangent)
+    nu = that - np.eye(N)[2 * n]
+    nu_norm2 = nu @ nu
+    if plan is None:
+        nu_norm = np.sqrt(np.maximum(nu_norm2.value, 0.0))
+        cls = classify(nu_norm)
+        if policy == "auto":
+            policy = "nu" if cls.kind == COMPLETELY_NON_VERTICAL and n - m == 1 \
+                else "canonical"
+    else:
+        policy = plan.policy
+
+    # chart components of (e_j, Je_j, That), one order below the legs:
+    # they are the dual basis of the coframe K = (e_j . d_i, Je_j . d_i,
+    # theta(d_i)), since the legs are orthonormal and horizontal and
+    # That is orthogonal to them with theta(That) = 1
+    low = max(XiF.ctx.order - 1, 0)
+    legs = jets.stack([e.truncated(low) for e in tangent[0::2] + tangent[1::2]])
+    K = jets.stack([*(legs @ XiF.truncated(low)), theta.truncated(low)])
+    charts = _solve(K, np.eye(d)).T
+
+    if plan is None:
+        cands = list(range(2 * n)) if n > m else []
+        if n > m and policy == "nu":
+            if np.min(nu_norm2.value) < (10 * tol_singular) ** 2:
+                raise WrongClass("nu-adapted gauge needs a completely "
+                                 "non-vertical surface")
+            cands.insert(0, NU)
+        elif n > m:
+            # keep candidate order but drop ones that die at the centre first
+            centre = tuple(s // 2 for s in grid.shape)
+            at = [e.value[centre] for e in tangent]
+            cands.sort(key=lambda i: -np.linalg.norm(_project_out(np.eye(N)[i], at)))
+        normal, normals = _normal_legs(cands, tangent, nu, nu_norm2, n - m,
+                                       floor=1e-12)
+        if len(normal) != 2 * (n - m):
+            raise SingularPoint("could not complete the normal frame")
+        plan = FramePlan(n=n, policy=policy, nu_class=cls.kind, nu_min=cls.nu_min,
+                         nu_max=cls.nu_max, nu_mean=float(np.mean(nu_norm)),
+                         scale=float(scale), pivot=k0, seeds=seeds, normals=normals,
+                         condition=_condition(charts))
+    else:
+        normal, _ = _normal_legs(plan.normals, tangent, nu, nu_norm2, n - m)
+    return tangent, that, nu, nu_norm2, charts, normal, plan
+
+
+def _location(grid, flat):
+    return tuple(int(i) for i in grid.flat_index(int(flat)))
+
+
+def _condition(charts):
+    """Smallest ratio of singular values of the chart matrices over the batch."""
+    M = jets.values(charts)                            # (d, d, batch)
+    M = np.moveaxis(M.reshape(M.shape[:2] + (-1,)), -1, 0)
+    sv = np.linalg.svd(M, compute_uv=False)
+    return float(np.min(sv[:, -1] / sv[:, 0]))
+
+
+def _check_cr_invariance(Vf, n, scale, tol_cr, grid):
+    M = Vf.reshape((-1,) + Vf.shape[-2:])             # (N, 2n+1, 2m)
+    G = np.einsum("nia,nib->nab", M, M)
+    Jf = np.concatenate([-M[:, n:2 * n], M[:, :n], np.zeros_like(M[:, :1])],
+                        axis=1)
+    rhs = np.einsum("nia,nib->nab", M, Jf)             # (N, 2m, 2m)
+    coef = np.linalg.solve(G, rhs)
+    resid = Jf - np.einsum("nia,nab->nib", M, coef)
+    err = np.sqrt(np.einsum("nib,nib->nb", resid, resid))
+    worst = float(np.max(err))
+    if worst > tol_cr * max(scale, 1.0):
+        loc = _location(grid, np.argmax(np.max(err, axis=1)))
+        raise NotCRInvariant(
+            f"TM ∩ ker Θ is not J-invariant (residual {worst:.2e}) near grid "
+            f"index {loc}", location=loc, residual=worst)
+
+
+def _check_policy(policy):
+    if policy not in POLICIES:
+        raise ValueError(f"unknown frame gauge {policy!r}; "
+                         f"accepted: {', '.join(POLICIES)}")
+
+
+def _tolerances(mode, tol_singular, tol_cr):
+    """The chart-validity gates; finite-difference jets carry O(step^2..4)
+    truncation error, so in FD mode they relax by the documented factor."""
+    if mode == "fd":
+        return tol_singular * 1e4, tol_cr * 1e4
+    return tol_singular, tol_cr
+
+
+def _immersion_jets(imm, grid, order, mode, stencil=None):
+    """The immersion's jets over the grid, after the rank check.
+
+    In FD mode with a ``stencil`` order above ``order``, the rest of that
+    order's stencil is sampled too, so that a domain error in it shows here,
+    in the order and at the point that jets of that order would show it.
+    """
+    steps = [0.5 * s for s in grid.spacing]
+    if mode == "ad":
+        # the jets carry the Jacobian for the rank check
+        X = imm.jets(grid.points, order=order)
+        imm.rank_check(grid.points, jac=X.gradient())
+        return X
+    imm.rank_check(grid.points)
+    X = imm.jets(grid.points, order=order, mode=mode, steps=steps)
+    if stencil is not None and stencil > order:
+        dsl.fd_sample(imm.values, imm.nparams, grid.points, stencil, steps, past=order)
+    return X
+
+
+def plan_frame(imm, grid, policy="canonical", mode="ad") -> FramePlan:
+    """The plan pass: every decision of a frame build over ``grid``, made once.
+
+    Reads first-order jets of the immersion over the whole grid and builds
+    the legs at order 0, so it costs a small part of a frame build and holds
+    no jet field afterwards.  Every check a default frame build would make
+    runs here over the whole grid, in the same order and with the same
+    located errors: the domain of the immersion (in FD mode its whole
+    stencil), the rank check and the frame's value checks.
+    """
+    _check_policy(policy)
+    X = _immersion_jets(imm, grid, 1, mode, stencil=FRAME_ORDER)
+    return _frame_legs(_chart_tangents(X, X.truncated(0)), grid, imm.n, imm.m, policy,
+                       *_tolerances(mode, TOL_SINGULAR, TOL_CR))[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -126,10 +475,16 @@ class FrameField:
       - "nu": normal gauge with first normal leg -nu/|nu| (requires the
         surface to be completely non-vertical on the grid);
       - "auto": "nu" on a completely non-vertical hypersurface (n - m = 1,
-        |nu| classified by ``rigidity.classify`` at ``TOL_CLASS``), otherwise
+        |nu| classified by ``classify`` at ``TOL_CLASS``), otherwise
         "canonical"; ``self.policy`` then holds the gauge used.
     ``normal_phases`` optionally rotates each normal pair (e_a, Je_a) by a
     fixed angle, i.e. replaces Z_a by e^{i psi} Z_a.
+
+    The build follows a ``FramePlan`` (``self.plan``).  Without one it
+    plans from its own batch, through the same function as ``plan_frame``;
+    given one (planned over a whole grid, ``grid`` then a ``GridBlock`` of
+    it), it takes the gauge and every decision from the plan and makes no
+    check of its own: the plan pass made them all.
 
     Every field is one tensor jet over the grid: vectors of frame
     components have length 2n+1, and the legs are stacked as rows
@@ -138,162 +493,51 @@ class FrameField:
     Je_1..Je_m and the induced Reeb field, (2m+1, d).
     """
 
-    def __init__(self, imm, grid, policy="canonical", mode="ad", order=3,
-                 normal_phases=None, tol_singular=TOL_SINGULAR, tol_cr=TOL_CR):
+    def __init__(self, imm, grid, policy="canonical", mode="ad", order=FRAME_ORDER,
+                 normal_phases=None, tol_singular=TOL_SINGULAR, tol_cr=TOL_CR,
+                 plan=None):
         if order < 2:
             raise DimensionMismatch("frame construction needs jets of order >= 2")
-        if policy not in POLICIES:
-            raise ValueError(f"unknown frame gauge {policy!r}; "
-                             f"accepted: {', '.join(POLICIES)}")
+        _check_policy(policy)
         self.imm = imm
         self.grid = grid
-        self.policy = policy
         self.mode = mode
         self.n = imm.n
         self.m = imm.m
         self.d = imm.nparams
-        if mode == "fd":
-            # finite-difference jets carry O(step^2..4) truncation error, so
-            # the chart-validity gates relax by the documented factor
-            tol_singular *= 1e4
-            tol_cr *= 1e4
-        self.tol_singular = tol_singular
-        self.tol_cr = tol_cr
         self.normal_phases = normal_phases
-        if mode == "ad":
-            # the frame's own jets carry the Jacobian for the rank check
-            Xfull = imm.jets(grid.points, order=order)
-            imm.rank_check(grid.points, jac=Xfull.gradient())
+        self.tol_singular, self.tol_cr = _tolerances(mode, tol_singular, tol_cr)
+        self.plan = plan
+        self.policy = policy if plan is None else plan.policy
+        if plan is None:
+            Xfull = _immersion_jets(imm, grid, order, mode)
         else:
-            imm.rank_check(grid.points)
             Xfull = imm.jets(grid.points, order=order, mode=mode,
                              steps=[0.5 * s for s in grid.spacing])
         self._build(Xfull)
 
     # -- construction ---------------------------------------------------
 
-    def _J(self, f):
-        """J on frame components, (a, b, t) -> (-b, a, 0)."""
-        return f @ np.pad(heis.standard_j_block(self.n), (0, 1)).T
-
     def _build(self, Xfull):
-        grid = self.grid
         n, m, d = self.n, self.m, self.d
         self.ctx = jets.context(d, Xfull.ctx.order - 1)
-        self.batch = grid.shape
+        self.batch = self.grid.shape
         self.X = Xfull.truncated(self.ctx.order)
-        x, y = self.X[:n], self.X[n:2 * n]
+        XiF = self.XiF = _chart_tangents(Xfull, self.X)
+        self.theta_slots = XiF[2 * n]
+        (tangent, self.that_frame, self.nu_frame, self.nu_norm2, self.charts, normal,
+         self.plan) = _frame_legs(XiF, self.grid, n, m, self.policy, self.tol_singular,
+                                  self.tol_cr, self.plan)
+        self.policy = self.plan.policy
 
-        # XiF[:, i] holds the frame components of the chart tangent vector
-        # d_i: the coordinate derivatives with the last row turned into the
-        # contact pairing theta(d_i)
-        XiF = self.XiF = Xfull.jacobian()
-        XiF[2 * n] = heis.frame_t_component(x, y, XiF[:n], XiF[n:2 * n], XiF[2 * n])
-        theta = self.theta_slots = XiF[2 * n]
-        th_vals = jets.values(theta)
-        scale = np.sqrt(max(np.max(XiF.value ** 2), 1e-30))
-        worst = np.max(np.abs(th_vals), axis=0)
-        if np.min(worst) < self.tol_singular * scale:
-            loc = grid.flat_index(int(np.argmin(worst.reshape(-1))))
-            raise SingularPoint(
-                "contact form vanishes on the whole tangent space "
-                f"(dim TM ∩ ker Θ > 2m) near grid index {tuple(int(i) for i in loc)}",
-                location=tuple(int(i) for i in loc))
-        mins = np.min(np.abs(th_vals.reshape(d, -1)), axis=1)
-        k0 = int(np.argmax(mins))
-        if mins[k0] < self.tol_singular * scale:
-            raise SingularPoint(
-                "no chart direction is uniformly transverse to ker Θ; "
-                "refine or shrink the chart box")
-        self.pivot = k0
-
-        # y0 = d_k0 / theta(d_k0) is transverse; V_i = d_i - t_i d_k0 with
-        # t_i = theta(d_i) / theta(d_k0) (i != k0) span TM ∩ ker Θ
-        recip = theta[k0].reciprocal()
-        t = theta * recip
-        others = [i for i in range(d) if i != k0]
-        y0f = XiF[:, k0] * recip
-        self._check_cr_invariance(XiF.value[..., others] - XiF.value[..., k0:k0 + 1]
-                                  * t.value[..., None, others], scale)
-
-        # tangent legs: J-adapted Gram-Schmidt over the seed fields
-        N = 2 * n + 1
-        seeds = others if self.policy != "reverse" else others[::-1]
-        tangent = []                      # e_1, Je_1, e_2, Je_2, ...
-        for i in seeds:
-            if len(tangent) == 2 * m:
-                break
-            w = _project_out(XiF[:, i] - t[i] * XiF[:, k0], tangent)
-            n2 = w @ w
-            if np.min(n2.value) < (1e-6 * scale) ** 2:
-                continue  # seed already spanned by earlier complex legs
-            e = w * n2.sqrt().reciprocal()
-            tangent += [e, self._J(e)]
-        if len(tangent) != 2 * m:
-            raise NotCRInvariant("could not complete a J-adapted tangent frame; "
-                                 "seed fields degenerate on this chart")
-
-        # induced Reeb field and fundamental vector field
-        self.that_frame = _project_out(y0f, tangent)
-        nu = self.nu_frame = self.that_frame - np.eye(N)[2 * n]
-        self.nu_norm2 = nu @ nu
-        if self.policy == "auto":
-            # deferred: rigidity imports this module through invariants
-            from .rigidity import COMPLETELY_NON_VERTICAL, classify
-            cnv = classify(self.nu_norm).kind == COMPLETELY_NON_VERTICAL
-            self.policy = "nu" if cnv and n - m == 1 else "canonical"
-
-        # chart components of (e_j, Je_j, That), one order below the frame:
-        # they are the dual basis of the coframe K = (e_j . d_i, Je_j . d_i,
-        # theta(d_i)), since the legs are orthonormal and horizontal and
-        # That is orthogonal to them with theta(That) = 1
-        low = self.ctx.order - 1
-        legs = jets.stack([e.truncated(low) for e in tangent[0::2] + tangent[1::2]])
-        K = jets.stack([*(legs @ XiF.truncated(low)), theta.truncated(low)])
-        self.charts = _solve(K, np.eye(d)).T
-
-        # normal legs
-        normal = []                       # e_a, Je_a pairs
-        if n > m:
-            cands = []
-            if self.policy == "nu":
-                if np.min(self.nu_norm2.value) < (10 * self.tol_singular) ** 2:
-                    raise WrongClass("nu-adapted gauge needs a completely "
-                                     "non-vertical surface")
-                cands.append(-nu)
-            cands += list(np.eye(N)[:2 * n])
-            centre = tuple(s // 2 for s in grid.shape)
-            legs = [e.value[centre] for e in tangent]
-            order_scores = [np.linalg.norm(_project_out(
-                f.value[centre] if isinstance(f, Jet) else f, legs)) for f in cands]
-            # keep candidate order but drop ones that die at the centre first
-            idx = list(range(len(cands)))
-            if self.policy != "nu":
-                idx.sort(key=lambda i: -order_scores[i])
-            for i in idx:
-                if len(normal) == 2 * (n - m):
-                    break
-                if isinstance(cands[i], Jet):
-                    # -nu = T - That comes first and is orthogonal to the
-                    # tangent legs already
-                    w, n2 = cands[i], self.nu_norm2
-                else:
-                    w = _project_out(jets.constant(self.ctx, cands[i], self.batch),
-                                     tangent + normal)
-                    n2 = w @ w
-                if np.min(n2.value) < 1e-12:
-                    continue
-                e = w * n2.sqrt().reciprocal()
-                normal += [e, self._J(e)]
-            if len(normal) != 2 * (n - m):
-                raise SingularPoint("could not complete the normal frame")
-            phases = () if self.normal_phases is None else self.normal_phases
-            for a, psi in zip(range(n - m), phases):
-                c, s = float(np.cos(psi)), float(np.sin(psi))
-                e = c * normal[2 * a] + s * normal[2 * a + 1]
-                normal[2 * a:2 * a + 2] = [e, self._J(e)]
+        phases = () if self.normal_phases is None else self.normal_phases
+        for a, psi in zip(range(n - m), phases):
+            c, s = float(np.cos(psi)), float(np.sin(psi))
+            e = c * normal[2 * a] + s * normal[2 * a + 1]
+            normal[2 * a:2 * a + 2] = [e, _apply_j(e)]
         # the frame columns, row c holding column c: e_1..e_n, Je_1..Je_n, T;
         # the legs are views of its rows
+        N = 2 * n + 1
         tcol = jets.constant(self.ctx, np.eye(N)[2 * n], self.batch)
         cols = self._cols = jets.stack(tangent[0::2] + normal[0::2] + tangent[1::2]
                                        + normal[1::2] + [tcol])
@@ -302,26 +546,7 @@ class FrameField:
 
         # fundamental vector field components against the normal legs (Levi
         # normalisation: nu = sum_a nu_comp[a] Z_a + conj, |nu|^2 = sum |nu_comp|^2)
-        self.nu_comp = self.legs_n @ nu + 1j * (self.legs_jn @ nu)
-
-    def _check_cr_invariance(self, Vf, scale):
-        n = self.n
-        M = Vf.reshape((-1,) + Vf.shape[-2:])             # (N, 2n+1, 2m)
-        G = np.einsum("nia,nib->nab", M, M)
-        Jf = np.concatenate([-M[:, n:2 * n], M[:, :n], np.zeros_like(M[:, :1])],
-                            axis=1)
-        rhs = np.einsum("nia,nib->nab", M, Jf)             # (N, 2m, 2m)
-        coef = np.linalg.solve(G, rhs)
-        resid = Jf - np.einsum("nia,nab->nib", M, coef)
-        err = np.sqrt(np.einsum("nib,nib->nb", resid, resid))
-        worst = float(np.max(err))
-        if worst > self.tol_cr * max(scale, 1.0):
-            flatpos = int(np.argmax(np.max(err, axis=1)))
-            loc = self.grid.flat_index(flatpos)
-            raise NotCRInvariant(
-                f"TM ∩ ker Θ is not J-invariant (residual {worst:.2e}) near grid "
-                f"index {tuple(int(i) for i in loc)}",
-                location=tuple(int(i) for i in loc), residual=worst)
+        self.nu_comp = self.legs_n @ self.nu_frame + 1j * (self.legs_jn @ self.nu_frame)
 
     # -- assembled frame ---------------------------------------------------
 
@@ -501,49 +726,56 @@ class MCForm:
         if method is None:
             method = "jet" if self.mode == "ad" else "grid"
         w = self.values
+        if method == "grid":
+            return grid_structure_residual(w, self.grid)
+        # d1 leaves out the zero first row and last column, where the
+        # commutator vanishes as well
+        dw = self.d1
         worst = 0.0
-        if method == "jet":
-            # d1 leaves out the zero first row and last column, where the
-            # commutator vanishes as well
-            dw = self.d1
-            for p in range(self.d):
-                for q in range(p + 1, self.d):
-                    comm = (np.einsum("rs...,sc...->rc...", w[p], w[q])
-                            - np.einsum("rs...,sc...->rc...", w[q], w[p]))
-                    resid = dw[q][:, :, p] - dw[p][:, :, q] + comm[1:, :-1]
-                    worst = max(worst, float(np.max(np.abs(resid))))
-            return worst
-
-        def cut(arr, ax, lo, hi):
-            sl = [slice(None)] * arr.ndim
-            sl[2 + ax] = slice(lo, hi if hi != 0 else None)
-            return arr[tuple(sl)]
-
-        def grid_d(arr, ax):
-            # fourth-order central difference, matching the accuracy of the
-            # finite-difference jets feeding the slots
-            h = self.grid.spacing[ax]
-            return (-cut(arr, ax, 4, 0) + 8 * cut(arr, ax, 3, -1)
-                    - 8 * cut(arr, ax, 1, -3) + cut(arr, ax, 0, -4)) / (12 * h)
-
-        def interior(arr, axes):
-            sl = [slice(None)] * arr.ndim
-            for ax in axes:
-                sl[2 + ax] = slice(2, -2)
-            return arr[tuple(sl)]
-
         for p in range(self.d):
             for q in range(p + 1, self.d):
-                if self.grid.shape[p] < 5 or self.grid.shape[q] < 5:
-                    continue
-                dpq = interior(grid_d(w[q], p), [q])
-                dqp = interior(grid_d(w[p], q), [p])
-                wi_p = interior(w[p], [p, q])
-                wi_q = interior(w[q], [p, q])
-                comm = (np.einsum("rs...,sc...->rc...", wi_p, wi_q)
-                        - np.einsum("rs...,sc...->rc...", wi_q, wi_p))
-                worst = max(worst, float(np.max(np.abs(dpq - dqp + comm))))
+                comm = (np.einsum("rs...,sc...->rc...", w[p], w[q])
+                        - np.einsum("rs...,sc...->rc...", w[q], w[p]))
+                resid = dw[q][:, :, p] - dw[p][:, :, q] + comm[1:, :-1]
+                worst = max(worst, float(np.max(np.abs(resid))))
         return worst
+
+
+def grid_structure_residual(w, grid) -> float:
+    """The structure residual of slot values ``w``, (d, D, D, *grid.shape),
+    with the derivatives taken by central differences across the grid."""
+    def cut(arr, ax, lo, hi):
+        sl = [slice(None)] * arr.ndim
+        sl[2 + ax] = slice(lo, hi if hi != 0 else None)
+        return arr[tuple(sl)]
+
+    def grid_d(arr, ax):
+        # fourth-order central difference, matching the accuracy of the
+        # finite-difference jets feeding the slots
+        h = grid.spacing[ax]
+        return (-cut(arr, ax, 4, 0) + 8 * cut(arr, ax, 3, -1)
+                - 8 * cut(arr, ax, 1, -3) + cut(arr, ax, 0, -4)) / (12 * h)
+
+    def interior(arr, axes):
+        sl = [slice(None)] * arr.ndim
+        for ax in axes:
+            sl[2 + ax] = slice(2, -2)
+        return arr[tuple(sl)]
+
+    worst = 0.0
+    d = len(w)
+    for p in range(d):
+        for q in range(p + 1, d):
+            if grid.shape[p] < 5 or grid.shape[q] < 5:
+                continue
+            dpq = interior(grid_d(w[q], p), [q])
+            dqp = interior(grid_d(w[p], q), [p])
+            wi_p = interior(w[p], [p, q])
+            wi_q = interior(w[q], [p, q])
+            comm = (np.einsum("rs...,sc...->rc...", wi_p, wi_q)
+                    - np.einsum("rs...,sc...->rc...", wi_q, wi_p))
+            worst = max(worst, float(np.max(np.abs(dpq - dqp + comm))))
+    return worst
 
 
 def darboux_derivative(ff: FrameField) -> MCForm:

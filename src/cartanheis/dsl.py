@@ -778,14 +778,16 @@ class Immersion:
         """
         if jac is None:
             jac = self.jets(grid_points, order=1).gradient()
+        batch = jac.shape[1:-1]
         jac = np.moveaxis(jac.reshape(jac.shape[0], -1, jac.shape[-1]), 1, 0)
         sv = np.linalg.svd(jac, compute_uv=False)
         worst = float(np.min(sv[:, self.nparams - 1]))
         if worst < floor:
-            idx = int(np.argmin(sv[:, self.nparams - 1]))
+            flat = int(np.argmin(sv[:, self.nparams - 1]))
+            loc = tuple(int(i) for i in np.unravel_index(flat, batch))
             raise NotImmersed(
                 f"Jacobian rank deficient (sigma_min {worst:.2e} < {floor:.0e}) "
-                f"at flat grid index {idx}")
+                f"at grid index {loc}", location=loc)
         return worst
 
 
@@ -818,32 +820,71 @@ class BlackBoxImmersion:
     rank_check = Immersion.rank_check
 
 
+def fd_stencil(d, order):
+    """The offsets, in steps per chart axis, at which ``fd_jets`` samples.
+
+    In sampling order: the base point, the axis points, the axis-pair points
+    and the axis-triple points.  A lower order's stencil is a prefix.
+    """
+    def off(*moves):
+        o = [0] * d
+        for i, k in moves:
+            o[i] = k
+        return tuple(o)
+
+    offs = [off()]
+    for i in range(d) if order >= 1 else ():
+        offs += [off((i, k)) for k in (1, -1, 2, -2)]
+    for i, j in itertools.combinations(range(d), 2) if order >= 2 else ():
+        offs += [off((i, a * s), (j, b * s)) for s in (1, 2)
+                 for a, b in ((1, 1), (-1, -1), (1, -1), (-1, 1))]
+    for i, j, k in itertools.combinations(range(d), 3) if order >= 3 else ():
+        offs += [off((i, si), (j, sj), (k, sk))
+                 for si, sj, sk in itertools.product((1, -1), repeat=3)]
+    return offs
+
+
+def _stencil_values(values_fn, u_arrays, off, steps):
+    return values_fn([u + k * h for u, k, h in zip(u_arrays, off, steps)])
+
+
+def fd_sample(values_fn, d, u_arrays, order, steps, past=1):
+    """Sample the stencil of ``order`` beyond that of order ``past``; drop the samples.
+
+    Run after ``fd_jets`` of order ``past`` over the same points, this
+    raises the domain error that ``fd_jets`` of ``order`` would raise, at
+    the same point, without holding its samples.
+    """
+    u_arrays = [np.asarray(u, dtype=float) for u in u_arrays]
+    for off in fd_stencil(d, order)[len(fd_stencil(d, past)):]:
+        _stencil_values(values_fn, u_arrays, off, steps)
+
+
 def fd_jets(values_fn, d, u_arrays, order, steps=None):
     """Finite-difference Taylor coefficients (Richardson first derivatives).
 
     ``steps`` gives the per-axis displacement; accuracy is O(step^4) for first
     derivatives and O(step^2) for second and third ones, so downstream
     residual tolerances must be relaxed accordingly (documented factor 1e4
-    against the AD pipeline).
+    against the AD pipeline).  The stencil is sampled in ``fd_stencil``
+    order.
     """
     u_arrays = [np.asarray(u, dtype=float) for u in u_arrays]
     if steps is None:
         steps = [1e-3] * d
     ctx = jets.context(d, order)
     shape = np.broadcast_shapes(*[np.shape(u) for u in u_arrays])
-    cache = {}
+    samples = {off: np.stack([np.broadcast_to(v, shape) for v in
+                              _stencil_values(values_fn, u_arrays, off, steps)],
+                             axis=-1)
+               for off in fd_stencil(d, order)}
 
     def ev(*moves):
         """Coordinates, (*batch, 2n+1), k_i steps away along each axis i."""
         off = [0] * d
         for i, k in moves:
             off[i] = k
-        off = tuple(off)
-        if off not in cache:
-            pts = [u_arrays[i] + off[i] * steps[i] for i in range(d)]
-            cache[off] = np.stack([np.broadcast_to(v, shape) for v in values_fn(pts)],
-                                  axis=-1)
-        return cache[off]
+        return samples[tuple(off)]
 
     def set_coeff(axes, deriv):
         alpha = [0] * d

@@ -50,6 +50,10 @@ class OutOfChart(GeometryError):
 class NotImmersed(GeometryError):
     """Jacobian rank fell below the chart dimension."""
 
+    def __init__(self, msg, location=None):
+        super().__init__(msg)
+        self.location = location
+
 
 class SingularPoint(GeometryError):
     """dim(TM ∩ ker Θ) differs from 2m at some chart point."""

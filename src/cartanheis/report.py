@@ -101,6 +101,14 @@ def _text(report) -> str:
                                   if v is not None))
     if "gauge" in md:
         lines.append(f"  gauge: {md['gauge']}")
+    if "decisions" in md:
+        dec = md["decisions"]
+        lines.append(
+            f"  decisions: gauge class {dec['gauge']['class']} "
+            f"(min |nu| {_fmt(dec['gauge']['nu_min'])}), "
+            f"pivot axis {dec['pivot_axis']}, tangent seed axes "
+            f"{' '.join(map(str, dec['tangent_seed_axes']))}, normal candidates "
+            f"{' '.join(dec['normal_candidates']) or '-'}")
     if report["class"] is not None:
         lines.append(f"class: {report['class']}")
     rows = [("field", "min", "max", "mean")]

@@ -1,4 +1,5 @@
-"""Verticality classification and the flat/sphere rigidity detectors."""
+"""Verticality classification (defined in ``darboux``) and the flat/sphere
+rigidity detectors."""
 
 from __future__ import annotations
 
@@ -7,24 +8,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jets, psh
-from .darboux import TOL_CLASS
+from .darboux import (COMPLETELY_NON_VERTICAL, MIXED, VERTICAL,  # noqa: F401
+                      VerticalityClass, classify)
 from .errors import NotFlat, NotTorsionFree, WrongClass
 from .heis import HPoint
 from .invariants import Analysis
 
 __all__ = ["VerticalityClass", "SphereFit", "RigidMotionFit", "classify",
            "detect_flat", "detect_sphere", "constant_curvature_check"]
-
-VERTICAL, COMPLETELY_NON_VERTICAL, MIXED = ("Vertical", "CompletelyNonVertical",
-                                            "Mixed")
-
-
-@dataclass(frozen=True)
-class VerticalityClass:
-    kind: str
-    nu_min: float
-    nu_max: float
-    tol: float
 
 
 @dataclass(frozen=True)
@@ -39,19 +30,6 @@ class SphereFit:
 class RigidMotionFit:
     motion: psh.PSHElement
     image_residual: float
-
-
-def classify(nu_norm, tol=TOL_CLASS) -> VerticalityClass:
-    """Vertical / completely non-vertical / mixed, from the |nu| field."""
-    nu = np.asarray(nu_norm, dtype=float)
-    lo, hi = float(np.min(nu)), float(np.max(nu))
-    if hi < tol:
-        kind = VERTICAL
-    elif lo > tol:
-        kind = COMPLETELY_NON_VERTICAL
-    else:
-        kind = MIXED
-    return VerticalityClass(kind, lo, hi, tol)
 
 
 def _require(cond, exc, msg):

@@ -134,7 +134,8 @@ def test_grid_validation(capsys):
         assert err.startswith("input error:") and "--grid" in err, (bad, err)
 
 
-@pytest.mark.parametrize("command, builds", [("invariants", 1), ("check", 2)])
+@pytest.mark.parametrize("command, builds", [("invariants", 1), ("check", 2),
+                                             ("classify", 0)])
 def test_one_frame_build_per_surface(command, builds, monkeypatch, capsys):
     from cartanheis import darboux
     calls = []
@@ -241,16 +242,24 @@ def test_internal_error_exit_three(monkeypatch, capsys):
     assert capsys.readouterr().err.strip() == "internal error: RuntimeError: boom"
 
 
-@pytest.mark.parametrize("spec,gauge", [("builtin:sphere(2,1)", "nu"),
-                                        ("builtin:heis_sub(1,2)", "canonical")])
-def test_report_records_the_resolved_gauge(spec, gauge, capsys):
+@pytest.mark.parametrize("spec,gauge,cls,normals", [
+    ("builtin:sphere(2,1)", "nu", "CompletelyNonVertical", ["-nu"]),
+    ("builtin:heis_sub(1,2)", "canonical", "Vertical", ["X2"])])
+def test_report_records_the_resolved_gauge(spec, gauge, cls, normals, capsys):
     assert run_cli("classify", "--surface", spec, "--grid", "5",
                    "--format", "structured") == 0
     tree = report.reparse(capsys.readouterr().out)
     assert tree["metadata"]["config"]["policy"] == "auto"
     assert tree["metadata"]["gauge"] == gauge
+    decisions = tree["metadata"]["decisions"]
+    assert decisions["gauge"]["class"] == cls
+    assert decisions["normal_candidates"] == normals
+    assert len(decisions["tangent_seed_axes"]) == 1      # m = 1: one complex leg
+    assert decisions["pivot_axis"] not in decisions["tangent_seed_axes"]
     assert run_cli("classify", "--surface", spec, "--grid", "5") == 0
-    assert f"gauge: {gauge}" in capsys.readouterr().out.splitlines()[2]
+    lines = capsys.readouterr().out.splitlines()
+    assert f"gauge: {gauge}" in lines[2]
+    assert lines[3].startswith(f"  decisions: gauge class {cls} (min |nu| ")
     assert run_cli("classify", "--surface", spec, "--grid", "5",
                    "--policy", "reverse", "--format", "structured") == 0
     assert report.reparse(capsys.readouterr().out)["metadata"]["gauge"] == "reverse"
