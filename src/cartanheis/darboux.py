@@ -30,8 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from . import dsl, heis, jets, psh
-from .errors import (DimensionMismatch, NotCRInvariant, SingularPoint,
-                     WrongClass)
+from .errors import (DimensionMismatch, NotCRInvariant, SingularPoint, WrongClass)
 from .heis import FrameAtPoint, HPoint
 
 __all__ = ["ChartGrid", "GridBlock", "FramePlan", "plan_frame", "FrameField",
