@@ -242,10 +242,15 @@ def test_internal_error_exit_three(monkeypatch, capsys):
     assert capsys.readouterr().err.strip() == "internal error: RuntimeError: boom"
 
 
-@pytest.mark.parametrize("spec,gauge,cls,normals", [
-    ("builtin:sphere(2,1)", "nu", "CompletelyNonVertical", ["-nu"]),
-    ("builtin:heis_sub(1,2)", "canonical", "Vertical", ["X2"])])
-def test_report_records_the_resolved_gauge(spec, gauge, cls, normals, capsys):
+# the class behind each gauge and the normal candidates its frame used
+DECISIONS = {"builtin:sphere(2,1)": ("CompletelyNonVertical", ["-nu"]),
+             "builtin:heis_sub(1,2)": ("Vertical", ["X2"])}
+
+
+@pytest.mark.parametrize("spec,gauge", [("builtin:sphere(2,1)", "nu"),
+                                        ("builtin:heis_sub(1,2)", "canonical")])
+def test_report_records_the_resolved_gauge(spec, gauge, capsys):
+    cls, normals = DECISIONS[spec]
     assert run_cli("classify", "--surface", spec, "--grid", "5",
                    "--format", "structured") == 0
     tree = report.reparse(capsys.readouterr().out)
