@@ -24,7 +24,7 @@ of the block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -255,10 +255,12 @@ class FramePlan:
     with the whole-grid build at every point of the block.
 
     ``seeds`` are chart axes; ``normals`` are ambient frame axes (X_1..X_n,
-    Y_1..Y_n as 0..2n-1) or ``NU`` for -nu.  ``condition`` is the smallest
-    ratio of singular values of the dual tangent frame, checked by the
-    Tanaka-Webster solve; ``nu_min``, ``nu_max`` and ``nu_mean`` summarise
-    |nu| over the grid.
+    Y_1..Y_n as 0..2n-1) or ``NU`` for -nu.  ``nu_min``, ``nu_max`` and
+    ``nu_mean`` summarise |nu| over the grid.  ``condition`` is the smallest
+    ratio of singular values of the dual tangent frame over the grid, which
+    the Tanaka-Webster solve checks; ``plan_frame`` sets it, so that every
+    block checks the grid's value.  A frame's own plan leaves it None, and
+    ``Analysis.coframe_condition`` computes it from the frame when asked.
     """
 
     n: int
@@ -271,7 +273,7 @@ class FramePlan:
     pivot: int
     seeds: tuple
     normals: tuple
-    condition: float
+    condition: float | None = None
 
     def verticality(self, tol=TOL_CLASS) -> VerticalityClass:
         """The verticality class of the grid at ``tol``."""
@@ -375,8 +377,7 @@ def _frame_legs(XiF, grid, n, m, policy, tol_singular, tol_cr, plan=None):
             raise SingularPoint("could not complete the normal frame")
         plan = FramePlan(n=n, policy=policy, nu_class=cls.kind, nu_min=cls.nu_min,
                          nu_max=cls.nu_max, nu_mean=float(np.mean(nu_norm)),
-                         scale=float(scale), pivot=k0, seeds=seeds, normals=normals,
-                         condition=_condition(charts))
+                         scale=float(scale), pivot=k0, seeds=seeds, normals=normals)
     else:
         normal, _ = _normal_legs(plan.normals, tangent, nu, nu_norm2, n - m)
     return tangent, that, nu, nu_norm2, charts, normal, plan
@@ -386,7 +387,7 @@ def _location(grid, flat):
     return tuple(int(i) for i in grid.flat_index(int(flat)))
 
 
-def _condition(charts):
+def coframe_condition(charts):
     """Smallest ratio of singular values of the chart matrices over the batch."""
     M = jets.values(charts)                            # (d, d, batch)
     M = np.moveaxis(M.reshape(M.shape[:2] + (-1,)), -1, 0)
@@ -425,24 +426,23 @@ def _tolerances(mode, tol_singular, tol_cr):
     return tol_singular, tol_cr
 
 
-def _immersion_jets(imm, grid, order, mode, stencil=None):
-    """The immersion's jets over the grid, after the rank check.
+def _jets(imm, grid, order, mode):
+    """The immersion's jets over the grid; FD steps are half the spacing."""
+    if mode == "ad":
+        return imm.jets(grid.points, order=order)
+    return imm.jets(grid.points, order=order, mode=mode,
+                    steps=[0.5 * s for s in grid.spacing])
 
-    In FD mode with a ``stencil`` order above ``order``, the rest of that
-    order's stencil is sampled too, so that a domain error in it shows here,
-    in the order and at the point that jets of that order would show it.
-    """
-    steps = [0.5 * s for s in grid.spacing]
+
+def _immersion_jets(imm, grid, order, mode):
+    """The immersion's jets over the grid, after the rank check."""
     if mode == "ad":
         # the jets carry the Jacobian for the rank check
-        X = imm.jets(grid.points, order=order)
+        X = _jets(imm, grid, order, mode)
         imm.rank_check(grid.points, jac=X.gradient())
         return X
     imm.rank_check(grid.points)
-    X = imm.jets(grid.points, order=order, mode=mode, steps=steps)
-    if stencil is not None and stencil > order:
-        dsl.fd_sample(imm.values, imm.nparams, grid.points, stencil, steps, past=order)
-    return X
+    return _jets(imm, grid, order, mode)
 
 
 def plan_frame(imm, grid, policy="canonical", mode="ad") -> FramePlan:
@@ -453,12 +453,17 @@ def plan_frame(imm, grid, policy="canonical", mode="ad") -> FramePlan:
     no jet field afterwards.  Every check a default frame build would make
     runs here over the whole grid, in the same order and with the same
     located errors: the domain of the immersion (in FD mode its whole
-    stencil), the rank check and the frame's value checks.
+    stencil), the rank check and the frame's value checks.  It also sets the
+    grid's coframe condition.
     """
     _check_policy(policy)
-    X = _immersion_jets(imm, grid, 1, mode, stencil=FRAME_ORDER)
-    return _frame_legs(_chart_tangents(X, X.truncated(0)), grid, imm.n, imm.m, policy,
-                       *_tolerances(mode, TOL_SINGULAR, TOL_CR))[-1]
+    X = _immersion_jets(imm, grid, 1, mode)
+    if mode == "fd":
+        dsl.fd_sample(imm.values, imm.nparams, grid.points, FRAME_ORDER,
+                      [0.5 * s for s in grid.spacing])
+    legs = _frame_legs(_chart_tangents(X, X.truncated(0)), grid, imm.n, imm.m, policy,
+                       *_tolerances(mode, TOL_SINGULAR, TOL_CR))
+    return replace(legs[-1], condition=coframe_condition(legs[4]))
 
 
 # ---------------------------------------------------------------------------
@@ -511,8 +516,7 @@ class FrameField:
         if plan is None:
             Xfull = _immersion_jets(imm, grid, order, mode)
         else:
-            Xfull = imm.jets(grid.points, order=order, mode=mode,
-                             steps=[0.5 * s for s in grid.spacing])
+            Xfull = _jets(imm, grid, order, mode)
         self._build(Xfull)
 
     # -- construction ---------------------------------------------------

@@ -848,15 +848,15 @@ def _stencil_values(values_fn, u_arrays, off, steps):
     return values_fn([u + k * h for u, k, h in zip(u_arrays, off, steps)])
 
 
-def fd_sample(values_fn, d, u_arrays, order, steps, past=1):
-    """Sample the stencil of ``order`` beyond that of order ``past``; drop the samples.
+def fd_sample(values_fn, d, u_arrays, order, steps):
+    """Sample the stencil of ``order`` beyond that of order 1; drop the samples.
 
-    Run after ``fd_jets`` of order ``past`` over the same points, this
-    raises the domain error that ``fd_jets`` of ``order`` would raise, at
-    the same point, without holding its samples.
+    Run after first-order ``fd_jets`` over the same points, this raises the
+    domain error that ``fd_jets`` of ``order`` would raise, at the same
+    point, without holding its samples.
     """
     u_arrays = [np.asarray(u, dtype=float) for u in u_arrays]
-    for off in fd_stencil(d, order)[len(fd_stencil(d, past)):]:
+    for off in fd_stencil(d, order)[len(fd_stencil(d, 1)):]:
         _stencil_values(values_fn, u_arrays, off, steps)
 
 

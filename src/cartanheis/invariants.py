@@ -24,7 +24,7 @@ import numpy as np
 
 from . import jets
 from .darboux import (COMPLETELY_NON_VERTICAL, TOL_CLASS, VERTICAL, FrameField,
-                      MCForm, darboux_derivative, darboux_frame,
+                      MCForm, coframe_condition, darboux_derivative, darboux_frame,
                       grid_structure_residual, plan_frame, pullback_check)
 from .errors import DegeneratePoint, IllConditionedCoframe, WrongClass
 
@@ -32,10 +32,12 @@ __all__ = ["Analysis", "InvariantField", "Summary", "sweep", "extract",
            "normal_connection", "tanaka_webster_solve", "ricci_nonpositivity_check",
            "nu_from_curvature", "h_from_curvature", "theta_nn_from_intrinsic"]
 
-# points per block of the invariants sweep, chosen by measurement: on the
-# benchmark's 7^5 workload (2-vCPU host) blocks of 1201, 2401 and 4802
-# points ran equally fast, at 122, 195 and 303 MB peak RSS; smaller blocks
-# pay more per-block dispatch on m = 1 grids
+# points per block of the invariants sweep, chosen by measurement on a
+# 2-vCPU host: on the benchmark's 7^5 workload blocks of 1201, 2401 and
+# 4802 points ran equally fast, at 122, 195 and 303 MB peak RSS; on
+# `invariants --grid 17` (4913 points, m = 1, four builtins in one
+# process) 1201-point blocks took 0.461-0.468 s against 0.445-0.450 s
+# (medians), slower in 23 of 24 interleaved rounds
 BLOCK_POINTS = 2401
 
 
@@ -72,6 +74,8 @@ class Analysis:
     def coframe_condition(self):
         """Determinant margin of the dual tangent frame in chart components,
         the smallest over the frame's planned grid."""
+        if self.ff.plan.condition is None:
+            return coframe_condition(self.ff.charts)
         return self.ff.plan.condition
 
     @cached_property

@@ -6,6 +6,7 @@ import io
 import json
 import os
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -78,15 +79,27 @@ def test_blocked_fd_report_is_the_whole_grid_report(spec, grid, block, monkeypat
         assert json.loads(whole[1])["residuals"]["structure"]["value"] > 0
 
 
-def test_blocked_sweep_with_normal_phases(monkeypatch):
-    imm = dsl.parse_surface_spec("builtin:sphere(2,1)")
+def _black_box_ellipsoid():
+    ref = dsl.parse_surface_spec("builtin:ellipsoid(2,1,1.3)")
+    return dsl.BlackBoxImmersion("bb_ellipsoid", 2, 1, ref.chart, ref.values)
+
+
+@pytest.mark.parametrize("make, kw", [
+    (lambda: dsl.parse_surface_spec("builtin:sphere(2,1)"),
+     {"policy": "nu", "normal_phases": (0.7,)}),
+    # a black box takes FD jets in AD mode too, with its default steps: the
+    # plan pass and every block must take the same ones as a whole-grid build
+    (_black_box_ellipsoid, {"policy": "auto"}),
+], ids=["normal_phases", "black_box"])
+def test_blocked_sweep_is_the_whole_grid_sweep(make, kw, monkeypatch):
+    imm = make()
     grid = darboux.ChartGrid(imm.chart, 5)
     sums = []
     for block in (ONE_BLOCK, 16):
         monkeypatch.setattr(invariants, "BLOCK_POINTS", block)
-        sums.append(invariants.sweep(imm, grid, policy="nu", normal_phases=(0.7,)))
+        sums.append(invariants.sweep(imm, grid, **kw))
     whole, blocked = sums
-    assert blocked.plan == whole.plan
+    assert replace(blocked.plan, condition=None) == whole.plan
     assert blocked.residuals == whole.residuals
     for key in invariants.TABLES:
         assert np.array_equal(blocked.table(key), whole.table(key)), key
@@ -99,7 +112,10 @@ def test_plan_pass_matches_the_plan_of_a_whole_grid_build(spec, policy, mode):
     imm = dsl.parse_surface_spec(f"builtin:{spec}")
     grid = darboux.ChartGrid(imm.chart, 3 if imm.m == 2 else 5)
     ff = darboux.darboux_frame(imm, grid, policy=policy, mode=mode)
-    assert darboux.plan_frame(imm, grid, policy=policy, mode=mode) == ff.plan
+    plan = darboux.plan_frame(imm, grid, policy=policy, mode=mode)
+    # a frame's own plan leaves the coframe condition to its Analysis
+    assert replace(plan, condition=None) == ff.plan
+    assert plan.condition == invariants.Analysis(ff).coframe_condition()
     # the planned |nu| is the frame's |nu|, bit for bit
     assert (ff.plan.nu_min, ff.plan.nu_max, ff.plan.nu_mean) == (
         float(np.min(ff.nu_norm)), float(np.max(ff.nu_norm)),
