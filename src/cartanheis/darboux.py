@@ -25,12 +25,13 @@ of the block.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from . import dsl, heis, jets, psh
-from .errors import (DimensionMismatch, NotCRInvariant, SingularPoint, WrongClass)
+from .errors import (DimensionMismatch, DomainError, NotCRInvariant, SingularPoint,
+                     WrongClass)
 from .heis import FrameAtPoint, HPoint
 
 __all__ = ["ChartGrid", "GridBlock", "FramePlan", "plan_frame", "FrameField",
@@ -172,23 +173,31 @@ def _project_out(w, legs):
     return w
 
 
+@lru_cache(maxsize=None)
+def _j_matrix(n):
+    """J on frame components as a matrix acting on rows."""
+    return np.pad(heis.standard_j_block(n), (0, 1)).T
+
+
 def _apply_j(f):
     """J on frame components, (a, b, t) -> (-b, a, 0)."""
-    n = (f.shape[-1] - 1) // 2
-    return f @ np.pad(heis.standard_j_block(n), (0, 1)).T
+    return f @ _j_matrix((f.shape[-1] - 1) // 2)
 
 
 def _chart_tangents(X, low):
     """Frame components of the chart tangent vectors d_i, one order below X.
 
     Column i holds d_i X with the last row turned into the contact pairing
-    theta(d_i); ``low`` is X truncated one order down.
+    theta(d_i); ``low`` is X truncated one order down.  The support is
+    pruned to the coefficients that are nonzero somewhere: the support of X
+    is shared by all its coordinates, so on a flat surface the contact row
+    would otherwise carry the chart axis t depends on.
     """
     n = (X.shape[-1] - 1) // 2
     XiF = X.jacobian()
     XiF[2 * n] = heis.frame_t_component(low[:n], low[n:2 * n], XiF[:n],
                                         XiF[n:2 * n], XiF[2 * n])
-    return XiF
+    return XiF.pruned()
 
 
 def _tangent_legs(XiF, t, k0, seeds, m, floor=None):
@@ -426,12 +435,29 @@ def _tolerances(mode, tol_singular, tol_cr):
     return tol_singular, tol_cr
 
 
+def _finite(X, grid):
+    """X, after checking that every jet coefficient is finite.
+
+    Raises DomainError at the first grid index where one is not; the jet
+    products skip terms whose factor is a structural zero, which is exact
+    only for finite operands.
+    """
+    ok = np.isfinite(X.c)
+    if not ok.all():
+        points = int(np.prod(X.batch_shape))
+        loc = _location(grid, np.argmin(np.moveaxis(ok, 0, -1).reshape(points, -1)
+                                        .all(axis=1)))
+        raise DomainError("immersion or its derivatives not finite", location=loc)
+    return X
+
+
 def _jets(imm, grid, order, mode):
-    """The immersion's jets over the grid; FD steps are half the spacing."""
+    """The immersion's jets over the grid, checked finite; FD steps are half
+    the spacing."""
     if mode == "ad":
-        return imm.jets(grid.points, order=order)
-    return imm.jets(grid.points, order=order, mode=mode,
-                    steps=[0.5 * s for s in grid.spacing])
+        return _finite(imm.jets(grid.points, order=order), grid)
+    return _finite(imm.jets(grid.points, order=order, mode=mode,
+                            steps=[0.5 * s for s in grid.spacing]), grid)
 
 
 def _immersion_jets(imm, grid, order, mode):
@@ -441,7 +467,8 @@ def _immersion_jets(imm, grid, order, mode):
         X = _jets(imm, grid, order, mode)
         imm.rank_check(grid.points, jac=X.gradient())
         return X
-    imm.rank_check(grid.points)
+    jac = _finite(imm.jets(grid.points, order=1), grid).gradient()
+    imm.rank_check(grid.points, jac=jac)
     return _jets(imm, grid, order, mode)
 
 

@@ -147,25 +147,29 @@ def evaluate(exprs, env):
     lower powers in both parts), which a tree walk would repeat exponentially
     often.  Nodes are keyed by identity and run children first, left to
     right, without recursion; a value is dropped once its last parent used it.
+    Overflow and invalid operations give inf and NaN without a warning; the
+    frame builder rejects non-finite immersion jets with their location.
     """
-    order, seen, uses = [], set(), Counter(id(e) for e in exprs)
+    # kids is a computed property, so each node's is read once, here
+    order, kids, uses = [], {}, Counter(id(e) for e in exprs)
     stack = [(e, False) for e in reversed(exprs)]
     while stack:
         e, ready = stack.pop()
         if ready:
-            order.append(e)
-        elif id(e) not in seen:
-            seen.add(id(e))
-            uses.update(id(k) for k in e.kids)
+            order.append((e, kids[id(e)]))
+        elif id(e) not in kids:
+            ks = kids[id(e)] = e.kids
+            uses.update(id(k) for k in ks)
             stack.append((e, True))
-            stack.extend((k, False) for k in reversed(e.kids))
+            stack.extend((k, False) for k in reversed(ks))
     memo = {}
-    for e in order:
-        memo[id(e)] = e.apply(env, *[memo[id(k)] for k in e.kids])
-        for k in e.kids:
-            uses[id(k)] -= 1
-            if not uses[id(k)]:
-                del memo[id(k)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for e, ks in order:
+            memo[id(e)] = e.apply(env, *[memo[id(k)] for k in ks])
+            for k in ks:
+                uses[id(k)] -= 1
+                if not uses[id(k)]:
+                    del memo[id(k)]
     return [memo[id(e)] for e in exprs]
 
 

@@ -17,6 +17,17 @@ table, ``out[k] += a[i] @ b[j]``, each entry one batched contraction over
 the whole grid; a sum over a tensor axis is a product with ``np.ones``.
 ``values`` gives the grid values with the tensor axes first,
 ``(*shape, *batch)``, the layout every module boundary uses.
+
+Every jet carries a structural support, a bitmask over its coefficient
+indices: bit k clear means coefficient k is exactly zero at every point
+and in every tensor entry.  Each operation derives its result's support
+from its operands' (a product takes the multiplication-table image), and a
+product runs only the table entries whose two factors are both in support,
+zero-filling the coefficients none of them reaches.  Each coefficient thus
+sums the same nonzero terms in the same order as the full table loop.  A
+jet and its views (indexing, ``transpose``) share one support, so writing
+into one widens it for all.  A jet built from raw coefficients has full
+support; ``pruned`` narrows a support to the slices that are nonzero.
 """
 
 from __future__ import annotations
@@ -56,8 +67,10 @@ class JetContext:
         self.monomials = _monomials(nvars, order)
         self.ncoeff = len(self.monomials)
         self.index = {m: k for k, m in enumerate(self.monomials)}
+        self.full = (1 << self.ncoeff) - 1      # the support of every index
         self._mul_table = None
         self._deriv_tables = None
+        self._live_tables = {}
 
     @property
     def mul_table(self):
@@ -73,6 +86,25 @@ class JetContext:
                         seen.add(k)
             self._mul_table = table
         return self._mul_table
+
+    def live_table(self, sa, sb):
+        """The product table for factors of supports ``sa`` and ``sb``.
+
+        Returns ``(entries, support, dead)``: the entries (k, i, j, first) of
+        ``mul_table`` with bit i of ``sa`` and bit j of ``sb`` set, in table
+        order, ``first`` marking the earliest of them writing to k; the
+        support of the product (the k they reach); and the k they miss.
+        """
+        hit = self._live_tables.get((sa, sb))
+        if hit is None:
+            entries, reached = [], 0
+            for k, i, j, _ in self.mul_table:
+                if sa >> i & 1 and sb >> j & 1:
+                    entries.append((k, i, j, not reached >> k & 1))
+                    reached |= 1 << k
+            dead = [k for k in range(self.ncoeff) if not reached >> k & 1]
+            hit = self._live_tables[(sa, sb)] = (entries, reached, dead)
+        return hit
 
     @property
     def deriv_tables(self):
@@ -112,17 +144,42 @@ class Jet:
     """Taylor coefficients of a scalar or tensor over a batch of base points.
 
     ``c`` has layout ``(ncoeff, *batch, *shape)`` and ``nt`` counts the
-    trailing tensor axes.
+    trailing tensor axes.  ``support`` is the structural support (see the
+    module docstring); without one the jet's support is full.
     """
 
-    __slots__ = ("ctx", "c", "nt")
+    __slots__ = ("ctx", "c", "nt", "_cell")
     # numpy defers to the reflected operators, so ``array * jet`` is a jet
     __array_ufunc__ = None
 
-    def __init__(self, ctx: JetContext, coeffs: np.ndarray, nt: int = 0):
+    def __init__(self, ctx: JetContext, coeffs: np.ndarray, nt: int = 0,
+                 support: int | None = None):
         self.ctx = ctx
         self.c = coeffs
         self.nt = nt
+        # one cell shared with every view, so a write through any widens all
+        self._cell = [ctx.full if support is None else support]
+
+    def _view(self, c, nt):
+        view = Jet.__new__(Jet)
+        view.ctx, view.c, view.nt, view._cell = self.ctx, c, nt, self._cell
+        return view
+
+    @property
+    def support(self) -> int:
+        """Bitmask over coefficient indices; bit k clear: coefficient k is 0."""
+        return self._cell[0]
+
+    def pruned(self) -> "Jet":
+        """This jet with the coefficient slices that are zero everywhere
+        dropped from its support (NaN and inf count as nonzero).
+
+        One pass over the coefficients.  The result shares them with
+        ``self`` but not the support, so neither may be written afterwards.
+        """
+        live = np.flatnonzero(np.any(self.c.reshape(len(self.c), -1) != 0, axis=1))
+        return Jet(self.ctx, self.c, self.nt,
+                   self.support & sum(1 << int(k) for k in live))
 
     # -- basic views ---------------------------------------------------
 
@@ -167,11 +224,16 @@ class Jet:
             raise ValueError("cannot differentiate an order-0 jet")
         lower = context(self.ctx.nvars, self.ctx.order - 1)
         out = np.empty((lower.ncoeff,) + self.c.shape[1:] + axis, dtype=self.c.dtype)
+        sup, support = self.support, 0
         for v in variables:
             dst = out[..., v] if axis else out
             for k, (src, fac) in enumerate(self.ctx.deriv_tables[v]):
-                np.multiply(self.c[src, ...], fac, out=dst[k, ...])
-        return Jet(lower, out, self.nt + len(axis))
+                if sup >> src & 1:
+                    np.multiply(self.c[src, ...], fac, out=dst[k, ...])
+                    support |= 1 << k
+                else:
+                    dst[k, ...] = 0
+        return Jet(lower, out, self.nt + len(axis), support)
 
     def truncated(self, order: int) -> "Jet":
         if order == self.ctx.order:
@@ -179,18 +241,19 @@ class Jet:
         if order > self.ctx.order:
             raise ValueError("cannot raise jet order by truncation")
         lower = context(self.ctx.nvars, order)
-        return Jet(lower, self.c[: lower.ncoeff].copy(), self.nt)
+        return Jet(lower, self.c[: lower.ncoeff].copy(), self.nt,
+                   self.support & lower.full)
 
     def conj(self):
-        return Jet(self.ctx, np.conj(self.c), self.nt)
+        return Jet(self.ctx, np.conj(self.c), self.nt, self.support)
 
     @property
     def real(self):
-        return Jet(self.ctx, np.ascontiguousarray(self.c.real), self.nt)
+        return Jet(self.ctx, np.ascontiguousarray(self.c.real), self.nt, self.support)
 
     @property
     def imag(self):
-        return Jet(self.ctx, np.ascontiguousarray(self.c.imag), self.nt)
+        return Jet(self.ctx, np.ascontiguousarray(self.c.imag), self.nt, self.support)
 
     # -- tensor axes ----------------------------------------------------
 
@@ -200,11 +263,12 @@ class Jet:
 
     def __getitem__(self, key):
         c = self.c[self._key(key)]
-        return Jet(self.ctx, c, c.ndim - (self.c.ndim - self.nt))
+        return self._view(c, c.ndim - (self.c.ndim - self.nt))
 
     def __setitem__(self, key, jet):
         view = self.c[self._key(key)]
         view[...] = _lift(jet.c, jet.nt, view.ndim - (self.c.ndim - self.nt))
+        self._cell[0] |= jet.support
 
     def __len__(self):
         if not self.nt:
@@ -218,9 +282,8 @@ class Jet:
         """Permute the tensor axes (reversed when no axes are given)."""
         nb = self.c.ndim - self.nt
         axes = axes or tuple(reversed(range(self.nt)))
-        return Jet(self.ctx, self.c.transpose(tuple(range(nb))
-                                              + tuple(nb + a for a in axes)),
-                   self.nt)
+        return self._view(self.c.transpose(tuple(range(nb))
+                                           + tuple(nb + a for a in axes)), self.nt)
 
     @property
     def T(self):
@@ -237,24 +300,24 @@ class Jet:
     def __add__(self, other):
         if isinstance(other, Jet):
             a, b, nt = self._aligned(other)
-            return Jet(self.ctx, a + b, nt)
+            return Jet(self.ctx, a + b, nt, self.support | other.support)
         arr = np.asarray(other)
         shape = np.broadcast_shapes(self.c.shape[1:], arr.shape)
         out = np.empty((self.ctx.ncoeff,) + shape,
                        dtype=np.result_type(self.c.dtype, arr.dtype))
         out[...] = self.c
         out[0] += arr
-        return Jet(self.ctx, out, self.nt)
+        return Jet(self.ctx, out, self.nt, self.support | 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet(self.ctx, -self.c, self.nt)
+        return Jet(self.ctx, -self.c, self.nt, self.support)
 
     def __sub__(self, other):
         if isinstance(other, Jet):
             a, b, nt = self._aligned(other)
-            return Jet(self.ctx, a - b, nt)
+            return Jet(self.ctx, a - b, nt, self.support | other.support)
         return self + (-np.asarray(other))
 
     def __rsub__(self, other):
@@ -262,12 +325,13 @@ class Jet:
 
     def __mul__(self, other):
         if not isinstance(other, Jet):
-            return Jet(self.ctx, self.c * other, self.nt)
+            return Jet(self.ctx, self.c * other, self.nt, self.support)
         a, b, nt = self._aligned(other)
         out = np.empty((self.ctx.ncoeff,) + np.broadcast_shapes(a.shape[1:], b.shape[1:]),
                        dtype=np.result_type(a.dtype, b.dtype))
-        _table_product(self.ctx, np.multiply, a, b, out)
-        return Jet(self.ctx, out, nt)
+        support = _table_product(self.ctx, np.multiply, a, self.support,
+                                 b, other.support, out)
+        return Jet(self.ctx, out, nt, support)
 
     __rmul__ = __mul__
 
@@ -279,7 +343,7 @@ class Jet:
 
     def __truediv__(self, other):
         if not isinstance(other, Jet):
-            return Jet(self.ctx, self.c / other, self.nt)
+            return Jet(self.ctx, self.c / other, self.nt, self.support)
         return self * other.reciprocal()
 
     def __rtruediv__(self, other):
@@ -307,12 +371,12 @@ class Jet:
         c0 = np.asarray(dvals[0])
         out = np.zeros(self.c.shape, dtype=np.result_type(c0.dtype, self.c.dtype))
         out[0] = c0
-        out = Jet(self.ctx, out, self.nt)
+        out = Jet(self.ctx, out, self.nt, 1)
         if self.ctx.order == 0:
             return out
         x = self.c.copy()
         x[0] = 0
-        x = term = Jet(self.ctx, x, self.nt)
+        x = term = Jet(self.ctx, x, self.nt, self.support & ~1)
         fact = 1.0
         for k in range(1, self.ctx.order + 1):
             fact *= k
@@ -364,16 +428,25 @@ class Jet:
         return f"Jet(order={self.ctx.order}, shape={self.shape}, value={self.value!r})"
 
 
-def _table_product(ctx, op, a, b, out):
-    """out[k] = sum of op(a[i], b[j]) over the table entries (k, i, j)."""
+def _table_product(ctx, op, a, sa, b, sb, out):
+    """out[k] = sum of op(a[i], b[j]) over the table entries (k, i, j).
+
+    Only the entries with i in the support ``sa`` of ``a`` and j in the
+    support ``sb`` of ``b`` run; the coefficients none reaches are zeroed.
+    Returns the support of ``out``.
+    """
+    entries, support, dead = ctx.live_table(sa, sb)
     # [k, ...] keeps a view where a scalar jet without batch would give a number
     tmp = np.empty_like(out[0, ...])
-    for k, i, j, first in ctx.mul_table:
+    for k, i, j, first in entries:
         if first:
             op(a[i, ...], b[j, ...], out=out[k, ...])
         else:
             op(a[i, ...], b[j, ...], out=tmp)
             out[k, ...] += tmp
+    for k in dead:
+        out[k, ...] = 0
+    return support
 
 
 def _matmul(a, b):
@@ -382,6 +455,10 @@ def _matmul(a, b):
     ctx = jet.ctx
     A, na = (a.c, a.nt) if isinstance(a, Jet) else (np.asarray(a), None)
     B, nb = (b.c, b.nt) if isinstance(b, Jet) else (np.asarray(b), None)
+    if na == 1 and nb is None and B.ndim == 2:
+        # a vector jet times a constant matrix: the coefficient rows over
+        # the batch form one stack of row vectors, so no promotion is needed
+        return Jet(ctx, A @ B, 1, jet.support)
     # promote 1-D operands to a row (left) or a column (right), as numpy does
     avec = (na if na is not None else A.ndim) == 1
     bvec = (nb if nb is not None else B.ndim) == 1
@@ -399,15 +476,17 @@ def _matmul(a, b):
         stack = np.broadcast_shapes(A.shape[1:-2], B.shape[1:-2])
         out = np.empty((ctx.ncoeff,) + stack + (A.shape[-2], B.shape[-1]),
                        dtype=np.result_type(A.dtype, B.dtype))
-        _table_product(ctx, _contraction(A, B), A, B, out)
+        support = _table_product(ctx, _contraction(A, B), A, a.support, B, b.support,
+                                 out)
     else:
         nt = na if na is not None else nb
         out = A @ B
+        support = jet.support
     if avec:
         out = out[..., 0, :]
     if bvec:
         out = out[..., 0]
-    return Jet(ctx, out, nt - avec - bvec)
+    return Jet(ctx, out, nt - avec - bvec, support)
 
 
 def _contraction(A, B):
@@ -435,7 +514,7 @@ def variables(ctx: JetContext, values) -> list[Jet]:
         c[0] = val
         if ctx.order >= 1:
             c[1 + v] = 1.0
-        out.append(Jet(ctx, c))
+        out.append(Jet(ctx, c, 0, (1 | 1 << (1 + v)) & ctx.full))
     return out
 
 
@@ -445,7 +524,7 @@ def constant(ctx: JetContext, value, batch_shape=()) -> Jet:
     c = np.zeros((ctx.ncoeff,) + tuple(batch_shape) + value.shape,
                  dtype=value.dtype if value.dtype.kind == "c" else float)
     c[0] = value
-    return Jet(ctx, c, value.ndim)
+    return Jet(ctx, c, value.ndim, 1)
 
 
 def stack(items) -> Jet:
@@ -457,7 +536,10 @@ def stack(items) -> Jet:
     items = [t if isinstance(t, Jet) else stack(t) for t in items]
     nt = max(t.nt for t in items) + 1
     cs = [_lift(t.c, t.nt, nt - 1) for t in items]
-    return Jet(items[0].ctx, np.stack(cs, axis=cs[0].ndim - nt + 1), nt)
+    support = 0
+    for t in items:
+        support |= t.support
+    return Jet(items[0].ctx, np.stack(cs, axis=cs[0].ndim - nt + 1), nt, support)
 
 
 def values(jet: Jet) -> np.ndarray:

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -228,6 +229,33 @@ def test_chart_domain_failure_exit_two_with_location(capsys):
     assert code == 2
     assert err.startswith("input error: DomainError")
     assert "grid index (" in err
+
+
+# exp(800 u1) overflows at u1 = 1 only, where x2 is inf - inf
+NON_FINITE = """surface overflow {
+  n = 2; m = 1;
+  params = [u1, u2, u3];
+  chart = [[0.0, 1.0], [-0.45, 0.55], [-0.45, 0.55]];
+}
+x[1] = u1;
+x[2] = exp(800 * u1) - exp(800 * u1);
+y[1] = u2;
+y[2] = 0.0;
+t = u3;
+"""
+
+
+@pytest.mark.parametrize("command", ["check", "invariants", "classify"])
+def test_non_finite_immersion_exit_two_with_location(tmp_path, capsys, command):
+    path = tmp_path / "overflow.srf"
+    path.write_text(NON_FINITE)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_cli(command, "--surface", str(path), "--grid", "5")
+    assert code == 2
+    assert capsys.readouterr().err == ("input error: DomainError: immersion or its "
+                                       "derivatives not finite at grid index (4, 0, 0)\n")
+    assert not caught
 
 
 def test_internal_error_exit_three(monkeypatch, capsys):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cartanheis import darboux, dsl, heis, invariants, psh
+from cartanheis import darboux, dsl, heis, invariants, jets, psh
 from cartanheis.jets import Jet
 from cartanheis.errors import NotCRInvariant, SingularPoint
 from conftest import analysis_for
@@ -273,3 +273,27 @@ def test_unknown_gauge_is_rejected():
         darboux.darboux_frame(imm, grid, policy="nuu")
     for name in ("'nuu'", "auto", "canonical", "nu", "reverse"):
         assert name in str(info.value)
+
+
+@pytest.mark.parametrize("moved", [False, True], ids=["plain", "moved"])
+def test_structural_zeros_skip_table_entries(monkeypatch, moved):
+    """heis_sub(1,2) depends on u3 only through t, so its frame columns carry
+    no monomial in u3, and a frame build runs at most half the table."""
+    visited = []
+    product = jets._table_product
+
+    def counting(ctx, op, a, sa, b, sb, out):
+        visited.append((len(ctx.live_table(sa, sb)[0]), len(ctx.mul_table)))
+        return product(ctx, op, a, sa, b, sb, out)
+
+    imm = dsl.builtin("heis_sub", 1, 2)
+    if moved:
+        imm = dsl.transform_immersion(imm, psh.random_element(2, np.random.default_rng(5)))
+    monkeypatch.setattr(jets, "_table_product", counting)
+    ff = darboux.FrameField(imm, darboux.ChartGrid(imm.chart, 5))
+    cols = ff.frame_cols
+    live = [cols.ctx.monomials[k] for k in range(cols.ctx.ncoeff)
+            if cols.support >> k & 1]
+    assert cols.ctx.ncoeff == 10 and len(live) == 6
+    assert all(alpha[2] == 0 for alpha in live)
+    assert 2 * sum(v for v, _ in visited) <= sum(d for _, d in visited)

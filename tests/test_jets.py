@@ -212,3 +212,74 @@ def test_tensor_axes_match_scalar_jets():
     assert np.array_equal(J.jacobian()[1, 0, :].c, jets.stack([w.deriv(0), w.deriv(1)]).c)
     assert np.array_equal(J.truncated(1)[0, 1].c, v.truncated(1).c)
     assert np.array_equal(J.gradient()[..., 1, 0], w.gradient())
+
+
+def _bits(mask):
+    return [k for k in range(mask.bit_length()) if mask >> k & 1]
+
+
+@st.composite
+def _operand_pairs(draw):
+    """Two jets with random structural supports, for ``*`` or ``@``."""
+    ctx = jets.context(draw(st.integers(1, 5)), draw(st.integers(0, 3)))
+    op = draw(st.sampled_from(["*", "@"]))
+    if op == "*":
+        shape = draw(st.sampled_from([(), (2,), (2, 3)]))
+        shapes = (shape, draw(st.sampled_from([shape, shape[1:]])))
+    else:
+        p, s, r = (draw(st.integers(1, 3)) for _ in range(3))
+        shapes = draw(st.sampled_from([((p, s), (s, r)), ((s,), (s, r)),
+                                       ((p, s), (s,)), ((s,), (s,))]))
+    batch = draw(st.sampled_from([(), (3,), (2, 2)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    operands = []
+    for shape in shapes:
+        flags = draw(st.lists(st.booleans(), min_size=ctx.ncoeff, max_size=ctx.ncoeff))
+        support = sum(1 << k for k, live in enumerate(flags) if live)
+        c = rng.standard_normal((ctx.ncoeff,) + batch + shape)
+        if draw(st.booleans()):
+            c = c + 1j * rng.standard_normal(c.shape)
+        c[[k for k, live in enumerate(flags) if not live]] = 0
+        operands.append(jets.Jet(ctx, c, len(shape), support))
+    return op, *operands
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_operand_pairs())
+def test_support_aware_products_match_the_full_table(pair):
+    op, a, b = pair
+    ctx = a.ctx
+    product = (lambda x, y: x * y) if op == "*" else (lambda x, y: x @ y)
+    got = product(a, b)
+    # the same coefficients with full support run the whole table
+    want = product(jets.Jet(ctx, a.c, a.nt), jets.Jet(ctx, b.c, b.nt))
+    assert got.shape == want.shape and got.c.dtype == want.c.dtype
+    assert np.array_equal(got.c, want.c)
+    for k in _bits(ctx.full & ~got.support):
+        assert not np.any(got.c[k])
+
+
+def test_view_sees_the_support_its_base_widens():
+    ctx = jets.context(2, 2)
+    u, v = jets.variables(ctx, [np.linspace(0.1, 1, 3), np.linspace(-1, 1, 3)])
+    M = jets.stack([[u, u], [u, u]])
+    row, col = M[1], M.T[:, 1]
+    assert row.support == col.support == u.support
+    M[1, 1] = v * v
+    assert row.support == col.support == M.support == u.support | (v * v).support
+    assert np.array_equal((row * col).c, (jets.stack([u * u, v * v * v * v])).c)
+
+
+def test_pruned_drops_zero_slices_and_keeps_non_finite_ones():
+    ctx = jets.context(2, 2)
+    c = np.zeros((ctx.ncoeff, 4, 2))
+    c[0] = 1.0
+    c[1, 3, 0] = np.nan
+    c[2, 0, 1] = np.inf
+    c[4, 2, 1] = -np.inf
+    c[5, 1, 0] = -0.0
+    jet = jets.Jet(ctx, c, 1)
+    pruned = jet.pruned()
+    assert pruned.support == 0b10111
+    assert jet.support == ctx.full
+    assert jets.Jet(ctx, c, 1, 0b110).pruned().support == 0b110
