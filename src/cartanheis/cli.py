@@ -74,8 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="JSON file holding a (2n+2)x(2n+2) matrix")
     dec.add_argument("--format", choices=("text", "structured"), default="text")
     dec.add_argument("--out", default=None)
-    dec.add_argument("--tol", action="append", default=[])
-    dec.add_argument("--seed", type=int, default=0)
     return p
 
 
@@ -317,11 +315,29 @@ def _dispatch(args, rep):
     raise ValueError(f"unknown command {args.command!r}")
 
 
+def _read_matrix(path):
+    """The matrix in a JSON file; a ValueError (an input error) unless it is
+    finite, square and of even size 2n+2 >= 4."""
+    import numpy as np
+    with open(path, "r", encoding="utf-8") as fh:
+        data = json.load(fh)
+    try:
+        mat = np.asarray(data, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"{path}: expected a matrix of numbers") from None
+    d = mat.shape[0] if mat.ndim == 2 else 0
+    if mat.shape != (d, d) or d % 2 or d < 4:
+        raise ValueError(f"{path}: expected a square matrix of even size "
+                         f"2n+2 >= 4, got shape {mat.shape}")
+    if not np.all(np.isfinite(mat)):
+        raise ValueError(f"{path}: matrix entries must be finite")
+    return mat
+
+
 def _cmd_decompose(args, rep):
     import numpy as np
     from . import psh
-    with open(args.matrix, "r", encoding="utf-8") as fh:
-        mat = np.asarray(json.load(fh), dtype=float)
+    mat = _read_matrix(args.matrix)
     rpt = rep.new_report("decompose", {"matrix": args.matrix})
     diag = psh.psh_validate(mat, 1e-8)
     rpt["verdicts"]["valid_group_element"] = diag.ok

@@ -187,7 +187,8 @@ class FrameAtPoint:
 
     ``cols`` holds the frame components of the columns; for a valid frame it
     is block-diagonal: a J-commuting rotation on the horizontal part and 1 in
-    the T-slot.
+    the T-slot.  ``psh.frame_to_matrix`` checks this through the group check
+    ``psh.psh_validate``.
     """
 
     base: HPoint
@@ -198,32 +199,6 @@ class FrameAtPoint:
         d = 2 * self.base.n + 1
         if self.cols.shape != (d, d):
             raise InvalidFrame("frame needs 2n+1 columns of 2n+1 components")
-
-    def column(self, a: int) -> HTangent:
-        return HTangent.from_frame(self.base, self.cols[:, a])
-
-    @property
-    def rotation(self) -> np.ndarray:
-        return self.cols[: 2 * self.base.n, : 2 * self.base.n]
-
-    def residuals(self) -> dict:
-        n = self.base.n
-        R = self.rotation
-        J0 = standard_j_block(n)
-        tcol = np.zeros(2 * n + 1)
-        tcol[-1] = 1.0
-        return {
-            "reeb_column": float(np.max(np.abs(self.cols[:, -1] - tcol))),
-            "horizontal": float(np.max(np.abs(self.cols[-1, : 2 * n]))),
-            "orthonormal": float(np.max(np.abs(R.T @ R - np.eye(2 * n)))),
-            "j_compat": float(np.max(np.abs(R @ J0 - J0 @ R))),
-        }
-
-    def validate(self, tol=1e-10) -> None:
-        res = self.residuals()
-        bad = {k: v for k, v in res.items() if v > tol}
-        if bad:
-            raise InvalidFrame(f"frame invariants violated: {bad}")
 
 
 def standard_frame(base: HPoint) -> FrameAtPoint:

@@ -181,6 +181,13 @@ class Jet:
         return Jet(self.ctx, self.c, self.nt,
                    self.support & sum(1 << int(k) for k in live))
 
+    def nilpotent_part(self) -> "Jet":
+        """This jet less its value: a copy with coefficient 0 zeroed and
+        dropped from the support."""
+        c = self.c.copy()
+        c[0] = 0
+        return Jet(self.ctx, c, self.nt, self.support & ~1)
+
     # -- basic views ---------------------------------------------------
 
     @property
@@ -374,9 +381,7 @@ class Jet:
         out = Jet(self.ctx, out, self.nt, 1)
         if self.ctx.order == 0:
             return out
-        x = self.c.copy()
-        x[0] = 0
-        x = term = Jet(self.ctx, x, self.nt, self.support & ~1)
+        x = term = self.nilpotent_part()
         fact = 1.0
         for k in range(1, self.ctx.order + 1):
             fact *= k

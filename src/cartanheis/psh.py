@@ -19,28 +19,11 @@ from .errors import DimensionMismatch, InvalidFrame
 from .heis import FrameAtPoint, HPoint, standard_j_block
 
 __all__ = [
-    "PSHElement", "AlgebraValue", "ComplexSlices", "identity", "frame_to_matrix",
-    "apply", "compose", "inverse", "decompose", "recompose", "psh_validate",
-    "algebra_validate", "complexify", "realify", "random_rotation", "random_element",
-    "left_translation", "rotation_about_t", "project", "exp", "exp_pair",
+    "PSHElement", "identity", "frame_to_matrix", "apply", "compose", "inverse",
+    "decompose", "recompose", "psh_validate", "algebra_validate",
+    "random_rotation", "random_element", "left_translation", "rotation_about_t",
+    "exp", "exp_pair",
 ]
-
-
-def _coord_frame_matrix(p: HPoint) -> np.ndarray:
-    """Coordinate components of (e_1..e_2n, T) at p, as columns."""
-    n = p.n
-    E = np.eye(2 * n + 1)
-    E[2 * n, :n] = p.y
-    E[2 * n, n:2 * n] = -p.x
-    return E
-
-
-def _coord_frame_inverse(p: HPoint) -> np.ndarray:
-    n = p.n
-    Ei = np.eye(2 * n + 1)
-    Ei[2 * n, :n] = -p.y
-    Ei[2 * n, n:2 * n] = p.x
-    return Ei
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,10 +54,14 @@ def identity(n: int) -> PSHElement:
 
 
 def left_translation(p: HPoint) -> PSHElement:
-    mat = np.eye(2 * p.n + 2)
+    """Left translation by p; columns 1.. hold the coordinate components of
+    the left-invariant frame (e_1..e_2n, T) at p."""
+    n = p.n
+    mat = np.eye(2 * n + 2)
     mat[1:, 0] = p.coords
-    mat[1:, 1:] = _coord_frame_matrix(p)
-    return PSHElement(p.n, mat)
+    mat[2 * n + 1, 1:n + 1] = p.y
+    mat[2 * n + 1, n + 1:2 * n + 1] = -p.x
+    return PSHElement(n, mat)
 
 
 def rotation_about_t(n: int, R: np.ndarray) -> PSHElement:
@@ -88,19 +75,14 @@ def rotation_about_t(n: int, R: np.ndarray) -> PSHElement:
 
 
 def frame_to_matrix(F: FrameAtPoint) -> PSHElement:
-    """Matrix of the unique symmetry carrying the standard frame at 0 to F."""
-    F.validate(1e-8)
-    n = F.base.n
-    mat = np.eye(2 * n + 2)
-    mat[1:, 0] = F.base.coords
-    mat[1:, 1:] = _coord_frame_matrix(F.base) @ F.cols
-    return PSHElement(n, mat)
-
-
-def matrix_to_frame(g: PSHElement) -> FrameAtPoint:
-    p = g.translation
-    cols = _coord_frame_inverse(p) @ g.mat[1:, 1:]
-    return FrameAtPoint(p, cols)
+    """Matrix of the unique symmetry carrying the standard frame at 0 to F;
+    InvalidFrame if F is not an adapted orthonormal frame within 1e-8."""
+    mat = left_translation(F.base).mat
+    mat[1:, 1:] = mat[1:, 1:] @ F.cols
+    diag = psh_validate(mat, 1e-8)
+    if not diag.ok:
+        raise InvalidFrame(f"frame invariants violated: {diag.residuals}")
+    return PSHElement(F.base.n, mat)
 
 
 def apply(g: PSHElement, q: HPoint) -> HPoint:
@@ -108,11 +90,6 @@ def apply(g: PSHElement, q: HPoint) -> HPoint:
         raise DimensionMismatch("dimension mismatch in group action")
     v = g.mat @ np.concatenate([[1.0], q.coords])
     return HPoint.from_coords(g.n, v[1:])
-
-
-def push_forward(g: PSHElement, v: heis.HTangent) -> heis.HTangent:
-    w = g.mat[1:, 1:] @ v.coord
-    return heis.HTangent.from_coord(apply(g, v.base), w)
 
 
 def compose(g: PSHElement, h: PSHElement) -> PSHElement:
@@ -143,32 +120,6 @@ def recompose(p: HPoint, R: np.ndarray) -> PSHElement:
     return left_translation(p) @ rotation_about_t(p.n, R)
 
 
-def project(mats):
-    """Nearest group elements to a stack of near-group matrices (..., D, D).
-
-    The translation column is kept; the horizontal block is averaged with
-    its J-conjugate and replaced by its orthogonal polar factor, and the
-    T-row is rebuilt from the translation.  Returns the projected stack and
-    the largest entry change of each matrix.
-    """
-    mats = np.asarray(mats, dtype=float)
-    n = (mats.shape[-1] - 2) // 2
-    J0 = standard_j_block(n)
-    R = mats[..., 1:2 * n + 1, 1:2 * n + 1]
-    R = 0.5 * (R + J0.T @ R @ J0)       # enforce commutation with J
-    U, _, Vt = np.linalg.svd(R)
-    R = U @ Vt
-    yx = np.concatenate([mats[..., n + 1:2 * n + 1, 0],
-                         -mats[..., 1:n + 1, 0]], axis=-1)
-    out = np.zeros_like(mats)
-    out[..., 0, 0] = 1.0
-    out[..., 1:, 0] = mats[..., 1:, 0]
-    out[..., 1:2 * n + 1, 1:2 * n + 1] = R
-    out[..., 2 * n + 1, 1:2 * n + 1] = np.einsum("...i,...ij->...j", yx, R)
-    out[..., -1, -1] = 1.0
-    return out, np.max(np.abs(out - mats), axis=(-2, -1))
-
-
 @dataclass
 class Diagnostics:
     residuals: dict
@@ -183,80 +134,71 @@ class Diagnostics:
         return max(self.residuals.values())
 
 
-def psh_validate(mat, tol=1e-10) -> Diagnostics:
-    """Per-invariant residuals of membership in the matrix group."""
+def _max_abs(x) -> float:
+    return float(np.max(np.abs(x)))
+
+
+def _check_stack(mat):
     mat = np.asarray(mat, dtype=float)
-    d = mat.shape[0]
-    if mat.shape != (d, d) or d % 2 or d < 4:
-        raise DimensionMismatch("expected a square matrix of size 2n+2")
-    n = (d - 2) // 2
-    first_row = np.zeros(d)
-    first_row[0] = 1.0
-    res = {"first_row": float(np.max(np.abs(mat[0] - first_row)))}
-    tcol = np.zeros(d)
-    tcol[-1] = 1.0
-    res["reeb_column"] = float(np.max(np.abs(mat[:, -1] - tcol)))
-    p = HPoint.from_coords(n, mat[1:, 0])
-    cols = _coord_frame_inverse(p) @ mat[1:, 1:]
-    R = cols[: 2 * n, : 2 * n]
+    d = mat.shape[-1] if mat.ndim >= 2 else 0
+    if mat.shape[-2:] != (d, d) or d % 2 or d < 4:
+        raise DimensionMismatch("expected square matrices of size 2n+2")
+    return mat, (d - 2) // 2
+
+
+def psh_validate(mat, tol=1e-10) -> Diagnostics:
+    """Residuals of membership in the matrix group, each the largest over a
+    stack of matrices (..., 2n+2, 2n+2).
+
+    The rotation block R must be orthogonal, commute with J and have
+    determinant 1; the first row and last column are those of the identity,
+    and the T-row is tied to the translation so that the frame columns are
+    horizontal.
+    """
+    mat, n = _check_stack(mat)
+    d = 2 * n + 2
+    res = {"first_row": _max_abs(mat[..., 0, :] - np.eye(d)[0]),
+           "reeb_column": _max_abs(mat[..., :, -1] - np.eye(d)[-1])}
+    x, y = mat[..., 1:n + 1, 0], mat[..., n + 1:2 * n + 1, 0]
+    R = mat[..., 1:2 * n + 1, 1:2 * n + 1]
+    # T-components of the horizontal frame columns
+    vt = (mat[..., 2 * n + 1, 1:2 * n + 1]
+          - np.einsum("...i,...ij->...j", y, R[..., :n, :])
+          + np.einsum("...i,...ij->...j", x, R[..., n:, :]))
     J0 = standard_j_block(n)
-    res["horizontal"] = float(np.max(np.abs(cols[2 * n, : 2 * n])))
-    res["orthonormal"] = float(np.max(np.abs(R.T @ R - np.eye(2 * n))))
-    res["j_compat"] = float(np.max(np.abs(R @ J0 - J0 @ R)))
-    res["orientation"] = float(abs(np.linalg.det(R) - 1.0))
+    res["horizontal"] = _max_abs(vt)
+    res["orthonormal"] = _max_abs(np.swapaxes(R, -1, -2) @ R - np.eye(2 * n))
+    res["j_compat"] = _max_abs(R @ J0 - J0 @ R)
+    res["orientation"] = _max_abs(np.linalg.det(R) - 1.0)
     return Diagnostics(res, tol)
 
 
 # ---------------------------------------------------------------------------
 # the Lie algebra psh(n)
+#
+# An algebra value has the same (2n+2)x(2n+2) layout as a group element
+# (1-based frame indices):
+#   column 0 rows 1..2n+1 : translation part (w^1..w^n, w^{n+1}..w^{2n}, w^{2n+1})
+#   rows 1..2n, cols 1..2n: rotation part with entry [row b, col a] = w_a{}^b
+#   row 2n+1, cols 1..2n  : (w^{n+1}..w^{2n}, -w^1..-w^n), tied to the
+#                           translation part
+#   first row and last column: zero.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class AlgebraValue:
-    """An element of the Lie algebra, in the same (2n+2)x(2n+2) layout.
-
-    Block structure (1-based frame indices):
-      column 0 rows 1..2n+1 : translation part (w^1..w^n, w^{n+1}..w^{2n}, w^{2n+1})
-      rows 1..2n, cols 1..2n: rotation part with entry [row b, col a] = w_a{}^b
-      row 2n+1, cols 1..2n  : (w^{n+1}..w^{2n}, -w^1..-w^n), tied to the
-                              translation part
-      first row and last column: zero.
-    """
-
-    n: int
-    mat: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "mat", np.asarray(self.mat))
-        d = 2 * self.n + 2
-        if self.mat.shape != (d, d):
-            raise DimensionMismatch(f"matrix must be {d}x{d} for n={self.n}")
-
-    @property
-    def translation(self) -> np.ndarray:
-        return self.mat[1:, 0]
-
-    @property
-    def rotation(self) -> np.ndarray:
-        return self.mat[1:2 * self.n + 1, 1:2 * self.n + 1]
-
-
-def zero_algebra(n: int) -> AlgebraValue:
-    return AlgebraValue(n, np.zeros((2 * n + 2, 2 * n + 2)))
-
-
-def algebra_validate(v: AlgebraValue, tol=1e-10) -> Diagnostics:
-    n = v.n
-    m = v.mat
-    res = {"first_row": float(np.max(np.abs(m[0]))),
-           "last_column": float(np.max(np.abs(m[:, -1])))}
-    W = v.rotation
-    res["antisymmetric"] = float(np.max(np.abs(W + W.T)))
+def algebra_validate(mat, tol=1e-10) -> Diagnostics:
+    """Residuals of membership in the Lie algebra, each the largest over a
+    stack of matrices (..., 2n+2, 2n+2)."""
+    mat, n = _check_stack(mat)
+    res = {"first_row": _max_abs(mat[..., 0, :]),
+           "last_column": _max_abs(mat[..., :, -1])}
+    W = mat[..., 1:2 * n + 1, 1:2 * n + 1]
+    res["antisymmetric"] = _max_abs(W + np.swapaxes(W, -1, -2))
     J0 = standard_j_block(n)
-    res["j_compat"] = float(np.max(np.abs(W @ J0 - J0 @ W)))
-    bottom = m[2 * n + 1, 1:2 * n + 1]
-    tied = np.concatenate([m[n + 1:2 * n + 1, 0], -m[1:n + 1, 0]])
-    res["bottom_row"] = float(np.max(np.abs(bottom - tied)))
+    res["j_compat"] = _max_abs(W @ J0 - J0 @ W)
+    bottom = mat[..., 2 * n + 1, 1:2 * n + 1]
+    tied = np.concatenate([mat[..., n + 1:2 * n + 1, 0], -mat[..., 1:n + 1, 0]],
+                          axis=-1)
+    res["bottom_row"] = _max_abs(bottom - tied)
     return Diagnostics(res, tol)
 
 
@@ -323,51 +265,6 @@ def exp(X):
     """Group exponential of a stack of algebra values: the first factor of
     ``exp_pair``."""
     return exp_pair(X)[0]
-
-
-@dataclass(frozen=True, eq=False)
-class ComplexSlices:
-    """Complex view of an algebra value: contact scalar, coframe vector, connection."""
-
-    n: int
-    theta: complex
-    vartheta: np.ndarray    # theta^b = w^b + i w^{n+b}
-    conn: np.ndarray        # conn[b-1, g-1] = theta_g{}^b = w_g{}^b + i w_g{}^{n+b}
-
-    def skew_hermitian_residual(self) -> float:
-        return float(np.max(np.abs(self.conn + self.conn.conj().T)))
-
-
-def complexify(v: AlgebraValue, tol=1e-8) -> ComplexSlices:
-    diag = algebra_validate(v, tol)
-    if not diag.ok:
-        raise InvalidFrame(f"not a Lie-algebra value: {diag.residuals}")
-    n = v.n
-    m = v.mat
-    theta = complex(m[2 * n + 1, 0])
-    vartheta = m[1:n + 1, 0] + 1j * m[n + 1:2 * n + 1, 0]
-    conn = m[1:n + 1, 1:n + 1] + 1j * m[n + 1:2 * n + 1, 1:n + 1]
-    return ComplexSlices(n, theta, vartheta, conn)
-
-
-def realify(s: ComplexSlices, tol=1e-8) -> AlgebraValue:
-    n = s.n
-    res = float(np.max(np.abs(s.conn + s.conn.conj().T))) if n else 0.0
-    if res > tol:
-        raise InvalidFrame(f"connection slice not skew-hermitian (residual {res:.2e})")
-    m = np.zeros((2 * n + 2, 2 * n + 2))
-    m[1:n + 1, 0] = s.vartheta.real
-    m[n + 1:2 * n + 1, 0] = s.vartheta.imag
-    m[2 * n + 1, 0] = s.theta.real
-    W1 = s.conn.real
-    W3 = s.conn.imag
-    m[1:n + 1, 1:n + 1] = W1
-    m[n + 1:2 * n + 1, 1:n + 1] = W3
-    m[1:n + 1, n + 1:2 * n + 1] = -W3
-    m[n + 1:2 * n + 1, n + 1:2 * n + 1] = W1
-    m[2 * n + 1, 1:n + 1] = s.vartheta.imag
-    m[2 * n + 1, n + 1:2 * n + 1] = -s.vartheta.real
-    return AlgebraValue(n, m)
 
 
 # ---------------------------------------------------------------------------

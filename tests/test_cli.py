@@ -120,6 +120,33 @@ def test_decompose_command(tmp_path, capsys):
     bad[0, 0] = 2.0
     path.write_text(json.dumps(bad.tolist()))
     assert run_cli("decompose", "--matrix", str(path)) == 1
+    # decompose reads no tolerance and no seed, so it takes neither option
+    for extra in (["--tol", "flat=1e-3"], ["--seed", "3"]):
+        with pytest.raises(SystemExit) as info:
+            run_cli("decompose", "--matrix", str(path), *extra)
+        assert info.value.code == 2
+
+
+@pytest.mark.parametrize("text, reason", [
+    ("[[1, 0], [0, 1]]", "shape (2, 2)"),
+    (json.dumps(np.eye(3).tolist()), "shape (3, 3)"),
+    (json.dumps(np.zeros((5, 4)).tolist()), "shape (5, 4)"),
+    ("[1, 0, 0, 0]", "shape (4,)"),
+    ("[]", "shape (0,)"),
+    ("[[1, 0, 0, 0], [0, 1, 0]]", "matrix of numbers"),
+    (json.dumps(np.eye(4).tolist()).replace("0.0", "NaN", 1), "finite"),
+    (json.dumps(np.eye(4).tolist()).replace("0.0", "Infinity", 1), "finite"),
+], ids=["2x2", "3x3", "5x4", "vector", "empty", "ragged", "nan", "inf"])
+def test_decompose_rejects_bad_matrix_file(text, reason, tmp_path, capsys):
+    path = tmp_path / "g.json"
+    path.write_text(text)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_cli("decompose", "--matrix", str(path))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("input error:") and reason in err, err
+    assert "Warning" not in err and not caught
 
 
 def test_grid_validation(capsys):

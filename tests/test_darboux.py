@@ -58,7 +58,7 @@ def test_reeb_and_nu_sphere_formula():
 def test_heis_sub_frames_are_standard(heis_sub12):
     _, grid, ff, _ = heis_sub12
     F = ff.frame_at((3, 1, 5))
-    F.validate(1e-12)
+    assert psh.psh_validate(psh.frame_to_matrix(F).mat, 1e-12).ok
     # tangent legs e1, Je1 are the first and third standard directions,
     # the normal pair is the second and fourth
     assert np.allclose(np.abs(F.cols), np.eye(5)[:, [0, 1, 2, 3, 4]], atol=1e-13)
@@ -66,8 +66,9 @@ def test_heis_sub_frames_are_standard(heis_sub12):
 
 def test_frames_validate_everywhere(sphere_nu, ellipsoid_nu):
     for _, grid, ff, _ in (sphere_nu, ellipsoid_nu):
-        for idx in [(0,) * 3, (3, 2, 1), tuple(c - 1 for c in grid.counts)]:
-            ff.frame_at(idx).validate(1e-10)
+        frames = np.moveaxis(ff.matrix_values(), (0, 1), (-2, -1))
+        assert frames.shape == grid.shape + (6, 6)
+        assert psh.psh_validate(frames, 1e-10).ok
 
 
 def test_nu_gauge_normal_leg(sphere_nu):
@@ -297,3 +298,42 @@ def test_structural_zeros_skip_table_entries(monkeypatch, moved):
     assert cols.ctx.ncoeff == 10 and len(live) == 6
     assert all(alpha[2] == 0 for alpha in live)
     assert 2 * sum(v for v, _ in visited) <= sum(d for _, d in visited)
+
+
+def test_chart_solve_nilpotent_part_has_no_constant(monkeypatch):
+    """The nilpotent part N = A - A(0) that darboux._solve iterates with has
+    an exactly zero constant coefficient and bit 0 clear in its support, so
+    a product N @ X with a jet X skips the (0, j) table entries; the 5^3
+    frame is the one a full-support N gives."""
+    imm = dsl.builtin("sphere", 2, 1.0)
+    grid = darboux.ChartGrid(imm.chart, 5)
+    solve, matmul = darboux._solve, jets._matmul
+    inside, factors = [False], []
+
+    def tracked_solve(A, B):
+        inside[0] = True
+        try:
+            return solve(A, B)
+        finally:
+            inside[0] = False
+
+    def tracked_matmul(a, b):
+        if inside[0] and isinstance(a, Jet):
+            factors.append((a.support & 1, bool(np.any(a.c[0]))))
+        return matmul(a, b)
+
+    monkeypatch.setattr(darboux, "_solve", tracked_solve)
+    monkeypatch.setattr(jets, "_matmul", tracked_matmul)
+    ff = darboux.FrameField(imm, grid)
+    builds = [(ff.frame_cols, ff.charts)]
+    assert factors and all(f == (0, False) for f in factors)
+
+    part = Jet.nilpotent_part
+    monkeypatch.setattr(Jet, "nilpotent_part", lambda self: Jet(
+        self.ctx, part(self).c, self.nt, self.support))
+    factors.clear()
+    ff = darboux.FrameField(imm, grid)
+    builds.append((ff.frame_cols, ff.charts))
+    assert factors and all(f == (1, False) for f in factors)
+    for new, full in zip(*builds):
+        assert np.array_equal(new.c, full.c)

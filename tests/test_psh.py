@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cartanheis import heis, psh
-from cartanheis.errors import InvalidFrame
+from cartanheis.errors import DimensionMismatch
 
 
 def test_identity_and_frame_to_matrix():
@@ -70,13 +70,16 @@ def test_psh_validate_diagnostics():
     bad[0, 0] = 2.0
     d = psh.psh_validate(bad)
     assert not d.ok and np.isclose(d.residuals["first_row"], 1.0)
-
-
-def test_matrix_to_frame_roundtrip(rng):
-    g = psh.random_element(2, rng)
-    F = psh.matrix_to_frame(g)
-    F.validate(1e-10)
-    assert np.allclose(psh.frame_to_matrix(F).mat, g.mat, atol=1e-12)
+    # a stack is checked as a whole: each residual is the worst matrix's
+    rng = np.random.default_rng(2)
+    stack = np.stack([psh.random_element(2, rng).mat for _ in range(4)])
+    assert psh.psh_validate(stack).worst < 1e-14
+    stack[2] = bad
+    d = psh.psh_validate(stack.reshape(2, 2, 6, 6))
+    assert not d.ok and np.isclose(d.residuals["first_row"], 1.0)
+    assert d.residuals["orthonormal"] < 1e-14
+    with pytest.raises(DimensionMismatch):
+        psh.psh_validate(np.eye(5))
 
 
 def _random_algebra(n, rng):
@@ -92,41 +95,34 @@ def _random_algebra(n, rng):
     m[1:, 0] = rng.standard_normal(2 * n + 1)
     m[2 * n + 1, 1:n + 1] = m[n + 1:2 * n + 1, 0]
     m[2 * n + 1, n + 1:2 * n + 1] = -m[1:n + 1, 0]
-    return psh.AlgebraValue(n, m)
+    return m
 
 
 def test_algebra_validate():
-    assert psh.algebra_validate(psh.zero_algebra(2)).ok
-    v = _random_algebra(2, np.random.default_rng(5))
+    assert psh.algebra_validate(np.zeros((6, 6))).ok
+    rng = np.random.default_rng(5)
+    v = _random_algebra(2, rng)
     assert psh.algebra_validate(v).ok
-    bad = v.mat.copy()
+    bad = v.copy()
     bad[1, 2] = bad[2, 1] = 1.0  # symmetric entry violates antisymmetry
-    d = psh.algebra_validate(psh.AlgebraValue(2, bad))
+    d = psh.algebra_validate(bad)
     assert not d.ok and np.isclose(d.residuals["antisymmetric"], 2.0)
-
-
-def test_complexify_realify_roundtrip(rng):
-    v = _random_algebra(3, rng)
-    s = psh.complexify(v)
-    assert s.skew_hermitian_residual() < 1e-15
-    v2 = psh.realify(s)
-    assert np.max(np.abs(v2.mat - v.mat)) == 0.0
-    # single nonzero translation maps to the right complex slot
-    m = np.zeros((8, 8))
-    m[1, 0] = 1.0
-    m[7, 4] = -1.0
-    s = psh.complexify(psh.AlgebraValue(3, m))
-    assert s.vartheta[0] == 1.0 and s.theta == 0.0
-    with pytest.raises(InvalidFrame):
-        bad = np.zeros((6, 6))
-        bad[1, 1] = 1.0  # diagonal rotation entry breaks antisymmetry
-        psh.complexify(psh.AlgebraValue(2, bad))
+    # a stack is checked as a whole: each residual is the worst matrix's
+    stack = np.stack([[_random_algebra(2, rng) for _ in range(3)]
+                      for _ in range(2)])
+    assert psh.algebra_validate(stack).ok
+    stack[1, 2] = bad
+    d = psh.algebra_validate(stack)
+    assert not d.ok and np.isclose(d.residuals["antisymmetric"], 2.0)
+    assert d.residuals["bottom_row"] == 0.0
+    with pytest.raises(DimensionMismatch):
+        psh.algebra_validate(np.zeros((2, 5, 5)))
 
 
 def test_exp_of_translation_generator_is_quadratic(rng):
     # X^3 = 0, so the series stops at I + X + X^2/2; norms up to 30 also
     # exercise the squaring phase
-    X = np.stack([s * _random_algebra(2, rng).mat for s in (0.01, 0.5, 3.0, 30.0)])
+    X = np.stack([s * _random_algebra(2, rng) for s in (0.01, 0.5, 3.0, 30.0)])
     X[:, 1:5, 1:5] = 0.0          # drop the rotation part
     E = psh.exp(X)
     exact = np.eye(6) + X + X @ X / 2
@@ -148,7 +144,7 @@ def test_exp_of_rotation_generator_is_cos_sin():
 
 def test_exp_lands_in_the_group(rng):
     for n in (1, 2, 3):
-        X = np.stack([s * _random_algebra(n, rng).mat
+        X = np.stack([s * _random_algebra(n, rng)
                       for s in np.geomspace(1e-3, 5.0, 12)])
         E = psh.exp(X)
         assert E.shape == X.shape
@@ -173,7 +169,7 @@ def _horner18_exp(X):
 def _algebra_batch(n, rng, norms):
     out = []
     for t in norms:
-        m = _random_algebra(n, rng).mat
+        m = _random_algebra(n, rng)
         out.append(t * m / np.max(np.sum(np.abs(m), axis=0)))
     return np.stack(out)
 

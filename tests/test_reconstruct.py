@@ -139,12 +139,13 @@ def test_path_independence(rng):
 
 
 def test_slab_sweep_matches_pointwise_sweep():
-    # reference: one RK4 edge per lattice point in lexicographic order, the
-    # predecessor differing in the last nonzero axis
+    # reference: one Magnus step per substep and lattice point in
+    # lexicographic order, the predecessor differing in the last nonzero axis
     _, grid, ff, an = analysis_for("builtin:ellipsoid(2,1,1.3)", [4, 5, 3], "nu")
     eta = _eta_of(an)
     sol = reconstruct.integrate_frame(eta, ff.psh_at((0, 0, 0)), substeps=2,
                                       stencil=6, check_integrability=False)
+    nodes = 0.5 + np.array([-1.0, 1.0]) * np.sqrt(3.0) / 6.0
     ref = np.zeros_like(sol.frames)
     ref[0, 0, 0] = ff.psh_at((0, 0, 0)).mat
     for idx in np.ndindex(*grid.shape):
@@ -154,11 +155,13 @@ def test_slab_sweep_matches_pointwise_sweep():
         prev = idx[:ax] + (idx[ax] - 1,) + idx[ax + 1:]
         line = np.moveaxis(eta.slots[ax], (0, 1), (-2, -1))[
             idx[:ax] + (slice(None),) + idx[ax + 1:]]
-        s0 = idx[ax] - 1 + np.array([0.0, 0.5])
-        pos = (s0[:, None] + np.array([0.0, 0.5, 1.0]) / 2).ravel()
-        w = reconstruct._interpolate(line, pos, 6).reshape(2, 3, 6, 6)
-        F = reconstruct._rk4_edge(ref[prev], w, grid.spacing[ax] / 2)
-        ref[idx] = psh.project(F)[0]
+        hh = grid.spacing[ax] / 2
+        F = ref[prev]
+        for s0 in idx[ax] - 1 + np.array([0.0, 0.5]):
+            A1, A2 = reconstruct._interpolate(line, s0 + nodes / 2, 6)
+            F = F @ psh.exp(0.5 * hh * (A1 + A2)
+                            + np.sqrt(3.0) * hh ** 2 / 12 * (A1 @ A2 - A2 @ A1))
+        ref[idx] = F
     assert np.max(np.abs(sol.frames - ref)) < 1e-14
 
 
@@ -240,9 +243,9 @@ def test_projection_keeps_group_structure(rng):
 
 @pytest.mark.parametrize("scale", [40.0, 1e9])
 def test_projection_drift_guard(scale):
-    # integrating a wildly non-integrable form without the gate must trip the
-    # reprojection-drift alarm rather than return silently corrupted frames;
-    # at 1e9 the RK4 steps overflow, which must fail the same way
+    # integrating a form that is not algebra-valued without the gate must
+    # trip the group-residual alarm rather than return silently corrupted
+    # frames; at 1e9 the steps overflow, which must fail the same way
     grid = darboux.ChartGrid([(-1, 1)] * 2 + [(-1, 1)], [5, 5, 3])
     rng = np.random.default_rng(0)
     slots = rng.normal(scale=scale, size=(3, 6, 6) + grid.shape)
@@ -250,6 +253,22 @@ def test_projection_drift_guard(scale):
     with pytest.raises(ProjectionDrift):
         reconstruct.integrate_frame(eta, psh.identity(2),
                                     check_integrability=False)
+
+
+def test_drift_is_the_group_residual_of_the_frames():
+    # an algebra-valued form keeps the frames in the group up to rounding,
+    # and drift is their worst group-membership residual
+    _, _, ff, an = analysis_for("builtin:sphere(2,1)", 5)
+    sol = reconstruct.integrate_frame(_eta_of(an), ff.psh_at((0, 0, 0)))
+    assert sol.drift == psh.psh_validate(sol.frames).worst
+    assert sol.drift < 1e-13
+    # a form that is not algebra-valued but too small to overflow fails on
+    # the residual itself
+    grid = darboux.ChartGrid([(-1, 1)] * 3, [5, 5, 3])
+    slots = np.random.default_rng(0).normal(scale=0.5, size=(3, 6, 6) + grid.shape)
+    with pytest.raises(ProjectionDrift, match="group-membership residual"):
+        reconstruct.integrate_frame(reconstruct.EtaForm(2, grid, slots),
+                                    psh.identity(2), check_integrability=False)
 
 
 @pytest.mark.parametrize("stencil", [4, 6])
