@@ -116,13 +116,28 @@ def _parse_grid(text, d):
     return parts
 
 
+def _check_args(args):
+    """Reject a negative --seed, and an --out that is a directory or lies in
+    a missing one, before anything runs (ValueError, an input error)."""
+    if getattr(args, "seed", 0) < 0:
+        raise ValueError(f"--seed takes a non-negative integer, got {args.seed}")
+    out = args.out
+    if out and (os.path.isdir(out) or not os.path.isdir(os.path.dirname(out) or ".")):
+        raise ValueError(f"--out {out}: not a file in an existing directory")
+
+
 def _emit(rpt, args, rep):
+    """The serialised report, written to --out (a failed write is an input
+    error) or returned for stdout."""
     blob = rep.serialize(rpt, args.format)
-    if args.out:
+    if not args.out:
+        return blob
+    try:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(blob)
-    else:
-        sys.stdout.write(blob)
+    except OSError as e:
+        raise ValueError(f"--out {args.out}: {e.strerror or e}") from None
+    return ""
 
 
 def main(argv=None) -> int:
@@ -134,7 +149,9 @@ def main(argv=None) -> int:
                          NotCRInvariant, NotFlat, NotImmersed, NotTorsionFree,
                          SingularPoint, UnknownBuiltin, WrongClass)
     try:
+        _check_args(args)
         rpt, code = _dispatch(args, rep)
+        blob = _emit(rpt, args, rep)
     except DslError as e:
         print(f"input error: {e}", file=sys.stderr)
         return 2
@@ -154,7 +171,7 @@ def main(argv=None) -> int:
     except Exception as e:  # a bug: report it without a traceback
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return 3
-    _emit(rpt, args, rep)
+    sys.stdout.write(blob)
     return code
 
 

@@ -32,7 +32,7 @@ import numpy as np
 from . import dsl, heis, jets, psh
 from .errors import (DimensionMismatch, DomainError, NotCRInvariant, SingularPoint,
                      WrongClass)
-from .heis import FrameAtPoint, HPoint
+from .heis import HPoint
 
 __all__ = ["ChartGrid", "GridBlock", "FramePlan", "plan_frame", "FrameField",
            "MCForm", "darboux_frame", "darboux_derivative", "contact_intersection",
@@ -101,9 +101,6 @@ class ChartGrid:
     @property
     def npoints(self):
         return int(np.prod(self.shape))
-
-    def point(self, idx):
-        return np.array([ax[i] for ax, i in zip(self.axes, idx)])
 
     def flat_index(self, flat):
         return np.unravel_index(flat, self.shape)
@@ -298,7 +295,7 @@ class FramePlan:
                 "normal_candidates": names}
 
 
-def _frame_legs(XiF, grid, n, m, policy, tol_singular, tol_cr, plan=None):
+def _frame_legs(XiF, grid, n, m, policy, mode, plan=None):
     """The legs of a frame from its chart tangents ``XiF`` (``_chart_tangents``).
 
     Returns the tangent legs (e_1, Je_1, ...), That, nu, |nu|^2, the chart
@@ -307,8 +304,10 @@ def _frame_legs(XiF, grid, n, m, policy, tol_singular, tol_cr, plan=None):
     read from it.  Without one, each is made here from the values over the
     batch, the value checks run (the contact singularity, the pivot, CR
     invariance, the tangent and normal frames and the nu-gauge guard), and
-    the choices come back as the batch's plan.
+    the choices come back as the batch's plan.  The checks use the gates
+    of ``mode`` (``_tolerances``).
     """
+    tol_singular, tol_cr = _tolerances(mode)
     d = 2 * m + 1
     N = 2 * n + 1
     theta = XiF[2 * n]
@@ -427,12 +426,12 @@ def _check_policy(policy):
                          f"accepted: {', '.join(POLICIES)}")
 
 
-def _tolerances(mode, tol_singular, tol_cr):
-    """The chart-validity gates; finite-difference jets carry O(step^2..4)
-    truncation error, so in FD mode they relax by the documented factor."""
+def _tolerances(mode):
+    """The chart-validity gates TOL_SINGULAR and TOL_CR; FD jets carry
+    O(step^2..4) truncation error, so in FD mode they relax by 1e4."""
     if mode == "fd":
-        return tol_singular * 1e4, tol_cr * 1e4
-    return tol_singular, tol_cr
+        return TOL_SINGULAR * 1e4, TOL_CR * 1e4
+    return TOL_SINGULAR, TOL_CR
 
 
 def _finite(X, grid):
@@ -489,7 +488,7 @@ def plan_frame(imm, grid, policy="canonical", mode="ad") -> FramePlan:
         dsl.fd_sample(imm.values, imm.nparams, grid.points, FRAME_ORDER,
                       [0.5 * s for s in grid.spacing])
     legs = _frame_legs(_chart_tangents(X, X.truncated(0)), grid, imm.n, imm.m, policy,
-                       *_tolerances(mode, TOL_SINGULAR, TOL_CR))
+                       mode)
     return replace(legs[-1], condition=coframe_condition(legs[4]))
 
 
@@ -524,11 +523,8 @@ class FrameField:
     Je_1..Je_m and the induced Reeb field, (2m+1, d).
     """
 
-    def __init__(self, imm, grid, policy="canonical", mode="ad", order=FRAME_ORDER,
-                 normal_phases=None, tol_singular=TOL_SINGULAR, tol_cr=TOL_CR,
+    def __init__(self, imm, grid, policy="canonical", mode="ad", normal_phases=None,
                  plan=None):
-        if order < 2:
-            raise DimensionMismatch("frame construction needs jets of order >= 2")
         _check_policy(policy)
         self.imm = imm
         self.grid = grid
@@ -537,14 +533,11 @@ class FrameField:
         self.m = imm.m
         self.d = imm.nparams
         self.normal_phases = normal_phases
-        self.tol_singular, self.tol_cr = _tolerances(mode, tol_singular, tol_cr)
         self.plan = plan
         self.policy = policy if plan is None else plan.policy
-        if plan is None:
-            Xfull = _immersion_jets(imm, grid, order, mode)
-        else:
-            Xfull = _jets(imm, grid, order, mode)
-        self._build(Xfull)
+        # a planned build's checks ran in the plan pass
+        jets_of = _immersion_jets if plan is None else _jets
+        self._build(jets_of(imm, grid, FRAME_ORDER, mode))
 
     # -- construction ---------------------------------------------------
 
@@ -556,8 +549,8 @@ class FrameField:
         XiF = self.XiF = _chart_tangents(Xfull, self.X)
         self.theta_slots = XiF[2 * n]
         (tangent, self.that_frame, self.nu_frame, self.nu_norm2, self.charts, normal,
-         self.plan) = _frame_legs(XiF, self.grid, n, m, self.policy, self.tol_singular,
-                                  self.tol_cr, self.plan)
+         self.plan) = _frame_legs(XiF, self.grid, n, m, self.policy, self.mode,
+                                  self.plan)
         self.policy = self.plan.policy
 
         phases = () if self.normal_phases is None else self.normal_phases
@@ -610,14 +603,10 @@ class FrameField:
     def matrix_values(self):
         return jets.values(self.matrix())
 
-    def frame_at(self, idx) -> FrameAtPoint:
-        return FrameAtPoint(self.point_at(idx), _value_at(self.frame_cols, idx).T)
-
     def psh_at(self, idx) -> psh.PSHElement:
-        return psh.frame_to_matrix(self.frame_at(idx))
-
-    def point_at(self, idx) -> HPoint:
-        return HPoint.from_coords(self.n, self.X.value[tuple(idx)])
+        """The moving frame at one grid index as a group element."""
+        p = HPoint.from_coords(self.n, self.X.value[tuple(idx)])
+        return psh.frame_to_matrix(p, _value_at(self.frame_cols, idx).T)
 
     # -- derived fields -----------------------------------------------------
 
@@ -732,7 +721,7 @@ class MCForm:
         return psh.algebra_validate(
             np.moveaxis(self.values, (1, 2), (-2, -1))).residuals
 
-    def structure_residual(self, method=None) -> float:
+    def structure_residual(self) -> float:
         """Max over chart-axis pairs of | d_p w_q - d_q w_p + [w_p, w_q] |.
 
         With exact (AD) jets the derivative terms come from the jets
@@ -741,10 +730,8 @@ class MCForm:
         so the residual measures the consistency of the sampled field and
         shrinks at second order under refinement.
         """
-        if method is None:
-            method = "jet" if self.mode == "ad" else "grid"
         w = self.values
-        if method == "grid":
+        if self.mode != "ad":
             return grid_structure_residual(w, self.grid)
         # d1 leaves out the zero first row and last column, where the
         # commutator vanishes as well
@@ -809,31 +796,25 @@ def _value_at(field, idx):
     return field.value[tuple(idx)] + 0.0
 
 
-def _point_field(imm, u, policy="canonical", tol=None) -> FrameField:
-    grid = _single_point_grid(imm.chart, u)
-    kw = {}
-    if tol is not None:
-        kw = {"tol_singular": tol, "tol_cr": tol}
-    return FrameField(imm, grid, policy=policy, **kw)
+def _point_field(imm, u, policy="canonical") -> FrameField:
+    """The frame field over the single chart point ``u``."""
+    return FrameField(imm, _single_point_grid(imm.chart, u), policy=policy)
 
 
-def contact_intersection(imm, u, tol=TOL_CR):
-    """Orthonormal J-adapted basis of TM ∩ ker Θ at one chart point."""
-    ff = _point_field(imm, u, tol=tol)
+def contact_intersection(imm, u):
+    """Orthonormal J-adapted basis of TM ∩ ker Θ at one chart point: the legs
+    e_1..e_m, Je_1..Je_m as rows of frame components, (2m, 2n+1)."""
+    ff = _point_field(imm, u)
     idx = (0,) * ff.d
-    base = ff.point_at(idx)
-    legs = np.concatenate([_value_at(ff.legs_t, idx), _value_at(ff.legs_jt, idx)])
-    return [heis.HTangent.from_frame(base, leg) for leg in legs]
+    return np.concatenate([_value_at(ff.legs_t, idx), _value_at(ff.legs_jt, idx)])
 
 
-def reeb_and_nu(imm, u, tol=TOL_CR):
-    """The induced Reeb field and the fundamental vector field at one point."""
-    ff = _point_field(imm, u, tol=tol)
+def reeb_and_nu(imm, u):
+    """Frame components of the induced Reeb field and of the fundamental
+    vector field at one chart point, two (2n+1,) arrays."""
+    ff = _point_field(imm, u)
     idx = (0,) * ff.d
-    base = ff.point_at(idx)
-    that = heis.HTangent.from_frame(base, _value_at(ff.that_frame, idx))
-    nu = heis.HTangent.from_frame(base, _value_at(ff.nu_frame, idx))
-    return that, nu
+    return _value_at(ff.that_frame, idx), _value_at(ff.nu_frame, idx)
 
 
 def pullback_check(ff: FrameField, mc: MCForm | None = None) -> dict:

@@ -11,14 +11,6 @@ class DimensionMismatch(GeometryError):
     pass
 
 
-class BaseMismatch(GeometryError):
-    """Two tangent vectors anchored at different points."""
-
-
-class NonHorizontal(GeometryError):
-    """Operation requires a vector in the contact plane."""
-
-
 class InvalidFrame(GeometryError):
     pass
 

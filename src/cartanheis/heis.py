@@ -20,9 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BaseMismatch, DimensionMismatch, InvalidFrame, NonHorizontal
+from .errors import DimensionMismatch
 
-HORIZONTAL_TOL = 1e-9
+__all__ = ["HPoint", "origin", "group_mul", "group_inv", "frame_t_component",
+           "coord_t_component", "standard_j_block"]
 
 
 # ---------------------------------------------------------------------------
@@ -95,82 +96,7 @@ def group_inv(p: HPoint) -> HPoint:
 
 
 # ---------------------------------------------------------------------------
-# tangent vectors
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True, eq=False)
-class HTangent:
-    """Tangent vector with both coordinate and left-invariant-frame components.
-
-    ``coord`` is (d/dx, d/dy, d/dt)-components, ``frame`` is components in
-    (e_1..e_n, e_{n+1}..e_{2n}, T).  The horizontal parts agree; only the last
-    component differs by the change of basis at ``base``.
-    """
-
-    base: HPoint
-    coord: np.ndarray
-    frame: np.ndarray
-
-    @staticmethod
-    def from_coord(base: HPoint, coord) -> "HTangent":
-        coord = np.asarray(coord, dtype=float)
-        n = base.n
-        if coord.shape != (2 * n + 1,):
-            raise DimensionMismatch("coordinate components must have length 2n+1")
-        frame = coord.copy()
-        frame[2 * n] = frame_t_component(base.x, base.y, coord[:n], coord[n:2 * n],
-                                         coord[2 * n])
-        return HTangent(base, coord, frame)
-
-    @staticmethod
-    def from_frame(base: HPoint, frame) -> "HTangent":
-        frame = np.asarray(frame, dtype=float)
-        n = base.n
-        if frame.shape != (2 * n + 1,):
-            raise DimensionMismatch("frame components must have length 2n+1")
-        coord = frame.copy()
-        coord[2 * n] = coord_t_component(base.x, base.y, frame[:n], frame[n:2 * n],
-                                         frame[2 * n])
-        return HTangent(base, coord, frame)
-
-
-def reeb(base: HPoint) -> HTangent:
-    v = np.zeros(2 * base.n + 1)
-    v[-1] = 1.0
-    return HTangent.from_frame(base, v)
-
-
-def frame_vector(base: HPoint, a: int) -> HTangent:
-    """The left-invariant frame vector e_a (1-based, a in 1..2n)."""
-    v = np.zeros(2 * base.n + 1)
-    v[a - 1] = 1.0
-    return HTangent.from_frame(base, v)
-
-
-def contact_form(v: HTangent) -> float:
-    """Theta(v); zero exactly on the horizontal distribution."""
-    return float(v.frame[-1])
-
-
-def complex_structure(v: HTangent, tol=HORIZONTAL_TOL) -> HTangent:
-    """J v for horizontal v: frame components (a, b, 0) -> (-b, a, 0)."""
-    theta = contact_form(v)
-    if abs(theta) > tol:
-        raise NonHorizontal(f"J is defined on ker Theta only; Theta(v) = {theta:.3e}")
-    n = v.base.n
-    frame = np.concatenate([-v.frame[n:2 * n], v.frame[:n], [0.0]])
-    return HTangent.from_frame(v.base, frame)
-
-
-def adapted_metric(v: HTangent, w: HTangent) -> float:
-    """Riemannian metric in which (e_1..e_2n, T) is orthonormal."""
-    if v.base != w.base:
-        raise BaseMismatch("adapted metric requires a common base point")
-    return float(v.frame @ w.frame)
-
-
-# ---------------------------------------------------------------------------
-# adapted frames at a point
+# the complex structure
 # ---------------------------------------------------------------------------
 
 def standard_j_block(n: int) -> np.ndarray:
@@ -179,54 +105,3 @@ def standard_j_block(n: int) -> np.ndarray:
     J[:n, n:] = -np.eye(n)
     J[n:, :n] = np.eye(n)
     return J
-
-
-@dataclass(frozen=True, eq=False)
-class FrameAtPoint:
-    """An adapted orthonormal frame (e_1..e_n, Je_1..Je_n, T) at a point.
-
-    ``cols`` holds the frame components of the columns; for a valid frame it
-    is block-diagonal: a J-commuting rotation on the horizontal part and 1 in
-    the T-slot.  ``psh.frame_to_matrix`` checks this through the group check
-    ``psh.psh_validate``.
-    """
-
-    base: HPoint
-    cols: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "cols", np.asarray(self.cols, dtype=float))
-        d = 2 * self.base.n + 1
-        if self.cols.shape != (d, d):
-            raise InvalidFrame("frame needs 2n+1 columns of 2n+1 components")
-
-
-def standard_frame(base: HPoint) -> FrameAtPoint:
-    return FrameAtPoint(base, np.eye(2 * base.n + 1))
-
-
-def hermitian_pairing(v: HTangent, frame: FrameAtPoint, beta: int,
-                      tol=HORIZONTAL_TOL) -> complex:
-    """<v, Z_beta> for Z_beta = (e_beta - i e_{n+beta})/2, conjugate-linear slot 2.
-
-    With e_A orthonormal this gives <Z_beta, Z_beta> = 1/2.  beta is 1-based.
-    """
-    if abs(contact_form(v)) > tol:
-        raise NonHorizontal("hermitian pairing requires a horizontal vector")
-    if v.base != frame.base:
-        raise BaseMismatch("vector and frame live at different points")
-    n = v.base.n
-    e_b = frame.cols[:, beta - 1]
-    e_nb = frame.cols[:, n + beta - 1]
-    return 0.5 * (float(v.frame @ e_b) + 1j * float(v.frame @ e_nb))
-
-
-def levi_pairing(v: HTangent, frame: FrameAtPoint, beta: int,
-                 tol=HORIZONTAL_TOL) -> complex:
-    """Levi-metric pairing <v, Z_beta>, normalised so the Z_beta are unit.
-
-    Equals twice :func:`hermitian_pairing`; on this normalisation the component
-    vector of a horizontal v has squared length equal to the adapted metric
-    of v, which is the normalisation the invariant identities use.
-    """
-    return 2.0 * hermitian_pairing(v, frame, beta, tol)

@@ -17,7 +17,6 @@ Index conventions (all 0-based in storage, 1-based in the math comments):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -28,9 +27,9 @@ from .darboux import (COMPLETELY_NON_VERTICAL, TOL_CLASS, VERTICAL, FrameField,
                       grid_structure_residual, plan_frame, pullback_check)
 from .errors import DegeneratePoint, IllConditionedCoframe, WrongClass
 
-__all__ = ["Analysis", "InvariantField", "Summary", "sweep", "extract",
-           "normal_connection", "tanaka_webster_solve", "ricci_nonpositivity_check",
-           "nu_from_curvature", "h_from_curvature", "theta_nn_from_intrinsic"]
+__all__ = ["Analysis", "Summary", "sweep", "normal_connection", "tanaka_webster_solve",
+           "ricci_nonpositivity_check", "nu_from_curvature", "h_from_curvature",
+           "theta_nn_from_intrinsic"]
 
 # points per block of the invariants sweep, chosen by measurement on a
 # 2-vCPU host: on the benchmark's 7^5 workload blocks of 1201, 2401 and
@@ -566,63 +565,6 @@ def theta_nn_from_intrinsic(an: Analysis):
 
 
 # ---------------------------------------------------------------------------
-# packaged extraction
-# ---------------------------------------------------------------------------
-
-@dataclass
-class InvariantField:
-    """Per-gridpoint invariant data of one surface in one gauge."""
-
-    n: int
-    m: int
-    grid_shape: tuple
-    nu_norm: np.ndarray
-    nu_components: np.ndarray
-    h: np.ndarray
-    second_ff_norm2: np.ndarray
-    normal_conn: dict
-    gamma: dict
-    torsion: np.ndarray
-    torsion_norm2: np.ndarray
-    curv: np.ndarray
-    w_tensors: dict
-    ricci: np.ndarray
-    scalar: np.ndarray
-    residuals: dict = field(default_factory=dict)
-
-
-def extract(ff: FrameField, mc: MCForm | None = None, with_curvature=True,
-            with_residuals=True) -> InvariantField:
-    an = Analysis(ff, mc)
-    tw = tanaka_webster_solve(an)
-    cur = an.curvature if with_curvature else None
-    res = {}
-    if with_residuals:
-        res = an.restriction_residuals()
-        res["tw_solve"] = tw["solve_residual"]
-        res["tw_admissibility"] = tw["admissibility"]
-        res["structure"] = an.mc.structure_residual()
-        if cur is not None:
-            res["curvature_purity"] = cur["purity"]
-            res["ricci_hermitian"] = cur["hermitian"]
-    return InvariantField(
-        n=an.n, m=an.m, grid_shape=ff.batch,
-        nu_norm=ff.nu_norm.copy(),
-        nu_components=an.nu_comp_vals,
-        h=an.second_ff["h"],
-        second_ff_norm2=an.II_norm2,
-        normal_conn=normal_connection(an),
-        gamma={k: tw[k] for k in ("gamma_hol", "gamma_bar", "gamma_0")},
-        torsion=an.torsion_vals,
-        torsion_norm2=an.torsion_norm2,
-        curv=None if cur is None else cur["curv"],
-        w_tensors={} if cur is None else {"hol": cur["w_hol"], "anti": cur["w_anti"]},
-        ricci=None if cur is None else cur["ricci"],
-        scalar=None if cur is None else cur["scalar"],
-        residuals=res)
-
-
-# ---------------------------------------------------------------------------
 # the report summary, swept over point blocks
 # ---------------------------------------------------------------------------
 
@@ -678,8 +620,7 @@ class Summary:
         return self.tables[key].reshape(self.shape)
 
 
-def sweep(imm, grid, policy="canonical", mode="ad", normal_phases=None,
-          tol_class=TOL_CLASS) -> Summary:
+def sweep(imm, grid, policy="canonical", mode="ad", tol_class=TOL_CLASS) -> Summary:
     """The report summary of ``imm`` over ``grid``, in blocks of points.
 
     Every invariant in the summary is pointwise, so the grid is split into
@@ -694,15 +635,14 @@ def sweep(imm, grid, policy="canonical", mode="ad", normal_phases=None,
     """
     count = -(-grid.npoints // BLOCK_POINTS)
     if count == 1:
-        ff = darboux_frame(imm, grid, policy=policy, mode=mode,
-                           normal_phases=normal_phases)
+        ff = darboux_frame(imm, grid, policy=policy, mode=mode)
         return Summary(ff.plan, grid, tol_class).fold(Analysis(ff))
     plan = plan_frame(imm, grid, policy=policy, mode=mode)
     summary = Summary(plan, grid, tol_class)
     w = None
     for block in grid.blocks(count):
         an = Analysis(darboux_frame(imm, block, policy=plan.policy, mode=mode,
-                                    normal_phases=normal_phases, plan=plan))
+                                    plan=plan))
         summary.fold(an, block.start, structure=mode == "ad")
         if mode != "ad":
             if w is None:

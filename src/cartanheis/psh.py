@@ -16,7 +16,7 @@ import numpy as np
 
 from . import heis
 from .errors import DimensionMismatch, InvalidFrame
-from .heis import FrameAtPoint, HPoint, standard_j_block
+from .heis import HPoint, standard_j_block
 
 __all__ = [
     "PSHElement", "identity", "frame_to_matrix", "apply", "compose", "inverse",
@@ -74,15 +74,20 @@ def rotation_about_t(n: int, R: np.ndarray) -> PSHElement:
     return PSHElement(n, mat)
 
 
-def frame_to_matrix(F: FrameAtPoint) -> PSHElement:
-    """Matrix of the unique symmetry carrying the standard frame at 0 to F;
-    InvalidFrame if F is not an adapted orthonormal frame within 1e-8."""
-    mat = left_translation(F.base).mat
-    mat[1:, 1:] = mat[1:, 1:] @ F.cols
+def frame_to_matrix(p: HPoint, cols) -> PSHElement:
+    """Matrix of the unique symmetry carrying the standard frame at 0 to the
+    frame at ``p`` whose column c has frame components ``cols[:, c]``
+    ((2n+1, 2n+1), columns e_1..e_n, Je_1..Je_n, T); InvalidFrame if it is
+    not an adapted orthonormal frame within 1e-8."""
+    cols = np.asarray(cols, dtype=float)
+    mat = left_translation(p).mat
+    if cols.shape != mat[1:, 1:].shape:
+        raise InvalidFrame("frame needs 2n+1 columns of 2n+1 components")
+    mat[1:, 1:] = mat[1:, 1:] @ cols
     diag = psh_validate(mat, 1e-8)
     if not diag.ok:
         raise InvalidFrame(f"frame invariants violated: {diag.residuals}")
-    return PSHElement(F.base.n, mat)
+    return PSHElement(p.n, mat)
 
 
 def apply(g: PSHElement, q: HPoint) -> HPoint:
@@ -230,17 +235,15 @@ def _horner(Z, coef):
     return S
 
 
-def exp_pair(X):
-    """exp(X) and exp(-X) of a stack of algebra values, shape (..., D, D).
+def _taylor_parts(X):
+    """The Taylor pass of exp on a stack X (..., D, D): E, O and s.
 
-    Scaling and squaring: each matrix is scaled by 2^-s into the unit
-    1-norm ball and the Taylor series is split in Y^2 = Y Y into an even
-    part E = sum Y^2k/(2k)! and an odd part O = Y sum Y^2k/(2k+1)!, so
-    exp(Y) = E + O and exp(-Y) = E - O share every product.  The degree is
-    the least that is exact to rounding at the largest scaled norm of the
-    batch (see ``_exp_degree``).  Both factors are squared s times.  A
-    non-finite matrix keeps the full degree and gives a non-finite pair; the
-    other matrices of the batch are unaffected.
+    Each matrix is scaled by 2^-s into the unit 1-norm ball, Y = 2^-s X, and
+    the series is split in Y^2 into an even part E = sum Y^2k/(2k)! and an
+    odd part O = Y sum Y^2k/(2k+1)!, so exp(Y) = E + O and exp(-Y) = E - O.
+    The degree is the least that is exact to rounding at the largest scaled
+    norm of the batch (``_exp_degree``).  A non-finite matrix keeps the full
+    degree and gives non-finite parts; the rest of the batch is unaffected.
     """
     X = np.asarray(X, dtype=float)
     norm = np.max(np.sum(np.abs(X), axis=-2), axis=-1)
@@ -253,18 +256,30 @@ def exp_pair(X):
     Z = Y @ Y
     E = _horner(Z, [1 / math.factorial(j) for j in range(0, m + 1, 2)])
     O = Y @ _horner(Z, [1 / math.factorial(j) for j in range(1, m + 1, 2)])
-    P = np.empty((2,) + O.shape)
-    np.add(E, O, out=P[0])
-    np.subtract(E, O, out=P[1])
+    return E, O, s
+
+
+def _squared(P, s):
+    """Each matrix of P squared s times, s broadcast over P's leading axes."""
     for k in range(int(np.max(s, initial=0))):
         P = np.where((s > k)[..., None, None], P @ P, P)
+    return P
+
+
+def exp_pair(X):
+    """exp(X) and exp(-X) of a stack of algebra values, shape (..., D, D),
+    by scaling and squaring from one shared Taylor pass (``_taylor_parts``);
+    both factors are squared s times."""
+    E, O, s = _taylor_parts(X)
+    P = _squared(np.stack([E + O, E - O]), s)
     return P[0], P[1]
 
 
 def exp(X):
-    """Group exponential of a stack of algebra values: the first factor of
-    ``exp_pair``."""
-    return exp_pair(X)[0]
+    """Group exponential of a stack of algebra values, shape (..., D, D):
+    the first factor of ``exp_pair``, with only exp(X) squared."""
+    E, O, s = _taylor_parts(X)
+    return _squared(E + O, s)
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,8 @@ __all__ = ["EtaForm", "FrameSolution", "holonomy_residual", "integrate_frame",
            "congruence", "assemble_eta", "embed", "eta_from_frame_field",
            "IntrinsicData", "intrinsic_data_from_analysis"]
 
+DRIFT_TOL = 1e-3   # largest group-membership residual of integrated frames
+
 
 @dataclass
 class EtaForm:
@@ -36,7 +38,6 @@ class EtaForm:
     n: int
     grid: ChartGrid
     slots: np.ndarray          # (d, D, D, *grid)
-    provenance: str = "assembled"
 
     @property
     def d(self):
@@ -50,7 +51,7 @@ class EtaForm:
 
 
 def eta_from_frame_field(mc: MCForm) -> EtaForm:
-    return EtaForm(mc.n, mc.grid, mc.values, provenance="from-frame")
+    return EtaForm(mc.n, mc.grid, mc.values)
 
 
 def _interpolate(line, s, stencil=4):
@@ -247,7 +248,6 @@ def _magnus_steps(line, h, substeps, stencil):
 
 @np.errstate(over="ignore", invalid="ignore")
 def integrate_frame(eta: EtaForm, basepoint_frame: psh.PSHElement, substeps=1,
-                    holonomy_tol=1e-6, drift_tol=1e-3,
                     check_integrability=True, stencil=4) -> FrameSolution:
     """Integrate dF = F eta over the grid, sweeping axis-ordered paths.
 
@@ -260,12 +260,12 @@ def integrate_frame(eta: EtaForm, basepoint_frame: psh.PSHElement, substeps=1,
     by one group exponential, so for an algebra-valued eta the frames stay
     in the group up to rounding.  The group-membership residual of all
     swept frames is reported as ``drift`` and must stay under
-    ``drift_tol``; a form that is not algebra-valued fails there, and a
+    ``DRIFT_TOL``; a form that is not algebra-valued fails there, and a
     step that overflows fails the same way.
     """
     eta.validate_shapes()
     if check_integrability:
-        verdict = integrability_verdict(eta, holonomy_tol)
+        verdict = integrability_verdict(eta)
         if not verdict["pass"]:
             raise IntegrabilityFailure(verdict["reason"])
     diag = psh.psh_validate(basepoint_frame.mat, 1e-8)
@@ -291,9 +291,9 @@ def integrate_frame(eta: EtaForm, basepoint_frame: psh.PSHElement, substeps=1,
                                       f"axis {ax} at step {k}")
             frames[head + (k,) + tail] = F
     drift = psh.psh_validate(frames).worst
-    if not drift <= drift_tol:
+    if not drift <= DRIFT_TOL:
         raise ProjectionDrift(f"group-membership residual {drift:.2e} of the "
-                              f"integrated frames exceeds {drift_tol:.0e}")
+                              f"integrated frames exceeds {DRIFT_TOL:.0e}")
     return FrameSolution(eta.n, g, frames, (0,) * d, drift)
 
 
@@ -423,13 +423,11 @@ def assemble_eta(data: IntrinsicData) -> EtaForm:
         slots[i, n + 1:2 * n + 1, n + 1:2 * n + 1] = np.swapaxes(W1, 0, 1)
         slots[i, 2 * n + 1, 1:n + 1] = vart[:, i].imag
         slots[i, 2 * n + 1, n + 1:2 * n + 1] = -vart[:, i].real
-    return EtaForm(n, data.grid, slots, provenance="assembled-from-intrinsic")
+    return EtaForm(n, data.grid, slots)
 
 
-def embed(data: IntrinsicData, basepoint_frame: psh.PSHElement, substeps=1,
-          holonomy_tol=1e-6, stencil=4):
+def embed(data: IntrinsicData, basepoint_frame: psh.PSHElement, substeps=1, stencil=4):
     """Integrate the assembled form and return the sampled immersion points."""
     eta = assemble_eta(data)
-    sol = integrate_frame(eta, basepoint_frame, substeps=substeps,
-                          holonomy_tol=holonomy_tol, stencil=stencil)
+    sol = integrate_frame(eta, basepoint_frame, substeps=substeps, stencil=stencil)
     return sol.points(), sol

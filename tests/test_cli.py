@@ -343,3 +343,27 @@ def test_holonomy_diagnostic_states_path(tmp_path, capsys):
     notes = report.reparse(capsys.readouterr().out)["diagnostics"]
     hol = [n for n in notes if n.startswith("holonomy per area")]
     assert len(hol) == 1 and "(subdivided path, edge refinement order 1.2" in hol[0]
+
+
+@pytest.mark.parametrize("command", ["classify", "check"])
+@pytest.mark.parametrize("make_args, flag, before_run", [
+    (lambda tmp: ["--out", str(tmp / "missing" / "r.json")], "--out", True),
+    (lambda tmp: ["--out", str(tmp)], "--out", True),
+    (lambda tmp: ["--seed", "-1"], "--seed", True),
+    # a write that fails after the run: /dev/full reports a full device
+    (lambda tmp: ["--out", "/dev/full"], "--out", False),
+], ids=["missing_dir", "directory", "negative_seed", "write_fails"])
+def test_bad_out_or_seed_exit_two(command, make_args, flag, before_run, tmp_path,
+                                  monkeypatch, capsys):
+    args = make_args(tmp_path)
+    if "/dev/full" in args and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full on this platform")
+    if before_run:
+        def ran(*a, **k):
+            raise AssertionError("the pipeline ran")
+        monkeypatch.setattr(cli, "_dispatch", ran)
+    code = run_cli(command, "--surface", "builtin:sphere(2,1)", "--grid", "3", *args)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"input error: {flag}"), err
+    assert "Traceback" not in err

@@ -12,20 +12,19 @@ from conftest import analysis_for
 def test_contact_intersection_heis_sub():
     imm = dsl.builtin("heis_sub", 1, 2)
     basis = darboux.contact_intersection(imm, [0.2, -0.1, 0.3])
-    assert len(basis) == 2
-    for v in basis:
-        assert abs(heis.contact_form(v)) < 1e-14
+    assert basis.shape == (2, 5)
+    # horizontal: the T-slot (Theta) vanishes
+    assert np.all(np.abs(basis[:, 4]) < 1e-14)
     # spans the horizontal lifts of the z1-plane: components 2, 4 vanish
-    for v in basis:
-        assert abs(v.frame[1]) < 1e-14 and abs(v.frame[3]) < 1e-14
+    assert np.all(np.abs(basis[:, [1, 3]]) < 1e-14)
 
 
 def test_contact_intersection_sphere_j_invariant():
     imm = dsl.builtin("sphere", 2, 1.0)
-    basis = darboux.contact_intersection(imm, [0.7, 0.4, 0.5])
-    assert len(basis) == 2
-    e, je = basis
-    assert np.allclose(heis.complex_structure(e).frame, je.frame, atol=1e-12)
+    e, je = darboux.contact_intersection(imm, [0.7, 0.4, 0.5])
+    assert abs(e[4]) < 1e-14
+    assert np.allclose(heis.standard_j_block(2) @ e[:4], je[:4], atol=1e-12)
+    assert abs(je[4]) < 1e-14
 
 
 def test_slice_plane_failures():
@@ -39,8 +38,9 @@ def test_slice_plane_failures():
 def test_reeb_and_nu_heis_sub():
     imm = dsl.builtin("heis_sub", 2, 3)
     that, nu = darboux.reeb_and_nu(imm, [0.1, -0.2, 0.3, 0.0, 0.25])
-    assert np.allclose(nu.frame, 0, atol=1e-14)
-    assert np.allclose(that.frame, np.eye(7)[6], atol=1e-14)
+    assert that.shape == nu.shape == (7,)
+    assert np.allclose(nu, 0, atol=1e-14)
+    assert np.allclose(that, np.eye(7)[6], atol=1e-14)
 
 
 def test_reeb_and_nu_sphere_formula():
@@ -48,20 +48,36 @@ def test_reeb_and_nu_sphere_formula():
     imm = dsl.builtin("sphere", 2, r)
     u = [0.8, 0.3, 0.6]
     that, nu = darboux.reeb_and_nu(imm, u)
-    p = nu.base
-    expect = np.concatenate([-p.y, p.x, [0.0]]) / r ** 2
-    assert np.allclose(nu.frame, expect, atol=1e-13)
-    assert np.isclose(np.linalg.norm(nu.frame), 1 / r, atol=1e-13)
-    assert np.isclose(heis.contact_form(that), 1.0, atol=1e-14)
+    p = np.array(imm.values(u), dtype=float)
+    x, y = p[:2], p[2:4]
+    expect = np.concatenate([-y, x, [0.0]]) / r ** 2
+    assert np.allclose(nu, expect, atol=1e-13)
+    assert np.isclose(np.linalg.norm(nu), 1 / r, atol=1e-13)
+    assert np.isclose(that[4], 1.0, atol=1e-14)      # Theta(That) = 1
 
 
 def test_heis_sub_frames_are_standard(heis_sub12):
     _, grid, ff, _ = heis_sub12
-    F = ff.frame_at((3, 1, 5))
-    assert psh.psh_validate(psh.frame_to_matrix(F).mat, 1e-12).ok
+    idx = (3, 1, 5)
+    assert psh.psh_validate(ff.psh_at(idx).mat, 1e-12).ok
     # tangent legs e1, Je1 are the first and third standard directions,
     # the normal pair is the second and fourth
-    assert np.allclose(np.abs(F.cols), np.eye(5)[:, [0, 1, 2, 3, 4]], atol=1e-13)
+    cols = jets.values(ff.frame_cols)[(...,) + idx].T
+    assert np.allclose(np.abs(cols), np.eye(5), atol=1e-13)
+
+
+@pytest.mark.parametrize("spec", ["sphere(2,1)", "ellipsoid(3,1,1,1.3)",
+                                  "heis_sub(2,3)"])
+def test_psh_at_is_the_matrix_field(spec):
+    # the pointwise route (psh.frame_to_matrix at one index) and the lattice
+    # route (the order-0 matrix jet) give the same moving frame
+    imm = dsl.parse_surface_spec(f"builtin:{spec}")
+    grid = darboux.ChartGrid(imm.chart, 3)
+    ff = darboux.darboux_frame(imm, grid, policy="auto")
+    A = ff.matrix_values()
+    for idx in np.ndindex(grid.shape):
+        gap = np.max(np.abs(ff.psh_at(idx).mat - A[(...,) + idx]))
+        assert gap <= 1e-14, (idx, gap)
 
 
 def test_frames_validate_everywhere(sphere_nu, ellipsoid_nu):

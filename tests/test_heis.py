@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from cartanheis import heis
-from cartanheis.errors import (BaseMismatch, DimensionMismatch, InvalidFrame,
-                               NonHorizontal)
+from cartanheis.errors import DimensionMismatch, InvalidFrame
 
 
 def P(n, *coords):
@@ -36,66 +35,53 @@ def test_dimension_mismatch():
 
 
 def test_contact_form_values():
+    # Theta(v) is the T-slot of v's frame components
     base = P(1, 2, 3, 5)
-    assert heis.contact_form(heis.reeb(base)) == 1.0
-    assert heis.contact_form(heis.frame_vector(base, 1)) == 0.0
-    dx = heis.HTangent.from_coord(base, [1.0, 0.0, 0.0])
-    assert heis.contact_form(dx) == -3.0
+    x, y = base.x, base.y
+    assert heis.frame_t_component(x, y, [0.0], [0.0], 1.0) == 1.0      # T
+    e1_t = heis.coord_t_component(x, y, [1.0], [0.0], 0.0)           # e_1 = dx + y dt
+    assert e1_t == 3.0
+    assert heis.frame_t_component(x, y, [1.0], [0.0], e1_t) == 0.0
+    assert heis.frame_t_component(x, y, [1.0], [0.0], 0.0) == -3.0    # d/dx
 
 
 def test_frame_coord_roundtrip(rng):
     base = P(2, *rng.uniform(-2, 2, 5))
     v = rng.uniform(-1, 1, 5)
-    t1 = heis.HTangent.from_coord(base, v)
-    t2 = heis.HTangent.from_frame(base, t1.frame)
-    assert np.allclose(t2.coord, v, atol=1e-15)
+    a, b = v[:2], v[2:4]
+    t = heis.frame_t_component(base.x, base.y, a, b, v[4])
+    assert np.isclose(heis.coord_t_component(base.x, base.y, a, b, t), v[4],
+                      atol=1e-15)
 
 
-def test_complex_structure():
-    base = P(2, 0.3, -0.1, 0.2, 0.4, 1.0)
-    e1 = heis.frame_vector(base, 1)
-    je1 = heis.complex_structure(e1)
-    assert np.allclose(je1.frame, heis.frame_vector(base, 3).frame)
-    assert np.allclose(heis.complex_structure(je1).frame, -e1.frame)
-    with pytest.raises(NonHorizontal):
-        heis.complex_structure(heis.reeb(base))
-
-
-def test_complex_structure_isometry(rng):
-    base = P(2, *rng.uniform(-1, 1, 5))
-    f = np.concatenate([rng.uniform(-1, 1, 4), [0.0]])
-    g = np.concatenate([rng.uniform(-1, 1, 4), [0.0]])
-    v = heis.HTangent.from_frame(base, f)
-    w = heis.HTangent.from_frame(base, g)
-    assert np.isclose(
-        heis.adapted_metric(heis.complex_structure(v), heis.complex_structure(w)),
-        heis.adapted_metric(v, w), atol=1e-14)
-
-
-def test_adapted_metric_orthonormal_and_base_check():
-    base = P(1, 2, 3, 5)
-    e1 = heis.frame_vector(base, 1)
-    e2 = heis.frame_vector(base, 2)
-    assert heis.adapted_metric(e1, e1) == 1.0
-    assert heis.adapted_metric(e1, e2) == 0.0
-    # coordinate round trip keeps the metric
-    v = heis.HTangent.from_coord(base, e1.coord)
-    assert np.isclose(heis.adapted_metric(v, v), 1.0, atol=1e-15)
-    with pytest.raises(BaseMismatch):
-        heis.adapted_metric(e1, heis.frame_vector(P(1, 0, 0, 0), 1))
+def test_complex_structure(rng):
+    J = heis.standard_j_block(2)
+    e = np.eye(4)
+    assert np.array_equal(J @ e[0], e[2])             # J e_1 = e_3
+    assert np.array_equal(J @ e[2], -e[0])
+    assert np.array_equal(J @ J, -np.eye(4))
+    # J is an isometry of the adapted metric
+    assert np.array_equal(J.T @ J, np.eye(4))
+    f, g = rng.uniform(-1, 1, (2, 4))
+    assert np.isclose((J @ f) @ (J @ g), f @ g, atol=1e-14)
 
 
 def test_left_invariance_of_frame(rng):
     # push-forward of e_b(q) under left translation equals e_b(p q)
     from cartanheis import psh
+
+    def e_coord(base, b):
+        """Coordinate components of e_b at base."""
+        v = np.eye(5)[b - 1]
+        v[4] = heis.coord_t_component(base.x, base.y, v[:2], v[2:4], 0.0)
+        return v
+
     p = P(2, *rng.uniform(-1, 1, 5))
     q = P(2, *rng.uniform(-1, 1, 5))
     L = psh.left_translation(p)
     for b in range(1, 5):
-        v = heis.frame_vector(q, b)
-        moved = L.mat[1:, 1:] @ v.coord      # the differential of L
-        expect = heis.frame_vector(heis.group_mul(p, q), b)
-        assert np.allclose(moved, expect.coord, atol=1e-13)
+        moved = L.mat[1:, 1:] @ e_coord(q, b)      # the differential of L
+        assert np.allclose(moved, e_coord(heis.group_mul(p, q), b), atol=1e-13)
 
 
 def test_contact_derivative_is_symplectic_form(rng):
@@ -122,25 +108,13 @@ def test_contact_derivative_is_symplectic_form(rng):
             assert np.isclose(dth, want, atol=1e-9)
 
 
-def test_hermitian_pairing_convention():
-    base = P(2, 0.5, -0.3, 0.2, 0.1, 0.7)
-    F = heis.standard_frame(base)
-    e1 = heis.frame_vector(base, 1)
-    e3 = heis.frame_vector(base, 3)
-    assert heis.hermitian_pairing(e1, F, 1) == 0.5
-    assert heis.hermitian_pairing(e3, F, 1) == 0.5j
-    assert heis.hermitian_pairing(heis.frame_vector(base, 2), F, 1) == 0.0
-    assert heis.levi_pairing(e1, F, 1) == 1.0
-    with pytest.raises(NonHorizontal):
-        heis.hermitian_pairing(heis.reeb(base), F, 1)
-
-
 def test_frame_validation():
     from cartanheis import psh
     base = P(1, 0.0, 0.0, 0.0)
-    F = heis.standard_frame(base)
-    assert psh.psh_validate(psh.frame_to_matrix(F).mat).worst == 0.0
-    bad = F.cols.copy()
+    assert psh.psh_validate(psh.frame_to_matrix(base, np.eye(3)).mat).worst == 0.0
+    bad = np.eye(3)
     bad[0, 0] = 2.0
     with pytest.raises(InvalidFrame):
-        psh.frame_to_matrix(heis.FrameAtPoint(base, bad))
+        psh.frame_to_matrix(base, bad)
+    with pytest.raises(InvalidFrame):
+        psh.frame_to_matrix(base, np.eye(5))

@@ -182,12 +182,11 @@ def test_tw_solve_well_conditioned(sphere_nu):
 
 
 def test_extract_packs_everything(ellipsoid_nu):
-    _, _, ff, _ = ellipsoid_nu
-    inv = invariants.extract(ff)
-    assert inv.scalar is not None and inv.curv is not None
-    assert inv.h.shape[:3] == (1, 1, 1)
-    assert inv.residuals["max"] < 1e-12
-    assert inv.residuals["structure"] < 1e-12
+    _, _, _, an = ellipsoid_nu
+    assert an.curvature["scalar"] is not None and an.curvature["curv"] is not None
+    assert an.second_ff["h"].shape[:3] == (1, 1, 1)
+    assert an.restriction_residuals()["max"] < 1e-12
+    assert an.mc.structure_residual() < 1e-12
 
 
 def test_higher_dimension_sphere():

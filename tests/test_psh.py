@@ -8,13 +8,12 @@ from cartanheis.errors import DimensionMismatch
 
 
 def test_identity_and_frame_to_matrix():
-    assert np.allclose(psh.frame_to_matrix(heis.standard_frame(heis.origin(2))).mat,
-                       np.eye(6))
+    assert np.allclose(psh.frame_to_matrix(heis.origin(2), np.eye(5)).mat, np.eye(6))
 
 
 def test_frame_to_matrix_is_left_translation(rng):
     p = heis.HPoint(2, rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2), 0.4)
-    g = psh.frame_to_matrix(heis.standard_frame(p))
+    g = psh.frame_to_matrix(p, np.eye(5))
     for _ in range(5):
         q = heis.HPoint(2, rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2), -0.2)
         assert np.allclose(psh.apply(g, q).coords, heis.group_mul(p, q).coords,
@@ -28,8 +27,8 @@ def test_rotation_about_t_fixes_origin(rng):
     # rotated frame at the origin gives exactly this element
     cols = np.eye(5)
     cols[:4, :4] = R
-    F = heis.FrameAtPoint(heis.origin(2), cols)
-    assert np.allclose(psh.frame_to_matrix(F).mat, g.mat, atol=1e-14)
+    assert np.allclose(psh.frame_to_matrix(heis.origin(2), cols).mat, g.mat,
+                       atol=1e-14)
 
 
 def test_action_is_homomorphism(rng):

@@ -85,12 +85,10 @@ def _black_box_ellipsoid():
 
 
 @pytest.mark.parametrize("make, kw", [
-    (lambda: dsl.parse_surface_spec("builtin:sphere(2,1)"),
-     {"policy": "nu", "normal_phases": (0.7,)}),
     # a black box takes FD jets in AD mode too, with its default steps: the
     # plan pass and every block must take the same ones as a whole-grid build
     (_black_box_ellipsoid, {"policy": "auto"}),
-], ids=["normal_phases", "black_box"])
+], ids=["black_box"])
 def test_blocked_sweep_is_the_whole_grid_sweep(make, kw, monkeypatch):
     imm = make()
     grid = darboux.ChartGrid(imm.chart, 5)
