@@ -213,6 +213,48 @@ def _invariant_payload(rpt, summary, tols, rep):
         rpt["residuals"][key] = rep.residual_entry(value, tols[key])
 
 
+def _reconstruction_sweep(imm, grid, args, tols):
+    """The summary of ``imm`` over ``grid`` and the order-0 arrays that
+    check, reconstruct and roundtrip read, from one blocked sweep.
+
+    Returns the summary, which for check keeps the Maurer-Cartan slot
+    values, and a dict: ``frames``, the moving-frame matrices (D, D, *grid);
+    ``corner``, the frame at the base corner as a group element; for check
+    in the nu gauge of a completely non-vertical hypersurface the maxima
+    ``link`` and ``theta_nn`` of the two gauge identities; for reconstruct
+    and roundtrip ``eta``, the slot values (d, D, D, *grid) of the form
+    assembled from intrinsic data.
+    """
+    import numpy as np
+    from . import invariants, reconstruct, rigidity
+    check = args.command == "check"
+    D, d, N = 2 * imm.n + 2, imm.nparams, grid.npoints
+    frames = np.empty((D, D, N))
+    eta = None if check else np.empty((d, D, D, N))
+    kept = {}
+
+    def keep(block, an):
+        part = slice(block.start, block.stop)
+        if "corner" not in kept:
+            kept["corner"] = an.ff.psh_at((0,) * len(an.batch))
+        frames[..., part] = an.ff.matrix_values().reshape(D, D, -1)
+        if not check:
+            form = reconstruct.assemble_eta(reconstruct.intrinsic_data_from_analysis(an))
+            eta[..., part] = form.slots.reshape(d, D, D, -1)
+        elif (an.ff.plan.verticality(tols["class"]).kind
+              == rigidity.COMPLETELY_NON_VERTICAL and an.codim == 1
+              and an.ff.policy == "nu"):
+            invariants.fold_max(kept, "link", an.h_torsion_link_residual())
+            invariants.fold_max(kept, "theta_nn", an.theta_nn_residual())
+
+    summary = invariants.sweep(imm, grid, policy=args.policy, mode=args.mode,
+                               tol_class=tols["class"], keep_slots=check, visit=keep)
+    kept["frames"] = frames.reshape((D, D) + grid.shape)
+    if not check:
+        kept["eta"] = eta.reshape((d, D, D) + grid.shape)
+    return summary, kept
+
+
 def _dispatch(args, rep):
     if args.command == "decompose":
         return _cmd_decompose(args, rep)
@@ -238,98 +280,82 @@ def _dispatch(args, rep):
         _invariant_payload(rpt, summary, tols, rep)
         return rpt, 0 if rep.all_pass(rpt) else 1
 
-    # reconstruction reads whole-grid slot values: one whole-grid analysis
-    ff = darboux.darboux_frame(imm, grid, policy=args.policy, mode=args.mode)
-    an = invariants.Analysis(ff)
-    summary = invariants.Summary(ff.plan, grid, tols["class"]).fold(an)
+    summary, kept = _reconstruction_sweep(imm, grid, args, tols)
     _invariant_payload(rpt, summary, tols, rep)
-    kind = summary.kind
+    kind, codim, n = summary.kind, imm.n - imm.m, imm.n
+    frames = kept["frames"]
+
+    def moved_fields(moved):
+        """The four fields of a moved copy of the surface, by its own sweep."""
+        return invariants.sweep(moved, grid, policy=args.policy, mode=args.mode,
+                                tol_class=tols["class"], residuals=False)
 
     if args.command == "check":
-        mc = an.mc
-        eta = reconstruct.eta_from_frame_field(mc)
+        eta = reconstruct.EtaForm(n, grid, summary.slot_values())
         verdict = reconstruct.integrability_verdict(eta, tols["holonomy"])
         rpt["verdicts"]["integrable"] = verdict["pass"]
         rpt["diagnostics"].append(_holonomy_note(verdict))
-        if kind == rigidity.COMPLETELY_NON_VERTICAL and an.codim == 1 \
-                and ff.policy == "nu":
-            rpt["verdicts"]["h_torsion_link"] = \
-                an.h_torsion_link_residual() <= tols["link"]
-            rpt["verdicts"]["theta_nn"] = \
-                an.theta_nn_residual() <= tols["theta_nn"]
+        if "link" in kept:
+            rpt["verdicts"]["h_torsion_link"] = kept["link"] <= tols["link"]
+            rpt["verdicts"]["theta_nn"] = kept["theta_nn"] <= tols["theta_nn"]
         rng = np.random.default_rng(args.seed)
         Phi = psh.random_element(imm.n, rng)
-        ff2 = darboux.darboux_frame(dsl.transform_immersion(imm, Phi), grid,
-                                    policy=args.policy, mode=args.mode)
-        an2 = invariants.Analysis(ff2)
-        gaps = [np.max(np.abs(ff2.nu_norm - ff.nu_norm)),
-                np.max(np.abs(an2.II_norm2 - an.II_norm2)),
-                np.max(np.abs(an2.torsion_norm2 - an.torsion_norm2)),
-                np.max(np.abs(an2.curvature["scalar"] - an.curvature["scalar"]))]
-        worst = float(max(gaps))
+        image = moved_fields(dsl.transform_immersion(imm, Phi))
+        worst = float(max(np.max(np.abs(image.fields[key] - summary.fields[key]))
+                          for key in invariants.FIELDS))
         rpt["verdicts"]["rigid_motion_invariance"] = worst <= tols["invariance"]
         rpt["diagnostics"].append(f"rigid-motion invariance gap {worst:.3e}")
-        if kind == rigidity.VERTICAL and an.codim == 1:
+        if kind == rigidity.VERTICAL and codim == 1:
             try:
-                fit = rigidity.detect_flat(an, tols["flat"])
+                fit = rigidity.fit_flat(kind, codim, kept["corner"], frames[1:, 0],
+                                        summary.field("II_norm2"), tols["flat"])
                 rpt["fits"]["flat"] = {"motion": fit.motion.mat.tolist(),
                                        "image_residual": fit.image_residual}
             except NotFlat:
                 pass
         return rpt, 0 if rep.all_pass(rpt) else 1
 
-    if args.command in ("reconstruct", "roundtrip"):
-        data = reconstruct.intrinsic_data_from_analysis(an)
-        eta = reconstruct.assemble_eta(data)
-        verdict = reconstruct.integrability_verdict(eta, tols["holonomy"])
-        rpt["verdicts"]["integrable"] = verdict["pass"]
-        rpt["diagnostics"].append(_holonomy_note(verdict))
-        if not verdict["pass"]:
-            rpt["diagnostics"].append(verdict["reason"])
-            return rpt, 1
-        rng = np.random.default_rng(args.seed)
-        g0 = psh.random_element(imm.n, rng) if args.command == "roundtrip" \
-            else psh.identity(imm.n)
-        base = psh.compose(g0, ff.psh_at((0,) * ff.d))
-        sol = reconstruct.integrate_frame(eta, base, substeps=2, stencil=6,
-                                          check_integrability=False)
-        A = np.moveaxis(ff.matrix_values(), (0, 1), (-2, -1))
-        f_orig = reconstruct.FrameSolution(imm.n, grid, A, (0,) * ff.d, 0.0)
-        ghat, const_res = reconstruct.congruence(f_orig, sol)
-        moved = dsl.transform_immersion(imm, ghat)
-        Xm = np.stack(moved.values(grid.points), axis=-1)
-        gap = float(np.max(np.abs(sol.points() - Xm)))
-        rpt["diagnostics"].append(f"congruence constancy {const_res:.3e}")
-        rpt["verdicts"]["reconstruction_points"] = gap <= tols["roundtrip"]
-        rpt["diagnostics"].append(f"reintegrated point gap {gap:.3e}")
-        if args.command == "roundtrip":
-            ff2 = darboux.darboux_frame(moved, grid, policy=args.policy,
-                                        mode=args.mode)
-            an2 = invariants.Analysis(ff2)
-            gaps = {
-                "nu": float(np.max(np.abs(ff2.nu_norm - ff.nu_norm))),
-                "II": float(np.max(np.abs(np.sqrt(an2.II_norm2)
-                                          - np.sqrt(an.II_norm2)))),
-                "A": float(np.max(np.abs(np.sqrt(an2.torsion_norm2)
-                                         - np.sqrt(an.torsion_norm2)))),
-                "R": float(np.max(np.abs(an2.curvature["scalar"]
-                                         - an.curvature["scalar"]))),
-            }
-            worst = max(gaps.values())
-            rpt["verdicts"]["roundtrip_fields"] = worst <= tols["roundtrip"]
-            rpt["diagnostics"].append(
-                "re-extracted field gaps " +
-                " ".join(f"{k}={v:.3e}" for k, v in sorted(gaps.items())))
-        if kind == rigidity.COMPLETELY_NON_VERTICAL and an.codim == 1 \
-                and float(np.max(np.sqrt(an.torsion_norm2))) < tols["torsion"]:
-            fit = rigidity.detect_sphere(an, tols["torsion"])
-            rpt["fits"]["sphere"] = {
-                "center": fit.center.coords.tolist(), "radius": fit.radius,
-                "center_residual": fit.center_residual,
-                "radius_residual": fit.radius_residual}
-        return rpt, 0 if rep.all_pass(rpt) else 1
-
-    raise ValueError(f"unknown command {args.command!r}")
+    eta = reconstruct.EtaForm(n, grid, kept["eta"])
+    verdict = reconstruct.integrability_verdict(eta, tols["holonomy"])
+    rpt["verdicts"]["integrable"] = verdict["pass"]
+    rpt["diagnostics"].append(_holonomy_note(verdict))
+    if not verdict["pass"]:
+        rpt["diagnostics"].append(verdict["reason"])
+        return rpt, 1
+    rng = np.random.default_rng(args.seed)
+    g0 = psh.random_element(imm.n, rng) if args.command == "roundtrip" \
+        else psh.identity(imm.n)
+    base = psh.compose(g0, kept["corner"])
+    sol = reconstruct.integrate_frame(eta, base, substeps=2, stencil=6,
+                                      check_integrability=False)
+    A = np.moveaxis(frames, (0, 1), (-2, -1))
+    f_orig = reconstruct.FrameSolution(imm.n, grid, A, (0,) * grid.ndim, 0.0)
+    ghat, const_res = reconstruct.congruence(f_orig, sol)
+    moved = dsl.transform_immersion(imm, ghat)
+    Xm = np.stack(moved.values(grid.points), axis=-1)
+    gap = float(np.max(np.abs(sol.points() - Xm)))
+    rpt["diagnostics"].append(f"congruence constancy {const_res:.3e}")
+    rpt["verdicts"]["reconstruction_points"] = gap <= tols["roundtrip"]
+    rpt["diagnostics"].append(f"reintegrated point gap {gap:.3e}")
+    if args.command == "roundtrip":
+        image = moved_fields(moved)
+        gaps = {label: float(np.max(np.abs(image.table(key) - summary.table(key))))
+                for label, key in zip(("nu", "II", "A", "R"), invariants.TABLES)}
+        worst = max(gaps.values())
+        rpt["verdicts"]["roundtrip_fields"] = worst <= tols["roundtrip"]
+        rpt["diagnostics"].append(
+            "re-extracted field gaps " +
+            " ".join(f"{k}={v:.3e}" for k, v in sorted(gaps.items())))
+    if kind == rigidity.COMPLETELY_NON_VERTICAL and codim == 1 \
+            and float(np.max(summary.table("torsion_norm"))) < tols["torsion"]:
+        fit = rigidity.fit_sphere(kind, codim, summary.plan.policy, frames[1:, 0],
+                                  frames[1:2 * n + 1, 1 + n + imm.m], summary.field("nu"),
+                                  summary.field("torsion_norm2"), tols["torsion"])
+        rpt["fits"]["sphere"] = {
+            "center": fit.center.coords.tolist(), "radius": fit.radius,
+            "center_residual": fit.center_residual,
+            "radius_residual": fit.radius_residual}
+    return rpt, 0 if rep.all_pass(rpt) else 1
 
 
 def _read_matrix(path):

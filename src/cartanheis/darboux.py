@@ -634,16 +634,6 @@ class FrameField:
         zhat = 0.5 * (self.charts[:m] - 1j * self.charts[m:2 * m])
         return {"zhat": zhat, "that": self.charts[2 * m]}
 
-    def continuity_residual(self):
-        """Largest column jump between grid neighbours (gauge continuity)."""
-        cols = jets.values(self.frame_cols)
-        worst = 0.0
-        for ax in range(2, cols.ndim):
-            d = np.diff(cols, axis=ax)
-            if d.size:
-                worst = max(worst, float(np.max(np.sqrt(np.sum(d * d, axis=1)))))
-        return worst
-
 
 def darboux_frame(imm, grid, policy="canonical", mode="ad", **kw) -> FrameField:
     return FrameField(imm, grid, policy=policy, mode=mode, **kw)
@@ -715,11 +705,6 @@ class MCForm:
         n = self.n
         s = self._slots
         return (s[:, :n, 1:n + 1] + 1j * s[:, n:2 * n, 1:n + 1]).transpose(2, 1, 0)
-
-    def algebra_residuals(self) -> dict:
-        """Worst Lie-algebra membership residuals across slots and grid points."""
-        return psh.algebra_validate(
-            np.moveaxis(self.values, (1, 2), (-2, -1))).residuals
 
     def structure_residual(self) -> float:
         """Max over chart-axis pairs of | d_p w_q - d_q w_p + [w_p, w_q] |.

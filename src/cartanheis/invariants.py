@@ -27,9 +27,8 @@ from .darboux import (COMPLETELY_NON_VERTICAL, TOL_CLASS, VERTICAL, FrameField,
                       grid_structure_residual, plan_frame, pullback_check)
 from .errors import DegeneratePoint, IllConditionedCoframe, WrongClass
 
-__all__ = ["Analysis", "Summary", "sweep", "normal_connection", "tanaka_webster_solve",
-           "ricci_nonpositivity_check", "nu_from_curvature", "h_from_curvature",
-           "theta_nn_from_intrinsic"]
+__all__ = ["Analysis", "Summary", "sweep", "ricci_nonpositivity_check",
+           "nu_from_curvature", "h_from_curvature", "theta_nn_from_intrinsic"]
 
 # points per block of the invariants sweep, chosen by measurement on a
 # 2-vCPU host: on the benchmark's 7^5 workload blocks of 1201, 2401 and
@@ -437,22 +436,6 @@ def _pair(a, b):
 # named operations over an analysis
 # ---------------------------------------------------------------------------
 
-def normal_connection(an: Analysis):
-    if an.codim == 0:
-        return {"hol": np.zeros((0, 0, an.m) + an.batch, dtype=complex),
-                "anti": np.zeros((0, 0, an.m) + an.batch, dtype=complex),
-                "reeb": np.zeros((0, 0) + an.batch, dtype=complex),
-                "skew_hermitian": 0.0}
-    return an.normal_conn_coeffs
-
-
-def tanaka_webster_solve(an: Analysis):
-    tw = an.tanaka_webster
-    gam = {key: jets.values(tw[key]) for key in ("gamma_hol", "gamma_bar", "gamma_0")}
-    return {"torsion": an.torsion_vals, "solve_residual": tw["solve_residual"],
-            "admissibility": tw["admissibility"], **gam}
-
-
 def ricci_nonpositivity_check(an: Analysis, tol=1e-8):
     """Largest eigenvalue of the Webster-Ricci form; vertical surfaces only."""
     numax = float(np.max(an.ff.nu_norm))
@@ -569,87 +552,113 @@ def theta_nn_from_intrinsic(an: Analysis):
 # ---------------------------------------------------------------------------
 
 TABLES = ("nu", "II_norm", "torsion_norm", "R")
+FIELDS = ("nu", "II_norm2", "torsion_norm2", "R")
+
+
+def fold_max(maxima, key, value):
+    """Keep in ``maxima[key]`` the larger of it and ``value`` (NaN sticks)."""
+    maxima[key] = float(np.maximum(maxima.get(key, value), value))
 
 
 class Summary:
-    """What a report keeps of one surface: order-0 tables and residual maxima.
+    """What a report keeps of one surface: order-0 fields and residual maxima.
 
-    ``tables`` holds |nu|, ||II||, |A| and the Webster curvature R at every
-    grid point (C order); ``residuals`` the largest structure, restriction
-    (incon2) and, by ``kind``, Gauss or torsion-curvature residuals.
-    ``kind`` is the verticality class of the planned |nu| at the report's
-    tolerance.  An ``Analysis`` of a block or of the whole grid is added by
-    ``fold``; its jet fields are not kept.
+    ``fields`` holds |nu|, |II|^2, |A|^2 and the Webster curvature R at every
+    grid point (C order), and ``table`` the report's tables (the norms as
+    square roots); ``residuals`` the largest structure, restriction (incon2)
+    and, by ``kind``, Gauss or torsion-curvature residuals.  ``kind`` is the
+    verticality class of the planned |nu| at the report's tolerance.  An
+    ``Analysis`` of a block or of the whole grid is added by ``fold``; its jet
+    fields are not kept.  With ``keep_slots`` the Maurer-Cartan slot values
+    of every point are kept too (``slot_values``).
     """
 
-    def __init__(self, plan, grid, tol_class=TOL_CLASS):
-        self.plan = plan
+    def __init__(self, plan, grid, tol_class=TOL_CLASS, keep_slots=False):
+        self.plan, self.grid = plan, grid
         self.shape = grid.shape
         self.kind = plan.verticality(tol_class).kind
-        self.tables = {key: np.empty(grid.npoints) for key in TABLES}
+        self.fields = {key: np.empty(grid.npoints) for key in FIELDS}
         self.residuals = {}
+        self.keep_slots = keep_slots
+        self.slots = None
 
-    def fold(self, an, start=0, structure=True):
+    def fold(self, an, start=0, residuals=True):
         """Add the Analysis of the points ``start:`` of the grid (C order).
 
-        ``structure=False`` leaves the structure residual to the caller,
-        which an FD block cannot evaluate without its neighbours.
+        ``residuals=False`` keeps the fields alone.  An FD analysis of a
+        block cannot evaluate the structure residual without its neighbours:
+        its slot values are kept, and ``close`` evaluates it over the grid.
         """
-        res = {"incon2": an.restriction_residuals()["max"]}
-        if structure:
-            res["structure"] = an.mc.structure_residual()
         stop = start + int(np.prod(an.batch))
-        fields = (an.ff.nu_norm, np.sqrt(an.II_norm2), np.sqrt(an.torsion_norm2),
-                  an.curvature["scalar"])
-        for key, arr in zip(TABLES, fields):
-            self.tables[key][start:stop] = arr.reshape(-1)
+        fields = (an.ff.nu_norm, an.II_norm2, an.torsion_norm2, an.curvature["scalar"])
+        for key, arr in zip(FIELDS, fields):
+            self.fields[key][start:stop] = arr.reshape(-1)
+        if not residuals:
+            return self
+        whole = an.mc.mode == "ad" or an.ff.grid is self.grid
+        if self.keep_slots or not whole:
+            w = an.mc.values
+            if self.slots is None:
+                self.slots = np.empty(w.shape[:3] + (self.grid.npoints,))
+            self.slots[..., start:stop] = w.reshape(w.shape[:3] + (-1,))
+        res = {"incon2": an.restriction_residuals()["max"]}
+        if whole:
+            res["structure"] = an.mc.structure_residual()
         if self.kind == VERTICAL:
             res["gauss"] = an.gauss_residual()
         if self.kind == COMPLETELY_NON_VERTICAL and an.codim == 1:
             res["nver15"] = an.cnv_curvature_residual()
             res["nver28"] = an.scalar_torsion_residual()
         for key, value in res.items():
-            self.fold_residual(key, value)
+            fold_max(self.residuals, key, value)
         return self
 
-    def fold_residual(self, key, value):
-        """Keep the larger of the residual so far and ``value`` (NaN sticks)."""
-        self.residuals[key] = float(np.maximum(self.residuals.get(key, value), value))
+    def close(self):
+        """After the last block: the structure residual of FD blocks, by
+        central differences over the kept slot values of the whole grid."""
+        if self.slots is not None and "structure" not in self.residuals:
+            fold_max(self.residuals, "structure",
+                     grid_structure_residual(self.slot_values(), self.grid))
+        return self
+
+    def slot_values(self):
+        """The kept Maurer-Cartan slot values, (d, D, D, *grid)."""
+        return self.slots.reshape(self.slots.shape[:3] + self.shape)
+
+    def field(self, key):
+        return self.fields[key].reshape(self.shape)
 
     def table(self, key):
-        return self.tables[key].reshape(self.shape)
+        return self.field(key) if key in self.fields else np.sqrt(self.field(key + "2"))
 
 
-def sweep(imm, grid, policy="canonical", mode="ad", tol_class=TOL_CLASS) -> Summary:
+def sweep(imm, grid, policy="canonical", mode="ad", tol_class=TOL_CLASS,
+          residuals=True, keep_slots=False, visit=None) -> Summary:
     """The report summary of ``imm`` over ``grid``, in blocks of points.
 
     Every invariant in the summary is pointwise, so the grid is split into
     ``ceil(npoints / BLOCK_POINTS)`` near-equal contiguous blocks and each
     runs the frame, Maurer-Cartan and invariant pipeline alone, following
     one ``FramePlan`` made over the whole grid first; peak memory then
-    follows the block, not the grid, and the tables and residuals are those
+    follows the block, not the grid, and the fields and residuals are those
     of the whole-grid build.  A grid of one block is one whole-grid build
-    with no plan pass.  In FD mode the structure residual needs neighbours
+    with no plan pass.  ``residuals`` and ``keep_slots`` go to ``Summary``;
+    ``visit(block, an)``, if given, reads what else a caller keeps of each
+    block's Analysis.  In FD mode the structure residual needs neighbours
     across blocks, so it runs after the sweep on the whole grid's slot
     values.
     """
     count = -(-grid.npoints // BLOCK_POINTS)
-    if count == 1:
-        ff = darboux_frame(imm, grid, policy=policy, mode=mode)
-        return Summary(ff.plan, grid, tol_class).fold(Analysis(ff))
-    plan = plan_frame(imm, grid, policy=policy, mode=mode)
-    summary = Summary(plan, grid, tol_class)
-    w = None
+    plan = None if count == 1 else plan_frame(imm, grid, policy=policy, mode=mode)
+    summary = None
     for block in grid.blocks(count):
-        an = Analysis(darboux_frame(imm, block, policy=plan.policy, mode=mode,
-                                    plan=plan))
-        summary.fold(an, block.start, structure=mode == "ad")
-        if mode != "ad":
-            if w is None:
-                w = np.empty(an.mc.values.shape[:-1] + (grid.npoints,))
-            w[..., block.start:block.stop] = an.mc.values
+        an = Analysis(darboux_frame(imm, grid, policy=policy, mode=mode) if plan is None
+                      else darboux_frame(imm, block, policy=plan.policy, mode=mode,
+                                         plan=plan))
+        if summary is None:
+            summary = Summary(an.ff.plan, grid, tol_class, keep_slots)
+        summary.fold(an, block.start, residuals)
+        if visit is not None:
+            visit(block, an)
         del an    # before the next block's fields are built
-    if w is not None:
-        summary.fold_residual("structure", grid_structure_residual(
-            w.reshape(w.shape[:-1] + grid.shape), grid))
-    return summary
+    return summary.close()

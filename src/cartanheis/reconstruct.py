@@ -25,7 +25,7 @@ from .errors import (DimensionMismatch, IntegrabilityFailure,
                      ProjectionDrift)
 
 __all__ = ["EtaForm", "FrameSolution", "holonomy_residual", "integrate_frame",
-           "congruence", "assemble_eta", "embed", "eta_from_frame_field",
+           "congruence", "assemble_eta", "eta_from_frame_field",
            "IntrinsicData", "intrinsic_data_from_analysis"]
 
 DRIFT_TOL = 1e-3   # largest group-membership residual of integrated frames
@@ -318,9 +318,10 @@ def congruence(f1: FrameSolution, f2: FrameSolution):
 
 @dataclass
 class IntrinsicData:
-    """Intrinsic fields over a chart grid, enough to rebuild a frame form.
+    """Intrinsic fields over a chart grid or a block of one, enough to rebuild
+    a frame form.
 
-    All arrays carry the grid shape in their trailing axes:
+    All arrays carry the batch shape of ``grid`` in their trailing axes:
       theta[i]        induced contact slot values
       zco[j][i]       induced complex coframe slots
       gamma_*         intrinsic connection coefficients (as in the solver)
@@ -366,12 +367,12 @@ def assemble_eta(data: IntrinsicData) -> EtaForm:
     tangent connection block from the intrinsic connection plus the
     i |mu|^2 theta correction, the mixed block from the candidate second
     fundamental form, and the normal block from the supplied connection;
-    its realification is the returned form.
+    its realification is the returned form.  The form is assembled point
+    by point, so ``data`` may cover a ``GridBlock``.
     """
     n, m = data.n, data.m
     cod = n - m
-    d = data.grid.ndim
-    batch = data.grid.shape
+    d, batch = data.theta.shape[0], data.theta.shape[1:]
     if data.gtensor.shape[:3] != (cod, m, m):
         raise DimensionMismatch("second-fundamental-form candidate has wrong shape")
     sym = float(np.max(np.abs(data.gtensor - np.swapaxes(data.gtensor, 1, 2)))) \
@@ -425,9 +426,3 @@ def assemble_eta(data: IntrinsicData) -> EtaForm:
         slots[i, 2 * n + 1, n + 1:2 * n + 1] = -vart[:, i].real
     return EtaForm(n, data.grid, slots)
 
-
-def embed(data: IntrinsicData, basepoint_frame: psh.PSHElement, substeps=1, stencil=4):
-    """Integrate the assembled form and return the sampled immersion points."""
-    eta = assemble_eta(data)
-    sol = integrate_frame(eta, basepoint_frame, substeps=substeps, stencil=stencil)
-    return sol.points(), sol

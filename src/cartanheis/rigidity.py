@@ -1,5 +1,7 @@
 """Verticality classification (defined in ``darboux``) and the flat/sphere
-rigidity detectors."""
+rigidity detectors: ``fit_*`` and ``curvature_spread`` read order-0 arrays
+and a verticality class, ``detect_*`` and ``constant_curvature_check``
+apply them to one ``Analysis``."""
 
 from __future__ import annotations
 
@@ -14,8 +16,9 @@ from .errors import NotFlat, NotTorsionFree, WrongClass
 from .heis import HPoint
 from .invariants import Analysis
 
-__all__ = ["VerticalityClass", "SphereFit", "RigidMotionFit", "classify",
-           "detect_flat", "detect_sphere", "constant_curvature_check"]
+__all__ = ["VerticalityClass", "SphereFit", "RigidMotionFit", "classify", "fit_flat",
+           "fit_sphere", "curvature_spread", "detect_flat", "detect_sphere",
+           "constant_curvature_check"]
 
 
 @dataclass(frozen=True)
@@ -37,58 +40,51 @@ def _require(cond, exc, msg):
         raise exc(msg)
 
 
-def detect_flat(an: Analysis, tol=1e-7) -> RigidMotionFit:
-    """Fit a rigid motion carrying the model vertical subgroup onto the surface.
+def fit_flat(kind, codim, corner, X, II_norm2, tol=1e-7) -> RigidMotionFit:
+    """Fit a rigid motion carrying the model vertical subgroup onto a surface.
 
-    Requires a vertical surface of codimension one with vanishing second
-    fundamental form; the returned motion is the Darboux frame at the base
-    corner, and the residual is the largest normal coordinate left after
-    undoing the motion.
+    Requires a vertical surface (``kind``, its verticality class) of
+    codimension one with vanishing second fundamental form (``II_norm2``,
+    |II|^2 at each point); the returned motion is ``corner``, the Darboux
+    frame at the base corner, and the residual is the largest normal
+    coordinate of the points ``X`` (2n+1, *batch) left after undoing it.
     """
-    ff = an.ff
-    n = an.n
-    _require(an.codim == 1, WrongClass, "flat detector needs codimension one")
-    cls = classify(ff.nu_norm)
-    _require(cls.kind == VERTICAL, WrongClass,
-             f"flat detector needs a vertical surface (class {cls.kind})")
-    iimax = float(np.max(np.sqrt(an.II_norm2)))
+    n = corner.n
+    _require(codim == 1, WrongClass, "flat detector needs codimension one")
+    _require(kind == VERTICAL, WrongClass,
+             f"flat detector needs a vertical surface (class {kind})")
+    iimax = float(np.max(np.sqrt(II_norm2)))
     _require(iimax < tol, NotFlat,
              f"second fundamental form reaches {iimax:.2e} (tol {tol:.0e})")
-
-    motion = ff.psh_at((0,) * an.d)
-
-    inv = psh.inverse(motion)
-    X = jets.values(ff.X)
-    ones = np.ones((1,) + an.batch)
+    inv = psh.inverse(corner)
+    ones = np.ones((1,) + X.shape[1:])
     moved = np.einsum("rc,c...->r...", inv.mat, np.concatenate([ones, X]))
     resid = max(float(np.max(np.abs(moved[n]))),
                 float(np.max(np.abs(moved[2 * n]))))
-    return RigidMotionFit(motion, resid)
+    return RigidMotionFit(corner, resid)
 
 
-def detect_sphere(an: Analysis, tol=1e-7) -> SphereFit:
+def fit_sphere(kind, codim, policy, X, leg, nu, torsion_norm2, tol=1e-7) -> SphereFit:
     """Recover the centre and radius of a torsion-free non-vertical surface.
 
-    In the nu-adapted gauge the rescaled last frame leg points from a common
-    centre to each surface point; the centre coordinates follow by undoing
-    the left-invariant frame at the point, and the radius is 1/|nu|.
+    In the nu-adapted gauge (``policy``) the first normal leg Je_{m+1},
+    rescaled by 1/|nu|, points from a common centre to each surface point;
+    the centre coordinates follow by undoing the left-invariant frame at the
+    point, and the radius is 1/|nu|.  ``X`` (2n+1, *batch) holds the points,
+    ``leg`` (2n, *batch) the first 2n frame components of the leg, and
+    ``torsion_norm2`` |A|^2.
     """
-    ff = an.ff
-    n = an.n
-    _require(an.codim == 1, WrongClass, "sphere detector needs codimension one")
-    cls = classify(ff.nu_norm)
-    _require(cls.kind == COMPLETELY_NON_VERTICAL, WrongClass,
+    n = X.shape[0] // 2
+    _require(codim == 1, WrongClass, "sphere detector needs codimension one")
+    _require(kind == COMPLETELY_NON_VERTICAL, WrongClass,
              f"sphere detector needs a completely non-vertical surface "
-             f"(class {cls.kind})")
-    _require(ff.policy == "nu", WrongClass,
+             f"(class {kind})")
+    _require(policy == "nu", WrongClass,
              "sphere detector expects frames in the nu-adapted gauge")
-    amax = float(np.max(np.sqrt(an.torsion_norm2)))
+    amax = float(np.max(np.sqrt(torsion_norm2)))
     _require(amax < tol, NotTorsionFree,
              f"pseudohermitian torsion reaches {amax:.2e} (tol {tol:.0e})")
-
-    nu = ff.nu_norm
-    a = jets.values(ff.legs_jn[0][:2 * n]) / nu               # (2n, batch)
-    X = jets.values(ff.X)
+    a = leg / nu
     cx = X[:n] - a[:n]
     cy = X[n:2 * n] - a[n:2 * n]
     ct = X[2 * n] - (np.einsum("b...,b...->...", a[:n], cy)
@@ -103,17 +99,36 @@ def detect_sphere(an: Analysis, tol=1e-7) -> SphereFit:
                      radius_resid)
 
 
-def constant_curvature_check(an: Analysis, tol=1e-7) -> dict:
-    """Spread of the scalar curvature over the grid for torsion-free surfaces."""
-    cls = classify(an.ff.nu_norm)
-    _require(cls.kind == COMPLETELY_NON_VERTICAL, WrongClass,
+def curvature_spread(kind, torsion_norm2, R, tol=1e-7) -> dict:
+    """Spread of the scalar curvature ``R`` over the grid for torsion-free
+    surfaces (``torsion_norm2`` |A|^2)."""
+    _require(kind == COMPLETELY_NON_VERTICAL, WrongClass,
              f"constant-curvature check needs class CompletelyNonVertical "
-             f"(got {cls.kind})")
-    amax = float(np.max(np.sqrt(an.torsion_norm2)))
+             f"(got {kind})")
+    amax = float(np.max(np.sqrt(torsion_norm2)))
     _require(amax < tol, NotTorsionFree,
              f"pseudohermitian torsion reaches {amax:.2e} (tol {tol:.0e})")
-    R = an.curvature["scalar"]
     spread = float(np.max(R) - np.min(R))
     mean = float(np.mean(R))
     return {"spread": spread, "mean": mean, "tol": tol,
             "pass": spread < tol * (1 + abs(mean))}
+
+
+# the fits of one Analysis, with its class at TOL_CLASS
+
+def detect_flat(an: Analysis, tol=1e-7) -> RigidMotionFit:
+    return fit_flat(classify(an.ff.nu_norm).kind, an.codim,
+                    an.ff.psh_at((0,) * len(an.batch)), jets.values(an.ff.X),
+                    an.II_norm2, tol)
+
+
+def detect_sphere(an: Analysis, tol=1e-7) -> SphereFit:
+    ff = an.ff
+    leg = jets.values(ff.legs_jn[0][:2 * an.n]) if an.codim else None
+    return fit_sphere(classify(ff.nu_norm).kind, an.codim, ff.policy,
+                      jets.values(ff.X), leg, ff.nu_norm, an.torsion_norm2, tol)
+
+
+def constant_curvature_check(an: Analysis, tol=1e-7) -> dict:
+    return curvature_spread(classify(an.ff.nu_norm).kind, an.torsion_norm2,
+                            an.curvature["scalar"], tol)

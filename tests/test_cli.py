@@ -99,6 +99,21 @@ def test_check_command(capsys):
     assert "verdict rigid_motion_invariance: yes" in out
 
 
+def test_check_fits_at_the_report_class_tolerance(capsys):
+    # at --tol class=2 the unit sphere (|nu| = 1) is vertical: the flat fit
+    # takes that class, and the report carries a fit whose image residual
+    # shows the sphere is not the vertical subgroup (exit 1 for the Gauss
+    # residual of a non-vertical surface)
+    code = run_cli("check", "--surface", "builtin:sphere(2,1)", "--grid", "5",
+                   "--tol", "class=2", "--format", "structured")
+    captured = capsys.readouterr()
+    rpt = json.loads(captured.out)
+    assert code == 1
+    assert rpt["class"] == "Vertical" and rpt["fits"]["flat"]["image_residual"] > 0.1
+    assert not rpt["residuals"]["gauss"]["pass"]
+    assert "WrongClass" not in captured.err
+
+
 def test_reconstruct_command(capsys):
     code = run_cli("reconstruct", "--surface", "builtin:sphere(2,1)",
                    "--grid", "7")

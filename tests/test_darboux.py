@@ -98,8 +98,8 @@ def test_nu_gauge_normal_leg(sphere_nu):
 def test_structure_residual_ad(sphere_nu, holograph, ellipsoid_nu):
     for _, _, ff, an in (sphere_nu, holograph, ellipsoid_nu):
         assert an.mc.structure_residual() < 1e-12
-        diag = an.mc.algebra_residuals()
-        assert max(diag.values()) < 1e-12
+        diag = psh.algebra_validate(np.moveaxis(an.mc.values, (1, 2), (-2, -1)))
+        assert max(diag.residuals.values()) < 1e-12
 
 
 def test_structure_residual_fd_order():
@@ -150,8 +150,12 @@ def test_gauge_change_keeps_invariant_scalars():
 
 
 def test_continuity_of_frames(sphere_nu, ellipsoid_nu):
+    # the largest column jump between grid neighbours (gauge continuity)
     for _, _, ff, _ in (sphere_nu, ellipsoid_nu):
-        assert ff.continuity_residual() < 0.5
+        cols = jets.values(ff.frame_cols)
+        jumps = [np.max(np.sqrt(np.sum(np.diff(cols, axis=ax) ** 2, axis=1)))
+                 for ax in range(2, cols.ndim)]
+        assert max(jumps) < 0.5
 
 
 def test_identity_chart_frame_derivative():

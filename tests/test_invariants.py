@@ -12,10 +12,10 @@ def test_flat_model_everything_vanishes(heis_sub12):
     assert np.max(an.II_norm2) < 1e-28
     assert np.max(an.torsion_norm2) < 1e-28
     assert np.max(np.abs(an.curvature["scalar"])) < 1e-13
-    tw = invariants.tanaka_webster_solve(an)
+    tw = an.tanaka_webster
     for key in ("gamma_hol", "gamma_bar", "gamma_0"):
-        assert np.max(np.abs(tw[key])) < 1e-13
-    nc = invariants.normal_connection(an)
+        assert np.max(np.abs(jets.values(tw[key]))) < 1e-13
+    nc = an.normal_conn_coeffs
     for key in ("hol", "anti", "reeb"):
         assert np.max(np.abs(nc[key])) < 1e-13
     assert an.restriction_residuals()["max"] < 1e-13

@@ -226,8 +226,9 @@ def test_embed_reproduces_surfaces():
                               ("builtin:holograph()", "canonical", 1e-3)):
         _, grid, ff, an = analysis_for(spec, 9, policy)
         data = reconstruct.intrinsic_data_from_analysis(an)
-        pts, sol = reconstruct.embed(data, ff.psh_at((0, 0, 0)), substeps=2,
-                                     stencil=6)
+        sol = reconstruct.integrate_frame(reconstruct.assemble_eta(data),
+                                          ff.psh_at((0, 0, 0)), substeps=2, stencil=6)
+        pts = sol.points()
         X = np.stack([x.value + np.zeros(grid.shape) for x in ff.X], axis=-1)
         assert np.max(np.abs(pts - X)) < tol, spec
 
@@ -295,8 +296,9 @@ def test_roundtrip_property_all_builtins():
     for spec, policy in (("builtin:ellipsoid(2,1,1.3)", "nu"),):
         _, grid, ff, an = analysis_for(spec, 9, policy)
         data = reconstruct.intrinsic_data_from_analysis(an)
-        pts, sol = reconstruct.embed(data, ff.psh_at((0, 0, 0)), substeps=2,
-                                     stencil=6)
+        sol = reconstruct.integrate_frame(reconstruct.assemble_eta(data),
+                                          ff.psh_at((0, 0, 0)), substeps=2, stencil=6)
+        pts = sol.points()
         X = np.stack([x.value + np.zeros(grid.shape) for x in ff.X], axis=-1)
         assert np.max(np.abs(pts - X)) < 1e-5, spec
 

@@ -1,4 +1,4 @@
-"""The invariants sweep over point blocks: same reports, same errors, less memory."""
+"""The sweep over point blocks: same reports, same errors, less memory."""
 
 import contextlib
 import inspect
@@ -52,31 +52,44 @@ def counting(monkeypatch, owner, name, planning=False):
 def test_blocked_report_is_the_whole_grid_report(spec, grid, blocks, policies,
                                                  monkeypatch):
     points = int(grid) ** dsl.parse_surface_spec(f"builtin:{spec}").nparams
-    for policy in policies:
-        argv = ["invariants", "--surface", f"builtin:{spec}", "--grid", grid,
-                "--policy", policy, "--format", "structured"]
-        whole = run(argv, ONE_BLOCK, monkeypatch)
-        plans = counting(monkeypatch, darboux, "_frame_legs", planning=True)
-        builds = counting(monkeypatch, darboux.FrameField, "_build")
-        blocked = run(argv, -(-points // blocks), monkeypatch)
-        monkeypatch.undo()
-        # one plan over the whole grid, and no block plans for itself
-        assert (len(plans), len(builds)) == (1, blocks), (policy, plans, builds)
-        assert whole[0] == 0, (policy, whole[2])
-        assert blocked == whole, policy
+    for command in ("invariants", "check", "reconstruct", "roundtrip"):
+        for policy in policies:
+            argv = [command, "--surface", f"builtin:{spec}", "--grid", grid,
+                    "--policy", policy, "--format", "structured"]
+            # one block: one whole-grid build per surface swept (check and
+            # roundtrip also sweep a rigidly moved copy)
+            surfaces = counting(monkeypatch, darboux.FrameField, "_build")
+            whole = run(argv, ONE_BLOCK, monkeypatch)
+            monkeypatch.undo()
+            plans = counting(monkeypatch, darboux, "_frame_legs", planning=True)
+            builds = counting(monkeypatch, darboux.FrameField, "_build")
+            blocked = run(argv, -(-points // blocks), monkeypatch)
+            monkeypatch.undo()
+            # one plan over the whole grid per surface, and no block plans
+            # for itself
+            assert (len(plans), len(builds)) == (len(surfaces), len(surfaces) * blocks), \
+                (command, policy, surfaces, plans, builds)
+            # invariants passes on all of these; the coarse grids fail some
+            # reconstruction verdicts, which must fail the same way blocked
+            assert whole[0] in ((0,) if command == "invariants" else (0, 1)), \
+                (command, policy, whole[2])
+            assert blocked == whole, (command, policy)
 
 
 @pytest.mark.parametrize("spec, grid, block", [("ellipsoid(2,1,1.3)", "7", 100),
                                                ("sphere(3,1)", "3", 122)])
 def test_blocked_fd_report_is_the_whole_grid_report(spec, grid, block, monkeypatch):
-    argv = ["invariants", "--surface", f"builtin:{spec}", "--grid", grid,
-            "--mode", "fd", "--format", "structured"]
-    whole = run(argv, ONE_BLOCK, monkeypatch)
-    assert whole[0] == 0, whole[2]
-    assert run(argv, block, monkeypatch) == whole
-    if grid == "7":
-        # the structure residual differences across block boundaries
-        assert json.loads(whole[1])["residuals"]["structure"]["value"] > 0
+    # check reads the same kept slot values for its holonomy verdict
+    for command in ("invariants", "check"):
+        argv = [command, "--surface", f"builtin:{spec}", "--grid", grid,
+                "--mode", "fd", "--format", "structured"]
+        whole = run(argv, ONE_BLOCK, monkeypatch)
+        assert whole[0] in ((0,) if command == "invariants" else (0, 1)), \
+            (command, whole[2])
+        assert run(argv, block, monkeypatch) == whole, command
+        if grid == "7":
+            # the structure residual differences across block boundaries
+            assert json.loads(whole[1])["residuals"]["structure"]["value"] > 0
 
 
 def _black_box_ellipsoid():
@@ -159,11 +172,13 @@ def test_blocks_give_the_errors_of_one_block(x2, y2, t, mode, error, tmp_path,
                                              monkeypatch):
     srf = tmp_path / "far_end.srf"
     srf.write_text(FAR_END.format(x2=x2, y2=y2, t=t))
-    argv = ["invariants", "--surface", str(srf), "--grid", "9", "--mode", mode]
-    whole = run(argv, ONE_BLOCK, monkeypatch)
-    assert whole[0] == 2 and whole[2].startswith(f"input error: {error}"), whole[2]
-    assert "grid index (" in whole[2]
-    assert run(argv, 50, monkeypatch) == whole
+    for command in ("invariants", "check"):
+        argv = [command, "--surface", str(srf), "--grid", "9", "--mode", mode]
+        whole = run(argv, ONE_BLOCK, monkeypatch)
+        assert whole[0] == 2 and whole[2].startswith(f"input error: {error}"), \
+            (command, whole[2])
+        assert "grid index (" in whole[2]
+        assert run(argv, 50, monkeypatch) == whole, command
 
 
 def test_bad_inputs_give_the_errors_of_one_block(tmp_path, monkeypatch):
@@ -191,8 +206,11 @@ def _traced_peak(argv, block_points, monkeypatch):
 
 
 def test_blocked_invariants_peak_is_bounded_by_the_block(monkeypatch):
-    argv = ["invariants", "--surface", "builtin:ellipsoid(3,1,1,1.3)", "--grid", "4",
-            "--format", "structured"]
-    whole = _traced_peak(argv, ONE_BLOCK, monkeypatch)
-    blocked = _traced_peak(argv, 256, monkeypatch)
-    assert blocked < 0.5 * whole, (blocked, whole)
+    # check also keeps order-0 arrays of the whole grid (slot values, frame
+    # matrices), a small part of one block's jet fields
+    for command in ("invariants", "check"):
+        argv = [command, "--surface", "builtin:ellipsoid(3,1,1,1.3)", "--grid", "4",
+                "--format", "structured"]
+        whole = _traced_peak(argv, ONE_BLOCK, monkeypatch)
+        blocked = _traced_peak(argv, 256, monkeypatch)
+        assert blocked < 0.5 * whole, (command, blocked, whole)
