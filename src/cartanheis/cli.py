@@ -14,6 +14,8 @@ import math
 import os
 import sys
 
+from .errors import InputError
+
 DEFAULT_TOLS = {
     "structure": 1e-8,
     "incon2": 1e-5,
@@ -29,7 +31,6 @@ DEFAULT_TOLS = {
     "roundtrip": 1e-5,
     "invariance": 1e-8,
 }
-FD_TOL_FACTOR = 1e4   # documented relaxation of residual thresholds in FD mode
 
 
 def _cap_threads():
@@ -78,6 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_tols(args, mode="ad") -> dict:
+    from .darboux import FD_TOL_FACTOR
     tols = dict(DEFAULT_TOLS)
     if mode == "fd":
         for k in ("structure", "incon2", "gauss", "nver15", "nver28", "link",
@@ -85,17 +87,17 @@ def _parse_tols(args, mode="ad") -> dict:
             tols[k] *= FD_TOL_FACTOR
     for item in args.tol:
         if "=" not in item:
-            raise ValueError(f"bad --tol {item!r}; expected NAME=VALUE")
+            raise InputError(f"bad --tol {item!r}; expected NAME=VALUE")
         k, v = item.split("=", 1)
         if k not in tols:
-            raise ValueError(f"unknown tolerance {k!r}; "
+            raise InputError(f"unknown tolerance {k!r}; "
                              f"known: {', '.join(sorted(tols))}")
         try:
             val = float(v)
         except ValueError:
             val = math.nan
         if not (math.isfinite(val) and val > 0):
-            raise ValueError(f"tolerance {k!r} must be a positive finite "
+            raise InputError(f"tolerance {k!r} must be a positive finite "
                              f"number, got {v!r}")
         tols[k] = val
     return tols
@@ -107,28 +109,28 @@ def _parse_grid(text, d):
     except ValueError:
         parts = []
     if not parts or min(parts) < 1:
-        raise ValueError(f"--grid takes positive integer counts, e.g. 17 or "
+        raise InputError(f"--grid takes positive integer counts, e.g. 17 or "
                          f"17,17,9; got {text!r}")
     if len(parts) == 1:
         parts = parts * d
     if len(parts) != d:
-        raise ValueError(f"--grid needs 1 or {d} counts, got {len(parts)}")
+        raise InputError(f"--grid needs 1 or {d} counts, got {len(parts)}")
     return parts
 
 
 def _check_args(args):
     """Reject a negative --seed, and an --out that is a directory or lies in
-    a missing one, before anything runs (ValueError, an input error)."""
+    a missing one, before anything runs (InputError)."""
     if getattr(args, "seed", 0) < 0:
-        raise ValueError(f"--seed takes a non-negative integer, got {args.seed}")
+        raise InputError(f"--seed takes a non-negative integer, got {args.seed}")
     out = args.out
     if out and (os.path.isdir(out) or not os.path.isdir(os.path.dirname(out) or ".")):
-        raise ValueError(f"--out {out}: not a file in an existing directory")
+        raise InputError(f"--out {out}: not a file in an existing directory")
 
 
 def _emit(rpt, args, rep):
-    """The serialised report, written to --out (a failed write is an input
-    error) or returned for stdout."""
+    """The serialised report, written to --out (a failed write is an
+    InputError) or returned for stdout."""
     blob = rep.serialize(rpt, args.format)
     if not args.out:
         return blob
@@ -136,7 +138,7 @@ def _emit(rpt, args, rep):
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(blob)
     except OSError as e:
-        raise ValueError(f"--out {args.out}: {e.strerror or e}") from None
+        raise InputError(f"--out {args.out}: {e.strerror or e}") from None
     return ""
 
 
@@ -159,7 +161,9 @@ def main(argv=None) -> int:
             DomainError) as e:
         print(f"input error: {type(e).__name__}: {e}", file=sys.stderr)
         return 2
-    except (OSError, ValueError, json.JSONDecodeError) as e:
+    # a surface or matrix file that cannot be read or decoded is an input
+    # too; any other ValueError is a bug
+    except (OSError, InputError, json.JSONDecodeError, UnicodeDecodeError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return 2
     except (NotFlat, NotTorsionFree, WrongClass, IntegrabilityFailure) as e:
@@ -180,7 +184,7 @@ def _base_setup(args):
     imm = dsl.parse_surface_spec(args.surface)
     counts = _parse_grid(args.grid, imm.nparams)
     if args.command != "classify" and min(counts) < 3:
-        raise ValueError("grid counts must be at least 3 per axis for "
+        raise InputError("grid counts must be at least 3 per axis for "
                          "exterior-derivative commands")
     return imm, darboux.ChartGrid(imm.chart, counts)
 
@@ -200,6 +204,20 @@ def _holonomy_note(verdict):
     if "edge_refinement_order" in verdict:
         note += f", edge refinement order {verdict['edge_refinement_order']:.2f}"
     return note + ")"
+
+
+def _integrability(rpt, n, grid, slots, tol):
+    """The holonomy verdict on the one-form with slot values ``slots``: the
+    report's ``integrable`` verdict, the holonomy note and, when it fails,
+    the reason.  Returns the form and whether it passed."""
+    from . import reconstruct
+    eta = reconstruct.EtaForm(n, grid, slots)
+    verdict = reconstruct.integrability_verdict(eta, tol)
+    rpt["verdicts"]["integrable"] = verdict["pass"]
+    rpt["diagnostics"].append(_holonomy_note(verdict))
+    if not verdict["pass"]:
+        rpt["diagnostics"].append(verdict["reason"])
+    return eta, verdict["pass"]
 
 
 def _invariant_payload(rpt, summary, tols, rep):
@@ -291,10 +309,7 @@ def _dispatch(args, rep):
                                 tol_class=tols["class"], residuals=False)
 
     if args.command == "check":
-        eta = reconstruct.EtaForm(n, grid, summary.slot_values())
-        verdict = reconstruct.integrability_verdict(eta, tols["holonomy"])
-        rpt["verdicts"]["integrable"] = verdict["pass"]
-        rpt["diagnostics"].append(_holonomy_note(verdict))
+        _integrability(rpt, n, grid, summary.slot_values(), tols["holonomy"])
         if "link" in kept:
             rpt["verdicts"]["h_torsion_link"] = kept["link"] <= tols["link"]
             rpt["verdicts"]["theta_nn"] = kept["theta_nn"] <= tols["theta_nn"]
@@ -315,12 +330,8 @@ def _dispatch(args, rep):
                 pass
         return rpt, 0 if rep.all_pass(rpt) else 1
 
-    eta = reconstruct.EtaForm(n, grid, kept["eta"])
-    verdict = reconstruct.integrability_verdict(eta, tols["holonomy"])
-    rpt["verdicts"]["integrable"] = verdict["pass"]
-    rpt["diagnostics"].append(_holonomy_note(verdict))
-    if not verdict["pass"]:
-        rpt["diagnostics"].append(verdict["reason"])
+    eta, integrable = _integrability(rpt, n, grid, kept["eta"], tols["holonomy"])
+    if not integrable:
         return rpt, 1
     rng = np.random.default_rng(args.seed)
     g0 = psh.random_element(imm.n, rng) if args.command == "roundtrip" \
@@ -348,32 +359,38 @@ def _dispatch(args, rep):
             " ".join(f"{k}={v:.3e}" for k, v in sorted(gaps.items())))
     if kind == rigidity.COMPLETELY_NON_VERTICAL and codim == 1 \
             and float(np.max(summary.table("torsion_norm"))) < tols["torsion"]:
-        fit = rigidity.fit_sphere(kind, codim, summary.plan.policy, frames[1:, 0],
-                                  frames[1:2 * n + 1, 1 + n + imm.m], summary.field("nu"),
-                                  summary.field("torsion_norm2"), tols["torsion"])
-        rpt["fits"]["sphere"] = {
-            "center": fit.center.coords.tolist(), "radius": fit.radius,
-            "center_residual": fit.center_residual,
-            "radius_residual": fit.radius_residual}
+        if summary.plan.policy == "nu":
+            fit = rigidity.fit_sphere(kind, codim, summary.plan.policy, frames[1:, 0],
+                                      frames[1:2 * n + 1, 1 + n + imm.m],
+                                      summary.field("nu"), summary.field("torsion_norm2"),
+                                      tols["torsion"])
+            rpt["fits"]["sphere"] = {
+                "center": fit.center.coords.tolist(), "radius": fit.radius,
+                "center_residual": fit.center_residual,
+                "radius_residual": fit.radius_residual}
+        else:
+            rpt["diagnostics"].append(
+                f"no sphere fit: it reads frames in the nu gauge, and these were "
+                f"built in the {summary.plan.policy} gauge")
     return rpt, 0 if rep.all_pass(rpt) else 1
 
 
 def _read_matrix(path):
-    """The matrix in a JSON file; a ValueError (an input error) unless it is
-    finite, square and of even size 2n+2 >= 4."""
+    """The matrix in a JSON file; an InputError unless it is finite, square
+    and of even size 2n+2 >= 4."""
     import numpy as np
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     try:
         mat = np.asarray(data, dtype=float)
     except (TypeError, ValueError):
-        raise ValueError(f"{path}: expected a matrix of numbers") from None
+        raise InputError(f"{path}: expected a matrix of numbers") from None
     d = mat.shape[0] if mat.ndim == 2 else 0
     if mat.shape != (d, d) or d % 2 or d < 4:
-        raise ValueError(f"{path}: expected a square matrix of even size "
+        raise InputError(f"{path}: expected a square matrix of even size "
                          f"2n+2 >= 4, got shape {mat.shape}")
     if not np.all(np.isfinite(mat)):
-        raise ValueError(f"{path}: matrix entries must be finite")
+        raise InputError(f"{path}: matrix entries must be finite")
     return mat
 
 

@@ -42,6 +42,9 @@ POLICIES = ("auto", "canonical", "nu", "reverse")
 TOL_SINGULAR = 1e-8
 TOL_CR = 1e-8
 TOL_CLASS = 1e-7   # |nu| threshold between vertical and non-vertical points
+# FD jets carry O(step^2..4) truncation error: in FD mode the chart-validity
+# gates and the CLI's residual thresholds relax by this factor
+FD_TOL_FACTOR = 1e4
 FRAME_ORDER = 3    # jet order of the immersion a frame is built from
 NU = -1            # the normal candidate -nu in ``FramePlan.normals``
 
@@ -181,20 +184,24 @@ def _apply_j(f):
     return f @ _j_matrix((f.shape[-1] - 1) // 2)
 
 
-def _chart_tangents(X, low):
+def _chart_tangents(X, low, grid):
     """Frame components of the chart tangent vectors d_i, one order below X.
 
     Column i holds d_i X with the last row turned into the contact pairing
     theta(d_i); ``low`` is X truncated one order down.  The support is
     pruned to the coefficients that are nonzero somewhere: the support of X
     is shared by all its coordinates, so on a flat surface the contact row
-    would otherwise carry the chart axis t depends on.
+    would otherwise carry the chart axis t depends on.  The pairing can
+    overflow where X is finite: it is formed with numpy's warnings silenced,
+    and a tangent that is not finite raises DomainError at its first index
+    on ``grid``.
     """
     n = (X.shape[-1] - 1) // 2
     XiF = X.jacobian()
-    XiF[2 * n] = heis.frame_t_component(low[:n], low[n:2 * n], XiF[:n],
-                                        XiF[n:2 * n], XiF[2 * n])
-    return XiF.pruned()
+    with np.errstate(over="ignore", invalid="ignore"):
+        XiF[2 * n] = heis.frame_t_component(low[:n], low[n:2 * n], XiF[:n],
+                                            XiF[n:2 * n], XiF[2 * n])
+    return _finite(XiF, grid, "chart tangents").pruned()
 
 
 def _tangent_legs(XiF, t, k0, seeds, m, floor=None):
@@ -313,7 +320,8 @@ def _frame_legs(XiF, grid, n, m, policy, mode, plan=None):
     theta = XiF[2 * n]
     if plan is None:
         th_vals = jets.values(theta)
-        scale = np.sqrt(max(np.max(XiF.value ** 2), 1e-30))
+        with np.errstate(over="ignore"):    # an inf scale fails the checks below
+            scale = np.sqrt(max(np.max(XiF.value ** 2), 1e-30))
         worst = np.max(np.abs(th_vals), axis=0)
         if np.min(worst) < tol_singular * scale:
             loc = _location(grid, np.argmin(worst.reshape(-1)))
@@ -427,14 +435,14 @@ def _check_policy(policy):
 
 
 def _tolerances(mode):
-    """The chart-validity gates TOL_SINGULAR and TOL_CR; FD jets carry
-    O(step^2..4) truncation error, so in FD mode they relax by 1e4."""
+    """The chart-validity gates TOL_SINGULAR and TOL_CR, relaxed by
+    FD_TOL_FACTOR in FD mode."""
     if mode == "fd":
-        return TOL_SINGULAR * 1e4, TOL_CR * 1e4
+        return TOL_SINGULAR * FD_TOL_FACTOR, TOL_CR * FD_TOL_FACTOR
     return TOL_SINGULAR, TOL_CR
 
 
-def _finite(X, grid):
+def _finite(X, grid, what="immersion or its derivatives"):
     """X, after checking that every jet coefficient is finite.
 
     Raises DomainError at the first grid index where one is not; the jet
@@ -446,29 +454,31 @@ def _finite(X, grid):
         points = int(np.prod(X.batch_shape))
         loc = _location(grid, np.argmin(np.moveaxis(ok, 0, -1).reshape(points, -1)
                                         .all(axis=1)))
-        raise DomainError("immersion or its derivatives not finite", location=loc)
+        raise DomainError(f"{what} not finite", location=loc)
     return X
 
 
+def _fd_steps(grid):
+    """The FD steps along each chart axis: half the grid spacing."""
+    return [0.5 * s for s in grid.spacing]
+
+
 def _jets(imm, grid, order, mode):
-    """The immersion's jets over the grid, checked finite; FD steps are half
-    the spacing."""
+    """The immersion's jets over the grid, checked finite: exact in AD mode,
+    by central differences (``dsl.fd_jets``) in FD mode."""
     if mode == "ad":
-        return _finite(imm.jets(grid.points, order=order), grid)
-    return _finite(imm.jets(grid.points, order=order, mode=mode,
-                            steps=[0.5 * s for s in grid.spacing]), grid)
+        X = imm.jets(grid.points, order=order)
+    else:
+        X = dsl.fd_jets(imm.values, imm.nparams, grid.points, order, _fd_steps(grid))
+    return _finite(X, grid)
 
 
 def _immersion_jets(imm, grid, order, mode):
-    """The immersion's jets over the grid, after the rank check."""
-    if mode == "ad":
-        # the jets carry the Jacobian for the rank check
-        X = _jets(imm, grid, order, mode)
-        imm.rank_check(grid.points, jac=X.gradient())
-        return X
-    jac = _finite(imm.jets(grid.points, order=1), grid).gradient()
-    imm.rank_check(grid.points, jac=jac)
-    return _jets(imm, grid, order, mode)
+    """The immersion's jets over the grid, after the rank check on the exact
+    Jacobian (in AD mode, the gradient of the jets themselves)."""
+    X = _jets(imm, grid, order if mode == "ad" else 1, "ad")
+    imm.rank_check(grid.points, jac=X.gradient())
+    return X if mode == "ad" else _jets(imm, grid, order, mode)
 
 
 def plan_frame(imm, grid, policy="canonical", mode="ad") -> FramePlan:
@@ -486,9 +496,9 @@ def plan_frame(imm, grid, policy="canonical", mode="ad") -> FramePlan:
     X = _immersion_jets(imm, grid, 1, mode)
     if mode == "fd":
         dsl.fd_sample(imm.values, imm.nparams, grid.points, FRAME_ORDER,
-                      [0.5 * s for s in grid.spacing])
-    legs = _frame_legs(_chart_tangents(X, X.truncated(0)), grid, imm.n, imm.m, policy,
-                       mode)
+                      _fd_steps(grid))
+    legs = _frame_legs(_chart_tangents(X, X.truncated(0), grid), grid, imm.n, imm.m,
+                       policy, mode)
     return replace(legs[-1], condition=coframe_condition(legs[4]))
 
 
@@ -546,7 +556,7 @@ class FrameField:
         self.ctx = jets.context(d, Xfull.ctx.order - 1)
         self.batch = self.grid.shape
         self.X = Xfull.truncated(self.ctx.order)
-        XiF = self.XiF = _chart_tangents(Xfull, self.X)
+        XiF = self.XiF = _chart_tangents(Xfull, self.X, self.grid)
         self.theta_slots = XiF[2 * n]
         (tangent, self.that_frame, self.nu_frame, self.nu_norm2, self.charts, normal,
          self.plan) = _frame_legs(XiF, self.grid, n, m, self.policy, self.mode,

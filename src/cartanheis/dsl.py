@@ -27,11 +27,11 @@ import numpy as np
 
 from . import jets
 from .errors import (DomainError, DslDimensionMismatch, DslSyntaxError, NotImmersed,
-                     OutOfChart, UndeclaredParameter, UnknownBuiltin)
+                     UndeclaredParameter, UnknownBuiltin)
 from .jets import Jet
 
-__all__ = ["Expr", "Immersion", "BlackBoxImmersion", "parse", "pretty_print",
-           "builtin", "parse_surface_spec", "Jet2"]
+__all__ = ["Expr", "Immersion", "parse", "pretty_print", "builtin",
+           "parse_surface_spec"]
 
 
 # ---------------------------------------------------------------------------
@@ -502,6 +502,9 @@ class _Parser:
         if t.kind != "NUMBER":
             raise DslSyntaxError(f"expected a number, found {t.text!r}", t.line, t.col)
         v = float(t.text)
+        if not math.isfinite(v):
+            raise DslSyntaxError(f"expected a finite number, found {t.text!r}",
+                                 t.line, t.col)
         return (-v if neg else v), t
 
     def expect_int(self) -> tuple[int, _Tok]:
@@ -706,15 +709,6 @@ def pretty_print(imm: "Immersion") -> str:
 # immersions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Jet2:
-    """Second-order pointwise jet of an immersion at one chart point."""
-
-    value: np.ndarray      # ambient coordinates (2n+1,)
-    d1: np.ndarray         # first derivatives, shape (nparams, 2n+1)
-    d2: np.ndarray         # second derivatives, shape (nparams, nparams, 2n+1)
-
-
 class Immersion:
     """A parametrized map from a chart box in R^{2m+1} into H_n."""
 
@@ -734,26 +728,18 @@ class Immersion:
     def nparams(self) -> int:
         return 2 * self.m + 1
 
-    def source(self) -> str:
-        return pretty_print(self)
-
-    def contains(self, u, slack=1e-12) -> bool:
-        return all(lo - slack <= ui <= hi + slack
-                   for ui, (lo, hi) in zip(u, self.chart))
-
     def values(self, u_arrays):
         env = dict(zip(self.params, [np.asarray(u, dtype=float) for u in u_arrays]))
         shape = np.broadcast_shapes(*[np.shape(v) for v in env.values()])
         return [np.broadcast_to(np.asarray(v, dtype=float), shape).copy()
                 for v in evaluate(self.coord_exprs, env)]
 
-    def jets(self, u_arrays, order=3, mode="ad", steps=None):
+    def jets(self, u_arrays, order=3):
         """Taylor-expand the ambient coordinates at a batch of chart points.
 
-        Returns one jet of tensor shape (2n+1,), one entry per coordinate.
+        Returns one jet of tensor shape (2n+1,), one entry per coordinate,
+        with exact derivatives (``fd_jets`` takes them by differences).
         """
-        if mode == "fd":
-            return fd_jets(self.values, self.nparams, u_arrays, order, steps=steps)
         ctx = jets.context(self.nparams, order)
         seeds = jets.variables(ctx, [np.asarray(u, dtype=float) for u in u_arrays])
         env = dict(zip(self.params, seeds))
@@ -761,18 +747,6 @@ class Immersion:
         return jets.stack([v if isinstance(v, Jet)
                            else jets.constant(ctx, float(v), shape)
                            for v in evaluate(self.coord_exprs, env)])
-
-    def jet(self, u) -> Jet2:
-        """Pointwise second-order jet; u must lie inside the chart box."""
-        u = np.asarray(u, dtype=float)
-        if not self.contains(u):
-            raise OutOfChart(f"{u.tolist()} outside chart box of {self.label!r}")
-        js = self.jets([np.atleast_1d(ui) for ui in u], order=2)
-        d = self.nparams
-        value = js.value[0]
-        d1 = js.gradient()[:, 0]
-        d2 = np.array([[js.second(i, k)[0] for k in range(d)] for i in range(d)])
-        return Jet2(value, d1, d2)
 
     def rank_check(self, grid_points, floor=1e-8, jac=None):
         """Raise NotImmersed unless all Jacobian singular values clear the floor.
@@ -793,35 +767,6 @@ class Immersion:
                 f"Jacobian rank deficient (sigma_min {worst:.2e} < {floor:.0e}) "
                 f"at grid index {loc}", location=loc)
         return worst
-
-
-class BlackBoxImmersion:
-    """Immersion supplied as a callable; derivatives via central differences."""
-
-    def __init__(self, label, n, m, chart, fn):
-        self.label = label
-        self.n = n
-        self.m = m
-        self.chart = [(float(lo), float(hi)) for lo, hi in chart]
-        self.params = [f"u{i + 1}" for i in range(2 * m + 1)]
-        self._fn = fn
-
-    @property
-    def nparams(self):
-        return 2 * self.m + 1
-
-    def contains(self, u, slack=1e-12):
-        return all(lo - slack <= ui <= hi + slack
-                   for ui, (lo, hi) in zip(u, self.chart))
-
-    def values(self, u_arrays):
-        out = self._fn([np.asarray(u, dtype=float) for u in u_arrays])
-        return [np.asarray(c, dtype=float) for c in out]
-
-    def jets(self, u_arrays, order=3, mode="fd", steps=None):
-        return fd_jets(self.values, self.nparams, u_arrays, order, steps=steps)
-
-    rank_check = Immersion.rank_check
 
 
 def fd_stencil(d, order):
@@ -864,18 +809,16 @@ def fd_sample(values_fn, d, u_arrays, order, steps):
         _stencil_values(values_fn, u_arrays, off, steps)
 
 
-def fd_jets(values_fn, d, u_arrays, order, steps=None):
+def fd_jets(values_fn, d, u_arrays, order, steps):
     """Finite-difference Taylor coefficients (Richardson first derivatives).
 
     ``steps`` gives the per-axis displacement; accuracy is O(step^4) for first
     derivatives and O(step^2) for second and third ones, so downstream
-    residual tolerances must be relaxed accordingly (documented factor 1e4
+    residual tolerances must be relaxed accordingly (``darboux.FD_TOL_FACTOR``
     against the AD pipeline).  The stencil is sampled in ``fd_stencil``
     order.
     """
     u_arrays = [np.asarray(u, dtype=float) for u in u_arrays]
-    if steps is None:
-        steps = [1e-3] * d
     ctx = jets.context(d, order)
     shape = np.broadcast_shapes(*[np.shape(u) for u in u_arrays])
     samples = {off: np.stack([np.broadcast_to(v, shape) for v in

@@ -1,10 +1,16 @@
-"""Exception taxonomy shared across the toolkit."""
+"""Exception taxonomy shared across the toolkit.
 
-import numpy as np
+Importing it loads no numpy: the command line imports it before it exports
+its thread cap, which must precede numpy's import to take effect.
+"""
 
 
 class GeometryError(Exception):
     """Base for all toolkit errors."""
+
+
+class InputError(ValueError):
+    """A malformed command-line argument or argument file (exit code 2)."""
 
 
 class DimensionMismatch(GeometryError):
@@ -29,14 +35,11 @@ class DomainError(GeometryError):
     @classmethod
     def where(cls, msg, bad):
         """The error located at the first entry where the mask ``bad`` holds."""
+        import numpy as np
         bad = np.asarray(bad)
         if bad.ndim == 0 or not bad.any():
             return cls(msg)
         return cls(msg, tuple(int(i) for i in np.argwhere(bad)[0]))
-
-
-class OutOfChart(GeometryError):
-    pass
 
 
 class NotImmersed(GeometryError):

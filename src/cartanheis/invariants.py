@@ -585,9 +585,10 @@ class Summary:
     def fold(self, an, start=0, residuals=True):
         """Add the Analysis of the points ``start:`` of the grid (C order).
 
-        ``residuals=False`` keeps the fields alone.  An FD analysis of a
-        block cannot evaluate the structure residual without its neighbours:
-        its slot values are kept, and ``close`` evaluates it over the grid.
+        ``residuals=False`` keeps the fields alone.  An FD analysis cannot
+        evaluate the structure residual without its neighbours across
+        blocks: its slot values are kept, and ``close`` evaluates it over
+        the grid.
         """
         stop = start + int(np.prod(an.batch))
         fields = (an.ff.nu_norm, an.II_norm2, an.torsion_norm2, an.curvature["scalar"])
@@ -595,14 +596,14 @@ class Summary:
             self.fields[key][start:stop] = arr.reshape(-1)
         if not residuals:
             return self
-        whole = an.mc.mode == "ad" or an.ff.grid is self.grid
-        if self.keep_slots or not whole:
+        exact = an.mc.mode == "ad"
+        if self.keep_slots or not exact:
             w = an.mc.values
             if self.slots is None:
                 self.slots = np.empty(w.shape[:3] + (self.grid.npoints,))
             self.slots[..., start:stop] = w.reshape(w.shape[:3] + (-1,))
         res = {"incon2": an.restriction_residuals()["max"]}
-        if whole:
+        if exact:
             res["structure"] = an.mc.structure_residual()
         if self.kind == VERTICAL:
             res["gauss"] = an.gauss_residual()
@@ -636,27 +637,21 @@ def sweep(imm, grid, policy="canonical", mode="ad", tol_class=TOL_CLASS,
           residuals=True, keep_slots=False, visit=None) -> Summary:
     """The report summary of ``imm`` over ``grid``, in blocks of points.
 
-    Every invariant in the summary is pointwise, so the grid is split into
-    ``ceil(npoints / BLOCK_POINTS)`` near-equal contiguous blocks and each
+    Every invariant in the summary is pointwise, so after one ``FramePlan``
+    made over the whole grid the grid is split into
+    ``ceil(npoints / BLOCK_POINTS)`` near-equal contiguous blocks, and each
     runs the frame, Maurer-Cartan and invariant pipeline alone, following
-    one ``FramePlan`` made over the whole grid first; peak memory then
-    follows the block, not the grid, and the fields and residuals are those
-    of the whole-grid build.  A grid of one block is one whole-grid build
-    with no plan pass.  ``residuals`` and ``keep_slots`` go to ``Summary``;
-    ``visit(block, an)``, if given, reads what else a caller keeps of each
-    block's Analysis.  In FD mode the structure residual needs neighbours
-    across blocks, so it runs after the sweep on the whole grid's slot
-    values.
+    the plan; peak memory then follows the block, not the grid, and the
+    fields and residuals are those of the whole-grid build.  ``residuals``
+    and ``keep_slots`` go to ``Summary``; ``visit(block, an)``, if given,
+    reads what else a caller keeps of each block's Analysis.  In FD mode
+    the structure residual needs neighbours across blocks, so it runs after
+    the sweep on the whole grid's slot values.
     """
-    count = -(-grid.npoints // BLOCK_POINTS)
-    plan = None if count == 1 else plan_frame(imm, grid, policy=policy, mode=mode)
-    summary = None
-    for block in grid.blocks(count):
-        an = Analysis(darboux_frame(imm, grid, policy=policy, mode=mode) if plan is None
-                      else darboux_frame(imm, block, policy=plan.policy, mode=mode,
-                                         plan=plan))
-        if summary is None:
-            summary = Summary(an.ff.plan, grid, tol_class, keep_slots)
+    plan = plan_frame(imm, grid, policy=policy, mode=mode)
+    summary = Summary(plan, grid, tol_class, keep_slots)
+    for block in grid.blocks(-(-grid.npoints // BLOCK_POINTS)):
+        an = Analysis(darboux_frame(imm, block, policy=plan.policy, mode=mode, plan=plan))
         summary.fold(an, block.start, residuals)
         if visit is not None:
             visit(block, an)

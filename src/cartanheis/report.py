@@ -74,13 +74,9 @@ def all_pass(report) -> bool:
 
 
 def serialize(report, fmt="text") -> str:
-    if fmt in ("structured", "json"):
+    if fmt == "structured":
         return json.dumps(report, sort_keys=True, indent=1, allow_nan=True) + "\n"
     return _text(report)
-
-
-def reparse(blob: str) -> dict:
-    return json.loads(blob)
 
 
 def _fmt(x):

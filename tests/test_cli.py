@@ -66,7 +66,7 @@ def test_structured_output_deterministic_and_reparsable(tmp_path, capsys):
         assert code == 0
     blob_a, blob_b = a.read_bytes(), b.read_bytes()
     assert blob_a == blob_b
-    tree = report.reparse(blob_a.decode())
+    tree = json.loads(blob_a.decode())
     assert tree["class"] == "CompletelyNonVertical"
     assert set(tree["residuals"]) == set(report.RESIDUAL_KEYS)
     for key in ("structure", "incon2", "nver15", "nver28"):
@@ -76,7 +76,7 @@ def test_structured_output_deterministic_and_reparsable(tmp_path, capsys):
     assert np.isclose(nu.min(), tree["nu"]["min"])
     assert np.isclose(nu.mean(), tree["nu"]["mean"])
     assert json.dumps(tree, sort_keys=True) == json.dumps(
-        report.reparse(blob_b.decode()), sort_keys=True)
+        json.loads(blob_b.decode()), sort_keys=True)
 
 
 def test_tolerance_override_forces_failure(capsys):
@@ -216,7 +216,7 @@ def test_corpus_invalid_files_exit_two_with_position(capsys):
 def test_empty_report_serializes():
     rpt = report.new_report("invariants", {"surface": None})
     blob = report.serialize(rpt, "structured")
-    tree = report.reparse(blob)
+    tree = json.loads(blob)
     assert tree["metadata"]["toolkit"] == "cartanheis"
     assert report.serialize(rpt, "text").startswith("cartanheis")
 
@@ -226,6 +226,12 @@ def test_thread_cap_env(monkeypatch):
     monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
     cli._cap_threads()
     assert os.environ["OMP_NUM_THREADS"] == "2"
+    # the cap must be exported before numpy loads, so importing the command
+    # line loads no numpy
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    code = "import sys, cartanheis.cli; sys.exit('numpy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
 
 
 @pytest.mark.parametrize("value", ["nan", "-1", "0", "inf", "abc"])
@@ -323,7 +329,7 @@ def test_report_records_the_resolved_gauge(spec, gauge, capsys):
     cls, normals = DECISIONS[spec]
     assert run_cli("classify", "--surface", spec, "--grid", "5",
                    "--format", "structured") == 0
-    tree = report.reparse(capsys.readouterr().out)
+    tree = json.loads(capsys.readouterr().out)
     assert tree["metadata"]["config"]["policy"] == "auto"
     assert tree["metadata"]["gauge"] == gauge
     decisions = tree["metadata"]["decisions"]
@@ -337,7 +343,7 @@ def test_report_records_the_resolved_gauge(spec, gauge, capsys):
     assert lines[3].startswith(f"  decisions: gauge class {cls} (min |nu| ")
     assert run_cli("classify", "--surface", spec, "--grid", "5",
                    "--policy", "reverse", "--format", "structured") == 0
-    assert report.reparse(capsys.readouterr().out)["metadata"]["gauge"] == "reverse"
+    assert json.loads(capsys.readouterr().out)["metadata"]["gauge"] == "reverse"
 
 
 def test_holonomy_diagnostic_states_path(tmp_path, capsys):
@@ -348,14 +354,14 @@ def test_holonomy_diagnostic_states_path(tmp_path, capsys):
                        "--format", "structured", "--out", str(path)) == 0
         blobs.append(path.read_bytes())
     assert blobs[0] == blobs[1]
-    notes = report.reparse(blobs[0].decode())["diagnostics"]
+    notes = json.loads(blobs[0].decode())["diagnostics"]
     assert any(n.startswith("holonomy per area") and n.endswith("(fast path)")
                for n in notes), notes
     # at 7^3 the reintegrated points miss their gate (exit 1); only the
     # holonomy note matters here
     run_cli("roundtrip", "--surface", "builtin:holograph()", "--grid", "7",
             "--format", "structured")
-    notes = report.reparse(capsys.readouterr().out)["diagnostics"]
+    notes = json.loads(capsys.readouterr().out)["diagnostics"]
     hol = [n for n in notes if n.startswith("holonomy per area")]
     assert len(hol) == 1 and "(subdivided path, edge refinement order 1.2" in hol[0]
 
@@ -382,3 +388,72 @@ def test_bad_out_or_seed_exit_two(command, make_args, flag, before_run, tmp_path
     assert code == 2
     assert err.startswith(f"input error: {flag}"), err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["reconstruct", "roundtrip"])
+def test_sphere_fit_only_in_the_nu_gauge(command, capsys):
+    # the fit reads the normal leg of the nu gauge; in another gauge the
+    # report leaves it out and says why
+    for policy, fitted in (("canonical", False), ("reverse", False), ("nu", True),
+                           ("auto", True)):
+        code = run_cli(command, "--surface", "builtin:sphere(2,1)", "--grid", "5",
+                       "--policy", policy, "--format", "structured")
+        captured = capsys.readouterr()
+        rpt = json.loads(captured.out)
+        assert code == 0 and captured.err == "", (policy, captured.err)
+        notes = [n for n in rpt["diagnostics"] if n.startswith("no sphere fit")]
+        if fitted:
+            assert not notes and abs(rpt["fits"]["sphere"]["radius"] - 1) < 1e-9, policy
+        else:
+            assert rpt["fits"]["sphere"] is None, policy
+            assert notes == [f"no sphere fit: it reads frames in the nu gauge, and "
+                             f"these were built in the {policy} gauge"]
+
+
+def test_overflowing_chart_tangents_exit_two_with_location(capsys):
+    # the contact pairing of sphere(2,1e155) overflows; no numpy warning escapes
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_cli("invariants", "--surface", "builtin:sphere(2,1e155)",
+                       "--grid", "3")
+    assert code == 2
+    assert capsys.readouterr().err == ("input error: DomainError: chart tangents "
+                                       "not finite at grid index (0, 0, 0)\n")
+    assert not caught
+
+
+def test_internal_linalg_error_exit_three(monkeypatch, capsys):
+    # a LinAlgError is a ValueError, but not an input error
+    from cartanheis import darboux
+
+    def broken(charts):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(darboux, "coframe_condition", broken)
+    code = run_cli("invariants", "--surface", "builtin:sphere(2,1)", "--grid", "3")
+    assert code == 3
+    assert capsys.readouterr().err == ("internal error: LinAlgError: SVD did not "
+                                       "converge\n")
+
+
+def test_binary_surface_file_exit_two(tmp_path, capsys):
+    path = tmp_path / "binary.srf"
+    path.write_bytes(bytes(range(256)))
+    assert run_cli("invariants", "--surface", str(path), "--grid", "3") == 2
+    assert capsys.readouterr().err.startswith("input error: 'utf-8' codec")
+
+
+def test_check_and_reconstruct_give_the_same_integrability_reason(capsys):
+    notes = {}
+    for command in ("check", "reconstruct"):
+        code = run_cli(command, "--surface", "builtin:heis_sub(1,2)", "--grid", "5",
+                       "--tol", "holonomy=1e-300", "--format", "structured")
+        rpt = json.loads(capsys.readouterr().out)
+        assert code == 1 and rpt["verdicts"]["integrable"] is False
+        hol = [i for i, n in enumerate(rpt["diagnostics"])
+               if n.startswith("holonomy per area")]
+        assert len(hol) == 1
+        # the reason follows the holonomy note
+        notes[command] = rpt["diagnostics"][hol[0]:hol[0] + 2]
+    assert notes["check"] == notes["reconstruct"]
+    assert "not integrable" in notes["check"][1]

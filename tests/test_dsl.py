@@ -5,8 +5,7 @@ import pytest
 
 from cartanheis import dsl
 from cartanheis.errors import (DomainError, DslDimensionMismatch, DslSyntaxError,
-                               NotImmersed, OutOfChart, UndeclaredParameter,
-                               UnknownBuiltin)
+                               NotImmersed, UndeclaredParameter, UnknownBuiltin)
 
 PLANE = """\
 surface plane {
@@ -80,38 +79,21 @@ def test_expression_grammar_and_precedence():
 def test_ad_jets_match_fd_jets():
     imm = dsl.parse_surface_spec("builtin:ellipsoid(2,1,1.3)")
     u = [np.array([0.6]), np.array([0.1]), np.array([0.2])]
-    jA = imm.jets(u, order=3, mode="ad")
-    jF = imm.jets(u, order=3, mode="fd", steps=[1e-2] * 3)
+    jA = imm.jets(u, order=3)
+    jF = dsl.fd_jets(imm.values, 3, u, 3, [1e-2] * 3)
     for c in range(5):
         assert np.allclose(jA[c].gradient(), jF[c].gradient(), atol=1e-7)
         for i in range(3):
             for k in range(3):
                 assert np.allclose(jA[c].second(i, k), jF[c].second(i, k),
                                    atol=1e-4)
-
-
-def test_black_box_immersion():
-    ref = dsl.parse_surface_spec("builtin:sphere(2,1)")
-
-    def fn(u):
-        return ref.values(u)
-
-    bb = dsl.BlackBoxImmersion("bb_sphere", 2, 1, ref.chart, fn)
+    # Richardson first derivatives: O(step^4), so 1e-9 at steps of 1e-3
+    sphere = dsl.parse_surface_spec("builtin:sphere(2,1)")
     u = [np.array([0.7]), np.array([0.4]), np.array([0.5])]
-    jA = ref.jets(u, order=2)
-    jF = bb.jets(u, order=2, steps=[1e-3] * 3)
+    jA = sphere.jets(u, order=2)
+    jF = dsl.fd_jets(sphere.values, 3, u, 2, [1e-3] * 3)
     for c in range(5):
         assert np.allclose(jA[c].gradient(), jF[c].gradient(), atol=1e-9)
-
-
-def test_pointwise_jet_and_chart_guard():
-    imm = dsl.parse_surface_spec("builtin:holograph()")
-    centre = np.array([(lo + hi) / 2 for lo, hi in imm.chart])
-    j2 = imm.jet(centre)
-    assert j2.value.shape == (5,)
-    assert np.allclose(j2.d2, np.swapaxes(j2.d2, 0, 1), atol=1e-14)
-    with pytest.raises(OutOfChart):
-        imm.jet(centre + 10.0)
 
 
 def test_rank_check_detects_collapse():
@@ -260,9 +242,9 @@ def test_long_sum_source_reparses():
             "x[1] = u1;  x[2] = 0.0;\ny[1] = u2;  y[2] = 0.0;\n"
             f"t = u3 + {terms};\n")
     imm = dsl.parse(text)
-    src = imm.source()
+    src = dsl.pretty_print(imm)
     again = dsl.parse(src)
-    assert again.source() == src
+    assert dsl.pretty_print(again) == src
     pts = [np.array([-0.5, 0.1, 0.5])] * 3
     for a, b in zip(imm.values(pts), again.values(pts)):
         assert np.array_equal(a, b)

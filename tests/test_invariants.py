@@ -228,13 +228,11 @@ def test_codimension_two_flat():
     assert np.max(an.II_norm2) < 1e-26
 
 
-def test_full_pipeline_fd_mode_black_box():
+def test_full_pipeline_fd_mode():
     # documented factor-1e4 tolerances against the AD pipeline
-    ref = dsl.parse_surface_spec("builtin:sphere(2,1)")
-    bb = dsl.BlackBoxImmersion("bb_sphere", 2, 1, ref.chart,
-                               lambda u: ref.values(u))
-    grid = darboux.ChartGrid(bb.chart, 7)
-    ff = darboux.darboux_frame(bb, grid, policy="nu", mode="fd")
+    imm = dsl.parse_surface_spec("builtin:sphere(2,1)")
+    grid = darboux.ChartGrid(imm.chart, 7)
+    ff = darboux.darboux_frame(imm, grid, policy="nu", mode="fd")
     an = invariants.Analysis(ff)
     assert np.max(np.abs(ff.nu_norm - 1.0)) < 1e-6
     assert np.max(np.abs(an.curvature["scalar"] - 2.0)) < 1e-3

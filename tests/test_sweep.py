@@ -56,11 +56,13 @@ def test_blocked_report_is_the_whole_grid_report(spec, grid, blocks, policies,
         for policy in policies:
             argv = [command, "--surface", f"builtin:{spec}", "--grid", grid,
                     "--policy", policy, "--format", "structured"]
-            # one block: one whole-grid build per surface swept (check and
-            # roundtrip also sweep a rigidly moved copy)
+            # one block: one plan and one build of the whole grid per surface
+            # swept (check and roundtrip also sweep a rigidly moved copy)
+            whole_plans = counting(monkeypatch, invariants, "plan_frame")
             surfaces = counting(monkeypatch, darboux.FrameField, "_build")
             whole = run(argv, ONE_BLOCK, monkeypatch)
             monkeypatch.undo()
+            assert len(whole_plans) == len(surfaces) > 0, (command, policy)
             plans = counting(monkeypatch, darboux, "_frame_legs", planning=True)
             builds = counting(monkeypatch, darboux.FrameField, "_build")
             blocked = run(argv, -(-points // blocks), monkeypatch)
@@ -92,28 +94,26 @@ def test_blocked_fd_report_is_the_whole_grid_report(spec, grid, block, monkeypat
             assert json.loads(whole[1])["residuals"]["structure"]["value"] > 0
 
 
-def _black_box_ellipsoid():
-    ref = dsl.parse_surface_spec("builtin:ellipsoid(2,1,1.3)")
-    return dsl.BlackBoxImmersion("bb_ellipsoid", 2, 1, ref.chart, ref.values)
-
-
-@pytest.mark.parametrize("make, kw", [
-    # a black box takes FD jets in AD mode too, with its default steps: the
-    # plan pass and every block must take the same ones as a whole-grid build
-    (_black_box_ellipsoid, {"policy": "auto"}),
-], ids=["black_box"])
-def test_blocked_sweep_is_the_whole_grid_sweep(make, kw, monkeypatch):
-    imm = make()
-    grid = darboux.ChartGrid(imm.chart, 5)
-    sums = []
+@pytest.mark.parametrize("spec, policy, mode, count", [
+    ("ellipsoid(2,1,1.3)", "auto", "ad", 5), ("holograph()", "reverse", "ad", 5),
+    ("sphere(3,1)", "canonical", "ad", 3),
+    # in FD mode the structure residual of every sweep comes from Summary.close
+    ("sphere(2,1)", "nu", "fd", 7)])
+def test_sweep_is_the_folded_whole_grid_analysis(spec, policy, mode, count,
+                                                 monkeypatch):
+    imm = dsl.parse_surface_spec(f"builtin:{spec}")
+    grid = darboux.ChartGrid(imm.chart, count)
+    an = invariants.Analysis(darboux.darboux_frame(imm, grid, policy=policy, mode=mode))
+    whole = invariants.Summary(an.ff.plan, grid).fold(an).close()
     for block in (ONE_BLOCK, 16):
         monkeypatch.setattr(invariants, "BLOCK_POINTS", block)
-        sums.append(invariants.sweep(imm, grid, **kw))
-    whole, blocked = sums
-    assert replace(blocked.plan, condition=None) == whole.plan
-    assert blocked.residuals == whole.residuals
-    for key in invariants.TABLES:
-        assert np.array_equal(blocked.table(key), whole.table(key)), key
+        swept = invariants.sweep(imm, grid, policy=policy, mode=mode)
+        assert replace(swept.plan, condition=None) == whole.plan, block
+        assert swept.residuals == whole.residuals, block
+        for key in invariants.TABLES:
+            assert np.array_equal(swept.table(key), whole.table(key)), (block, key)
+    if mode == "fd":
+        assert whole.residuals["structure"] > 0
 
 
 @pytest.mark.parametrize("spec, policy, mode", [
