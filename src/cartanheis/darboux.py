@@ -24,6 +24,7 @@ of the block.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
@@ -320,8 +321,12 @@ def _frame_legs(XiF, grid, n, m, policy, mode, plan=None):
     theta = XiF[2 * n]
     if plan is None:
         th_vals = jets.values(theta)
-        with np.errstate(over="ignore"):    # an inf scale fails the checks below
-            scale = np.sqrt(max(np.max(XiF.value ** 2), 1e-30))
+        size = np.max(np.abs(XiF.value).reshape(grid.npoints, -1), axis=1)
+        scale = max(float(np.max(size)), 1e-15)
+        # the frame checks compare squared tangents with scale^2
+        if math.isinf(scale * scale):
+            raise DomainError("chart tangents too large: their square overflows",
+                              location=_location(grid, np.argmax(size)))
         worst = np.max(np.abs(th_vals), axis=0)
         if np.min(worst) < tol_singular * scale:
             loc = _location(grid, np.argmin(worst.reshape(-1)))
@@ -477,7 +482,7 @@ def _immersion_jets(imm, grid, order, mode):
     """The immersion's jets over the grid, after the rank check on the exact
     Jacobian (in AD mode, the gradient of the jets themselves)."""
     X = _jets(imm, grid, order if mode == "ad" else 1, "ad")
-    imm.rank_check(grid.points, jac=X.gradient())
+    imm.rank_check(X.gradient())
     return X if mode == "ad" else _jets(imm, grid, order, mode)
 
 
@@ -743,7 +748,17 @@ class MCForm:
 
 def grid_structure_residual(w, grid) -> float:
     """The structure residual of slot values ``w``, (d, D, D, *grid.shape),
-    with the derivatives taken by central differences across the grid."""
+    with the derivatives taken by central differences across the grid.
+
+    A ``GridBlock`` has no lattice axes to difference along: the FD residual
+    of a swept grid comes from the whole grid's slot values
+    (``invariants.Summary.close``).
+    """
+    if len(grid.shape) != len(w):
+        raise DimensionMismatch(
+            "the FD structure residual needs the whole grid's slot values "
+            "(invariants.Summary.close), not a block of the grid")
+
     def cut(arr, ax, lo, hi):
         sl = [slice(None)] * arr.ndim
         sl[2 + ax] = slice(lo, hi if hi != 0 else None)

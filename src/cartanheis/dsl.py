@@ -748,14 +748,12 @@ class Immersion:
                            else jets.constant(ctx, float(v), shape)
                            for v in evaluate(self.coord_exprs, env)])
 
-    def rank_check(self, grid_points, floor=1e-8, jac=None):
+    def rank_check(self, jac, floor=1e-8):
         """Raise NotImmersed unless all Jacobian singular values clear the floor.
 
         ``jac`` is the Jacobian as the gradient of the coordinate jets,
-        (d, *batch, 2n+1), when the caller has the jets already.
+        (d, *batch, 2n+1), e.g. ``self.jets(points, order=1).gradient()``.
         """
-        if jac is None:
-            jac = self.jets(grid_points, order=1).gradient()
         batch = jac.shape[1:-1]
         jac = np.moveaxis(jac.reshape(jac.shape[0], -1, jac.shape[-1]), 1, 0)
         sv = np.linalg.svd(jac, compute_uv=False)

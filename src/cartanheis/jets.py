@@ -18,16 +18,21 @@ the whole grid; a sum over a tensor axis is a product with ``np.ones``.
 ``values`` gives the grid values with the tensor axes first,
 ``(*shape, *batch)``, the layout every module boundary uses.
 
-Every jet carries a structural support, a bitmask over its coefficient
-indices: bit k clear means coefficient k is exactly zero at every point
-and in every tensor entry.  Each operation derives its result's support
-from its operands' (a product takes the multiplication-table image), and a
-product runs only the table entries whose two factors are both in support,
-zero-filling the coefficients none of them reaches.  Each coefficient thus
-sums the same nonzero terms in the same order as the full table loop.  A
-jet and its views (indexing, ``transpose``) share one support, so writing
-into one widens it for all.  A jet built from raw coefficients has full
-support; ``pruned`` narrows a support to the slices that are nonzero.
+Every jet carries a support, a bitmask over its coefficient indices: bit k
+clear means coefficient k is exactly zero at every point and in every
+tensor entry.  A product runs only the table entries whose two factors are
+both in support, zero-filling the coefficients none of them reaches, so
+each coefficient sums the same nonzero terms in the same order as the full
+table loop.  Its support is then the coefficients that are nonzero in its
+result (NaN and inf count as nonzero), found in one pass over it: a later
+product skips the entries that multiply an all-zero slice as it skips the
+structural zeros that the other operations derive from their operands'
+supports (a sum takes the union).  A jet and its views (indexing,
+``transpose``) share one support, so writing into one widens it for all.
+A jet built from raw coefficients has full support; ``pruned`` narrows a
+support to the slices that are nonzero.  The table a pair of supports runs
+and the output shape and dtype of a product's operand layouts are kept in
+bounded caches.
 """
 
 from __future__ import annotations
@@ -41,6 +46,9 @@ from .errors import DomainError
 
 __all__ = ["JetContext", "Jet", "context", "variables", "constant", "stack",
            "values"]
+
+LIVE_TABLES = 256     # live product tables each context keeps
+LAYOUTS = 256         # product output layouts kept
 
 
 def _monomials(nvars, order):
@@ -70,7 +78,8 @@ class JetContext:
         self.full = (1 << self.ncoeff) - 1      # the support of every index
         self._mul_table = None
         self._deriv_tables = None
-        self._live_tables = {}
+        # bounded: data supports make the support pairs depend on the input
+        self.live_table = lru_cache(maxsize=LIVE_TABLES)(self._live_table)
 
     @property
     def mul_table(self):
@@ -87,24 +96,23 @@ class JetContext:
             self._mul_table = table
         return self._mul_table
 
-    def live_table(self, sa, sb):
+    def _live_table(self, sa, sb):
         """The product table for factors of supports ``sa`` and ``sb``.
 
-        Returns ``(entries, support, dead)``: the entries (k, i, j, first) of
+        Returns ``(entries, dead)``: the entries (k, i, j, first) of
         ``mul_table`` with bit i of ``sa`` and bit j of ``sb`` set, in table
-        order, ``first`` marking the earliest of them writing to k; the
-        support of the product (the k they reach); and the k they miss.
+        order, ``first`` marking the earliest of them writing to k; and the
+        k they miss, as an index array.  Called as ``live_table``, which
+        keeps the last ``LIVE_TABLES`` pairs.
         """
-        hit = self._live_tables.get((sa, sb))
-        if hit is None:
-            entries, reached = [], 0
-            for k, i, j, _ in self.mul_table:
-                if sa >> i & 1 and sb >> j & 1:
-                    entries.append((k, i, j, not reached >> k & 1))
-                    reached |= 1 << k
-            dead = [k for k in range(self.ncoeff) if not reached >> k & 1]
-            hit = self._live_tables[(sa, sb)] = (entries, reached, dead)
-        return hit
+        entries, reached = [], 0
+        for k, i, j, _ in self.mul_table:
+            if sa >> i & 1 and sb >> j & 1:
+                entries.append((k, i, j, not reached >> k & 1))
+                reached |= 1 << k
+        dead = np.array([k for k in range(self.ncoeff) if not reached >> k & 1],
+                        dtype=np.intp)
+        return entries, dead
 
     @property
     def deriv_tables(self):
@@ -177,9 +185,7 @@ class Jet:
         One pass over the coefficients.  The result shares them with
         ``self`` but not the support, so neither may be written afterwards.
         """
-        live = np.flatnonzero(np.any(self.c.reshape(len(self.c), -1) != 0, axis=1))
-        return Jet(self.ctx, self.c, self.nt,
-                   self.support & sum(1 << int(k) for k in live))
+        return Jet(self.ctx, self.c, self.nt, self.support & _nonzero(self.c))
 
     def nilpotent_part(self) -> "Jet":
         """This jet less its value: a copy with coefficient 0 zeroed and
@@ -334,10 +340,9 @@ class Jet:
         if not isinstance(other, Jet):
             return Jet(self.ctx, self.c * other, self.nt, self.support)
         a, b, nt = self._aligned(other)
-        out = np.empty((self.ctx.ncoeff,) + np.broadcast_shapes(a.shape[1:], b.shape[1:]),
-                       dtype=np.result_type(a.dtype, b.dtype))
-        support = _table_product(self.ctx, np.multiply, a, self.support,
-                                 b, other.support, out)
+        shape, dtype, op = _layout(a.shape, a.dtype, b.shape, b.dtype, False)
+        out = np.empty(shape, dtype)
+        support = _table_product(self.ctx, op, a, self.support, b, other.support, out)
         return Jet(self.ctx, out, nt, support)
 
     __rmul__ = __mul__
@@ -438,20 +443,49 @@ def _table_product(ctx, op, a, sa, b, sb, out):
 
     Only the entries with i in the support ``sa`` of ``a`` and j in the
     support ``sb`` of ``b`` run; the coefficients none reaches are zeroed.
-    Returns the support of ``out``.
+    Returns the data support of ``out`` (``_nonzero``).
     """
-    entries, support, dead = ctx.live_table(sa, sb)
+    entries, dead = ctx.live_table(sa, sb)
     # [k, ...] keeps a view where a scalar jet without batch would give a number
     tmp = np.empty_like(out[0, ...])
     for k, i, j, first in entries:
+        dst = out[k, ...]
         if first:
-            op(a[i, ...], b[j, ...], out=out[k, ...])
+            op(a[i, ...], b[j, ...], out=dst)
         else:
             op(a[i, ...], b[j, ...], out=tmp)
-            out[k, ...] += tmp
-    for k in dead:
-        out[k, ...] = 0
-    return support
+            dst += tmp      # ``out[k, ...] += tmp`` would copy the sum back too
+    if dead.size:
+        out[dead] = 0
+    return _nonzero(out)
+
+
+def _nonzero(c):
+    """The mask of the coefficient slices of ``c`` that are nonzero somewhere.
+
+    NaN and inf count as nonzero.  Exact for any number of coefficients (d = 7
+    at order 3 has 120, more than an int64 holds).
+    """
+    live = (c.reshape(len(c), c[0].size) != 0).any(axis=1)
+    return int.from_bytes(np.packbits(live, bitorder="little").tobytes(), "little")
+
+
+@lru_cache(maxsize=LAYOUTS)
+def _layout(ashape, adtype, bshape, bdtype, matmul):
+    """Shape, dtype and per-entry op of the product of two coefficient arrays.
+
+    ``*`` broadcasts the whole layouts (the ncoeff axes agree); ``@`` (with
+    ``matmul``) broadcasts the stacks and contracts the last two axes.  A
+    row or column result (dot products, matrix times vector) goes through
+    one einsum over the whole batch: with ``np.matmul`` alone the 17^3 and
+    5^3 benchmark workloads (desk17, motions) run 3-5% slower.
+    """
+    dtype = np.result_type(adtype, bdtype)
+    if not matmul:
+        return np.broadcast_shapes(ashape, bshape), dtype, np.multiply
+    stack = np.broadcast_shapes(ashape[:-2], bshape[:-2])
+    op = _einsum if 1 in (ashape[-2], bshape[-1]) else np.matmul
+    return stack + (ashape[-2], bshape[-1]), dtype, op
 
 
 def _matmul(a, b):
@@ -478,11 +512,9 @@ def _matmul(a, b):
             raise ValueError("jet context mismatch")
         nt = max(na, nb)
         A, B = _lift(A, na, nt), _lift(B, nb, nt)
-        stack = np.broadcast_shapes(A.shape[1:-2], B.shape[1:-2])
-        out = np.empty((ctx.ncoeff,) + stack + (A.shape[-2], B.shape[-1]),
-                       dtype=np.result_type(A.dtype, B.dtype))
-        support = _table_product(ctx, _contraction(A, B), A, a.support, B, b.support,
-                                 out)
+        shape, dtype, op = _layout(A.shape, A.dtype, B.shape, B.dtype, True)
+        out = np.empty(shape, dtype)
+        support = _table_product(ctx, op, A, a.support, B, b.support, out)
     else:
         nt = na if na is not None else nb
         out = A @ B
@@ -492,16 +524,6 @@ def _matmul(a, b):
     if bvec:
         out = out[..., 0]
     return Jet(ctx, out, nt - avec - bvec, support)
-
-
-def _contraction(A, B):
-    """The batched contraction for each table entry of A @ B.
-
-    A row or column result (dot products, matrix times vector) goes through
-    one einsum over the whole batch: with ``np.matmul`` alone the 17^3 and
-    5^3 benchmark workloads (desk17, motions) run 3-5% slower.
-    """
-    return _einsum if 1 in (A.shape[-2], B.shape[-1]) else np.matmul
 
 
 def _einsum(a, b, out):

@@ -422,6 +422,23 @@ def test_overflowing_chart_tangents_exit_two_with_location(capsys):
     assert not caught
 
 
+@pytest.mark.parametrize("radius, where", [("1e100", "(0, 1, 0)"),
+                                           ("1e154", "(0, 2, 0)")])
+def test_huge_chart_tangents_exit_two_at_the_largest(capsys, radius, where):
+    # finite tangents whose square overflows are an input error at the index
+    # of the largest, not a vanishing contact form
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_cli("invariants", "--surface", f"builtin:sphere(2,{radius})",
+                       "--grid", "3")
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == ("input error: DomainError: chart tangents too large: their "
+                   f"square overflows at grid index {where}\n")
+    assert "SingularPoint" not in err
+    assert not caught
+
+
 def test_internal_linalg_error_exit_three(monkeypatch, capsys):
     # a LinAlgError is a ValueError, but not an input error
     from cartanheis import darboux

@@ -99,8 +99,9 @@ def test_ad_jets_match_fd_jets():
 def test_rank_check_detects_collapse():
     bad = dsl.Immersion("bad", 1, 1, ["u1", "u2", "u3"], [(-1, 1)] * 3,
                         [dsl.param("u1"), dsl.param("u1"), dsl.num(0.0)])
+    points = [np.array([0.0]), np.array([0.0]), np.array([0.0])]
     with pytest.raises(NotImmersed):
-        bad.rank_check([np.array([0.0]), np.array([0.0]), np.array([0.0])])
+        bad.rank_check(bad.jets(points, order=1).gradient())
 
 
 def test_domain_error_from_division():

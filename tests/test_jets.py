@@ -283,3 +283,49 @@ def test_pruned_drops_zero_slices_and_keeps_non_finite_ones():
     assert pruned.support == 0b10111
     assert jet.support == ctx.full
     assert jets.Jet(ctx, c, 1, 0b110).pruned().support == 0b110
+
+
+def _nonzero_slices(c):
+    return sum(1 << k for k in range(len(c)) if np.any(c[k] != 0))
+
+
+def _with_data_support(x):
+    """x times the constant 1: the same coefficients, its support narrowed to
+    the slices that are nonzero."""
+    return x * jets.constant(x.ctx, 1.0, x.batch_shape)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_operand_pairs())
+def test_data_supports_hold_the_nonzero_slices_and_skip_the_rest(pair):
+    """A product's support is exactly its nonzero coefficient slices, and a
+    product of such factors gives the coefficients of the full table: for
+    ``*``, matrix ``@`` and the row/column contraction, real and complex.
+    Bitwise, with -0 read as +0: a skipped term 0 * x only changes the sign
+    of an exact zero."""
+    op, a, b = pair
+    ctx = a.ctx
+    product = (lambda x, y: x * y) if op == "*" else (lambda x, y: x @ y)
+    full_a, full_b = jets.Jet(ctx, a.c, a.nt), jets.Jet(ctx, b.c, b.nt)
+    data_a, data_b = _with_data_support(full_a), _with_data_support(full_b)
+    for full, data in ((full_a, data_a), (full_b, data_b)):
+        assert data.c.tobytes() == full.c.tobytes()
+        assert data.support == _nonzero_slices(full.c)
+    got, want = product(data_a, data_b), product(full_a, full_b)
+    assert got.shape == want.shape and got.c.dtype == want.c.dtype
+    assert (got.c + 0.0).tobytes() == (want.c + 0.0).tobytes()
+    assert got.support == want.support == _nonzero_slices(got.c)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_slices_stay_in_the_data_support(bad):
+    ctx = jets.context(2, 2)                # coefficient 3 is the u0^2 one
+    u, _ = jets.variables(ctx, [np.linspace(0.1, 1, 4), np.linspace(-1, 1, 4)])
+    c = np.zeros((ctx.ncoeff, 4))
+    c[0] = 1.0
+    c[3, 2] = bad
+    x = _with_data_support(jets.Jet(ctx, c))
+    assert x.support == 0b1001
+    y = x * u
+    assert y.support >> 3 & 1
+    assert np.array_equal(y.c[3], c[3] * u.value, equal_nan=True)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from cartanheis import cli, darboux, dsl, invariants
+from cartanheis.errors import DimensionMismatch
 
 CORPUS = os.path.join(os.path.dirname(__file__), "corpus")
 ONE_BLOCK = 10 ** 9
@@ -131,6 +132,26 @@ def test_plan_pass_matches_the_plan_of_a_whole_grid_build(spec, policy, mode):
     assert (ff.plan.nu_min, ff.plan.nu_max, ff.plan.nu_mean) == (
         float(np.min(ff.nu_norm)), float(np.max(ff.nu_norm)),
         float(np.mean(ff.nu_norm)))
+
+
+def test_fd_structure_residual_of_a_block_needs_the_whole_grid():
+    """A block has no lattice axes to difference along, so the FD structure
+    residual of a planned block frame is a DimensionMismatch naming
+    Summary.close; an AD block and a whole-grid FD frame keep their values."""
+    imm = dsl.builtin("sphere", 2, 1.0)
+    grid = darboux.ChartGrid(imm.chart, 5)
+    block = grid.blocks(2)[0]
+
+    def residual(g, mode, plan=None):
+        ff = darboux.FrameField(imm, g, mode=mode, plan=plan)
+        return darboux.darboux_derivative(ff).structure_residual()
+
+    with pytest.raises(DimensionMismatch, match="Summary.close"):
+        residual(block, "fd", darboux.plan_frame(imm, grid, mode="fd"))
+    # the block's points are points of the grid, with the same frames
+    assert 0 <= residual(block, "ad", darboux.plan_frame(imm, grid)) \
+        <= residual(grid, "ad") < 1e-12
+    assert 0 < residual(grid, "fd") < 1e-3
 
 
 def test_grid_blocks_are_views_with_global_indices():
