@@ -30,7 +30,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from . import dsl, heis, jets, psh
+from . import certify, dsl, heis, jets, psh
 from .errors import (DimensionMismatch, DomainError, NotCRInvariant, SingularPoint,
                      WrongClass)
 from .heis import HPoint
@@ -43,6 +43,8 @@ POLICIES = ("auto", "canonical", "nu", "reverse")
 TOL_SINGULAR = 1e-8
 TOL_CR = 1e-8
 TOL_CLASS = 1e-7   # |nu| threshold between vertical and non-vertical points
+# the Tanaka-Webster solve needs a dual coframe condition at least this large
+TOL_COFRAME = 1e-10
 # FD jets carry O(step^2..4) truncation error: in FD mode the chart-validity
 # gates and the CLI's residual thresholds relax by this factor
 FD_TOL_FACTOR = 1e4
@@ -270,11 +272,15 @@ class FramePlan:
 
     ``seeds`` are chart axes; ``normals`` are ambient frame axes (X_1..X_n,
     Y_1..Y_n as 0..2n-1) or ``NU`` for -nu.  ``nu_min``, ``nu_max`` and
-    ``nu_mean`` summarise |nu| over the grid.  ``condition`` is the smallest
-    ratio of singular values of the dual tangent frame over the grid, which
-    the Tanaka-Webster solve checks; ``plan_frame`` sets it, so that every
-    block checks the grid's value.  A frame's own plan leaves it None, and
-    ``Analysis.coframe_condition`` computes it from the frame when asked.
+    ``nu_mean`` summarise |nu| over the grid.  ``condition`` is a lower
+    bound on the smallest ratio of singular values of the dual tangent frame
+    over the grid, which the Tanaka-Webster solve checks against
+    ``TOL_COFRAME`` (``coframe_condition``): a certified bound where it
+    clears twice the gate at every point, and the exact SVD minimum
+    otherwise, so it is exact wherever the gate could fail.
+    ``plan_frame`` sets it, so that every block checks the grid's value.  A
+    frame's own plan leaves it None, and ``Analysis.coframe_condition``
+    computes it from the frame when asked.
     """
 
     n: int
@@ -307,13 +313,13 @@ def _frame_legs(XiF, grid, n, m, policy, mode, plan=None):
     """The legs of a frame from its chart tangents ``XiF`` (``_chart_tangents``).
 
     Returns the tangent legs (e_1, Je_1, ...), That, nu, |nu|^2, the chart
-    components of (e_j, Je_j, That) one order below XiF, the normal legs
-    (e_a, Je_a, ...) and the plan.  Given a plan, every batch-wide choice is
-    read from it.  Without one, each is made here from the values over the
-    batch, the value checks run (the contact singularity, the pivot, CR
-    invariance, the tangent and normal frames and the nu-gauge guard), and
-    the choices come back as the batch's plan.  The checks use the gates
-    of ``mode`` (``_tolerances``).
+    components of (e_j, Je_j, That) one order below XiF, the coframe matrix
+    they invert (order 0), the normal legs (e_a, Je_a, ...) and the plan.
+    Given a plan, every batch-wide choice is read from it.  Without one,
+    each is made here from the values over the batch, the value checks run
+    (the contact singularity, the pivot, CR invariance, the tangent and
+    normal frames and the nu-gauge guard), and the choices come back as the
+    batch's plan.  The checks use the gates of ``mode`` (``_tolerances``).
     """
     tol_singular, tol_cr = _tolerances(mode)
     d = 2 * m + 1
@@ -350,8 +356,11 @@ def _frame_legs(XiF, grid, n, m, policy, mode, plan=None):
         others = [i for i in range(d) if i != k0]
         _check_cr_invariance(XiF.value[..., others] - XiF.value[..., k0:k0 + 1]
                              * t.value[..., None, others], n, scale, tol_cr, grid)
+        # the seeds are horizontal: their floor follows the horizontal rows,
+        # not the contact row, which grows as the square of the tangents
+        hscale = max(float(np.max(np.abs(XiF.value[..., :2 * n, :]))), 1e-15)
         tangent, seeds = _tangent_legs(XiF, t, k0, others[::-1] if policy == "reverse"
-                                       else others, m, floor=(1e-6 * scale) ** 2)
+                                       else others, m, floor=(1e-6 * hscale) ** 2)
         if len(tangent) != 2 * m:
             raise NotCRInvariant("could not complete a J-adapted tangent frame; "
                                  "seed fields degenerate on this chart")
@@ -401,28 +410,54 @@ def _frame_legs(XiF, grid, n, m, policy, mode, plan=None):
                          scale=float(scale), pivot=k0, seeds=seeds, normals=normals)
     else:
         normal, _ = _normal_legs(plan.normals, tangent, nu, nu_norm2, n - m)
-    return tangent, that, nu, nu_norm2, charts, normal, plan
+    return tangent, that, nu, nu_norm2, charts, K.truncated(0), normal, plan
 
 
 def _location(grid, flat):
     return tuple(int(i) for i in grid.flat_index(int(flat)))
 
 
-def coframe_condition(charts):
-    """Smallest ratio of singular values of the chart matrices over the batch."""
+def coframe_condition(charts, coframe):
+    """Smallest ratio of singular values of the chart matrices over the
+    batch, or a lower bound of it that clears twice ``TOL_COFRAME``.
+
+    ``coframe`` is the coframe matrix that ``charts`` inverts (the two jets
+    ``_frame_legs`` returns).  The certified bound
+    (``certify.condition_bound``) is returned when it clears twice the gate
+    at every point; otherwise the per-point SVD gives the exact minimum.
+    The factor two covers the SVD's own rounding, so the gate decides alike
+    on both.
+    """
     M = jets.values(charts)                            # (d, d, batch)
+    bound = float(np.min(certify.condition_bound(M, jets.values(coframe))))
+    if bound >= 2 * TOL_COFRAME:
+        return bound
     M = np.moveaxis(M.reshape(M.shape[:2] + (-1,)), -1, 0)
     sv = np.linalg.svd(M, compute_uv=False)
     return float(np.min(sv[:, -1] / sv[:, 0]))
 
 
 def _check_cr_invariance(Vf, n, scale, tol_cr, grid):
+    """Raise NotCRInvariant where J maps a seed field off the seeds' span.
+
+    The batch is first certified in bulk (``certify.cr_clears``); the
+    normal-equations check below runs only when some point is not
+    certified, and it alone decides and names the grid index.  A seed Gram
+    matrix that is singular in floating point is a DomainError at its
+    first grid index.
+    """
     M = Vf.reshape((-1,) + Vf.shape[-2:])             # (N, 2n+1, 2m)
+    if certify.cr_clears(M, n, tol_cr * max(scale, 1.0)):
+        return
     G = np.einsum("nia,nib->nab", M, M)
     Jf = np.concatenate([-M[:, n:2 * n], M[:, :n], np.zeros_like(M[:, :1])],
                         axis=1)
     rhs = np.einsum("nia,nib->nab", M, Jf)             # (N, 2m, 2m)
-    coef = np.linalg.solve(G, rhs)
+    try:
+        coef = np.linalg.solve(G, rhs)
+    except np.linalg.LinAlgError:
+        raise DomainError("the Gram matrix of the tangent seeds is singular",
+                          location=_location(grid, _first_singular(G))) from None
     resid = Jf - np.einsum("nia,nab->nib", M, coef)
     err = np.sqrt(np.einsum("nib,nib->nb", resid, resid))
     worst = float(np.max(err))
@@ -431,6 +466,16 @@ def _check_cr_invariance(Vf, n, scale, tol_cr, grid):
         raise NotCRInvariant(
             f"TM ∩ ker Θ is not J-invariant (residual {worst:.2e}) near grid "
             f"index {loc}", location=loc, residual=worst)
+
+
+def _first_singular(G):
+    """The first index of the stack G whose matrix LAPACK finds singular."""
+    for p, g in enumerate(G):
+        try:
+            np.linalg.solve(g, np.eye(len(g)))
+        except np.linalg.LinAlgError:
+            return p
+    raise AssertionError("no singular matrix in the stack")
 
 
 def _check_policy(policy):
@@ -504,7 +549,7 @@ def plan_frame(imm, grid, policy="canonical", mode="ad") -> FramePlan:
                       _fd_steps(grid))
     legs = _frame_legs(_chart_tangents(X, X.truncated(0), grid), grid, imm.n, imm.m,
                        policy, mode)
-    return replace(legs[-1], condition=coframe_condition(legs[4]))
+    return replace(legs[-1], condition=coframe_condition(legs[4], legs[5]))
 
 
 # ---------------------------------------------------------------------------
@@ -535,7 +580,9 @@ class FrameField:
     components have length 2n+1, and the legs are stacked as rows
     (``legs_t``, ``legs_jt``: (m, 2n+1); ``legs_n``, ``legs_jn``:
     (n-m, 2n+1)).  ``charts`` holds the chart components of e_1..e_m,
-    Je_1..Je_m and the induced Reeb field, (2m+1, d).
+    Je_1..Je_m and the induced Reeb field, (2m+1, d), and
+    ``coframe_matrix`` the order-0 coframe matrix they invert, (2m+1, d):
+    rows e_j . d_i, Je_j . d_i and theta(d_i).
     """
 
     def __init__(self, imm, grid, policy="canonical", mode="ad", normal_phases=None,
@@ -563,9 +610,9 @@ class FrameField:
         self.X = Xfull.truncated(self.ctx.order)
         XiF = self.XiF = _chart_tangents(Xfull, self.X, self.grid)
         self.theta_slots = XiF[2 * n]
-        (tangent, self.that_frame, self.nu_frame, self.nu_norm2, self.charts, normal,
-         self.plan) = _frame_legs(XiF, self.grid, n, m, self.policy, self.mode,
-                                  self.plan)
+        (tangent, self.that_frame, self.nu_frame, self.nu_norm2, self.charts,
+         self.coframe_matrix, normal, self.plan) = _frame_legs(
+             XiF, self.grid, n, m, self.policy, self.mode, self.plan)
         self.policy = self.plan.policy
 
         phases = () if self.normal_phases is None else self.normal_phases

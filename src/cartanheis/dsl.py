@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import jets
+from . import certify, jets
 from .errors import (DomainError, DslDimensionMismatch, DslSyntaxError, NotImmersed,
                      UndeclaredParameter, UnknownBuiltin)
 from .jets import Jet
@@ -753,10 +753,15 @@ class Immersion:
 
         ``jac`` is the Jacobian as the gradient of the coordinate jets,
         (d, *batch, 2n+1), e.g. ``self.jets(points, order=1).gradient()``.
+        The batch is first certified in bulk (``certify.rank_clears``); the
+        per-point SVD runs only when some point is not certified, and it
+        alone decides and names the failing grid index.
         """
         batch = jac.shape[1:-1]
-        jac = np.moveaxis(jac.reshape(jac.shape[0], -1, jac.shape[-1]), 1, 0)
-        sv = np.linalg.svd(jac, compute_uv=False)
+        jac = jac.reshape(jac.shape[0], -1, jac.shape[-1])
+        if certify.rank_clears(jac, floor):
+            return
+        sv = np.linalg.svd(np.moveaxis(jac, 1, 0), compute_uv=False)
         worst = float(np.min(sv[:, self.nparams - 1]))
         if worst < floor:
             flat = int(np.argmin(sv[:, self.nparams - 1]))
@@ -764,7 +769,6 @@ class Immersion:
             raise NotImmersed(
                 f"Jacobian rank deficient (sigma_min {worst:.2e} < {floor:.0e}) "
                 f"at grid index {loc}", location=loc)
-        return worst
 
 
 def fd_stencil(d, order):

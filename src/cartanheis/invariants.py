@@ -22,9 +22,10 @@ from functools import cached_property
 import numpy as np
 
 from . import jets
-from .darboux import (COMPLETELY_NON_VERTICAL, TOL_CLASS, VERTICAL, FrameField,
-                      MCForm, coframe_condition, darboux_derivative, darboux_frame,
-                      grid_structure_residual, plan_frame, pullback_check)
+from .darboux import (COMPLETELY_NON_VERTICAL, TOL_CLASS, TOL_COFRAME, VERTICAL,
+                      FrameField, MCForm, coframe_condition, darboux_derivative,
+                      darboux_frame, grid_structure_residual, plan_frame,
+                      pullback_check)
 from .errors import DegeneratePoint, IllConditionedCoframe, WrongClass
 
 __all__ = ["Analysis", "Summary", "sweep", "ricci_nonpositivity_check",
@@ -70,24 +71,24 @@ class Analysis:
         return self.ff.duals["that"].truncated(1)
 
     def coframe_condition(self):
-        """Determinant margin of the dual tangent frame in chart components,
-        the smallest over the frame's planned grid."""
+        """Condition of the dual tangent frame in chart components over the
+        frame's planned grid: the plan's ``FramePlan.condition``, or for a
+        frame that planned itself the same quantity from its own charts."""
         if self.ff.plan.condition is None:
-            return coframe_condition(self.ff.charts)
+            return coframe_condition(self.ff.charts, self.ff.coframe_matrix)
         return self.ff.plan.condition
 
     @cached_property
     def _dz(self):
         """Chart derivatives of the induced coframe, as real first-order jets.
 
-        With theta-hat^k = a^k + i b^k, returns the Jacobians (ga, gb, gth):
-        ga[k, q, p] = d_p a^k(d_q), (m, d, d), gb likewise and gth[q, p] for
-        theta-hat.  The exterior derivative d a^k (d_p, d_q) is
-        ga[k, q, p] - ga[k, p, q], so a pairing x . da . y is
-        y . ga . x - x . ga . y.
+        With theta-hat^k = a^k + i b^k, returns the Jacobians (ga, gb):
+        ga[k, q, p] = d_p a^k(d_q), (m, d, d), and gb likewise.  The exterior
+        derivative d a^k (d_p, d_q) is ga[k, q, p] - ga[k, p, q], so a
+        pairing x . da . y is y . ga . x - x . ga . y.
         """
         z = self.ff.coframe["z"]
-        return z.real.jacobian(), z.imag.jacobian(), self.ff.theta_slots.jacobian()
+        return z.real.jacobian(), z.imag.jacobian()
 
     # -- second fundamental form and normal connection -----------------------
 
@@ -103,11 +104,13 @@ class Analysis:
 
     @cached_property
     def second_ff(self):
-        """h[a][j][k] plus the predicted other coefficients of theta_j^a."""
-        mixed = self.conn_slots["mixed"].transpose(1, 0, 2)     # (a, j, i)
-        zhat = self.zhat1.T
-        return {"h": _pair(mixed, zhat), "bar": _pair(mixed, zhat.conj()),
-                "t": _pair(mixed, self.that1)}
+        """h[a][j][k], the theta-hat^k coefficient of theta_j^a."""
+        return {"h": _pair(self._mixed, self.zhat1.T)}
+
+    @property
+    def _mixed(self):
+        """theta_j^a slots as one (a, j, i) jet."""
+        return self.conn_slots["mixed"].transpose(1, 0, 2)
 
     @cached_property
     def nu_comp_vals(self):
@@ -124,16 +127,18 @@ class Analysis:
         m, cod = self.m, self.codim
         if cod == 0:
             return {"h_symmetry": 0.0, "mixed_bar": 0.0, "mixed_t": 0.0}
-        sf = self.second_ff
+        h = self.second_ff["h"]
+        bar = _pair(self._mixed, self.zhat1.T.conj())
+        t = _pair(self._mixed, self.that1)
         nu = self.nu_comp_vals
-        pred_bar = np.zeros_like(sf["bar"])
+        pred_bar = np.zeros_like(bar)
         for j in range(m):
             pred_bar[:, j, j] = 1j * nu
         dnu = self.nabla_perp_nu
         res = {
-            "h_symmetry": float(np.max(np.abs(sf["h"] - np.swapaxes(sf["h"], 1, 2)))),
-            "mixed_bar": float(np.max(np.abs(sf["bar"] - pred_bar))),
-            "mixed_t": float(np.max(np.abs(sf["t"] - dnu))),
+            "h_symmetry": float(np.max(np.abs(h - np.swapaxes(h, 1, 2)))),
+            "mixed_bar": float(np.max(np.abs(bar - pred_bar))),
+            "mixed_t": float(np.max(np.abs(t - dnu))),
         }
         return res
 
@@ -166,34 +171,41 @@ class Analysis:
 
     # -- intrinsic Tanaka-Webster connection ---------------------------------
 
+    def _pairings(self):
+        """x . d theta-hat^k . y for x in (e, Je), y in (e, Je, That), as the
+        real and imaginary parts (Sa, Sb), two first-order (m, 2m, 2m+1) jets.
+
+        The charts of these fields are real, so each pairing is a real jet
+        product; Zhat_j = (e_j - i Je_j) / 2 enters through the block
+        combinations of the callers.
+        """
+        m = self.m
+        ch = self.ff.charts                                # (2m+1, d): e, Je, That
+
+        def pairing(g):
+            M = ch @ (g @ ch.T)
+            return M.transpose(0, 2, 1)[:, :2 * m] - M[:, :2 * m]
+
+        ga, gb = self._dz
+        return pairing(ga), pairing(gb)
+
     @cached_property
     def tanaka_webster(self):
         """Connection coefficients and torsion of the induced structure.
 
         Solves d theta-hat^k = theta-hat^j ^ theta-hat_j^k + theta-hat ^ tau^k
         with skew-hermitian connection and admissible torsion by reading the
-        coefficients off the dual frame; the unused sectors of the equation
-        are returned as residuals.  A two-form paired with chart vectors V,
-        W is V . dz . W, so the pairings with (Zhat_j, conj Zhat_j, That)
-        for all indices at once are two jet products per form.
+        coefficients off the dual frame (``consistency`` evaluates the
+        unused sectors of the equation).  A two-form paired with chart
+        vectors V, W is V . dz . W, so the pairings with (Zhat_j, conj
+        Zhat_j, That) for all indices at once are two jet products per form.
         """
         m = self.m
         cond = self.coframe_condition()
-        if cond < 1e-10:
+        if cond < TOL_COFRAME:
             raise IllConditionedCoframe(
                 f"dual coframe condition {cond:.2e} too small")
-        # pair d theta-hat^k with x, y in (e_j, Je_j, That): the charts of
-        # these fields are real, so each pairing is a real jet product, and
-        # Zhat_j = (e_j - i Je_j) / 2 enters through the block combinations
-        ga, gb, gth = self._dz
-        ch = self.ff.charts                                # (2m+1, d): e, Je, That
-
-        def pairing(g):
-            """x . d(form) . y for x in (e, Je), y in (e, Je, That): (m, 2m, 2m+1)."""
-            M = ch @ (g @ ch.T)
-            return M.transpose(0, 2, 1)[:, :2 * m] - M[:, :2 * m]
-
-        Sa, Sb = pairing(ga), pairing(gb)
+        Sa, Sb = self._pairings()
         e, je, t = slice(0, m), slice(m, 2 * m), 2 * m
 
         def cplx(re, im):
@@ -207,30 +219,8 @@ class Analysis:
         # Gamma^k_{j, 0} = Zhat_j . dz^k . That; torsion from conj Zhat_j
         gamma_0 = 0.5 * cplx(Sa[:, e, t] + Sb[:, je, t], Sb[:, e, t] - Sa[:, je, t])
         torsion = -0.5 * cplx(Sa[:, e, t] - Sb[:, je, t], Sb[:, e, t] + Sa[:, je, t])
-
-        # the unused sectors need values only
-        S = jets.values(Sa) + 1j * jets.values(Sb)
-        uu, uv, vu, vv = S[:, e, e], S[:, e, je], S[:, je, e], S[:, je, je]
-        Cv = 0.25 * (uu - 1j * uv - 1j * vu - vv)          # z_j, z_l in dz^k
-        Ev = 0.25 * (uu + 1j * uv + 1j * vu - vv)          # zbar_j, zbar_l
-        ghv = jets.values(gamma_hol)
-        res = max(float(np.max(np.abs(Cv - (ghv - np.swapaxes(ghv, 1, 2))))),
-                  float(np.max(np.abs(Ev))))
-        Fv, tv = jets.values(gamma_0), jets.values(torsion)
-        res = max(res, float(np.max(np.abs(Fv + np.conj(np.swapaxes(Fv, 0, 1))))),
-                  float(np.max(np.abs(tv - np.swapaxes(tv, 0, 1)))))
-        # admissibility of the induced contact form: d theta-hat = i theta^l ^ theta^lbar
-        zh = jets.values(self.zhat1)
-        w = np.concatenate([zh, np.conj(zh), jets.values(self.that1)[None]])
-        g = jets.values(gth)                               # g[q, p] = d_p theta(d_q)
-        v = (np.einsum("lq...,qp...,jp...->jl...", w, g, zh)
-             - np.einsum("jq...,qp...,lp...->jl...", zh, g, w))
-        eye = np.eye(m).reshape((m, m) + (1,) * len(self.batch))
-        adm = max(float(np.max(np.abs(v[:, m:2 * m] - 1j * eye))),
-                  float(np.max(np.abs(v[:, :m]))), float(np.max(np.abs(v[:, 2 * m]))))
         return {"gamma_hol": gamma_hol, "gamma_bar": gamma_bar, "gamma_0": gamma_0,
-                "torsion": torsion, "solve_residual": res, "admissibility": adm,
-                "condition": cond}
+                "torsion": torsion, "condition": cond}
 
     @cached_property
     def torsion_vals(self):
@@ -249,11 +239,10 @@ class Analysis:
 
     # -- curvature ------------------------------------------------------------
 
-    @cached_property
-    def curvature(self):
-        """Curvature and torsion-derivative coefficients of the induced structure."""
+    def _curvature_form(self):
+        """Values of the curvature two-form of theta-hat_j^k on chart pairs:
+        lam[j, k, p, q], (m, m, d, d, *batch)."""
         m, d = self.m, self.d
-        tw = self.tanaka_webster
         s = self.intrinsic_conn_slots
         sv = jets.values(s)                              # (m, m, d, batch)
         ds = jets.values(_exterior(s))                   # (m, m, d, d, batch)
@@ -280,34 +269,64 @@ class Analysis:
                         t2 = tjb[p] * zv[k, q] - tjb[q] * zv[k, p]
                         lam[j, k, p, q] = djk - wedge - t1 + t2
                         lam[j, k, q, p] = -lam[j, k, p, q]
+        return lam
 
+    @cached_property
+    def curvature(self):
+        """Curvature coefficients curv[j][k][p][q] of the induced structure,
+        the Webster-Ricci form and the Webster scalar curvature."""
+        m = self.m
+        lam = self._curvature_form()
         zh = jets.values(self.zhat1)                     # (m, d, batch)
-        thh = jets.values(self.that1)
-
-        def pair(V, W):
-            return np.einsum("jkpq...,p...,q...->jk...", lam, V, W)
-
         curv = np.zeros((m, m, m, m) + self.batch, dtype=complex)
         for p in range(m):
             for q in range(m):
-                curv[:, :, p, q] = pair(zh[p], np.conj(zh[q]))
-        w_hol = np.zeros((m, m, m) + self.batch, dtype=complex)
-        w_anti = np.zeros_like(w_hol)
-        for p in range(m):
-            w_hol[:, :, p] = pair(zh[p], thh)
-            w_anti[:, :, p] = -pair(np.conj(zh[p]), thh)
-        purity = 0.0
-        for p in range(m):
-            for q in range(m):
-                purity = max(purity, float(np.max(np.abs(pair(zh[p], zh[q])))))
-                purity = max(purity, float(np.max(np.abs(
-                    pair(np.conj(zh[p]), np.conj(zh[q]))))))
+                curv[:, :, p, q] = _pair_form(lam, zh[p], np.conj(zh[q]))
         ricci = np.einsum("kjll...->kj...", curv)
         scalar = np.einsum("kk...->...", ricci)
+        return {"curv": curv, "ricci": ricci, "scalar": scalar.real}
+
+    @cached_property
+    def consistency(self):
+        """Residuals of identities that the extracted structure satisfies,
+        evaluated on demand (no report reads them):
+
+        * ``solve_residual``: the sectors of the Tanaka-Webster structure
+          equation that the solve leaves unused;
+        * ``admissibility``: d theta-hat = i theta^l ^ theta^lbar;
+        * ``purity``: the (2,0) and (0,2) parts of the curvature two-form;
+        * ``hermitian``: the Webster-Ricci form against its adjoint.
+        """
+        m = self.m
+        tw = self.tanaka_webster
+        Sa, Sb = self._pairings()
+        e, je = slice(0, m), slice(m, 2 * m)
+        S = jets.values(Sa) + 1j * jets.values(Sb)
+        uu, uv, vu, vv = S[:, e, e], S[:, e, je], S[:, je, e], S[:, je, je]
+        Cv = 0.25 * (uu - 1j * uv - 1j * vu - vv)          # z_j, z_l in dz^k
+        Ev = 0.25 * (uu + 1j * uv + 1j * vu - vv)          # zbar_j, zbar_l
+        ghv = jets.values(tw["gamma_hol"])
+        res = max(float(np.max(np.abs(Cv - (ghv - np.swapaxes(ghv, 1, 2))))),
+                  float(np.max(np.abs(Ev))))
+        Fv, tv = jets.values(tw["gamma_0"]), self.torsion_vals
+        res = max(res, float(np.max(np.abs(Fv + np.conj(np.swapaxes(Fv, 0, 1))))),
+                  float(np.max(np.abs(tv - np.swapaxes(tv, 0, 1)))))
+        # admissibility of the induced contact form
+        zh = jets.values(self.zhat1)
+        w = np.concatenate([zh, np.conj(zh), jets.values(self.that1)[None]])
+        g = jets.values(self.ff.theta_slots.jacobian())    # g[q, p] = d_p theta(d_q)
+        v = (np.einsum("lq...,qp...,jp...->jl...", w, g, zh)
+             - np.einsum("jq...,qp...,lp...->jl...", zh, g, w))
+        eye = np.eye(m).reshape((m, m) + (1,) * len(self.batch))
+        adm = max(float(np.max(np.abs(v[:, m:2 * m] - 1j * eye))),
+                  float(np.max(np.abs(v[:, :m]))), float(np.max(np.abs(v[:, 2 * m]))))
+        lam = self._curvature_form()
+        purity = max(float(np.max(np.abs(_pair_form(lam, a[p], a[q]))))
+                     for a in (zh, np.conj(zh)) for p in range(m) for q in range(m))
+        ricci = self.curvature["ricci"]
         herm = float(np.max(np.abs(ricci - np.conj(np.swapaxes(ricci, 0, 1)))))
-        return {"curv": curv, "w_hol": w_hol, "w_anti": w_anti, "ricci": ricci,
-                "scalar": scalar.real, "scalar_imag": float(np.max(np.abs(scalar.imag))),
-                "purity": purity, "hermitian": herm}
+        return {"solve_residual": res, "admissibility": adm, "purity": purity,
+                "hermitian": herm}
 
     # -- scalar summaries -----------------------------------------------------
 
@@ -430,6 +449,11 @@ def _exterior(form):
 def _pair(a, b):
     """Values of the contraction a @ b, from the values alone."""
     return jets.values(a.truncated(0) @ b.truncated(0))
+
+
+def _pair_form(lam, V, W):
+    """Two-form values lam (..., p, q, *batch) paired with chart vectors V, W."""
+    return np.einsum("jkpq...,p...,q...->jk...", lam, V, W)
 
 
 # ---------------------------------------------------------------------------

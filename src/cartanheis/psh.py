@@ -226,9 +226,16 @@ def _exp_degree(theta) -> int:
 
 
 def _horner(Z, coef):
-    """sum_k coef[k] Z^k for a stack of square matrices, by Horner's rule."""
-    S = np.zeros(Z.shape)
-    for k, c in enumerate(reversed(coef)):
+    """sum_k coef[k] Z^k for a stack of square matrices, by Horner's rule.
+
+    The first step, Z (coef[-1] I), is formed as coef[-1] Z, without a
+    product.
+    """
+    if len(coef) == 1:
+        S, rest = np.zeros(Z.shape), coef
+    else:
+        S, rest = coef[-1] * Z, coef[:-1]
+    for k, c in enumerate(reversed(rest)):
         if k:
             S = Z @ S
         S.reshape(S.shape[:-2] + (-1,))[..., ::Z.shape[-1] + 1] += c

@@ -439,11 +439,30 @@ def test_huge_chart_tangents_exit_two_at_the_largest(capsys, radius, where):
     assert not caught
 
 
+@pytest.mark.parametrize("radius", ["1e7", "1e20", "1e60", "1e100", "1e154", "1e155"])
+def test_huge_spheres_run_or_fail_as_inputs(capsys, radius):
+    # the sphere is CR at every radius: its seed floor follows the
+    # horizontal tangents, and a seed Gram matrix that is singular in
+    # floating point is an input error at its grid index, not a bug
+    for command in ("invariants", "check", "classify", "reconstruct", "roundtrip"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli(command, "--surface", f"builtin:sphere(2,{radius})",
+                           "--grid", "3")
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2), (command, err)
+        assert "could not complete a J-adapted tangent frame" not in err
+        assert not caught, command
+        if radius == "1e60":
+            assert err == ("input error: DomainError: the Gram matrix of the tangent "
+                           "seeds is singular at grid index (2, 1, 2)\n")
+
+
 def test_internal_linalg_error_exit_three(monkeypatch, capsys):
     # a LinAlgError is a ValueError, but not an input error
     from cartanheis import darboux
 
-    def broken(charts):
+    def broken(*args):
         raise np.linalg.LinAlgError("SVD did not converge")
 
     monkeypatch.setattr(darboux, "coframe_condition", broken)

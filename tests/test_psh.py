@@ -165,6 +165,27 @@ def _horner18_exp(X):
     return E
 
 
+def test_horner_is_bitwise_the_plain_horner_rule(rng):
+    # the first step Z (c I) is formed as c Z; every bit, signs of zeros
+    # included, matches the rule that starts from zeros
+    def plain(Z, coef):
+        S = np.zeros(Z.shape)
+        for k, c in enumerate(reversed(coef)):
+            if k:
+                S = Z @ S
+            S.reshape(S.shape[:-2] + (-1,))[..., ::Z.shape[-1] + 1] += c
+        return S
+
+    for n in (1, 2):
+        for top in (0.05, 0.5, 3.0):
+            Y = _algebra_batch(n, rng, np.geomspace(1e-3, top, 40))
+            Z = Y @ Y
+            for m in range(1, 19):
+                for first in (0, 1):
+                    coef = [1 / math.factorial(j) for j in range(first, m + 1, 2)]
+                    assert psh._horner(Z, coef).tobytes() == plain(Z, coef).tobytes()
+
+
 def _algebra_batch(n, rng, norms):
     out = []
     for t in norms:
