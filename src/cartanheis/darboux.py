@@ -571,10 +571,23 @@ class FrameField:
     fixed angle, i.e. replaces Z_a by e^{i psi} Z_a.
 
     The build follows a ``FramePlan`` (``self.plan``).  Without one it
-    plans from its own batch, through the same function as ``plan_frame``;
-    given one (planned over a whole grid, ``grid`` then a ``GridBlock`` of
-    it), it takes the gauge and every decision from the plan and makes no
-    check of its own: the plan pass made them all.
+    plans from its own batch, through the same function as ``plan_frame``,
+    and makes every check at construction, with the located errors of a
+    plan pass; given one (planned over a whole grid, ``grid`` then a
+    ``GridBlock`` of it), it takes the gauge and every decision from the
+    plan and makes no check of its own: the plan pass made them all.
+
+    A planned build reads immersion jets of ``FRAME_ORDER``: second-order
+    legs, first-order Maurer-Cartan slots and charts.  A build without a
+    plan reads them one order lower, which gives every first-order
+    invariant (|nu|, the second fundamental form, the torsion) with the
+    same values, bit for bit, since jet arithmetic is graded.  What needs
+    second-order data (``MCForm.d1``, the AD structure residual, the
+    curvature) reads ``twin``: this frame built at ``FRAME_ORDER`` under
+    its own plan, on the first read, and kept.  In AD mode, third-order
+    immersion coefficients that are not finite where the lower ones are
+    raise their located DomainError there, at the first second-order read.
+    Pass ``plan=plan_frame(imm, grid, ...)`` for a single full-order build.
 
     Every field is one tensor jet over the grid: vectors of frame
     components have length 2n+1, and the legs are stacked as rows
@@ -597,9 +610,16 @@ class FrameField:
         self.normal_phases = normal_phases
         self.plan = plan
         self.policy = policy if plan is None else plan.policy
-        # a planned build's checks ran in the plan pass
-        jets_of = _immersion_jets if plan is None else _jets
-        self._build(jets_of(imm, grid, FRAME_ORDER, mode))
+        if plan is not None:
+            # a planned build's checks ran in the plan pass
+            self._build(_jets(imm, grid, FRAME_ORDER, mode))
+        elif mode == "ad":
+            self._build(_immersion_jets(imm, grid, FRAME_ORDER - 1, mode))
+        else:
+            # an FD build samples the whole FRAME_ORDER stencil, so it raises
+            # every domain error the full-order build raises, where it does
+            X = _immersion_jets(imm, grid, FRAME_ORDER, mode)
+            self._build(X.truncated(FRAME_ORDER - 1))
 
     # -- construction ---------------------------------------------------
 
@@ -632,6 +652,19 @@ class FrameField:
         # fundamental vector field components against the normal legs (Levi
         # normalisation: nu = sum_a nu_comp[a] Z_a + conj, |nu|^2 = sum |nu_comp|^2)
         self.nu_comp = self.legs_n @ self.nu_frame + 1j * (self.legs_jn @ self.nu_frame)
+
+    @property
+    def twin(self):
+        """This frame at ``FRAME_ORDER``: ``self`` for a planned build, else
+        the build under ``self.plan``, which repeats no check."""
+        return self if self.X.ctx.order == FRAME_ORDER - 1 else self._twin
+
+    @cached_property
+    def _twin(self):
+        # kept apart from ``twin``: a frame that held itself would be a
+        # reference cycle, and a sweep's blocks would outlive their turn
+        return darboux_frame(self.imm, self.grid, policy=self.policy, mode=self.mode,
+                             normal_phases=self.normal_phases, plan=self.plan)
 
     # -- assembled frame ---------------------------------------------------
 
@@ -751,13 +784,24 @@ class MCForm:
         w[:, 1:, :-1] = np.moveaxis(self._slots.value, (-3, -2, -1), (0, 1, 2))
         return w
 
+    @property
+    def twin(self):
+        """The Maurer-Cartan form of the frame's ``twin`` (``self`` for a
+        planned frame): first-order slots, for the readers that need them."""
+        return self if self.ff.twin is self.ff else self._twin
+
+    @cached_property
+    def _twin(self):
+        return darboux_derivative(self.ff.twin)
+
     @cached_property
     def d1(self):
-        """d1[i, r, c, p] = d/du_p of slot i entry (r + 1, c), a view of the slot jet.
+        """d1[i, r, c, p] = d/du_p slot i entry (r + 1, c), a view of the
+        twin's slot jet.
 
         The first row and the last column of every slot are constant zero.
         """
-        g = self._slots.gradient()                   # (p, *batch, i, r, c)
+        g = self.twin._slots.gradient()              # (p, *batch, i, r, c)
         nb = len(self.ff.batch)
         return g.transpose((nb + 1, nb + 2, nb + 3, 0) + tuple(range(1, nb + 1)))
 
@@ -771,24 +815,25 @@ class MCForm:
     def structure_residual(self) -> float:
         """Max over chart-axis pairs of | d_p w_q - d_q w_p + [w_p, w_q] |.
 
-        With exact (AD) jets the derivative terms come from the jets
-        themselves and the identity holds to rounding; in FD mode the
+        With exact (AD) jets the derivative terms come from the twin's slot
+        jets themselves and the identity holds to rounding; in FD mode the
         derivatives are recomputed by central differences across the grid,
         so the residual measures the consistency of the sampled field and
         shrinks at second order under refinement.
         """
-        w = self.values
         if self.mode != "ad":
-            return grid_structure_residual(w, self.grid)
-        # d1 leaves out the zero first row and last column, where the
-        # commutator vanishes as well
-        dw = self.d1
+            return grid_structure_residual(self.values, self.grid)
+        # the slots hold rows 1.. and columns ..2n of each w_i, where the
+        # first row and the last column vanish, so rows 1.. and columns
+        # ..2n of w_p w_q are S_p[:, 1:] @ S_q[:-1, :]
+        slots = self.twin._slots
+        S, g = slots.value, slots.gradient()         # (*batch, i, r, c), (p, ...)
         worst = 0.0
         for p in range(self.d):
             for q in range(p + 1, self.d):
-                comm = (np.einsum("rs...,sc...->rc...", w[p], w[q])
-                        - np.einsum("rs...,sc...->rc...", w[q], w[p]))
-                resid = dw[q][:, :, p] - dw[p][:, :, q] + comm[1:, :-1]
+                comm = (S[..., p, :, 1:] @ S[..., q, :-1, :]
+                        - S[..., q, :, 1:] @ S[..., p, :-1, :])
+                resid = g[p][..., q, :, :] - g[q][..., p, :, :] + comm
                 worst = max(worst, float(np.max(np.abs(resid))))
         return worst
 

@@ -41,7 +41,13 @@ BLOCK_POINTS = 2401
 
 
 class Analysis:
-    """Lazy invariant extraction pipeline over one frame field."""
+    """Lazy invariant extraction pipeline over one frame field.
+
+    On a first-order frame (built without a plan, ``FrameField``) the
+    first-order invariants come from the frame itself, and the curvature,
+    ``consistency`` and what is built on them from ``twin``, the analysis
+    of the frame's full-order twin.
+    """
 
     def __init__(self, ff: FrameField, mc: MCForm | None = None):
         self.ff = ff
@@ -50,25 +56,35 @@ class Analysis:
         self.codim = self.n - self.m
         self.batch = ff.batch
 
+    @property
+    def twin(self):
+        """The analysis of the frame's ``twin`` (``self`` for a planned
+        frame): the curvature and the readers built on it answer from it."""
+        return self if self.mc.twin is self.mc else self._twin
+
+    @cached_property
+    def _twin(self):
+        return Analysis(self.ff.twin, self.mc.twin)
+
     # -- coframe machinery --------------------------------------------------
 
     @cached_property
     def zco1(self):
-        """theta-hat^j slots truncated to first order, (m, d)."""
-        return self.ff.coframe["z"].truncated(1)
+        """theta-hat^j slots truncated to at most first order, (m, d)."""
+        return _first(self.ff.coframe["z"])
 
     @cached_property
     def th1(self):
-        return self.ff.theta_slots.truncated(1)
+        return _first(self.ff.theta_slots)
 
     @cached_property
     def zhat1(self):
-        """Chart components of Zhat_j, first order, (m, d)."""
-        return self.ff.duals["zhat"].truncated(1)
+        """Chart components of Zhat_j, at most first order, (m, d)."""
+        return _first(self.ff.duals["zhat"])
 
     @cached_property
     def that1(self):
-        return self.ff.duals["that"].truncated(1)
+        return _first(self.ff.duals["that"])
 
     def coframe_condition(self):
         """Condition of the dual tangent frame in chart components over the
@@ -228,20 +244,25 @@ class Analysis:
 
     @cached_property
     def intrinsic_conn_slots(self):
-        """theta-hat_j^k as chart slots, one first-order (m, m, d) jet."""
+        """theta-hat_j^k as chart slots, one (m, m, d) jet of the order of
+        the Tanaka-Webster coefficients (first order on a planned frame)."""
         tw = self.tanaka_webster
         # gamma_hol z + gamma_bar conj z with z = a + i b, as real products
         gh, gb = tw["gamma_hol"].transpose(1, 0, 2), tw["gamma_bar"].transpose(1, 0, 2)
         p, q = gh + gb, gh - gb
-        a, b = self.zco1.real, self.zco1.imag
-        return (tw["gamma_0"].T[:, :, None] * self.th1
+        order = gh.ctx.order
+        z, th = self.zco1.truncated(order), self.th1.truncated(order)
+        a, b = z.real, z.imag
+        return (tw["gamma_0"].T[:, :, None] * th
                 + (p.real @ a - q.imag @ b) + 1j * (p.imag @ a + q.real @ b))
 
     # -- curvature ------------------------------------------------------------
 
     def _curvature_form(self):
         """Values of the curvature two-form of theta-hat_j^k on chart pairs:
-        lam[j, k, p, q], (m, m, d, d, *batch)."""
+        lam[j, k, p, q], (m, m, d, d, *batch), from the twin."""
+        if self.twin is not self:
+            return self.twin._curvature_form()
         m, d = self.m, self.d
         s = self.intrinsic_conn_slots
         sv = jets.values(s)                              # (m, m, d, batch)
@@ -264,9 +285,9 @@ class Analysis:
                         # i theta_j ^ tau^k with theta_j = conj(theta^j)
                         tj = np.conj(zv[j])
                         t1 = 1j * (tj[p] * tau[k, q] - tj[q] * tau[k, p])
-                        # tau_j ^ theta^k with tau_j = conj(tau^j)
+                        # i tau_j ^ theta^k with tau_j = conj(tau^j)
                         tjb = np.conj(tau[j])
-                        t2 = tjb[p] * zv[k, q] - tjb[q] * zv[k, p]
+                        t2 = 1j * (tjb[p] * zv[k, q] - tjb[q] * zv[k, p])
                         lam[j, k, p, q] = djk - wedge - t1 + t2
                         lam[j, k, q, p] = -lam[j, k, p, q]
         return lam
@@ -274,7 +295,10 @@ class Analysis:
     @cached_property
     def curvature(self):
         """Curvature coefficients curv[j][k][p][q] of the induced structure,
-        the Webster-Ricci form and the Webster scalar curvature."""
+        the Webster-Ricci form and the Webster scalar curvature, from the
+        twin."""
+        if self.twin is not self:
+            return self.twin.curvature
         m = self.m
         lam = self._curvature_form()
         zh = jets.values(self.zhat1)                     # (m, d, batch)
@@ -296,7 +320,11 @@ class Analysis:
         * ``admissibility``: d theta-hat = i theta^l ^ theta^lbar;
         * ``purity``: the (2,0) and (0,2) parts of the curvature two-form;
         * ``hermitian``: the Webster-Ricci form against its adjoint.
+
+        The twin evaluates them.
         """
+        if self.twin is not self:
+            return self.twin.consistency
         m = self.m
         tw = self.tanaka_webster
         Sa, Sb = self._pairings()
@@ -446,6 +474,11 @@ def _exterior(form):
     return g.transpose(*range(form.nt - 1), form.nt, form.nt - 1) - g
 
 
+def _first(jet):
+    """``jet`` truncated to first order, unless it is of order 0 already."""
+    return jet.truncated(min(jet.ctx.order, 1))
+
+
 def _pair(a, b):
     """Values of the contraction a @ b, from the values alone."""
     return jets.values(a.truncated(0) @ b.truncated(0))
@@ -527,8 +560,10 @@ def theta_nn_from_intrinsic(an: Analysis):
 
     Valid for completely non-vertical codimension-one surfaces in the
     nu-adapted gauge; returns chart slots of the candidate together with the
-    sup-residual against the ambient normal connection entry.
+    sup-residual against the ambient normal connection entry.  It needs the
+    second derivatives of |nu|, so it reads the twin.
     """
+    an = an.twin
     if an.codim != 1:
         raise WrongClass("normal-form reconstruction needs codimension one")
     nu2min = float(np.min(an.ff.nu_norm2.value))

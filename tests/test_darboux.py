@@ -314,38 +314,50 @@ def test_structural_zeros_skip_table_entries(monkeypatch, moved):
     """heis_sub(1,2) is a flat subgroup, so its frame columns are constant:
     a product's support holds only the coefficients nonzero in its data, the
     columns carry the constant alone, and a frame build runs at most half
-    the table."""
+    the table, at first order (no plan) and at full order (planned)."""
     imm = dsl.builtin("heis_sub", 1, 2)
     if moved:
         imm = dsl.transform_immersion(imm, psh.random_element(2, np.random.default_rng(5)))
+    grid = darboux.ChartGrid(imm.chart, 5)
+    plan = darboux.plan_frame(imm, grid)
     visited = _count_table_entries(monkeypatch)
-    ff = darboux.FrameField(imm, darboux.ChartGrid(imm.chart, 5))
-    cols = ff.frame_cols
-    live = [cols.ctx.monomials[k] for k in range(cols.ctx.ncoeff)
-            if cols.support >> k & 1]
-    assert cols.ctx.ncoeff == 10 and live == [(0, 0, 0)]
-    assert all(alpha[2] == 0 for alpha in live)
-    assert 2 * sum(v for v, _ in visited) <= sum(d for _, d in visited)
+    for given, ncoeff in ((None, 4), (plan, 10)):
+        visited.clear()
+        cols = darboux.FrameField(imm, grid, plan=given).frame_cols
+        live = [cols.ctx.monomials[k] for k in range(cols.ctx.ncoeff)
+                if cols.support >> k & 1]
+        assert cols.ctx.ncoeff == ncoeff and live == [(0, 0, 0)]
+        assert all(alpha[2] == 0 for alpha in live)
+        assert 2 * sum(v for v, _ in visited) <= sum(d for _, d in visited)
 
 
-@pytest.mark.parametrize("name, args, bound", [("heis_sub", (1, 2), 63),
-                                               ("sphere", (2, 1.0), 536)])
-def test_frame_build_table_entries_stay_bounded(monkeypatch, name, args, bound):
+@pytest.mark.parametrize("name, args, first, full", [("heis_sub", (1, 2), 41, 63),
+                                                     ("sphere", (2, 1.0), 156, 536)])
+def test_frame_build_table_entries_stay_bounded(monkeypatch, name, args, first, full):
     """The table entries a 5^3 frame build runs, at most the count measured
-    with data supports (structural supports alone ran 285 and 639)."""
+    with data supports: ``first`` for the first-order build without a plan,
+    ``full`` for the planned one (structural supports alone ran 285 and 639
+    at full order)."""
     imm = dsl.builtin(name, *args)
+    grid = darboux.ChartGrid(imm.chart, 5)
+    plan = darboux.plan_frame(imm, grid)
     visited = _count_table_entries(monkeypatch)
-    darboux.FrameField(imm, darboux.ChartGrid(imm.chart, 5))
-    assert 0 < sum(v for v, _ in visited) <= bound
+    for given, bound in ((None, first), (plan, full)):
+        visited.clear()
+        darboux.FrameField(imm, grid, plan=given)
+        assert 0 < sum(v for v, _ in visited) <= bound
 
 
 def test_chart_solve_nilpotent_part_has_no_constant(monkeypatch):
     """The nilpotent part N = A - A(0) that darboux._solve iterates with has
     an exactly zero constant coefficient and bit 0 clear in its support, so
     a product N @ X with a jet X skips the (0, j) table entries; the 5^3
-    frame is the one a full-support N gives."""
+    frame is the one a full-support N gives.  The builds are planned: the
+    first-order build of a frame without a plan solves for order-0 charts,
+    where N has no term to iterate with."""
     imm = dsl.builtin("sphere", 2, 1.0)
     grid = darboux.ChartGrid(imm.chart, 5)
+    plan = darboux.plan_frame(imm, grid)
     solve, matmul = darboux._solve, jets._matmul
     inside, factors = [False], []
 
@@ -363,7 +375,7 @@ def test_chart_solve_nilpotent_part_has_no_constant(monkeypatch):
 
     monkeypatch.setattr(darboux, "_solve", tracked_solve)
     monkeypatch.setattr(jets, "_matmul", tracked_matmul)
-    ff = darboux.FrameField(imm, grid)
+    ff = darboux.FrameField(imm, grid, plan=plan)
     builds = [(ff.frame_cols, ff.charts)]
     assert factors and all(f == (0, False) for f in factors)
 
@@ -371,8 +383,68 @@ def test_chart_solve_nilpotent_part_has_no_constant(monkeypatch):
     monkeypatch.setattr(Jet, "nilpotent_part", lambda self: Jet(
         self.ctx, part(self).c, self.nt, self.support))
     factors.clear()
-    ff = darboux.FrameField(imm, grid)
+    ff = darboux.FrameField(imm, grid, plan=plan)
     builds.append((ff.frame_cols, ff.charts))
     assert factors and all(f == (1, False) for f in factors)
     for new, full in zip(*builds):
         assert np.array_equal(new.c, full.c)
+
+
+@pytest.mark.parametrize("x2, y2, t, mode", [
+    ("sqrt(1.05 - p - q)", "0", "r", "ad"),
+    ("sqrt(0.12 - (p - 0.5)*q)", "0", "r", "fd"),
+    ("0.5*(p^2 - q^2)", "p*q", "(r - 0.5)^3", "ad"),
+    ("0.5*(p^2 - q^2)", "p*q + 0.01*(p - 0.2)^3", "r", "ad"),
+    ("0.5*(p^2 - q^2)", "p*q + 0.01*(p - 0.2)^3", "r", "fd")])
+def test_first_order_build_raises_the_errors_of_the_plan_pass(x2, y2, t, mode):
+    """A frame without a plan builds one order below FRAME_ORDER, yet makes
+    every check of the plan pass at construction, with its message and
+    location; in FD mode it samples the whole FRAME_ORDER stencil."""
+    from test_sweep import FAR_END
+    imm = dsl.parse(FAR_END.format(x2=x2, y2=y2, t=t))
+    grid = darboux.ChartGrid(imm.chart, 9)
+    with pytest.raises(Exception) as planned:
+        darboux.plan_frame(imm, grid, mode=mode)
+    with pytest.raises(type(planned.value)) as built:
+        darboux.darboux_frame(imm, grid, mode=mode)
+    assert str(built.value) == str(planned.value)
+    assert built.value.location == planned.value.location
+
+
+def test_fd_build_without_a_plan_samples_the_full_stencil(monkeypatch):
+    imm = dsl.builtin("sphere", 2, 1.0)
+    grid = darboux.ChartGrid(imm.chart, 5)
+    orders = []
+    fd_jets = dsl.fd_jets
+
+    def recorded(values, d, points, order, steps):
+        orders.append(order)
+        return fd_jets(values, d, points, order, steps)
+
+    monkeypatch.setattr(dsl, "fd_jets", recorded)
+    ff = darboux.darboux_frame(imm, grid, mode="fd")
+    assert orders == [darboux.FRAME_ORDER] and ff.ctx.order == darboux.FRAME_ORDER - 2
+
+
+@pytest.mark.parametrize("spec, count", [("sphere(2,1)", 5), ("ellipsoid(2,1,1.3)", 5),
+                                         ("holograph()", 5), ("ellipsoid(3,1,1,1.3)", 3)])
+def test_structure_residual_matches_the_batch_last_reference(spec, count):
+    """The AD structure residual multiplies the slot tensor with batched
+    matmuls; the reference forms the commutators of the full (D, D) slots
+    with batch-last einsums, as the residual did before.  The two sum in
+    different orders, so they agree to a tolerance fixed from the float
+    epsilon and the size of the products."""
+    imm = dsl.parse_surface_spec(f"builtin:{spec}")
+    mc = darboux.darboux_derivative(darboux.darboux_frame(imm, darboux.ChartGrid(imm.chart,
+                                                                                 count)))
+    w, dw = mc.twin.values, mc.d1
+    ref = 0.0
+    for p in range(mc.d):
+        for q in range(p + 1, mc.d):
+            comm = (np.einsum("rs...,sc...->rc...", w[p], w[q])
+                    - np.einsum("rs...,sc...->rc...", w[q], w[p]))
+            resid = dw[q][:, :, p] - dw[p][:, :, q] + comm[1:, :-1]
+            ref = max(ref, float(np.max(np.abs(resid))))
+    size = float(np.max(np.abs(w))) ** 2 * w.shape[1] + float(np.max(np.abs(dw)))
+    assert abs(mc.structure_residual() - ref) <= 8 * np.finfo(float).eps * size
+    assert 0 < ref < 1e-12
