@@ -279,8 +279,8 @@ class FramePlan:
     clears twice the gate at every point, and the exact SVD minimum
     otherwise, so it is exact wherever the gate could fail.
     ``plan_frame`` sets it, so that every block checks the grid's value.  A
-    frame's own plan leaves it None, and ``Analysis.coframe_condition``
-    computes it from the frame when asked.
+    frame's own plan leaves it None, and ``FrameField.condition`` computes
+    it from the frame when asked; the frame hands it to its ``twin``.
     """
 
     n: int
@@ -584,9 +584,9 @@ class FrameField:
     same values, bit for bit, since jet arithmetic is graded.  What needs
     second-order data (``MCForm.d1``, the AD structure residual, the
     curvature) reads ``twin``: this frame built at ``FRAME_ORDER`` under
-    its own plan, on the first read, and kept.  In AD mode, third-order
-    immersion coefficients that are not finite where the lower ones are
-    raise their located DomainError there, at the first second-order read.
+    its own plan, on the first read, and kept.  Third-order immersion
+    coefficients that are not finite where the lower ones are raise their
+    located DomainError there, at the first second-order read.
     Pass ``plan=plan_frame(imm, grid, ...)`` for a single full-order build.
 
     Every field is one tensor jet over the grid: vectors of frame
@@ -613,13 +613,14 @@ class FrameField:
         if plan is not None:
             # a planned build's checks ran in the plan pass
             self._build(_jets(imm, grid, FRAME_ORDER, mode))
-        elif mode == "ad":
-            self._build(_immersion_jets(imm, grid, FRAME_ORDER - 1, mode))
-        else:
-            # an FD build samples the whole FRAME_ORDER stencil, so it raises
+            return
+        X = _immersion_jets(imm, grid, FRAME_ORDER - 1, mode)
+        if mode == "fd":
+            # the rest of the FRAME_ORDER stencil, so that the build raises
             # every domain error the full-order build raises, where it does
-            X = _immersion_jets(imm, grid, FRAME_ORDER, mode)
-            self._build(X.truncated(FRAME_ORDER - 1))
+            dsl.fd_sample(imm.values, imm.nparams, grid.points, FRAME_ORDER,
+                          _fd_steps(grid), sampled=FRAME_ORDER - 1)
+        self._build(X)
 
     # -- construction ---------------------------------------------------
 
@@ -662,9 +663,21 @@ class FrameField:
     @cached_property
     def _twin(self):
         # kept apart from ``twin``: a frame that held itself would be a
-        # reference cycle, and a sweep's blocks would outlive their turn
+        # reference cycle, and a sweep's blocks would outlive their turn.
+        # The twin's charts have this frame's values, so it takes its
+        # condition rather than computing it again
         return darboux_frame(self.imm, self.grid, policy=self.policy, mode=self.mode,
-                             normal_phases=self.normal_phases, plan=self.plan)
+                             normal_phases=self.normal_phases,
+                             plan=replace(self.plan, condition=self.condition))
+
+    @cached_property
+    def condition(self):
+        """The coframe condition the Tanaka-Webster solve checks: the plan's
+        ``FramePlan.condition``, or for a frame that planned itself the same
+        quantity from its own charts (``coframe_condition``)."""
+        if self.plan.condition is None:
+            return coframe_condition(self.charts, self.coframe_matrix)
+        return self.plan.condition
 
     # -- assembled frame ---------------------------------------------------
 

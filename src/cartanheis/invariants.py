@@ -23,7 +23,7 @@ import numpy as np
 
 from . import jets
 from .darboux import (COMPLETELY_NON_VERTICAL, TOL_CLASS, TOL_COFRAME, VERTICAL,
-                      FrameField, MCForm, coframe_condition, darboux_derivative,
+                      FrameField, MCForm, darboux_derivative,
                       darboux_frame, grid_structure_residual, plan_frame,
                       pullback_check)
 from .errors import DegeneratePoint, IllConditionedCoframe, WrongClass
@@ -88,11 +88,8 @@ class Analysis:
 
     def coframe_condition(self):
         """Condition of the dual tangent frame in chart components over the
-        frame's planned grid: the plan's ``FramePlan.condition``, or for a
-        frame that planned itself the same quantity from its own charts."""
-        if self.ff.plan.condition is None:
-            return coframe_condition(self.ff.charts, self.ff.coframe_matrix)
-        return self.ff.plan.condition
+        frame's planned grid (``FrameField.condition``)."""
+        return self.ff.condition
 
     @cached_property
     def _dz(self):

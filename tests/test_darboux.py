@@ -412,18 +412,22 @@ def test_first_order_build_raises_the_errors_of_the_plan_pass(x2, y2, t, mode):
 
 
 def test_fd_build_without_a_plan_samples_the_full_stencil(monkeypatch):
+    """An FD frame without a plan takes its jets at FRAME_ORDER - 1 and
+    samples the rest of the FRAME_ORDER stencil, each offset once, in
+    stencil order."""
     imm = dsl.builtin("sphere", 2, 1.0)
     grid = darboux.ChartGrid(imm.chart, 5)
-    orders = []
-    fd_jets = dsl.fd_jets
+    offsets = []
+    sample = dsl._stencil_values
 
-    def recorded(values, d, points, order, steps):
-        orders.append(order)
-        return fd_jets(values, d, points, order, steps)
+    def recorded(values_fn, u_arrays, off, steps):
+        offsets.append(off)
+        return sample(values_fn, u_arrays, off, steps)
 
-    monkeypatch.setattr(dsl, "fd_jets", recorded)
+    monkeypatch.setattr(dsl, "_stencil_values", recorded)
     ff = darboux.darboux_frame(imm, grid, mode="fd")
-    assert orders == [darboux.FRAME_ORDER] and ff.ctx.order == darboux.FRAME_ORDER - 2
+    assert offsets == dsl.fd_stencil(imm.nparams, darboux.FRAME_ORDER)
+    assert ff.X.ctx.order == darboux.FRAME_ORDER - 2
 
 
 @pytest.mark.parametrize("spec, count", [("sphere(2,1)", 5), ("ellipsoid(2,1,1.3)", 5),

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -306,7 +308,8 @@ def test_first_order_frame_is_its_twin_truncated(spec, count, mode):
         tw = an.twin
         assert tw.ff is ff.twin and tw.mc is an.mc.twin
         assert (ff.ctx.order, tw.ff.ctx.order) == (1, 2)
-        assert tw.ff.plan == ff.plan and tw.ff.policy == ff.policy
+        assert tw.ff.plan == replace(ff.plan, condition=ff.condition)
+        assert tw.ff.policy == ff.policy
         fields = ["X", "XiF", "legs_t", "legs_jt", "legs_n", "legs_jn", "nu_frame",
                   "nu_norm2", "nu_norm", "charts"]
         for name in fields:
@@ -347,12 +350,16 @@ def test_rigidity_reads_build_no_twin(spec, policy, detect, monkeypatch):
     """The rigidity flow of the Python API, darboux_frame, Analysis and a
     detector at 5^3, builds one frame from jets below FRAME_ORDER; the
     curvature builds the twin once, and the other second-order readers
-    share it."""
+    share it.  The twin takes the frame's coframe condition."""
     from cartanheis import rigidity
     order = darboux.FRAME_ORDER
     imm = dsl.parse_surface_spec(f"builtin:{spec}")
     grid = darboux.ChartGrid(imm.chart, 5)
     builds, evaluated = _count_builds(monkeypatch, imm)
+    conditions = []
+    condition = darboux.coframe_condition
+    monkeypatch.setattr(darboux, "coframe_condition",
+                        lambda *args: conditions.append(1) or condition(*args))
     an = invariants.Analysis(darboux.darboux_frame(imm, grid, policy=policy))
     getattr(rigidity, detect)(an)
     an.restriction_residuals()
@@ -362,6 +369,7 @@ def test_rigidity_reads_build_no_twin(spec, policy, detect, monkeypatch):
     an.consistency, an.mc.d1, an.mc.structure_residual(), an.gauss_residual()
     invariants.Summary(an.ff.plan, grid).fold(an).close()
     assert builds == [order - 1, order] and evaluated.count(order) == 1
+    assert len(conditions) == 1
 
 
 NONFINITE_THIRD = """surface steep {

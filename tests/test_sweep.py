@@ -125,7 +125,7 @@ def test_plan_pass_matches_the_plan_of_a_whole_grid_build(spec, policy, mode):
     grid = darboux.ChartGrid(imm.chart, 3 if imm.m == 2 else 5)
     ff = darboux.darboux_frame(imm, grid, policy=policy, mode=mode)
     plan = darboux.plan_frame(imm, grid, policy=policy, mode=mode)
-    # a frame's own plan leaves the coframe condition to its Analysis
+    # a frame's own plan leaves the coframe condition to the frame
     assert replace(plan, condition=None) == ff.plan
     assert plan.condition == invariants.Analysis(ff).coframe_condition()
     # the planned |nu| is the frame's |nu|, bit for bit
