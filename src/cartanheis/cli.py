@@ -186,7 +186,16 @@ def _base_setup(args):
     if args.command != "classify" and min(counts) < 3:
         raise InputError("grid counts must be at least 3 per axis for "
                          "exterior-derivative commands")
-    return imm, darboux.ChartGrid(imm.chart, counts)
+    npoints = math.prod(counts)
+    # near its index range numpy raises ValueError or IndexError, not
+    # MemoryError; a grid of sys.maxsize // 16 points is past any memory
+    try:
+        if npoints <= sys.maxsize // 16:
+            return imm, darboux.ChartGrid(imm.chart, counts)
+    except MemoryError:
+        pass
+    raise InputError(f"--grid {args.grid}: a grid of {npoints} points is too "
+                     f"large to allocate")
 
 
 def _config_echo(args):

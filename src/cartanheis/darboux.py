@@ -280,7 +280,7 @@ class FramePlan:
     otherwise, so it is exact wherever the gate could fail.
     ``plan_frame`` sets it, so that every block checks the grid's value.  A
     frame's own plan leaves it None, and ``FrameField.condition`` computes
-    it from the frame when asked; the frame hands it to its ``twin``.
+    it from the frame when asked; ``MCForm.lifted`` hands it on.
     """
 
     n: int
@@ -582,12 +582,9 @@ class FrameField:
     plan reads them one order lower, which gives every first-order
     invariant (|nu|, the second fundamental form, the torsion) with the
     same values, bit for bit, since jet arithmetic is graded.  What needs
-    second-order data (``MCForm.d1``, the AD structure residual, the
-    curvature) reads ``twin``: this frame built at ``FRAME_ORDER`` under
-    its own plan, on the first read, and kept.  Third-order immersion
-    coefficients that are not finite where the lower ones are raise their
-    located DomainError there, at the first second-order read.
-    Pass ``plan=plan_frame(imm, grid, ...)`` for a single full-order build.
+    second-order data reads ``MCForm.lifted``, the form of this frame
+    rebuilt at ``FRAME_ORDER``.  Pass ``plan=plan_frame(imm, grid, ...)``
+    for a single full-order build.
 
     Every field is one tensor jet over the grid: vectors of frame
     components have length 2n+1, and the legs are stacked as rows
@@ -653,22 +650,6 @@ class FrameField:
         # fundamental vector field components against the normal legs (Levi
         # normalisation: nu = sum_a nu_comp[a] Z_a + conj, |nu|^2 = sum |nu_comp|^2)
         self.nu_comp = self.legs_n @ self.nu_frame + 1j * (self.legs_jn @ self.nu_frame)
-
-    @property
-    def twin(self):
-        """This frame at ``FRAME_ORDER``: ``self`` for a planned build, else
-        the build under ``self.plan``, which repeats no check."""
-        return self if self.X.ctx.order == FRAME_ORDER - 1 else self._twin
-
-    @cached_property
-    def _twin(self):
-        # kept apart from ``twin``: a frame that held itself would be a
-        # reference cycle, and a sweep's blocks would outlive their turn.
-        # The twin's charts have this frame's values, so it takes its
-        # condition rather than computing it again
-        return darboux_frame(self.imm, self.grid, policy=self.policy, mode=self.mode,
-                             normal_phases=self.normal_phases,
-                             plan=replace(self.plan, condition=self.condition))
 
     @cached_property
     def condition(self):
@@ -752,7 +733,12 @@ def darboux_frame(imm, grid, policy="canonical", mode="ad", **kw) -> FrameField:
 # ---------------------------------------------------------------------------
 
 class MCForm:
-    """The psh(n)-valued one-form omega = A^{-1} dA, one slot per chart axis."""
+    """The psh(n)-valued one-form omega = A^{-1} dA, one slot per chart axis.
+
+    Its slots are one order below the frame: first order on a planned
+    frame, values alone on a first-order one (``FrameField``).  ``d1`` and
+    the AD structure residual read the slots of ``lifted``.
+    """
 
     def __init__(self, ff: FrameField):
         self.ff = ff
@@ -798,23 +784,35 @@ class MCForm:
         return w
 
     @property
-    def twin(self):
-        """The Maurer-Cartan form of the frame's ``twin`` (``self`` for a
-        planned frame): first-order slots, for the readers that need them."""
-        return self if self.ff.twin is self.ff else self._twin
+    def lifted(self):
+        """This form with first-order slots: ``self`` on a planned frame,
+        else the form of the frame rebuilt at ``FRAME_ORDER`` under its
+        plan, on the first read, and kept.
+
+        The rebuild repeats no check, and takes the frame's coframe
+        condition, since its charts have the same values.  Third-order
+        immersion coefficients that are not finite where the lower ones are
+        raise their located DomainError here.
+        """
+        return self if self.ff.ctx.order == FRAME_ORDER - 1 else self._lifted
 
     @cached_property
-    def _twin(self):
-        return darboux_derivative(self.ff.twin)
+    def _lifted(self):
+        # kept apart from ``lifted``: a form that held itself would be a
+        # reference cycle, and a sweep's blocks would outlive their turn
+        ff = self.ff
+        return darboux_derivative(darboux_frame(
+            ff.imm, ff.grid, ff.policy, ff.mode, normal_phases=ff.normal_phases,
+            plan=replace(ff.plan, condition=ff.condition)))
 
     @cached_property
     def d1(self):
         """d1[i, r, c, p] = d/du_p slot i entry (r + 1, c), a view of the
-        twin's slot jet.
+        lifted slot jet.
 
         The first row and the last column of every slot are constant zero.
         """
-        g = self.twin._slots.gradient()              # (p, *batch, i, r, c)
+        g = self.lifted._slots.gradient()              # (p, *batch, i, r, c)
         nb = len(self.ff.batch)
         return g.transpose((nb + 1, nb + 2, nb + 3, 0) + tuple(range(1, nb + 1)))
 
@@ -828,7 +826,7 @@ class MCForm:
     def structure_residual(self) -> float:
         """Max over chart-axis pairs of | d_p w_q - d_q w_p + [w_p, w_q] |.
 
-        With exact (AD) jets the derivative terms come from the twin's slot
+        With exact (AD) jets the derivative terms come from the lifted slot
         jets themselves and the identity holds to rounding; in FD mode the
         derivatives are recomputed by central differences across the grid,
         so the residual measures the consistency of the sampled field and
@@ -839,7 +837,7 @@ class MCForm:
         # the slots hold rows 1.. and columns ..2n of each w_i, where the
         # first row and the last column vanish, so rows 1.. and columns
         # ..2n of w_p w_q are S_p[:, 1:] @ S_q[:-1, :]
-        slots = self.twin._slots
+        slots = self.lifted._slots
         S, g = slots.value, slots.gradient()         # (*batch, i, r, c), (p, ...)
         worst = 0.0
         for p in range(self.d):

@@ -709,6 +709,12 @@ def pretty_print(imm: "Immersion") -> str:
 # immersions
 # ---------------------------------------------------------------------------
 
+# a numpy array has at most 32 axes, and the widest jet field over a chart
+# grid (the exterior derivative of the Tanaka-Webster connection slots) has
+# one axis per chart axis, a coefficient axis and four tensor axes
+MAX_CHART_AXES = 27
+
+
 class Immersion:
     """A parametrized map from a chart box in R^{2m+1} into H_n."""
 
@@ -717,6 +723,9 @@ class Immersion:
             raise DslDimensionMismatch(f"need {2 * n + 1} coordinate expressions")
         if len(params) != 2 * m + 1 or len(chart) != 2 * m + 1:
             raise DslDimensionMismatch(f"need {2 * m + 1} parameters and intervals")
+        if 2 * m + 1 > MAX_CHART_AXES:
+            raise DslDimensionMismatch(f"at most {MAX_CHART_AXES} chart axes "
+                                       f"(m <= {MAX_CHART_AXES // 2}), got m={m}")
         self.label = label
         self.n = n
         self.m = m
@@ -874,10 +883,15 @@ def fd_jets(values_fn, d, u_arrays, order, steps):
 # builtin surfaces
 # ---------------------------------------------------------------------------
 
+# the largest n of a builtin: a frame field holds (2n+1)^2 jets per point
+BUILTIN_MAX_N = 64
+
+
 def heis_sub(m: int, n: int) -> Immersion:
     """The subgroup {z_{m+1} = ... = z_n = 0}, charted by its own coordinates."""
-    if not 1 <= m <= n:
-        raise UnknownBuiltin(f"heis_sub needs 1 <= m <= n, got ({m}, {n})")
+    if not 1 <= m <= n <= BUILTIN_MAX_N:
+        raise UnknownBuiltin(f"heis_sub needs 1 <= m <= n <= {BUILTIN_MAX_N}, "
+                             f"got ({m}, {n})")
     params = [f"u{i + 1}" for i in range(2 * m + 1)]
     chart = [(-0.45, 0.55)] * (2 * m + 1)
     zero = num(0.0)
@@ -888,8 +902,9 @@ def heis_sub(m: int, n: int) -> Immersion:
 
 def sphere(n: int, r: float) -> Immersion:
     """Round sphere {(z, 0): |z| = r}, charted by nested polar angles."""
-    if n < 2 or r <= 0:
-        raise UnknownBuiltin(f"sphere needs n >= 2 and r > 0, got ({n}, {r})")
+    if not 2 <= n <= BUILTIN_MAX_N or r <= 0:
+        raise UnknownBuiltin(f"sphere needs 2 <= n <= {BUILTIN_MAX_N} and r > 0, "
+                             f"got ({n}, {r})")
     params = [f"u{i + 1}" for i in range(2 * n - 1)]
     chart = [(0.5, 1.0)] * (n - 1) + [(0.15 + 0.07 * k, 0.85 + 0.07 * k)
                                       for k in range(n)]
@@ -1000,8 +1015,9 @@ def ellipsoid(n: int, *axes: float) -> Immersion:
     non-vertical surface with nonvanishing torsion; equal axes degenerate to
     the vertical subgroup {z_n = 0}.
     """
-    if len(axes) != n or n < 2:
-        raise UnknownBuiltin(f"ellipsoid needs n >= 2 axis lengths, got {axes}")
+    if len(axes) != n or not 2 <= n <= BUILTIN_MAX_N:
+        raise UnknownBuiltin(f"ellipsoid needs 2 <= n <= {BUILTIN_MAX_N} axis "
+                             f"lengths, got {axes}")
     if any(a <= 0 for a in axes):
         raise UnknownBuiltin("ellipsoid axes must be positive")
     m = n - 1

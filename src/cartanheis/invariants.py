@@ -45,8 +45,8 @@ class Analysis:
 
     On a first-order frame (built without a plan, ``FrameField``) the
     first-order invariants come from the frame itself, and the curvature,
-    ``consistency`` and what is built on them from ``twin``, the analysis
-    of the frame's full-order twin.
+    ``consistency`` and what is built on them from ``lifted``, the analysis
+    of ``mc.lifted``.
     """
 
     def __init__(self, ff: FrameField, mc: MCForm | None = None):
@@ -57,14 +57,14 @@ class Analysis:
         self.batch = ff.batch
 
     @property
-    def twin(self):
-        """The analysis of the frame's ``twin`` (``self`` for a planned
-        frame): the curvature and the readers built on it answer from it."""
-        return self if self.mc.twin is self.mc else self._twin
+    def lifted(self):
+        """The analysis of ``mc.lifted`` (``self`` on a planned frame), kept:
+        the curvature and the readers built on it answer from it."""
+        return self if self.mc.lifted is self.mc else self._lifted
 
     @cached_property
-    def _twin(self):
-        return Analysis(self.ff.twin, self.mc.twin)
+    def _lifted(self):
+        return Analysis(self.mc.lifted.ff, self.mc.lifted)
 
     # -- coframe machinery --------------------------------------------------
 
@@ -257,9 +257,7 @@ class Analysis:
 
     def _curvature_form(self):
         """Values of the curvature two-form of theta-hat_j^k on chart pairs:
-        lam[j, k, p, q], (m, m, d, d, *batch), from the twin."""
-        if self.twin is not self:
-            return self.twin._curvature_form()
+        lam[j, k, p, q], (m, m, d, d, *batch); read on a full-order frame."""
         m, d = self.m, self.d
         s = self.intrinsic_conn_slots
         sv = jets.values(s)                              # (m, m, d, batch)
@@ -292,10 +290,10 @@ class Analysis:
     @cached_property
     def curvature(self):
         """Curvature coefficients curv[j][k][p][q] of the induced structure,
-        the Webster-Ricci form and the Webster scalar curvature, from the
-        twin."""
-        if self.twin is not self:
-            return self.twin.curvature
+        the Webster-Ricci form and the Webster scalar curvature, from
+        ``lifted``."""
+        if self.lifted is not self:
+            return self.lifted.curvature
         m = self.m
         lam = self._curvature_form()
         zh = jets.values(self.zhat1)                     # (m, d, batch)
@@ -318,10 +316,10 @@ class Analysis:
         * ``purity``: the (2,0) and (0,2) parts of the curvature two-form;
         * ``hermitian``: the Webster-Ricci form against its adjoint.
 
-        The twin evaluates them.
+        ``lifted`` evaluates them.
         """
-        if self.twin is not self:
-            return self.twin.consistency
+        if self.lifted is not self:
+            return self.lifted.consistency
         m = self.m
         tw = self.tanaka_webster
         Sa, Sb = self._pairings()
@@ -558,9 +556,9 @@ def theta_nn_from_intrinsic(an: Analysis):
     Valid for completely non-vertical codimension-one surfaces in the
     nu-adapted gauge; returns chart slots of the candidate together with the
     sup-residual against the ambient normal connection entry.  It needs the
-    second derivatives of |nu|, so it reads the twin.
+    second derivatives of |nu|, so it reads ``an.lifted``.
     """
-    an = an.twin
+    an = an.lifted
     if an.codim != 1:
         raise WrongClass("normal-form reconstruction needs codimension one")
     nu2min = float(np.min(an.ff.nu_norm2.value))

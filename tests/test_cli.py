@@ -271,6 +271,28 @@ def test_huge_holograph_degree_exits_two_promptly(capsys):
     assert "degree" in capsys.readouterr().err
 
 
+# every size here fails before any work: more chart axes than numpy arrays
+# have room for, an n past the builtin bound, or a grid of 10^15 points or more
+@pytest.mark.parametrize("command, spec, grid, words", [
+    ("classify", "builtin:sphere(16,1)", "1", "at most 27 chart axes"),
+    ("classify", "builtin:heis_sub(15,15)", "1", "at most 27 chart axes"),
+    ("classify", "builtin:ellipsoid(32," + "1," * 31 + "1.3)", "1",
+     "at most 27 chart axes"),
+    ("invariants", "builtin:heis_sub(1,100000)", "3", "n <= 64"),
+    ("invariants", "builtin:sphere(3000,1)", "3", "n <= 64"),
+    ("invariants", "builtin:sphere(2,1)", "100000",
+     "a grid of 1000000000000000 points is too large"),
+    ("classify", "builtin:sphere(2,1)", "1,1,9223372036854775808",
+     "a grid of 9223372036854775808 points is too large"),
+])
+def test_oversized_input_exits_two_promptly(command, spec, grid, words, capsys):
+    t0 = time.perf_counter()
+    assert run_cli(command, "--surface", spec, "--grid", grid) == 2
+    assert time.perf_counter() - t0 < 5.0
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and words in err
+
+
 def test_chart_domain_failure_exit_two_with_location(capsys):
     code = run_cli("check", "--surface", "builtin:ellipsoid(2,1,100)", "--grid", "5")
     err = capsys.readouterr().err

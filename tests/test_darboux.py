@@ -441,7 +441,7 @@ def test_structure_residual_matches_the_batch_last_reference(spec, count):
     imm = dsl.parse_surface_spec(f"builtin:{spec}")
     mc = darboux.darboux_derivative(darboux.darboux_frame(imm, darboux.ChartGrid(imm.chart,
                                                                                  count)))
-    w, dw = mc.twin.values, mc.d1
+    w, dw = mc.lifted.values, mc.d1
     ref = 0.0
     for p in range(mc.d):
         for q in range(p + 1, mc.d):

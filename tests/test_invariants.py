@@ -1,3 +1,5 @@
+import gc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -272,7 +274,7 @@ def test_graph_curvature_closed_form():
 
 
 # ---------------------------------------------------------------------------
-# first-order frames and their full-order twins
+# first-order frames and their full-order lifts
 # ---------------------------------------------------------------------------
 
 BUILTINS = [("sphere(2,1)", 5), ("holograph()", 5), ("ellipsoid(2,1,1.3)", 5),
@@ -294,8 +296,9 @@ def _same_bits(low, full):
                             if s != "ellipsoid(3,1,1,1.3)"])
 def test_first_order_frame_is_its_twin_truncated(spec, count, mode):
     """A frame built without a plan reads immersion jets one order below
-    its twin; every field of it and of its Analysis is the twin's,
-    truncated to its order, bit for bit, under every gauge that applies."""
+    its lift (``MCForm.lifted``); every field of it and of its Analysis is
+    the lift's, truncated to its order, bit for bit, under every gauge that
+    applies."""
     imm = dsl.parse_surface_spec(f"builtin:{spec}")
     grid = darboux.ChartGrid(imm.chart, count)
     gauges = 0
@@ -305,8 +308,8 @@ def test_first_order_frame_is_its_twin_truncated(spec, count, mode):
         except WrongClass:      # the nu gauge on a vertical surface
             continue
         an = invariants.Analysis(ff)
-        tw = an.twin
-        assert tw.ff is ff.twin and tw.mc is an.mc.twin
+        tw = an.lifted
+        assert tw.ff is an.mc.lifted.ff and tw.mc is an.mc.lifted
         assert (ff.ctx.order, tw.ff.ctx.order) == (1, 2)
         assert tw.ff.plan == replace(ff.plan, condition=ff.condition)
         assert tw.ff.policy == ff.policy
@@ -349,8 +352,8 @@ def _count_builds(monkeypatch, imm):
 def test_rigidity_reads_build_no_twin(spec, policy, detect, monkeypatch):
     """The rigidity flow of the Python API, darboux_frame, Analysis and a
     detector at 5^3, builds one frame from jets below FRAME_ORDER; the
-    curvature builds the twin once, and the other second-order readers
-    share it.  The twin takes the frame's coframe condition."""
+    curvature lifts it once, and the other second-order readers share the
+    lift.  The lift takes the frame's coframe condition."""
     from cartanheis import rigidity
     order = darboux.FRAME_ORDER
     imm = dsl.parse_surface_spec(f"builtin:{spec}")
@@ -370,6 +373,33 @@ def test_rigidity_reads_build_no_twin(spec, policy, detect, monkeypatch):
     invariants.Summary(an.ff.plan, grid).fold(an).close()
     assert builds == [order - 1, order] and evaluated.count(order) == 1
     assert len(conditions) == 1
+
+
+@pytest.mark.parametrize("planned", [False, True])
+def test_frames_forms_and_analyses_hold_no_reference_cycle(planned):
+    """With the cycle collector off, a frame, its Maurer-Cartan form, its
+    Analysis and the lifted form, frame and analysis die with their last
+    reference after every second-order read: none holds itself, so a
+    sweep's blocks are freed at their turn."""
+    imm = dsl.parse_surface_spec("builtin:ellipsoid(2,1,1.3)")
+    grid = darboux.ChartGrid(imm.chart, 5)
+    plan = darboux.plan_frame(imm, grid) if planned else None
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        an = invariants.Analysis(darboux.darboux_frame(imm, grid, plan=plan))
+        an.curvature, an.consistency, an.mc.structure_residual()
+        lifted = an.lifted
+        objects = [an, an.mc, an.ff, lifted, lifted.mc, lifted.ff]
+        distinct = len({id(o) for o in objects})
+        refs = [weakref.ref(o) for o in objects]
+        del an, lifted, objects
+        alive = [r() is not None for r in refs]
+    finally:
+        if enabled:
+            gc.enable()
+    assert distinct == (3 if planned else 6)
+    assert not any(alive)
 
 
 NONFINITE_THIRD = """surface steep {

@@ -41,8 +41,17 @@ SIDES = ("parent", "change")
 
 
 def seeds_of(text):
+    """The seeds of the inclusive range ``LO-HI``.  The quartiles of a side
+    need at least two runs, so LO < HI."""
     lo, _, hi = text.partition("-")
-    return list(range(int(lo), int(hi or lo) + 1))
+    try:
+        seeds = list(range(int(lo), int(hi) + 1))
+    except ValueError:
+        seeds = []
+    if len(seeds) < 2:
+        raise argparse.ArgumentTypeError(
+            f"expected an inclusive range LO-HI of seeds with LO < HI, got {text!r}")
+    return seeds
 
 
 def export(rev, into):
@@ -124,16 +133,21 @@ def record(revs, seeds, out, into):
         out.write_text(json.dumps(rec, indent=1, sort_keys=True) + "\n")
 
 
-def main(argv=None):
+def build_parser():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True, help="the parent commit")
     ap.add_argument("--change", required=True, help="the commit of the change")
     ap.add_argument("--out", required=True, type=Path)
-    ap.add_argument("--seeds", default="101-110",
-                    help="a seed or an inclusive range LO-HI")
-    args = ap.parse_args(argv)
+    ap.add_argument("--seeds", default="101-110", type=seeds_of,
+                    help="an inclusive range LO-HI of at least two seeds "
+                         "(default: 101-110)")
+    return ap
+
+
+def main(argv=None):
+    args = build_parser().parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="bench_record_") as into:
-        record({"parent": args.parent, "change": args.change}, seeds_of(args.seeds),
+        record({"parent": args.parent, "change": args.change}, args.seeds,
                args.out.resolve(), Path(into))
     return 0
 
