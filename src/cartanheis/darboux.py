@@ -812,7 +812,7 @@ class MCForm:
 
         The first row and the last column of every slot are constant zero.
         """
-        g = self.lifted._slots.gradient()              # (p, *batch, i, r, c)
+        g = self.lifted._slots.gradient()            # (p, *batch, i, r, c)
         nb = len(self.ff.batch)
         return g.transpose((nb + 1, nb + 2, nb + 3, 0) + tuple(range(1, nb + 1)))
 
