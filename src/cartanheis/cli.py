@@ -14,7 +14,11 @@ import math
 import os
 import sys
 
-from .errors import InputError
+import numpy as np
+
+from . import darboux, dsl, invariants, psh, reconstruct, rigidity
+from . import report as rep
+from .errors import DslError, GeometryError, InputError, NotFlat
 
 DEFAULT_TOLS = {
     "structure": 1e-8,
@@ -25,20 +29,12 @@ DEFAULT_TOLS = {
     "link": 1e-6,
     "theta_nn": 1e-5,
     "holonomy": 1e-6,
-    "class": 1e-7,
+    "class": darboux.TOL_CLASS,
     "flat": 1e-7,
     "torsion": 1e-7,
     "roundtrip": 1e-5,
     "invariance": 1e-8,
 }
-
-
-def _cap_threads():
-    cap = os.environ.get("CARTAN_HEIS_THREADS")
-    if cap:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-            os.environ.setdefault(var, cap)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -79,12 +75,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_tols(args, mode="ad") -> dict:
-    from .darboux import FD_TOL_FACTOR
     tols = dict(DEFAULT_TOLS)
     if mode == "fd":
         for k in ("structure", "incon2", "gauss", "nver15", "nver28", "link",
                   "theta_nn", "invariance"):
-            tols[k] *= FD_TOL_FACTOR
+            tols[k] *= darboux.FD_TOL_FACTOR
     for item in args.tol:
         if "=" not in item:
             raise InputError(f"bad --tol {item!r}; expected NAME=VALUE")
@@ -128,7 +123,7 @@ def _check_args(args):
         raise InputError(f"--out {out}: not a file in an existing directory")
 
 
-def _emit(rpt, args, rep):
+def _emit(rpt, args):
     """The serialised report, written to --out (a failed write is an
     InputError) or returned for stdout."""
     blob = rep.serialize(rpt, args.format)
@@ -143,35 +138,22 @@ def _emit(rpt, args, rep):
 
 
 def main(argv=None) -> int:
-    _cap_threads()
     args = build_parser().parse_args(argv)
-
-    from . import report as rep
-    from .errors import (DomainError, DslError, GeometryError, IntegrabilityFailure,
-                         NotCRInvariant, NotFlat, NotImmersed, NotTorsionFree,
-                         SingularPoint, UnknownBuiltin, WrongClass)
     try:
         _check_args(args)
-        rpt, code = _dispatch(args, rep)
-        blob = _emit(rpt, args, rep)
-    except DslError as e:
-        print(f"input error: {e}", file=sys.stderr)
-        return 2
-    except (SingularPoint, NotCRInvariant, NotImmersed, UnknownBuiltin,
-            DomainError) as e:
-        print(f"input error: {type(e).__name__}: {e}", file=sys.stderr)
-        return 2
+        rpt, code = _dispatch(args)
+        blob = _emit(rpt, args)
+    # each toolkit error declares its exit code and prefix (``errors``); a
+    # surface-language error carries its line and column instead of its type
+    except GeometryError as e:
+        kind = "" if isinstance(e, DslError) else f"{type(e).__name__}: "
+        print(f"{e.prefix}: {kind}{e}", file=sys.stderr)
+        return e.exit_code
     # a surface or matrix file that cannot be read or decoded is an input
     # too; any other ValueError is a bug
     except (OSError, InputError, json.JSONDecodeError, UnicodeDecodeError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return 2
-    except (NotFlat, NotTorsionFree, WrongClass, IntegrabilityFailure) as e:
-        print(f"verdict failure: {type(e).__name__}: {e}", file=sys.stderr)
-        return 1
-    except GeometryError as e:
-        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
-        return 1
     except Exception as e:  # a bug: report it without a traceback
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return 3
@@ -180,7 +162,6 @@ def main(argv=None) -> int:
 
 
 def _base_setup(args):
-    from . import darboux, dsl
     imm = dsl.parse_surface_spec(args.surface)
     counts = _parse_grid(args.grid, imm.nparams)
     if args.command != "classify" and min(counts) < 3:
@@ -219,7 +200,6 @@ def _integrability(rpt, n, grid, slots, tol):
     """The holonomy verdict on the one-form with slot values ``slots``: the
     report's ``integrable`` verdict, the holonomy note and, when it fails,
     the reason.  Returns the form and whether it passed."""
-    from . import reconstruct
     eta = reconstruct.EtaForm(n, grid, slots)
     verdict = reconstruct.integrability_verdict(eta, tol)
     rpt["verdicts"]["integrable"] = verdict["pass"]
@@ -229,7 +209,7 @@ def _integrability(rpt, n, grid, slots, tol):
     return eta, verdict["pass"]
 
 
-def _invariant_payload(rpt, summary, tols, rep):
+def _invariant_payload(rpt, summary, tols):
     """The class, field tables and residuals of one surface's summary."""
     rpt["metadata"]["gauge"] = summary.plan.policy
     rpt["metadata"]["decisions"] = summary.plan.decisions()
@@ -252,8 +232,6 @@ def _reconstruction_sweep(imm, grid, args, tols):
     and roundtrip ``eta``, the slot values (d, D, D, *grid) of the form
     assembled from intrinsic data.
     """
-    import numpy as np
-    from . import invariants, reconstruct, rigidity
     check = args.command == "check"
     D, d, N = 2 * imm.n + 2, imm.nparams, grid.npoints
     frames = np.empty((D, D, N))
@@ -282,12 +260,9 @@ def _reconstruction_sweep(imm, grid, args, tols):
     return summary, kept
 
 
-def _dispatch(args, rep):
+def _dispatch(args):
     if args.command == "decompose":
-        return _cmd_decompose(args, rep)
-    import numpy as np
-    from . import darboux, dsl, invariants, psh, reconstruct, rigidity
-    from .errors import NotFlat
+        return _cmd_decompose(args)
     tols = _parse_tols(args, args.mode)
     rpt = rep.new_report(args.command, _config_echo(args))
 
@@ -304,11 +279,11 @@ def _dispatch(args, rep):
     if args.command == "invariants":
         summary = invariants.sweep(imm, grid, policy=args.policy, mode=args.mode,
                                    tol_class=tols["class"])
-        _invariant_payload(rpt, summary, tols, rep)
+        _invariant_payload(rpt, summary, tols)
         return rpt, 0 if rep.all_pass(rpt) else 1
 
     summary, kept = _reconstruction_sweep(imm, grid, args, tols)
-    _invariant_payload(rpt, summary, tols, rep)
+    _invariant_payload(rpt, summary, tols)
     kind, codim, n = summary.kind, imm.n - imm.m, imm.n
     frames = kept["frames"]
 
@@ -387,7 +362,6 @@ def _dispatch(args, rep):
 def _read_matrix(path):
     """The matrix in a JSON file; an InputError unless it is finite, square
     and of even size 2n+2 >= 4."""
-    import numpy as np
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     try:
@@ -403,9 +377,7 @@ def _read_matrix(path):
     return mat
 
 
-def _cmd_decompose(args, rep):
-    import numpy as np
-    from . import psh
+def _cmd_decompose(args):
     mat = _read_matrix(args.matrix)
     rpt = rep.new_report("decompose", {"matrix": args.matrix})
     diag = psh.psh_validate(mat, 1e-8)

@@ -139,17 +139,6 @@ class GridBlock:
         return self.parent.flat_index(self.start + flat)
 
 
-def _single_point_grid(chart, u):
-    g = ChartGrid.__new__(ChartGrid)
-    g.chart = [(float(lo), float(hi)) for lo, hi in chart]
-    g.counts = [1] * len(chart)
-    g.axes = [np.array([float(ui)]) for ui in u]
-    g.shape = tuple(g.counts)
-    g.spacing = [1e-2 * (hi - lo) for lo, hi in chart]
-    g.points = list(np.meshgrid(*g.axes, indexing="ij"))
-    return g
-
-
 # ---------------------------------------------------------------------------
 # jet linear algebra
 # ---------------------------------------------------------------------------
@@ -272,7 +261,9 @@ class FramePlan:
 
     ``seeds`` are chart axes; ``normals`` are ambient frame axes (X_1..X_n,
     Y_1..Y_n as 0..2n-1) or ``NU`` for -nu.  ``nu_min``, ``nu_max`` and
-    ``nu_mean`` summarise |nu| over the grid.  ``condition`` is a lower
+    ``nu_mean`` summarise |nu| over the grid, and ``verticality`` classifies
+    the grid from them for every reader: the report, the sweep's residuals
+    and the rigidity detectors.  ``condition`` is a lower
     bound on the smallest ratio of singular values of the dual tangent frame
     over the grid, which the Tanaka-Webster solve checks against
     ``TOL_COFRAME`` (``coframe_condition``): a certified bound where it
@@ -285,11 +276,9 @@ class FramePlan:
 
     n: int
     policy: str
-    nu_class: str
     nu_min: float
     nu_max: float
     nu_mean: float
-    scale: float
     pivot: int
     seeds: tuple
     normals: tuple
@@ -304,7 +293,7 @@ class FramePlan:
         names = ["-nu" if i == NU else
                  f"X{i + 1}" if i < self.n else f"Y{i - self.n + 1}"
                  for i in self.normals]
-        return {"gauge": {"class": self.nu_class, "nu_min": self.nu_min},
+        return {"gauge": {"class": self.verticality().kind, "nu_min": self.nu_min},
                 "pivot_axis": self.pivot, "tangent_seed_axes": list(self.seeds),
                 "normal_candidates": names}
 
@@ -405,9 +394,9 @@ def _frame_legs(XiF, grid, n, m, policy, mode, plan=None):
                                        floor=1e-12)
         if len(normal) != 2 * (n - m):
             raise SingularPoint("could not complete the normal frame")
-        plan = FramePlan(n=n, policy=policy, nu_class=cls.kind, nu_min=cls.nu_min,
-                         nu_max=cls.nu_max, nu_mean=float(np.mean(nu_norm)),
-                         scale=float(scale), pivot=k0, seeds=seeds, normals=normals)
+        plan = FramePlan(n=n, policy=policy, nu_min=cls.nu_min, nu_max=cls.nu_max,
+                         nu_mean=float(np.mean(nu_norm)), pivot=k0, seeds=seeds,
+                         normals=normals)
     else:
         normal, _ = _normal_legs(plan.normals, tangent, nu, nu_norm2, n - m)
     return tangent, that, nu, nu_norm2, charts, K.truncated(0), normal, plan
@@ -508,18 +497,15 @@ def _finite(X, grid, what="immersion or its derivatives"):
     return X
 
 
-def _fd_steps(grid):
-    """The FD steps along each chart axis: half the grid spacing."""
-    return [0.5 * s for s in grid.spacing]
-
-
 def _jets(imm, grid, order, mode):
     """The immersion's jets over the grid, checked finite: exact in AD mode,
-    by central differences (``dsl.fd_jets``) in FD mode."""
+    by central differences (``dsl.fd_jets``) in FD mode, with steps of half
+    the grid spacing."""
     if mode == "ad":
         X = imm.jets(grid.points, order=order)
     else:
-        X = dsl.fd_jets(imm.values, imm.nparams, grid.points, order, _fd_steps(grid))
+        X = dsl.fd_jets(imm.values, imm.nparams, grid.points, order,
+                        [0.5 * s for s in grid.spacing])
     return _finite(X, grid)
 
 
@@ -544,9 +530,6 @@ def plan_frame(imm, grid, policy="canonical", mode="ad") -> FramePlan:
     """
     _check_policy(policy)
     X = _immersion_jets(imm, grid, 1, mode)
-    if mode == "fd":
-        dsl.fd_sample(imm.values, imm.nparams, grid.points, FRAME_ORDER,
-                      _fd_steps(grid))
     legs = _frame_legs(_chart_tangents(X, X.truncated(0), grid), grid, imm.n, imm.m,
                        policy, mode)
     return replace(legs[-1], condition=coframe_condition(legs[4], legs[5]))
@@ -607,17 +590,9 @@ class FrameField:
         self.normal_phases = normal_phases
         self.plan = plan
         self.policy = policy if plan is None else plan.policy
-        if plan is not None:
-            # a planned build's checks ran in the plan pass
-            self._build(_jets(imm, grid, FRAME_ORDER, mode))
-            return
-        X = _immersion_jets(imm, grid, FRAME_ORDER - 1, mode)
-        if mode == "fd":
-            # the rest of the FRAME_ORDER stencil, so that the build raises
-            # every domain error the full-order build raises, where it does
-            dsl.fd_sample(imm.values, imm.nparams, grid.points, FRAME_ORDER,
-                          _fd_steps(grid), sampled=FRAME_ORDER - 1)
-        self._build(X)
+        # a planned build's checks ran in the plan pass
+        self._build(_immersion_jets(imm, grid, FRAME_ORDER - 1, mode) if plan is None
+                    else _jets(imm, grid, FRAME_ORDER, mode))
 
     # -- construction ---------------------------------------------------
 
@@ -910,8 +885,9 @@ def _value_at(field, idx):
 
 
 def _point_field(imm, u, policy="canonical") -> FrameField:
-    """The frame field over the single chart point ``u``."""
-    return FrameField(imm, _single_point_grid(imm.chart, u), policy=policy)
+    """The frame field over the single chart point ``u`` (AD mode, so the
+    grid's spacing is not read)."""
+    return FrameField(imm, ChartGrid([(u_i, u_i) for u_i in u], 1), policy=policy)
 
 
 def contact_intersection(imm, u):

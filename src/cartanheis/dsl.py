@@ -804,21 +804,32 @@ def fd_stencil(d, order):
     return offs
 
 
-def _stencil_values(values_fn, u_arrays, off, steps):
-    return values_fn([u + k * h for u, k, h in zip(u_arrays, off, steps)])
+def _sample_offsets(values_fn, u_arrays, offs, steps, shape):
+    """The coordinates at the points displaced by each of ``offs`` (in steps
+    per chart axis), (len(offs), *shape, 2n+1), from one call of
+    ``values_fn`` over the offsets stacked on a leading axis.
 
-
-def fd_sample(values_fn, d, u_arrays, order, steps, sampled=1):
-    """Sample the stencil of ``order`` beyond that of order ``sampled``; drop
-    the samples.
-
-    Run after ``fd_jets`` of order ``sampled`` over the same points, this
-    raises the domain error that ``fd_jets`` of ``order`` would raise, at the
-    same point, without holding its samples.
+    A DomainError is raised as calls one offset at a time would raise it:
+    the stacked call may meet a later offset's error first, in an expression
+    it evaluates before the one that fails at an earlier offset, so the
+    offsets before the one it names are evaluated again until none fails.
+    The error is located at the point alone.
     """
-    u_arrays = [np.asarray(u, dtype=float) for u in u_arrays]
-    for off in fd_stencil(d, order)[len(fd_stencil(d, sampled)):]:
-        _stencil_values(values_fn, u_arrays, off, steps)
+    err, lead = None, (len(steps), -1) + (1,) * len(shape)
+    while offs:
+        ks = np.array(offs, dtype=float).T.reshape(lead)
+        try:
+            vals = values_fn([u + k * h for u, k, h in zip(u_arrays, ks, steps)])
+        except DomainError as e:
+            if e.location is None:
+                raise
+            err, offs = e, offs[:e.location[0]]
+            continue
+        if err is None:
+            return np.stack([np.broadcast_to(v, (len(offs),) + shape) for v in vals],
+                            axis=-1)
+        break
+    raise DomainError(err.msg, err.location[1:]) from None
 
 
 def fd_jets(values_fn, d, u_arrays, order, steps):
@@ -827,16 +838,23 @@ def fd_jets(values_fn, d, u_arrays, order, steps):
     ``steps`` gives the per-axis displacement; accuracy is O(step^4) for first
     derivatives and O(step^2) for second and third ones, so downstream
     residual tolerances must be relaxed accordingly (``darboux.FD_TOL_FACTOR``
-    against the AD pipeline).  The stencil is sampled in ``fd_stencil``
-    order.
+    against the AD pipeline).  Whatever ``order``, the whole third-order
+    stencil is sampled, in ``fd_stencil`` order, so that jets of every order
+    raise the same domain error at the same point; only the samples that
+    ``order`` reads are kept.  Each call of ``values_fn`` takes
+    ``max(1, len(stencil) // npoints)`` offsets, so a grid of few points
+    needs few calls.
     """
     u_arrays = [np.asarray(u, dtype=float) for u in u_arrays]
     ctx = jets.context(d, order)
     shape = np.broadcast_shapes(*[np.shape(u) for u in u_arrays])
-    samples = {off: np.stack([np.broadcast_to(v, shape) for v in
-                              _stencil_values(values_fn, u_arrays, off, steps)],
-                             axis=-1)
-               for off in fd_stencil(d, order)}
+    stencil, keep = fd_stencil(d, 3), len(fd_stencil(d, order))
+    per_call = max(1, len(stencil) // math.prod(shape))
+    samples = {}
+    for lo in range(0, len(stencil), per_call):
+        block = _sample_offsets(values_fn, u_arrays, stencil[lo:lo + per_call], steps,
+                                shape)
+        samples.update(zip(stencil[lo:keep], block))
 
     def ev(*moves):
         """Coordinates, (*batch, 2n+1), k_i steps away along each axis i."""

@@ -1,12 +1,34 @@
 """Exception taxonomy shared across the toolkit.
 
-Importing it loads no numpy: the command line imports it before it exports
-its thread cap, which must precede numpy's import to take effect.
+Each class declares how the command line reports it, by its ``exit_code``
+and the ``prefix`` of its message: a fault of the input (``InputFault``)
+exits 2, a failed verdict (``VerdictFailure``) and any other error 1.
 """
+
+import numpy as np
 
 
 class GeometryError(Exception):
     """Base for all toolkit errors."""
+
+    exit_code, prefix = 1, "error"
+
+
+class InputFault(GeometryError):
+    """The surface, its chart or a builtin's arguments are not valid input;
+    ``location`` is the grid index of the fault where it has one."""
+
+    exit_code, prefix = 2, "input error"
+
+    def __init__(self, msg, location=None):
+        super().__init__(msg)
+        self.location = location
+
+
+class VerdictFailure(GeometryError):
+    """A rigidity precondition or an integrability check failed."""
+
+    prefix = "verdict failure"
 
 
 class InputError(ValueError):
@@ -21,49 +43,41 @@ class InvalidFrame(GeometryError):
     pass
 
 
-class DomainError(GeometryError):
+class DomainError(InputFault):
     """Evaluation left the domain of ln/sqrt/division.
 
     ``location`` is the batch index of the first offending point, which is
-    the grid index when a chart lattice is evaluated (None for a scalar).
+    the grid index when a chart lattice is evaluated (None for a scalar);
+    ``msg`` is the message without it.
     """
 
     def __init__(self, msg, location=None):
-        super().__init__(msg if location is None else f"{msg} at grid index {location}")
-        self.location = location
+        super().__init__(msg if location is None else f"{msg} at grid index {location}",
+                         location)
+        self.msg = msg
 
     @classmethod
     def where(cls, msg, bad):
         """The error located at the first entry where the mask ``bad`` holds."""
-        import numpy as np
         bad = np.asarray(bad)
         if bad.ndim == 0 or not bad.any():
             return cls(msg)
         return cls(msg, tuple(int(i) for i in np.argwhere(bad)[0]))
 
 
-class NotImmersed(GeometryError):
+class NotImmersed(InputFault):
     """Jacobian rank fell below the chart dimension."""
 
-    def __init__(self, msg, location=None):
-        super().__init__(msg)
-        self.location = location
 
-
-class SingularPoint(GeometryError):
+class SingularPoint(InputFault):
     """dim(TM ∩ ker Θ) differs from 2m at some chart point."""
 
-    def __init__(self, msg, location=None):
-        super().__init__(msg)
-        self.location = location
 
-
-class NotCRInvariant(GeometryError):
+class NotCRInvariant(InputFault):
     """TM ∩ ker Θ is not invariant under the ambient complex structure."""
 
     def __init__(self, msg, location=None, residual=None):
-        super().__init__(msg)
-        self.location = location
+        super().__init__(msg, location)
         self.residual = residual
 
 
@@ -71,15 +85,15 @@ class IllConditionedCoframe(GeometryError):
     pass
 
 
-class WrongClass(GeometryError):
+class WrongClass(VerdictFailure):
     """Operation restricted to vertical / completely non-vertical inputs."""
 
 
-class NotFlat(GeometryError):
+class NotFlat(VerdictFailure):
     pass
 
 
-class NotTorsionFree(GeometryError):
+class NotTorsionFree(VerdictFailure):
     pass
 
 
@@ -87,7 +101,7 @@ class DegeneratePoint(GeometryError):
     pass
 
 
-class IntegrabilityFailure(GeometryError):
+class IntegrabilityFailure(VerdictFailure):
     pass
 
 
@@ -95,7 +109,7 @@ class ProjectionDrift(GeometryError):
     pass
 
 
-class DslError(GeometryError):
+class DslError(InputFault):
     """Base for surface-language errors; carries a source location."""
 
     def __init__(self, msg, line=None, col=None):
@@ -117,5 +131,5 @@ class DslDimensionMismatch(DslError):
     pass
 
 
-class UnknownBuiltin(GeometryError):
+class UnknownBuiltin(InputFault):
     pass

@@ -17,13 +17,14 @@ Index conventions (all 0-based in storage, 1-based in the math comments):
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 
 import numpy as np
 
 from . import jets
-from .darboux import (COMPLETELY_NON_VERTICAL, TOL_CLASS, TOL_COFRAME, VERTICAL,
-                      FrameField, MCForm, darboux_derivative,
+from .darboux import (COMPLETELY_NON_VERTICAL, FRAME_ORDER, TOL_CLASS, TOL_COFRAME,
+                      VERTICAL, FrameField, MCForm, darboux_derivative,
                       darboux_frame, grid_structure_residual, plan_frame,
                       pullback_check)
 from .errors import DegeneratePoint, IllConditionedCoframe, WrongClass
@@ -31,13 +32,29 @@ from .errors import DegeneratePoint, IllConditionedCoframe, WrongClass
 __all__ = ["Analysis", "Summary", "sweep", "ricci_nonpositivity_check",
            "nu_from_curvature", "h_from_curvature", "theta_nn_from_intrinsic"]
 
-# points per block of the invariants sweep, chosen by measurement on a
-# 2-vCPU host: on the benchmark's 7^5 workload blocks of 1201, 2401 and
-# 4802 points ran equally fast, at 122, 195 and 303 MB peak RSS; on
-# `invariants --grid 17` (4913 points, m = 1, four builtins in one
+# points per block of the invariants sweep at (n, m) = (3, 2), chosen by
+# measurement on a 2-vCPU host: on the benchmark's 7^5 workload blocks of
+# 1201, 2401 and 4802 points ran equally fast, at 122, 195 and 303 MB peak
+# RSS; on `invariants --grid 17` (4913 points, m = 1, four builtins in one
 # process) 1201-point blocks took 0.461-0.468 s against 0.445-0.450 s
 # (medians), slower in 23 of 24 interleaved rounds
 BLOCK_POINTS = 2401
+
+
+def _block_points(n, m):
+    """Points per block of a sweep at (n, m).
+
+    A block's jet fields hold about s(n, m) = (2n+1)^2 d ncoeff(d,
+    FRAME_ORDER) numbers per point, d = 2m+1: the frame's columns, once per
+    chart axis in the Maurer-Cartan slots.  Where s(n, m) exceeds s(3, 2),
+    at which BLOCK_POINTS was measured, the block shrinks in proportion; it
+    never grows past BLOCK_POINTS.
+    """
+    def size(n, m):
+        d = 2 * m + 1
+        return (2 * n + 1) ** 2 * d * math.comb(d + FRAME_ORDER, FRAME_ORDER)
+
+    return max(1, min(BLOCK_POINTS, BLOCK_POINTS * size(3, 2) // size(n, m)))
 
 
 class Analysis:
@@ -490,10 +507,10 @@ def _pair_form(lam, V, W):
 
 def ricci_nonpositivity_check(an: Analysis, tol=1e-8):
     """Largest eigenvalue of the Webster-Ricci form; vertical surfaces only."""
-    numax = float(np.max(an.ff.nu_norm))
-    if numax > TOL_CLASS:
+    plan = an.ff.plan
+    if plan.verticality().kind != VERTICAL:
         raise WrongClass(f"Ricci sign check applies to vertical surfaces "
-                         f"(max |nu| = {numax:.2e})")
+                         f"(max |nu| = {plan.nu_max:.2e})")
     ric = an.curvature["ricci"]
     m = an.m
     M = np.moveaxis(ric.reshape(m, m, -1), -1, 0)
@@ -520,8 +537,7 @@ def h_from_curvature(an: Analysis, tol=1e-6):
     """
     if an.codim != 1:
         raise WrongClass("curvature-determines-h needs codimension one")
-    numax = float(np.max(an.ff.nu_norm))
-    if numax > TOL_CLASS:
+    if an.ff.plan.verticality().kind != VERTICAL:
         raise WrongClass("curvature-determines-h applies to vertical surfaces")
     m = an.m
     cur = an.curvature["curv"]
@@ -692,10 +708,10 @@ def sweep(imm, grid, policy="canonical", mode="ad", tol_class=TOL_CLASS,
     """The report summary of ``imm`` over ``grid``, in blocks of points.
 
     Every invariant in the summary is pointwise, so after one ``FramePlan``
-    made over the whole grid the grid is split into
-    ``ceil(npoints / BLOCK_POINTS)`` near-equal contiguous blocks, and each
-    runs the frame, Maurer-Cartan and invariant pipeline alone, following
-    the plan; peak memory then follows the block, not the grid, and the
+    made over the whole grid the grid is split into near-equal contiguous
+    blocks of at most ``_block_points(n, m)`` points, and each runs the
+    frame, Maurer-Cartan and invariant pipeline alone, following the plan;
+    peak memory then follows the block, not the grid, and the
     fields and residuals are those of the whole-grid build.  ``residuals``
     and ``keep_slots`` go to ``Summary``; ``visit(block, an)``, if given,
     reads what else a caller keeps of each block's Analysis.  In FD mode
@@ -704,7 +720,7 @@ def sweep(imm, grid, policy="canonical", mode="ad", tol_class=TOL_CLASS,
     """
     plan = plan_frame(imm, grid, policy=policy, mode=mode)
     summary = Summary(plan, grid, tol_class, keep_slots)
-    for block in grid.blocks(-(-grid.npoints // BLOCK_POINTS)):
+    for block in grid.blocks(-(-grid.npoints // _block_points(imm.n, imm.m))):
         an = Analysis(darboux_frame(imm, block, policy=plan.policy, mode=mode, plan=plan))
         summary.fold(an, block.start, residuals)
         if visit is not None:

@@ -114,10 +114,10 @@ def curvature_spread(kind, torsion_norm2, R, tol=1e-7) -> dict:
             "pass": spread < tol * (1 + abs(mean))}
 
 
-# the fits of one Analysis, with its class at TOL_CLASS
+# the fits of one Analysis, with the class its frame's plan gives at TOL_CLASS
 
 def detect_flat(an: Analysis, tol=1e-7) -> RigidMotionFit:
-    return fit_flat(classify(an.ff.nu_norm).kind, an.codim,
+    return fit_flat(an.ff.plan.verticality().kind, an.codim,
                     an.ff.psh_at((0,) * len(an.batch)), jets.values(an.ff.X),
                     an.II_norm2, tol)
 
@@ -125,10 +125,10 @@ def detect_flat(an: Analysis, tol=1e-7) -> RigidMotionFit:
 def detect_sphere(an: Analysis, tol=1e-7) -> SphereFit:
     ff = an.ff
     leg = jets.values(ff.legs_jn[0][:2 * an.n]) if an.codim else None
-    return fit_sphere(classify(ff.nu_norm).kind, an.codim, ff.policy,
+    return fit_sphere(ff.plan.verticality().kind, an.codim, ff.policy,
                       jets.values(ff.X), leg, ff.nu_norm, an.torsion_norm2, tol)
 
 
 def constant_curvature_check(an: Analysis, tol=1e-7) -> dict:
-    return curvature_spread(classify(an.ff.nu_norm).kind, an.torsion_norm2,
+    return curvature_spread(an.ff.plan.verticality().kind, an.torsion_norm2,
                             an.curvature["scalar"], tol)

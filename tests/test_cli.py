@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from cartanheis import cli, dsl, psh, report
+from cartanheis import cli, dsl, errors, psh, report
 
 CORPUS = os.path.join(os.path.dirname(__file__), "corpus")
 
@@ -219,19 +219,6 @@ def test_empty_report_serializes():
     tree = json.loads(blob)
     assert tree["metadata"]["toolkit"] == "cartanheis"
     assert report.serialize(rpt, "text").startswith("cartanheis")
-
-
-def test_thread_cap_env(monkeypatch):
-    monkeypatch.setenv("CARTAN_HEIS_THREADS", "2")
-    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-    cli._cap_threads()
-    assert os.environ["OMP_NUM_THREADS"] == "2"
-    # the cap must be exported before numpy loads, so importing the command
-    # line loads no numpy
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    code = "import sys, cartanheis.cli; sys.exit('numpy' in sys.modules)"
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
 
 
 @pytest.mark.parametrize("value", ["nan", "-1", "0", "inf", "abc"])
@@ -515,3 +502,57 @@ def test_check_and_reconstruct_give_the_same_integrability_reason(capsys):
         notes[command] = rpt["diagnostics"][hol[0]:hol[0] + 2]
     assert notes["check"] == notes["reconstruct"]
     assert "not integrable" in notes["check"][1]
+
+
+# the exit code and message prefix of every exception class in ``errors``:
+# a fault of the input exits 2, a failed verdict and any other toolkit
+# error exit 1
+INPUT, VERDICT, OTHER = (2, "input error"), (1, "verdict failure"), (1, "error")
+ERROR_EXITS = {
+    "GeometryError": OTHER, "DimensionMismatch": OTHER, "InvalidFrame": OTHER,
+    "IllConditionedCoframe": OTHER, "DegeneratePoint": OTHER, "ProjectionDrift": OTHER,
+    "InputFault": INPUT, "InputError": INPUT, "DomainError": INPUT, "NotImmersed": INPUT,
+    "SingularPoint": INPUT, "NotCRInvariant": INPUT, "UnknownBuiltin": INPUT,
+    "DslError": INPUT, "DslSyntaxError": INPUT, "UndeclaredParameter": INPUT,
+    "DslDimensionMismatch": INPUT,
+    "VerdictFailure": VERDICT, "WrongClass": VERDICT, "NotFlat": VERDICT,
+    "NotTorsionFree": VERDICT, "IntegrabilityFailure": VERDICT,
+}
+
+
+def test_the_exit_table_names_every_error_class():
+    declared = {name for name, obj in vars(errors).items()
+                if isinstance(obj, type) and issubclass(obj, Exception)}
+    assert declared == set(ERROR_EXITS)
+
+
+@pytest.mark.parametrize("name", sorted(ERROR_EXITS))
+def test_every_error_class_exits_with_its_declared_code(name, monkeypatch, capsys):
+    cls = getattr(errors, name)
+    code, prefix = ERROR_EXITS[name]
+    if issubclass(cls, errors.GeometryError):
+        assert (cls.exit_code, cls.prefix) == (code, prefix)
+
+    def fail(args):
+        raise cls("boom")
+
+    monkeypatch.setattr(cli, "_dispatch", fail)
+    assert run_cli("classify", "--surface", "builtin:sphere(2,1)", "--grid", "3") == code
+    # a surface-language error carries its line and column, not its type
+    typed = issubclass(cls, errors.GeometryError) and not issubclass(cls, errors.DslError)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{prefix}: {name + ': ' if typed else ''}boom\n"
+
+
+def test_fd_classify_of_27_chart_axes_is_prompt(capsys):
+    """One FD point of a 27-axis surface samples 26 317 stencil offsets in
+    one call of the immersion, not one call each."""
+    start = time.perf_counter()
+    code = run_cli("classify", "--mode", "fd", "--surface", "builtin:sphere(14,1)",
+                   "--grid", "1", "--format", "structured")
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    assert json.loads(captured.out)["class"] == "CompletelyNonVertical"
+    assert elapsed < 5, elapsed

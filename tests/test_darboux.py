@@ -413,18 +413,22 @@ def test_first_order_build_raises_the_errors_of_the_plan_pass(x2, y2, t, mode):
 
 def test_fd_build_without_a_plan_samples_the_full_stencil(monkeypatch):
     """An FD frame without a plan takes its jets at FRAME_ORDER - 1 and
-    samples the rest of the FRAME_ORDER stencil, each offset once, in
-    stencil order."""
+    samples the whole FRAME_ORDER stencil, each offset once, in stencil
+    order."""
     imm = dsl.builtin("sphere", 2, 1.0)
     grid = darboux.ChartGrid(imm.chart, 5)
+    steps = [0.5 * s for s in grid.spacing]
     offsets = []
-    sample = dsl._stencil_values
+    values = imm.values
 
-    def recorded(values_fn, u_arrays, off, steps):
-        offsets.append(off)
-        return sample(values_fn, u_arrays, off, steps)
+    def recorded(u_arrays):
+        # each call stacks its offsets on a leading axis
+        for j in range(len(u_arrays[0])):
+            offsets.append(tuple(int(np.rint((u[j] - p) / h).flat[0])
+                                 for u, p, h in zip(u_arrays, grid.points, steps)))
+        return values(u_arrays)
 
-    monkeypatch.setattr(dsl, "_stencil_values", recorded)
+    monkeypatch.setattr(imm, "values", recorded)
     ff = darboux.darboux_frame(imm, grid, mode="fd")
     assert offsets == dsl.fd_stencil(imm.nparams, darboux.FRAME_ORDER)
     assert ff.X.ctx.order == darboux.FRAME_ORDER - 2

@@ -96,6 +96,49 @@ def test_ad_jets_match_fd_jets():
         assert np.allclose(jA[c].gradient(), jF[c].gradient(), atol=1e-9)
 
 
+FD_CHART = """surface fd_chart {{
+  n = 2; m = 1;
+  params = [p, q, r];
+  chart = [[0.2, 0.8], [-0.3, 0.3], [-0.5, 0.5]];
+}}
+x[1] = p; y[1] = q;
+x[2] = {x2};
+y[2] = {y2};
+t = r;
+"""
+
+
+@pytest.mark.parametrize("x2, y2, count", [
+    # on the one point (0.5, 0, 0), with steps (0.3, 0.3, 0.5), sqrt fails
+    # at the stencil offset (2, 0, 2) alone
+    ("sqrt(2.05 - p - 0.9*q - r)", "0", 1),
+    # ln fails at (0, 2, 0), which the stacked call evaluates first, and
+    # sqrt at the earlier offset (2, 0, 0)
+    ("ln(0.5 - q)", "sqrt(1.0 - p)", 1),
+    # eight points, five offsets per call
+    ("ln(0.5 - q)", "sqrt(1.0 - p)", 2),
+    ("sqrt(0.12 - (p - 0.5)*q)", "0", 2),
+])
+def test_stacked_fd_sampling_raises_the_per_offset_error(x2, y2, count):
+    """fd_jets evaluates several stencil offsets per call on a grid of few
+    points; its domain error is the one that sampling one offset per call,
+    in stencil order, raises first, with the same message and grid index."""
+    imm = dsl.parse(FD_CHART.format(x2=x2, y2=y2))
+    axes = [np.linspace(lo, hi, count) if count > 1 else np.array([(lo + hi) / 2])
+            for lo, hi in imm.chart]
+    points = np.meshgrid(*axes, indexing="ij")
+    steps = [0.5 * ((ax[1] - ax[0]) if count > 1 else hi - lo)
+             for ax, (lo, hi) in zip(axes, imm.chart)]
+    with pytest.raises(DomainError) as one:
+        for off in dsl.fd_stencil(3, 3):
+            imm.values([u + k * h for u, k, h in zip(points, off, steps)])
+    for order in (1, 3):
+        with pytest.raises(DomainError) as stacked:
+            dsl.fd_jets(imm.values, 3, points, order, steps)
+        assert str(stacked.value) == str(one.value)
+        assert stacked.value.location == one.value.location
+
+
 def test_rank_check_detects_collapse():
     bad = dsl.Immersion("bad", 1, 1, ["u1", "u2", "u3"], [(-1, 1)] * 3,
                         [dsl.param("u1"), dsl.param("u1"), dsl.num(0.0)])

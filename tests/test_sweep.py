@@ -235,3 +235,41 @@ def test_blocked_invariants_peak_is_bounded_by_the_block(monkeypatch):
         whole = _traced_peak(argv, ONE_BLOCK, monkeypatch)
         blocked = _traced_peak(argv, 256, monkeypatch)
         assert blocked < 0.5 * whole, (command, blocked, whole)
+
+
+def test_block_size_follows_the_frame_size(monkeypatch):
+    """Blocks shrink where a point's frame outgrows that of (n, m) = (3, 2),
+    at which BLOCK_POINTS was measured, and nowhere else: the block count of
+    every n <= 3 with m <= 2 is ceil(npoints / BLOCK_POINTS)."""
+    counts = []
+    monkeypatch.setattr(darboux.ChartGrid, "blocks",
+                        lambda grid, count: counts.append(count) or [])
+    plan = darboux.plan_frame(dsl.builtin("heis_sub", 1, 2),
+                              darboux.ChartGrid([(0, 1)] * 3, 3))
+    monkeypatch.setattr(invariants, "plan_frame", lambda *a, **k: plan)
+
+    def blocks(imm, count):
+        invariants.sweep(imm, darboux.ChartGrid(imm.chart, count))
+        return counts.pop()
+
+    for n in (1, 2, 3):
+        for m in range(1, min(n, 2) + 1):
+            imm = dsl.builtin("heis_sub", m, n)
+            count = 17 if m == 1 else 7
+            points = count ** (2 * m + 1)
+            assert blocks(imm, count) == -(-points // invariants.BLOCK_POINTS), (n, m)
+    grown = [blocks(dsl.builtin("heis_sub", 1, n), 9) for n in (3, 8, 16, 32, 64)]
+    assert grown == [1, 1, 2, 6, 23]
+
+
+def test_blocked_report_of_a_large_n_is_its_one_block_report(monkeypatch):
+    argv = ["invariants", "--surface", "builtin:heis_sub(1,32)", "--grid", "3",
+            "--format", "structured"]
+    whole = run(argv, ONE_BLOCK, monkeypatch)
+    counts, split = [], darboux.ChartGrid.blocks
+    monkeypatch.setattr(darboux.ChartGrid, "blocks",
+                        lambda grid, count: counts.append(count) or split(grid, count))
+    # 200 points per block at (3, 2) are 10 at n = 32: three blocks of 3^3
+    blocked = run(argv, 200, monkeypatch)
+    assert counts == [3] and whole[0] == 0
+    assert blocked == whole
