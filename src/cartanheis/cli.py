@@ -240,7 +240,7 @@ def _reconstruction_sweep(imm, grid, args, tols):
 
     def keep(block, an):
         part = slice(block.start, block.stop)
-        if "corner" not in kept:
+        if block.start == 0:
             kept["corner"] = an.ff.psh_at((0,) * len(an.batch))
         frames[..., part] = an.ff.matrix_values().reshape(D, D, -1)
         if not check:
@@ -249,12 +249,12 @@ def _reconstruction_sweep(imm, grid, args, tols):
         elif (an.ff.plan.verticality(tols["class"]).kind
               == rigidity.COMPLETELY_NON_VERTICAL and an.codim == 1
               and an.ff.policy == "nu"):
-            invariants.fold_max(kept, "link", an.h_torsion_link_residual())
-            invariants.fold_max(kept, "theta_nn", an.theta_nn_residual())
+            return {"link": an.h_torsion_link_residual(),
+                    "theta_nn": an.theta_nn_residual()}
 
     summary = invariants.sweep(imm, grid, policy=args.policy, mode=args.mode,
                                tol_class=tols["class"], keep_slots=check, visit=keep)
-    kept["frames"] = frames.reshape((D, D) + grid.shape)
+    kept.update(summary.visited, frames=frames.reshape((D, D) + grid.shape))
     if not check:
         kept["eta"] = eta.reshape((d, D, D) + grid.shape)
     return summary, kept

@@ -18,6 +18,7 @@ Index conventions (all 0-based in storage, 1-based in the math comments):
 from __future__ import annotations
 
 import math
+import os
 from functools import cached_property
 
 import numpy as np
@@ -40,21 +41,77 @@ __all__ = ["Analysis", "Summary", "sweep", "ricci_nonpositivity_check",
 # (medians), slower in 23 of 24 interleaved rounds
 BLOCK_POINTS = 2401
 
+# jet numbers, points x s(n, m) of `_size`, that a block of a threaded sweep
+# must hold: smaller blocks run one after another.  NumPy releases the GIL
+# only inside its kernels, and on small blocks the interpreter's share of a
+# block, which threads cannot overlap, is too large.  Sweep time of two
+# threads on the shared budget (`_schedule`) against one on the whole one,
+# medians of 5-7 interleaved in-process runs on a 2-vCPU host (CPython
+# 3.11, numpy 2.4, BLAS on one thread):
+#   (n, m)  grid   blocks x points  jet numbers  one / two threads
+#   (2, 1)  17^3     7 x 702          1.05e6     1.02-1.10
+#   (2, 1)  25^3    20 x 781          1.17e6     0.98-1.25 (4 builtins)
+#   (2, 1)  25^3    15 x 1042         1.56e6     1.13-1.43 (3 builtins)
+#   (3, 1)  17^3     7 x 702          2.06e6     1.38
+#   (3, 1)  25^3    20 x 781          2.30e6     1.58
+#   (2, 2)  5^5      4 x 781          5.47e6     1.63
+#   (3, 2)  4^5      2 x 512          7.02e6     1.15
+#   (3, 2)  7^5     22 x 764          1.05e7     1.39-1.60
+# Threads on check and roundtrip at 17^3 (m = 1, four builtins in one
+# process) also raised the peak RSS from 88-90 to 102 MB.
+THREAD_NUMBERS = 2_000_000
+
+
+def _size(n, m):
+    """s(n, m) = (2n+1)^2 d ncoeff(d, FRAME_ORDER), d = 2m+1: about the
+    numbers a block's jet fields hold per point (the frame's columns, once
+    per chart axis in the Maurer-Cartan slots)."""
+    d = 2 * m + 1
+    return (2 * n + 1) ** 2 * d * math.comb(d + FRAME_ORDER, FRAME_ORDER)
+
 
 def _block_points(n, m):
     """Points per block of a sweep at (n, m).
 
-    A block's jet fields hold about s(n, m) = (2n+1)^2 d ncoeff(d,
-    FRAME_ORDER) numbers per point, d = 2m+1: the frame's columns, once per
-    chart axis in the Maurer-Cartan slots.  Where s(n, m) exceeds s(3, 2),
-    at which BLOCK_POINTS was measured, the block shrinks in proportion; it
-    never grows past BLOCK_POINTS.
+    Where s(n, m) (``_size``) exceeds s(3, 2), at which BLOCK_POINTS was
+    measured, the block shrinks in proportion; it never grows past
+    BLOCK_POINTS.
     """
-    def size(n, m):
-        d = 2 * m + 1
-        return (2 * n + 1) ** 2 * d * math.comb(d + FRAME_ORDER, FRAME_ORDER)
+    return max(1, min(BLOCK_POINTS, BLOCK_POINTS * _size(3, 2) // _size(n, m)))
 
-    return max(1, min(BLOCK_POINTS, BLOCK_POINTS * size(3, 2) // size(n, m)))
+
+def _workers():
+    """Threads a sweep may run blocks on: the CPUs this process may use
+    (``taskset -c 0`` leaves one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:     # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _schedule(npoints, n, m):
+    """(block count, threads) of a sweep over ``npoints`` points at (n, m).
+
+    One thread runs blocks of up to ``_block_points(n, m)`` points.  With w
+    threads the budget is shared: blocks of up to 1/(w+1) of it, so the
+    points in flight stay below one sequential block, with headroom for the
+    temporaries that the threads hold at the same time: on invariants at
+    7^5 (m = 2, the benchmark's worker) two threads on blocks of 800 points
+    peaked at 163-166 MB (182-185 MB in 2 of 11 runs), on blocks of 1200
+    at 196-197 MB, and one thread at 194 MB.
+    Threads run only where those blocks hold THREAD_NUMBERS jet numbers,
+    there are two of them, and the frame is no larger than at (3, 2), the
+    largest that the cut was measured at: past it the blocks shrink, and
+    the shared blocks of heis_sub(1,16) at 9^3 (145 points) ran 1.0-1.1x
+    as fast, those of heis_sub(1,64) at 5^3 (10 points) 1.4-1.5x slower.
+    """
+    budget = _block_points(n, m)
+    workers = _workers()
+    if workers > 1 and _size(n, m) <= _size(3, 2):
+        count = -(-npoints // max(1, budget // (workers + 1)))
+        if count > 1 and npoints // count * _size(n, m) >= THREAD_NUMBERS:
+            return count, min(workers, count)
+    return -(-npoints // budget), 1
 
 
 class Analysis:
@@ -63,15 +120,21 @@ class Analysis:
     On a first-order frame (built without a plan, ``FrameField``) the
     first-order invariants come from the frame itself, and the curvature,
     ``consistency`` and what is built on them from ``lifted``, the analysis
-    of ``mc.lifted``.
+    of ``mc.lifted``.  Without ``mc`` the Maurer-Cartan form is built on its
+    first read.
     """
 
     def __init__(self, ff: FrameField, mc: MCForm | None = None):
         self.ff = ff
-        self.mc = mc if mc is not None else darboux_derivative(ff)
+        if mc is not None:
+            self.mc = mc
         self.n, self.m, self.d = ff.n, ff.m, ff.d
         self.codim = self.n - self.m
         self.batch = ff.batch
+
+    @cached_property
+    def mc(self):
+        return darboux_derivative(self.ff)
 
     @property
     def lifted(self):
@@ -640,7 +703,8 @@ class Summary:
     verticality class of the planned |nu| at the report's tolerance.  An
     ``Analysis`` of a block or of the whole grid is added by ``fold``; its jet
     fields are not kept.  With ``keep_slots`` the Maurer-Cartan slot values
-    of every point are kept too (``slot_values``).
+    of every point are kept too (``slot_values``).  ``visited`` holds the
+    maxima that a sweep's ``visit`` returns.
     """
 
     def __init__(self, plan, grid, tol_class=TOL_CLASS, keep_slots=False):
@@ -648,24 +712,33 @@ class Summary:
         self.shape = grid.shape
         self.kind = plan.verticality(tol_class).kind
         self.fields = {key: np.empty(grid.npoints) for key in FIELDS}
-        self.residuals = {}
+        self.residuals, self.visited = {}, {}
         self.keep_slots = keep_slots
-        self.slots = None
+        D = 2 * plan.n + 2
+        self.slots = np.empty((grid.ndim, D, D, grid.npoints)) if keep_slots else None
 
     def fold(self, an, start=0, residuals=True):
-        """Add the Analysis of the points ``start:`` of the grid (C order).
+        """Add the Analysis of the points ``start:`` of the grid (C order):
+        ``fill``, then ``merge``.
 
         ``residuals=False`` keeps the fields alone.  An FD analysis cannot
         evaluate the structure residual without its neighbours across
         blocks: its slot values are kept, and ``close`` evaluates it over
         the grid.
         """
+        return self.merge(self.fill(an, start, residuals))
+
+    def fill(self, an, start=0, residuals=True):
+        """Write the fields (and slot values) of ``an`` at points ``start:``
+        and return its residuals, unmerged.  Blocks write disjoint points,
+        so blocks on threads fill one summary; the slot array of FD blocks
+        on threads must exist before (``keep_slots``)."""
         stop = start + int(np.prod(an.batch))
         fields = (an.ff.nu_norm, an.II_norm2, an.torsion_norm2, an.curvature["scalar"])
         for key, arr in zip(FIELDS, fields):
             self.fields[key][start:stop] = arr.reshape(-1)
         if not residuals:
-            return self
+            return {}
         exact = an.mc.mode == "ad"
         if self.keep_slots or not exact:
             w = an.mc.values
@@ -680,8 +753,15 @@ class Summary:
         if self.kind == COMPLETELY_NON_VERTICAL and an.codim == 1:
             res["nver15"] = an.cnv_curvature_residual()
             res["nver28"] = an.scalar_torsion_residual()
+        return res
+
+    def merge(self, res, visited=None):
+        """Fold one block's residuals (``fill``), and what ``visit`` returned
+        of it, into the maxima: on one thread, in block order."""
         for key, value in res.items():
             fold_max(self.residuals, key, value)
+        for key, value in (visited or {}).items():
+            fold_max(self.visited, key, value)
         return self
 
     def close(self):
@@ -709,21 +789,60 @@ def sweep(imm, grid, policy="canonical", mode="ad", tol_class=TOL_CLASS,
 
     Every invariant in the summary is pointwise, so after one ``FramePlan``
     made over the whole grid the grid is split into near-equal contiguous
-    blocks of at most ``_block_points(n, m)`` points, and each runs the
-    frame, Maurer-Cartan and invariant pipeline alone, following the plan;
-    peak memory then follows the block, not the grid, and the
-    fields and residuals are those of the whole-grid build.  ``residuals``
-    and ``keep_slots`` go to ``Summary``; ``visit(block, an)``, if given,
-    reads what else a caller keeps of each block's Analysis.  In FD mode
-    the structure residual needs neighbours across blocks, so it runs after
-    the sweep on the whole grid's slot values.
+    blocks (``_schedule``), and each runs the frame, Maurer-Cartan and
+    invariant pipeline alone, following the plan; peak memory then follows
+    the block, not the grid, and the fields and residuals are those of the
+    whole-grid build.  Blocks run one after another, or on threads where
+    ``_schedule`` says they pay; either way the residual maxima are merged
+    in block order, and the first failing block raises its error.
+    ``residuals`` and ``keep_slots`` go to ``Summary``; ``visit(block,
+    an)``, if given, reads what else a caller keeps of each block's
+    Analysis, possibly on a worker thread, and may return a dict of maxima
+    to fold into ``Summary.visited``.  In FD mode the structure residual
+    needs neighbours across blocks, so it runs after the sweep on the whole
+    grid's slot values.
     """
     plan = plan_frame(imm, grid, policy=policy, mode=mode)
-    summary = Summary(plan, grid, tol_class, keep_slots)
-    for block in grid.blocks(-(-grid.npoints // _block_points(imm.n, imm.m))):
+    summary = Summary(plan, grid, tol_class, keep_slots or (residuals and mode == "fd"))
+    count, workers = _schedule(grid.npoints, imm.n, imm.m)
+
+    def run(block):
         an = Analysis(darboux_frame(imm, block, policy=plan.policy, mode=mode, plan=plan))
-        summary.fold(an, block.start, residuals)
-        if visit is not None:
-            visit(block, an)
-        del an    # before the next block's fields are built
+        return (summary.fill(an, block.start, residuals),
+                None if visit is None else visit(block, an))
+
+    blocks = grid.blocks(count)
+    if workers == 1:
+        for block in blocks:
+            summary.merge(*run(block))
+    else:
+        _threaded(run, blocks, workers, summary.merge)
     return summary.close()
+
+
+def _threaded(run, blocks, workers, merge):
+    """``merge(*run(block))`` of every block, ``run`` on ``workers`` threads
+    and ``merge`` here, in block order.  The first failing block in that
+    order raises its error; once a block fails, or this thread is
+    interrupted, no block starts."""
+    import threading
+    from concurrent.futures import ThreadPoolExecutor
+
+    stop = threading.Event()
+
+    def guarded(block):
+        if stop.is_set():
+            return None
+        try:
+            return run(block)
+        except BaseException:
+            stop.set()
+            raise
+
+    pool = ThreadPoolExecutor(workers)
+    try:
+        for future in [pool.submit(guarded, block) for block in blocks]:
+            merge(*future.result())
+    finally:
+        stop.set()
+        pool.shutdown(cancel_futures=True)

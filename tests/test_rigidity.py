@@ -78,6 +78,22 @@ def test_detect_sphere_equivariance(rng):
         assert abs(fit.radius - 1.0) < 1e-10
 
 
+def test_detect_sphere_builds_no_maurer_cartan_form(monkeypatch):
+    """An Analysis builds its Maurer-Cartan form on the first read, which
+    the sphere detector never makes; a form handed in is kept."""
+    imm = dsl.builtin("sphere", 2, 1.0)
+    ff = darboux.darboux_frame(imm, darboux.ChartGrid(imm.chart, 5), policy="nu")
+    built, derivative = [], invariants.darboux_derivative
+    monkeypatch.setattr(invariants, "darboux_derivative",
+                        lambda ff: built.append(ff) or derivative(ff))
+    an = invariants.Analysis(ff)
+    assert rigidity.detect_sphere(an).radius_residual < 1e-10
+    assert built == []
+    assert an.mc is an.mc and built == [ff]
+    mc = derivative(ff)
+    assert invariants.Analysis(ff, mc).mc is mc and built == [ff]
+
+
 def test_detect_sphere_rejects_torsion(ellipsoid_nu):
     with pytest.raises(NotTorsionFree):
         rigidity.detect_sphere(ellipsoid_nu[3])
