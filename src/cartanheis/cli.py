@@ -300,8 +300,8 @@ def _dispatch(args):
         rng = np.random.default_rng(args.seed)
         Phi = psh.random_element(imm.n, rng)
         image = moved_fields(dsl.transform_immersion(imm, Phi))
-        worst = float(max(np.max(np.abs(image.fields[key] - summary.fields[key]))
-                          for key in invariants.FIELDS))
+        worst = float(np.max([np.max(np.abs(image.fields[key] - summary.fields[key]))
+                              for key in invariants.FIELDS]))
         rpt["verdicts"]["rigid_motion_invariance"] = worst <= tols["invariance"]
         rpt["diagnostics"].append(f"rigid-motion invariance gap {worst:.3e}")
         if kind == rigidity.VERTICAL and codim == 1:
@@ -336,7 +336,7 @@ def _dispatch(args):
         image = moved_fields(moved)
         gaps = {label: float(np.max(np.abs(image.table(key) - summary.table(key))))
                 for label, key in zip(("nu", "II", "A", "R"), invariants.TABLES)}
-        worst = max(gaps.values())
+        worst = float(np.max(list(gaps.values())))
         rpt["verdicts"]["roundtrip_fields"] = worst <= tols["roundtrip"]
         rpt["diagnostics"].append(
             "re-extracted field gaps " +

@@ -37,7 +37,7 @@ from .heis import HPoint
 
 __all__ = ["ChartGrid", "GridBlock", "FramePlan", "plan_frame", "FrameField",
            "MCForm", "darboux_frame", "darboux_derivative", "contact_intersection",
-           "reeb_and_nu", "pullback_check", "classify", "VerticalityClass"]
+           "reeb_and_nu", "classify", "VerticalityClass"]
 
 POLICIES = ("auto", "canonical", "nu", "reverse")
 TOL_SINGULAR = 1e-8
@@ -791,6 +791,12 @@ class MCForm:
         nb = len(self.ff.batch)
         return g.transpose((nb + 1, nb + 2, nb + 3, 0) + tuple(range(1, nb + 1)))
 
+    @property
+    def translation(self):
+        """theta^r slots, the translation column of omega: one real
+        (d, 2n+1) jet, translation[i, r - 1] = omega_i entry (r, 0)."""
+        return self._slots[:, :, 0]
+
     @cached_property
     def conn(self):
         """theta_g^b slots as one complex (n, n, d) jet: conn[g-1, b-1, i]."""
@@ -820,8 +826,8 @@ class MCForm:
                 comm = (S[..., p, :, 1:] @ S[..., q, :-1, :]
                         - S[..., q, :, 1:] @ S[..., p, :-1, :])
                 resid = g[p][..., q, :, :] - g[q][..., p, :, :] + comm
-                worst = max(worst, float(np.max(np.abs(resid))))
-        return worst
+                worst = np.maximum(worst, np.max(np.abs(resid)))
+        return float(worst)
 
 
 def grid_structure_residual(w, grid) -> float:
@@ -867,8 +873,8 @@ def grid_structure_residual(w, grid) -> float:
             wi_q = interior(w[q], [p, q])
             comm = (np.einsum("rs...,sc...->rc...", wi_p, wi_q)
                     - np.einsum("rs...,sc...->rc...", wi_q, wi_p))
-            worst = max(worst, float(np.max(np.abs(dpq - dqp + comm))))
-    return worst
+            worst = np.maximum(worst, np.max(np.abs(dpq - dqp + comm)))
+    return float(worst)
 
 
 def darboux_derivative(ff: FrameField) -> MCForm:
@@ -904,38 +910,3 @@ def reeb_and_nu(imm, u):
     ff = _point_field(imm, u)
     idx = (0,) * ff.d
     return _value_at(ff.that_frame, idx), _value_at(ff.nu_frame, idx)
-
-
-def pullback_check(ff: FrameField, mc: MCForm | None = None) -> dict:
-    """Residuals of the coframe restriction identities on tangent directions.
-
-    The four identities relate the ambient coframe slots to the induced ones:
-    the tangent-index slots restrict to the induced coframe, and each normal
-    slot w^a restricts to (adapted component of nu along e_a) * theta-hat.
-    """
-    if mc is None:
-        mc = darboux_derivative(ff)
-    n, m, d = ff.n, ff.m, ff.d
-    w = mc.values
-    th = jets.values(ff.theta_slots)
-    zco = jets.values(ff.coframe["z"])
-    res = {}
-    worst_tan = 0.0
-    for j, zv in enumerate(zco):
-        worst_tan = max(worst_tan,
-                        float(np.max(np.abs(w[:, j + 1, 0] - zv.real))),
-                        float(np.max(np.abs(w[:, n + j + 1, 0] - zv.imag))))
-    res["tangent_coframe"] = worst_tan
-    worst_n = 0.0
-    nu_comp = jets.values(ff.nu_comp)             # <nu, e_a> + i <nu, Je_a>
-    for a_i, comp in enumerate(nu_comp):
-        a = m + a_i
-        worst_n = max(worst_n,
-                      float(np.max(np.abs(w[:, a + 1, 0] - comp.real * th))),
-                      float(np.max(np.abs(w[:, n + a + 1, 0] - comp.imag * th))))
-    res["normal_coframe"] = worst_n
-    res["contact"] = float(np.max(np.abs(w[:, 2 * n + 1, 0] - th)))
-    nu2 = jets.values(ff.nu_norm2)
-    comp2 = np.sum(np.abs(nu_comp) ** 2, axis=0)
-    res["nu_components"] = float(np.max(np.abs(nu2 - comp2)))
-    return res

@@ -963,27 +963,16 @@ def _poly_eval(terms: dict, zs) -> CExpr:
 HOLOGRAPH_MAX_DEGREE = 64
 
 
-def holograph(degree: int = 2, n: int = 2, m: int = 1, polys=None,
-              label="holograph") -> Immersion:
-    """Vertical graph {(z, F(z), t)} with holomorphic polynomial F.
-
-    Default is z_2 = z_1^2 in H_2; the degree of the monomial default runs
-    from 2 to HOLOGRAPH_MAX_DEGREE.  ``polys`` may supply one coefficient
-    dict per normal coordinate to override the monomial default.
-    """
-    if not 1 <= m < n:
-        raise UnknownBuiltin(f"holograph needs 1 <= m < n, got ({n}, {m})")
-    if polys is None:
-        if not 2 <= degree <= HOLOGRAPH_MAX_DEGREE:
-            raise UnknownBuiltin(f"holograph degree must be in "
-                                 f"2..{HOLOGRAPH_MAX_DEGREE}, got {degree}")
-        mono = tuple([degree] + [0] * (m - 1))
-        polys = [{mono: 1.0 + 0.0j} for _ in range(n - m)]
-    params, chart, zs = _graph_params(n, m)
-    fs = [_poly_eval(p, zs) for p in polys]
-    xs = [param(params[j]) for j in range(m)] + [f.re for f in fs]
-    ys = [param(params[m + j]) for j in range(m)] + [f.im for f in fs]
-    return Immersion(label, n, m, params, chart, xs + ys + [param(params[2 * m])])
+def holograph(degree: int = 2) -> Immersion:
+    """The vertical graph {(z_1, z_1^degree, t)} in H_2, the degree from 2
+    to HOLOGRAPH_MAX_DEGREE."""
+    if not 2 <= degree <= HOLOGRAPH_MAX_DEGREE:
+        raise UnknownBuiltin(f"holograph degree must be in "
+                             f"2..{HOLOGRAPH_MAX_DEGREE}, got {degree}")
+    params, chart, zs = _graph_params(2, 1)
+    f = _poly_eval({(degree,): 1.0 + 0.0j}, zs)
+    return Immersion("holograph", 2, 1, params, chart,
+                     [param(params[0]), f.re, param(params[1]), f.im, param(params[2])])
 
 
 def holomorphic_section(n, m, polys, couplings, label) -> Immersion:

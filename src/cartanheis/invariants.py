@@ -26,8 +26,7 @@ import numpy as np
 from . import jets
 from .darboux import (COMPLETELY_NON_VERTICAL, FRAME_ORDER, TOL_CLASS, TOL_COFRAME,
                       VERTICAL, FrameField, MCForm, darboux_derivative,
-                      darboux_frame, grid_structure_residual, plan_frame,
-                      pullback_check)
+                      darboux_frame, grid_structure_residual, plan_frame)
 from .errors import DegeneratePoint, IllConditionedCoframe, WrongClass
 
 __all__ = ["Analysis", "Summary", "sweep", "ricci_nonpositivity_check",
@@ -253,14 +252,9 @@ class Analysis:
         hol = _pair(normal, zhat)
         anti = _pair(normal, zhat.conj())
         reeb = _pair(normal, self.that1)
-        skew = 0.0
-        if self.codim:
-            w = self.mc.values
-            nb = self.n
-            blk = (w[:, self.m + 1:nb + 1, self.m + 1:nb + 1]
-                   + 1j * w[:, nb + self.m + 1:2 * nb + 1, self.m + 1:nb + 1])
-            skew = float(np.max(np.abs(blk + np.conj(np.swapaxes(blk, 1, 2)))))
-        return {"hol": hol, "anti": anti, "reeb": reeb, "skew_hermitian": skew}
+        blk = jets.values(normal)
+        return {"hol": hol, "anti": anti, "reeb": reeb,
+                "skew_hermitian": _sup(blk + np.conj(np.swapaxes(blk, 0, 1)))}
 
     # -- intrinsic Tanaka-Webster connection ---------------------------------
 
@@ -409,11 +403,9 @@ class Analysis:
         Cv = 0.25 * (uu - 1j * uv - 1j * vu - vv)          # z_j, z_l in dz^k
         Ev = 0.25 * (uu + 1j * uv + 1j * vu - vv)          # zbar_j, zbar_l
         ghv = jets.values(tw["gamma_hol"])
-        res = max(float(np.max(np.abs(Cv - (ghv - np.swapaxes(ghv, 1, 2))))),
-                  float(np.max(np.abs(Ev))))
         Fv, tv = jets.values(tw["gamma_0"]), self.torsion_vals
-        res = max(res, float(np.max(np.abs(Fv + np.conj(np.swapaxes(Fv, 0, 1))))),
-                  float(np.max(np.abs(tv - np.swapaxes(tv, 0, 1)))))
+        res = _sup(Cv - (ghv - np.swapaxes(ghv, 1, 2)), Ev,
+                   Fv + np.conj(np.swapaxes(Fv, 0, 1)), tv - np.swapaxes(tv, 0, 1))
         # admissibility of the induced contact form
         zh = jets.values(self.zhat1)
         w = np.concatenate([zh, np.conj(zh), jets.values(self.that1)[None]])
@@ -421,13 +413,12 @@ class Analysis:
         v = (np.einsum("lq...,qp...,jp...->jl...", w, g, zh)
              - np.einsum("jq...,qp...,lp...->jl...", zh, g, w))
         eye = np.eye(m).reshape((m, m) + (1,) * len(self.batch))
-        adm = max(float(np.max(np.abs(v[:, m:2 * m] - 1j * eye))),
-                  float(np.max(np.abs(v[:, :m]))), float(np.max(np.abs(v[:, 2 * m]))))
+        adm = _sup(v[:, m:2 * m] - 1j * eye, v[:, :m], v[:, 2 * m])
         lam = self._curvature_form()
-        purity = max(float(np.max(np.abs(_pair_form(lam, a[p], a[q]))))
-                     for a in (zh, np.conj(zh)) for p in range(m) for q in range(m))
+        purity = _sup(*(_pair_form(lam, a[p], a[q])
+                        for a in (zh, np.conj(zh)) for p in range(m) for q in range(m)))
         ricci = self.curvature["ricci"]
-        herm = float(np.max(np.abs(ricci - np.conj(np.swapaxes(ricci, 0, 1)))))
+        herm = _sup(ricci - np.conj(np.swapaxes(ricci, 0, 1)))
         return {"solve_residual": res, "admissibility": adm, "purity": purity,
                 "hermitian": herm}
 
@@ -446,38 +437,46 @@ class Analysis:
     # -- restriction identity suite -------------------------------------------
 
     def restriction_residuals(self) -> dict:
-        """Ambient-vs-intrinsic residuals of the five coframe/connection ties.
+        """Ambient-vs-intrinsic residuals of the restriction-identity suite.
 
-        1. tangent slots restrict to the induced coframe,
-        2. normal translation slots equal nu^a theta-hat,
-        3. the contact slot equals theta-hat,
-        4. tangent connection slots equal the intrinsic connection plus
-           i delta_jk |nu|^2 theta-hat,
-        5. mixed slots carry (h, i delta nu^a, normal derivative of nu) as
-           their dual-frame coefficients.
+        ``translation`` is the translation column of omega, and ``charts``
+        the dual tangent fields (e_j, Je_j, That) that the Tanaka-Webster
+        solve reads, inverted apart from omega (``darboux._solve``).
+
+        1. ``tangent_coframe``: the tangent rows of ``translation`` paired
+           with ``charts`` give the identity rows of e_j and Je_j,
+        2. ``normal_coframe``: the normal rows equal nu^a theta-hat,
+        3. ``contact``: the contact row paired with ``charts`` gives the
+           identity row of That,
+        4. ``nu_components``: |nu|^2 = sum_a |nu^a|^2,
+        5. ``tangent_connection``: the tangent connection slots equal the
+           intrinsic connection plus i delta_jk |nu|^2 theta-hat,
+        6. ``mixed_connection`` and ``h_symmetry``: the mixed slots carry
+           (h, i delta nu^a, normal derivative of nu) as their dual-frame
+           coefficients, with h symmetric.
+
+        ``max`` is the largest of them; a NaN in any entry sticks.
         """
-        m = self.m
-        pc = pullback_check(self.ff, self.mc)
-        res = {"tangent_coframe": pc["tangent_coframe"],
-               "normal_coframe": pc["normal_coframe"],
-               "contact": pc["contact"]}
-        # (4): tangent connection block
+        n, m = self.n, self.m
+        w = jets.values(self.mc.translation)                # (d, 2n+1, *batch)
+        th = jets.values(self.ff.theta_slots)
+        dual = np.einsum("ir...,si...->rs...", w[:, [*range(m), *range(n, n + m), 2 * n]],
+                         jets.values(self.ff.charts))
+        dual -= np.eye(2 * m + 1).reshape(dual.shape[:2] + (1,) * len(self.batch))
+        nu = self.nu_comp_vals                             # <nu, e_a> + i <nu, Je_a>
         nu2 = jets.values(self.ff.nu_norm2)
-        thv = jets.values(self.ff.theta_slots)
-        tan = jets.values(self.conn_slots["tan"])
-        intrinsic = jets.values(self.intrinsic_conn_slots)
-        worst4 = 0.0
-        for j in range(m):
-            for k in range(m):
-                amb, intr = tan[j, k], intrinsic[j, k]
-                if j == k:
-                    intr = intr + 1j * nu2 * thv
-                worst4 = max(worst4, float(np.max(np.abs(amb - intr))))
-        res["tangent_connection"] = worst4
+        res = {"tangent_coframe": _sup(dual[:2 * m]),
+               "normal_coframe": _sup(w[:, m:n] - nu.real * th[:, None],
+                                      w[:, n + m:2 * n] - nu.imag * th[:, None]),
+               "contact": _sup(dual[2 * m]),
+               "nu_components": _sup(nu2 - np.sum(np.abs(nu) ** 2, axis=0))}
+        intrinsic = np.array(jets.values(self.intrinsic_conn_slots))
+        intrinsic[range(m), range(m)] += 1j * nu2 * th
+        res["tangent_connection"] = _sup(jets.values(self.conn_slots["tan"]) - intrinsic)
         sfres = self.second_ff_residuals()
-        res["mixed_connection"] = max(sfres["mixed_bar"], sfres["mixed_t"])
+        res["mixed_connection"] = float(np.max([sfres["mixed_bar"], sfres["mixed_t"]]))
         res["h_symmetry"] = sfres["h_symmetry"]
-        res["max"] = max(v for v in res.values())
+        res["max"] = float(np.max(list(res.values())))
         return res
 
     def gauss_residual(self) -> float:
@@ -510,9 +509,8 @@ class Analysis:
                         pred = (eye[j, k] * eye[l, q] * nu2
                                 - np.conj(A[k, l]) * A[j, q] / nu2
                                 + eye[j, l] * eye[k, q] * nu2)
-                        worst = max(worst, float(np.max(np.abs(
-                            cur[k, j, l, q] - pred))))
-        return worst
+                        worst = np.maximum(worst, _sup(cur[k, j, l, q] - pred))
+        return float(worst)
 
     def scalar_torsion_residual(self) -> float:
         """Relative residual of R = -|A|^2/|nu|^2 + m(m+1)|nu|^2."""
@@ -552,6 +550,11 @@ def _exterior(form):
 def _first(jet):
     """``jet`` truncated to first order, unless it is of order 0 already."""
     return jet.truncated(min(jet.ctx.order, 1))
+
+
+def _sup(*arrays):
+    """The largest |entry| of ``arrays``, 0.0 where they hold none; NaN sticks."""
+    return float(np.max([np.max(np.abs(a), initial=0.0) for a in arrays]))
 
 
 def _pair(a, b):

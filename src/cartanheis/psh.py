@@ -136,7 +136,8 @@ class Diagnostics:
 
     @property
     def worst(self) -> float:
-        return max(self.residuals.values())
+        """The largest residual; a NaN in any of them sticks."""
+        return float(np.max(list(self.residuals.values())))
 
 
 def _max_abs(x) -> float:

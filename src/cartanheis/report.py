@@ -50,15 +50,13 @@ def attach_fields(report, nu_norm, ii_norm, a_norm, scalar_r) -> None:
     report["nu"] = summary(nu_norm)
     report["II"]["norm"] = summary(ii_norm)
     report["torsion"]["norm"] = summary(a_norm)
-    if scalar_r is not None:
-        report["webster"]["R"] = summary(scalar_r)
+    report["webster"]["R"] = summary(scalar_r)
     report["tables"] = {
         "shape": list(np.shape(nu_norm)),
         "nu": np.asarray(nu_norm, dtype=float).reshape(-1).tolist(),
         "II_norm": np.asarray(ii_norm, dtype=float).reshape(-1).tolist(),
         "torsion_norm": np.asarray(a_norm, dtype=float).reshape(-1).tolist(),
-        "R": None if scalar_r is None
-             else np.asarray(scalar_r, dtype=float).reshape(-1).tolist(),
+        "R": np.asarray(scalar_r, dtype=float).reshape(-1).tolist(),
     }
 
 

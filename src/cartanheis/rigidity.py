@@ -59,8 +59,7 @@ def fit_flat(kind, codim, corner, X, II_norm2, tol=1e-7) -> RigidMotionFit:
     inv = psh.inverse(corner)
     ones = np.ones((1,) + X.shape[1:])
     moved = np.einsum("rc,c...->r...", inv.mat, np.concatenate([ones, X]))
-    resid = max(float(np.max(np.abs(moved[n]))),
-                float(np.max(np.abs(moved[2 * n]))))
+    resid = float(np.max(np.abs(moved[[n, 2 * n]])))
     return RigidMotionFit(corner, resid)
 
 

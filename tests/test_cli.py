@@ -327,6 +327,22 @@ def test_internal_error_exit_three(monkeypatch, capsys):
     assert capsys.readouterr().err.strip() == "internal error: RuntimeError: boom"
 
 
+def test_nan_restriction_entry_fails_incon2(monkeypatch, capsys):
+    # a NaN that is not the first entry of the suite must reach the verdict
+    from cartanheis import invariants
+    exact = invariants.Analysis.second_ff_residuals
+
+    def nan_mixed_t(self):
+        return {**exact(self), "mixed_t": float("nan")}
+
+    monkeypatch.setattr(invariants.Analysis, "second_ff_residuals", nan_mixed_t)
+    code = run_cli("invariants", "--surface", "builtin:heis_sub(1,2)", "--grid", "3",
+                   "--format", "structured")
+    incon2 = json.loads(capsys.readouterr().out)["residuals"]["incon2"]
+    assert code == 1
+    assert np.isnan(incon2["value"]) and incon2["pass"] is False
+
+
 # the class behind each gauge and the normal candidates its frame used
 DECISIONS = {"builtin:sphere(2,1)": ("CompletelyNonVertical", ["-nu"]),
              "builtin:heis_sub(1,2)": ("Vertical", ["X2"])}

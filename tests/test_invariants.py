@@ -82,10 +82,25 @@ def test_h_from_curvature_flat_is_degenerate(heis_sub12):
         invariants.h_from_curvature(an)
 
 
+# the vertical graph z_3 = z_1^2 + 0.8 z_1 z_2 in H_3
+GRAPH_3_2 = """surface graph32 {
+  n = 3; m = 2;
+  params = [u1, u2, u3, u4, u5];
+  chart = [[0.35, 0.95], [0.4, 1.0], [-0.2, 0.6], [-0.25, 0.55], [-0.4, 0.6]];
+}
+x[1] = u1;
+x[2] = u2;
+x[3] = u1 * u1 - u3 * u3 + 0.8 * (u1 * u2 - u3 * u4);
+y[1] = u3;
+y[2] = u4;
+y[3] = 2 * u1 * u3 + 0.8 * (u1 * u4 + u3 * u2);
+t = u5;
+"""
+
+
 def test_h_from_curvature_two_entries():
     # n = 3, m = 2 graph with two independent nonzero h entries
-    imm = dsl.holograph(n=3, m=2, polys=[{(2, 0): 1.0, (1, 1): 0.8}],
-                        label="holograph2")
+    imm = dsl.parse(GRAPH_3_2)
     grid = darboux.ChartGrid(imm.chart, 3)
     ff = darboux.darboux_frame(imm, grid)
     an = invariants.Analysis(ff)
@@ -194,6 +209,30 @@ def test_consistency_residuals_on_the_builtins(spec, count):
     res = an.consistency
     for key in ("solve_residual", "admissibility", "hermitian", "purity"):
         assert res[key] < 1e-12, key
+
+
+SUITE = ("tangent_coframe", "normal_coframe", "contact", "nu_components",
+         "tangent_connection", "mixed_connection", "h_symmetry", "max")
+
+
+@pytest.mark.parametrize("spec, count", [("builtin:ellipsoid(2,1,1.3)", 5),
+                                         ("builtin:heis_sub(1,3)", 3),
+                                         ("builtin:sphere(3,1)", 3)])
+def test_mutations_lift_their_restriction_ties(spec, count):
+    # tangent_coframe and contact pair omega with the charts that the
+    # Tanaka-Webster solve inverts on its own, so an error in either shows
+    imm = dsl.parse_surface_spec(spec)
+    ff = darboux.darboux_frame(imm, darboux.ChartGrid(imm.chart, count))
+    exact = invariants.Analysis(ff).restriction_residuals()
+    assert tuple(exact) == SUITE and exact["max"] < 1e-12, exact
+    mc = darboux.darboux_derivative(ff)
+    mc.translation.c[0][..., ff.m:ff.n] += 1e-8       # the rows of e_a
+    res = invariants.Analysis(ff, mc).restriction_residuals()
+    assert res["normal_coframe"] > 1e-9, res
+    assert res["tangent_coframe"] < 1e-12 and res["contact"] < 1e-12, res
+    ff.charts = ff.charts * (1 + 1e-8)
+    res = invariants.Analysis(ff).restriction_residuals()
+    assert res["tangent_coframe"] > 1e-9 and res["contact"] > 1e-9, res
 
 
 def test_extract_packs_everything(ellipsoid_nu):

@@ -77,6 +77,8 @@ def test_psh_validate_diagnostics():
     d = psh.psh_validate(stack.reshape(2, 2, 6, 6))
     assert not d.ok and np.isclose(d.residuals["first_row"], 1.0)
     assert d.residuals["orthonormal"] < 1e-14
+    # a NaN residual sticks in the worst, wherever it sits
+    assert np.isnan(psh.Diagnostics({"first_row": 0.0, "orthonormal": np.nan}, 1e-8).worst)
     with pytest.raises(DimensionMismatch):
         psh.psh_validate(np.eye(5))
 
