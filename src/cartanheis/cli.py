@@ -230,18 +230,19 @@ def _reconstruction_sweep(imm, grid, args, tols):
     in the nu gauge of a completely non-vertical hypersurface the maxima
     ``link`` and ``theta_nn`` of the two gauge identities; for reconstruct
     and roundtrip ``eta``, the slot values (d, D, D, *grid) of the form
-    assembled from intrinsic data.
+    assembled from intrinsic data.  Blocks may run in forked workers, so
+    every array that ``keep`` writes is shared (``invariants.shared_array``).
     """
     check = args.command == "check"
     D, d, N = 2 * imm.n + 2, imm.nparams, grid.npoints
-    frames = np.empty((D, D, N))
-    eta = None if check else np.empty((d, D, D, N))
-    kept = {}
+    frames = invariants.shared_array((D, D, N))
+    corner = invariants.shared_array((D, D))
+    eta = None if check else invariants.shared_array((d, D, D, N))
 
     def keep(block, an):
         part = slice(block.start, block.stop)
         if block.start == 0:
-            kept["corner"] = an.ff.psh_at((0,) * len(an.batch))
+            corner[:] = an.ff.psh_at((0,) * len(an.batch)).mat
         frames[..., part] = an.ff.matrix_values().reshape(D, D, -1)
         if not check:
             form = reconstruct.assemble_eta(reconstruct.intrinsic_data_from_analysis(an))
@@ -254,7 +255,8 @@ def _reconstruction_sweep(imm, grid, args, tols):
 
     summary = invariants.sweep(imm, grid, policy=args.policy, mode=args.mode,
                                tol_class=tols["class"], keep_slots=check, visit=keep)
-    kept.update(summary.visited, frames=frames.reshape((D, D) + grid.shape))
+    kept = dict(summary.visited, frames=frames.reshape((D, D) + grid.shape),
+                corner=psh.PSHElement(imm.n, corner.copy()))
     if not check:
         kept["eta"] = eta.reshape((d, D, D) + grid.shape)
     return summary, kept

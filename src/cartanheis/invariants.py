@@ -18,7 +18,10 @@ Index conventions (all 0-based in storage, 1-based in the math comments):
 from __future__ import annotations
 
 import math
+import mmap
 import os
+import sys
+import warnings
 from functools import cached_property
 
 import numpy as np
@@ -40,25 +43,28 @@ __all__ = ["Analysis", "Summary", "sweep", "ricci_nonpositivity_check",
 # (medians), slower in 23 of 24 interleaved rounds
 BLOCK_POINTS = 2401
 
-# jet numbers, points x s(n, m) of `_size`, that a block of a threaded sweep
-# must hold: smaller blocks run one after another.  NumPy releases the GIL
-# only inside its kernels, and on small blocks the interpreter's share of a
-# block, which threads cannot overlap, is too large.  Sweep time of two
-# threads on the shared budget (`_schedule`) against one on the whole one,
-# medians of 5-7 interleaved in-process runs on a 2-vCPU host (CPython
-# 3.11, numpy 2.4, BLAS on one thread):
-#   (n, m)  grid   blocks x points  jet numbers  one / two threads
-#   (2, 1)  17^3     7 x 702          1.05e6     1.02-1.10
-#   (2, 1)  25^3    20 x 781          1.17e6     0.98-1.25 (4 builtins)
-#   (2, 1)  25^3    15 x 1042         1.56e6     1.13-1.43 (3 builtins)
-#   (3, 1)  17^3     7 x 702          2.06e6     1.38
-#   (3, 1)  25^3    20 x 781          2.30e6     1.58
-#   (2, 2)  5^5      4 x 781          5.47e6     1.63
-#   (3, 2)  4^5      2 x 512          7.02e6     1.15
-#   (3, 2)  7^5     22 x 764          1.05e7     1.39-1.60
-# Threads on check and roundtrip at 17^3 (m = 1, four builtins in one
-# process) also raised the peak RSS from 88-90 to 102 MB.
-THREAD_NUMBERS = 2_000_000
+# jet numbers, points x s(n, m) of `_size`, that a block must hold for the
+# sweep to run its blocks on forked worker processes (`_pooled`): smaller
+# blocks run one after another in the calling process.  A worker's first
+# blocks pay for copying the calling process's heap pages that it writes,
+# and the pool costs about 10 ms to start and join.  Sweep time in-process
+# against two workers on the blocks of `_schedule`, medians of 5 and of 9
+# interleaved in-process runs on a 2-vCPU host (CPython 3.11, numpy 2.4,
+# BLAS on one thread), policy auto:
+#   (n, m)  surface               grid  blocks x points  jet numbers  ratio
+#   (1, 1)  heis_sub(1,1)         17^3     4 x 1228        6.6e5      1.04
+#   (1, 1)  heis_sub(1,1)         25^3     8 x 1953        1.05e6     1.38-1.52
+#   (2, 1)  sphere(2,1)           17^3     4 x 1228        1.84e6     0.67-0.76
+#   (2, 1)  ellipsoid(2,1,1.3)    17^3     4 x 1228        1.84e6     0.78
+#   (2, 1)  holograph()           25^3     8 x 1953        2.93e6     1.58
+#   (2, 1)  sphere(2,1)           21^3     4 x 2315        3.47e6     1.68
+#   (3, 1)  heis_sub(1,3)         17^3     4 x 1228        3.61e6     0.86-1.32
+#   (3, 2)  ellipsoid(3,1,1,1.3)   4^5     2 x 512         7.02e6     1.25-1.44
+#   (2, 2)  heis_sub(2,2)          5^5     2 x 1562        1.09e7     1.40
+#   (3, 2)  ellipsoid(3,1,1,1.3)   7^5     8 x 2100        2.88e7     1.71
+# The m = 1 builtins with n = 2 at 17^3 (the desk17 benchmark) stay below
+# the cut; heis_sub(1,1) at 25^3 gains but falls below it too.
+PROCESS_NUMBERS = 2_500_000
 
 
 def _size(n, m):
@@ -80,37 +86,37 @@ def _block_points(n, m):
 
 
 def _workers():
-    """Threads a sweep may run blocks on: the CPUs this process may use
-    (``taskset -c 0`` leaves one)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:     # no affinity call on this platform
-        return os.cpu_count() or 1
+    """Processes a sweep may run blocks on: one per CPU that this process may
+    use (``taskset -c 0`` leaves one).  One where the platform has no
+    affinity set, and in a daemonic process, such as a ``multiprocessing``
+    pool's worker, which may not start children (a daemonic process has
+    ``multiprocessing`` imported)."""
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    mp = sys.modules.get("multiprocessing")
+    if mp is not None and mp.current_process().daemon:
+        return 1
+    return len(os.sched_getaffinity(0))
 
 
 def _schedule(npoints, n, m):
-    """(block count, threads) of a sweep over ``npoints`` points at (n, m).
+    """(block count, processes) of a sweep over ``npoints`` points at (n, m).
 
-    One thread runs blocks of up to ``_block_points(n, m)`` points.  With w
-    threads the budget is shared: blocks of up to 1/(w+1) of it, so the
-    points in flight stay below one sequential block, with headroom for the
-    temporaries that the threads hold at the same time: on invariants at
-    7^5 (m = 2, the benchmark's worker) two threads on blocks of 800 points
-    peaked at 163-166 MB (182-185 MB in 2 of 11 runs), on blocks of 1200
-    at 196-197 MB, and one thread at 194 MB.
-    Threads run only where those blocks hold THREAD_NUMBERS jet numbers,
-    there are two of them, and the frame is no larger than at (3, 2), the
-    largest that the cut was measured at: past it the blocks shrink, and
-    the shared blocks of heis_sub(1,16) at 9^3 (145 points) ran 1.0-1.1x
-    as fast, those of heis_sub(1,64) at 5^3 (10 points) 1.4-1.5x slower.
+    Each process holds one block of up to ``_block_points(n, m)`` points at
+    a time.  With w > 1 workers the block count is rounded up to a multiple
+    of w, so that the workers end together.  Workers run only where those
+    blocks hold PROCESS_NUMBERS jet numbers and the frame is no larger than
+    at (3, 2), the largest that the cut was measured at: past it the blocks
+    shrink, and each worker holds its own block beside the calling
+    process's plan.
     """
-    budget = _block_points(n, m)
+    count = -(-npoints // _block_points(n, m))
     workers = _workers()
     if workers > 1 and _size(n, m) <= _size(3, 2):
-        count = -(-npoints // max(1, budget // (workers + 1)))
-        if count > 1 and npoints // count * _size(n, m) >= THREAD_NUMBERS:
-            return count, min(workers, count)
-    return -(-npoints // budget), 1
+        pooled = -(-count // workers) * workers
+        if npoints // pooled * _size(n, m) >= PROCESS_NUMBERS:
+            return pooled, workers
+    return count, 1
 
 
 class Analysis:
@@ -289,7 +295,7 @@ class Analysis:
         """
         m = self.m
         cond = self.coframe_condition()
-        if cond < TOL_COFRAME:
+        if not cond >= TOL_COFRAME:
             raise IllConditionedCoframe(
                 f"dual coframe condition {cond:.2e} too small")
         Sa, Sb = self._pairings()
@@ -691,6 +697,14 @@ TABLES = ("nu", "II_norm", "torsion_norm", "R")
 FIELDS = ("nu", "II_norm2", "torsion_norm2", "R")
 
 
+def shared_array(shape):
+    """A float array of zeros in anonymous shared memory: what a sweep's
+    forked workers write to it, the calling process reads."""
+    count = math.prod(shape)
+    buf = mmap.mmap(-1, max(8 * count, 1))
+    return np.frombuffer(buf, dtype=float, count=count).reshape(shape)
+
+
 def fold_max(maxima, key, value):
     """Keep in ``maxima[key]`` the larger of it and ``value`` (NaN sticks)."""
     maxima[key] = float(np.maximum(maxima.get(key, value), value))
@@ -714,11 +728,11 @@ class Summary:
         self.plan, self.grid = plan, grid
         self.shape = grid.shape
         self.kind = plan.verticality(tol_class).kind
-        self.fields = {key: np.empty(grid.npoints) for key in FIELDS}
+        self.fields = {key: shared_array((grid.npoints,)) for key in FIELDS}
         self.residuals, self.visited = {}, {}
         self.keep_slots = keep_slots
         D = 2 * plan.n + 2
-        self.slots = np.empty((grid.ndim, D, D, grid.npoints)) if keep_slots else None
+        self.slots = shared_array((grid.ndim, D, D, grid.npoints)) if keep_slots else None
 
     def fold(self, an, start=0, residuals=True):
         """Add the Analysis of the points ``start:`` of the grid (C order):
@@ -733,9 +747,10 @@ class Summary:
 
     def fill(self, an, start=0, residuals=True):
         """Write the fields (and slot values) of ``an`` at points ``start:``
-        and return its residuals, unmerged.  Blocks write disjoint points,
-        so blocks on threads fill one summary; the slot array of FD blocks
-        on threads must exist before (``keep_slots``)."""
+        and return its residuals, unmerged.  Blocks write disjoint points of
+        shared arrays, so blocks on forked workers fill one summary; the
+        slot array of FD blocks on workers must exist before
+        (``keep_slots``)."""
         stop = start + int(np.prod(an.batch))
         fields = (an.ff.nu_norm, an.II_norm2, an.torsion_norm2, an.curvature["scalar"])
         for key, arr in zip(FIELDS, fields):
@@ -760,7 +775,7 @@ class Summary:
 
     def merge(self, res, visited=None):
         """Fold one block's residuals (``fill``), and what ``visit`` returned
-        of it, into the maxima: on one thread, in block order."""
+        of it, into the maxima: in the calling process, in block order."""
         for key, value in res.items():
             fold_max(self.residuals, key, value)
         for key, value in (visited or {}).items():
@@ -795,15 +810,16 @@ def sweep(imm, grid, policy="canonical", mode="ad", tol_class=TOL_CLASS,
     blocks (``_schedule``), and each runs the frame, Maurer-Cartan and
     invariant pipeline alone, following the plan; peak memory then follows
     the block, not the grid, and the fields and residuals are those of the
-    whole-grid build.  Blocks run one after another, or on threads where
-    ``_schedule`` says they pay; either way the residual maxima are merged
-    in block order, and the first failing block raises its error.
-    ``residuals`` and ``keep_slots`` go to ``Summary``; ``visit(block,
-    an)``, if given, reads what else a caller keeps of each block's
-    Analysis, possibly on a worker thread, and may return a dict of maxima
-    to fold into ``Summary.visited``.  In FD mode the structure residual
-    needs neighbours across blocks, so it runs after the sweep on the whole
-    grid's slot values.
+    whole-grid build.  Blocks run one after another, or on forked worker
+    processes where ``_schedule`` says they pay (``_pooled``); either way
+    the residual maxima are merged in block order, and the first failing
+    block raises its error.  ``residuals`` and ``keep_slots`` go to
+    ``Summary``; ``visit(block, an)``, if given, reads what else a caller
+    keeps of each block's Analysis, possibly in a worker, so it writes only
+    into arrays made by ``shared_array`` before the sweep; it may return a
+    dict of maxima to fold into ``Summary.visited``.  In FD mode the
+    structure residual needs neighbours across blocks, so it runs after the
+    sweep on the whole grid's slot values.
     """
     plan = plan_frame(imm, grid, policy=policy, mode=mode)
     summary = Summary(plan, grid, tol_class, keep_slots or (residuals and mode == "fd"))
@@ -819,33 +835,69 @@ def sweep(imm, grid, policy="canonical", mode="ad", tol_class=TOL_CLASS,
         for block in blocks:
             summary.merge(*run(block))
     else:
-        _threaded(run, blocks, workers, summary.merge)
+        _pooled(run, blocks, workers, summary.merge)
     return summary.close()
 
 
-def _threaded(run, blocks, workers, merge):
-    """``merge(*run(block))`` of every block, ``run`` on ``workers`` threads
-    and ``merge`` here, in block order.  The first failing block in that
-    order raises its error; once a block fails, or this thread is
-    interrupted, no block starts."""
-    import threading
-    from concurrent.futures import ThreadPoolExecutor
+def _pooled(run, blocks, workers, merge):
+    """``merge(*run(block))`` of every block: ``run`` on ``workers`` forked
+    processes, ``merge`` here, in block order.
 
-    stop = threading.Event()
+    Only the return values of ``run`` are pickled; what a block writes goes
+    to shared arrays.  A block that raises or warns in a worker returns
+    nothing, and this process runs it again in its turn, so errors,
+    tracebacks and warnings are those of the sequential sweep; every block
+    of a broken pool (a worker killed) runs here the same way.  Once a block
+    fails, or this process stops merging, no worker starts a block.  Workers
+    ignore SIGINT: an interrupt reaches this process, which then waits for
+    the blocks in flight.  The pool is joined before this returns or raises.
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
 
-    def guarded(block):
-        if stop.is_set():
-            return None
-        try:
-            return run(block)
-        except BaseException:
-            stop.set()
-            raise
-
-    pool = ThreadPoolExecutor(workers)
+    stop = shared_array((1,))
+    # forked workers inherit the arguments of their initializer unpickled
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                               initializer=_pooled_worker, initargs=(run, blocks, stop))
     try:
-        for future in [pool.submit(guarded, block) for block in blocks]:
-            merge(*future.result())
+        try:
+            futures = [pool.submit(_pooled_block, k) for k in range(len(blocks))]
+        except BrokenProcessPool:
+            futures = [None] * len(blocks)
+        for block, future in zip(blocks, futures):
+            try:
+                out = None if future is None else future.result()
+            except BrokenProcessPool:
+                out = None
+            merge(*(run(block) if out is None else out))
     finally:
-        stop.set()
+        stop[0] = 1
         pool.shutdown(cancel_futures=True)
+
+
+# in a worker of `_pooled`: the sweep whose blocks it runs, (run, blocks, stop)
+_SWEEP = None
+
+
+def _pooled_worker(run, blocks, stop):
+    """A worker's start: ignore SIGINT and keep the sweep for ``_pooled_block``."""
+    import signal
+    global _SWEEP
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    _SWEEP = run, blocks, stop
+
+
+def _pooled_block(k):
+    """In a worker: ``run`` of block ``k``, or None where it raises or warns,
+    or where a block has failed before it starts."""
+    run, blocks, stop = _SWEEP
+    if stop[0]:
+        return None
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            out = run(blocks[k])
+    except BaseException:   # the block runs again in the calling process, which raises
+        stop[0] = 1
+        return None
+    return None if caught else out

@@ -377,12 +377,12 @@ def assemble_eta(data: IntrinsicData) -> EtaForm:
         raise DimensionMismatch("second-fundamental-form candidate has wrong shape")
     sym = float(np.max(np.abs(data.gtensor - np.swapaxes(data.gtensor, 1, 2)))) \
         if cod else 0.0
-    if sym > 1e-8:
+    if not sym <= 1e-8:
         raise DimensionMismatch(f"gtensor must be symmetric (defect {sym:.2e})")
     skew = float(np.max(np.abs(
         data.normal_slots + np.conj(np.swapaxes(data.normal_slots, 0, 1))))) \
         if cod else 0.0
-    if skew > 1e-8:
+    if not skew <= 1e-8:
         raise DimensionMismatch(f"normal connection must be skew-hermitian "
                                 f"(defect {skew:.2e})")
 

@@ -1,4 +1,5 @@
-"""The argument parser of tools/bench_record.py; nothing here runs a benchmark."""
+"""The argument parser and the summaries of tools/bench_record.py; nothing
+here runs a benchmark."""
 
 import importlib.util
 import os
@@ -9,11 +10,16 @@ PATH = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "bench_record
 
 
 @pytest.fixture(scope="module")
-def parser():
+def bench_record():
     spec = importlib.util.spec_from_file_location("bench_record", PATH)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.build_parser()
+    return module
+
+
+@pytest.fixture(scope="module")
+def parser(bench_record):
+    return bench_record.build_parser()
 
 
 REVS = ["--parent", "HEAD~1", "--change", "HEAD", "--out", "BENCH.json"]
@@ -37,3 +43,46 @@ def test_bad_seed_ranges_are_rejected_before_any_run(parser, text, capsys):
         parser.parse_args(REVS + ["--seeds", text])
     assert info.value.code == 2
     assert "LO < HI" in capsys.readouterr().err
+
+
+# the lines run.py prints for one jets5d run, as it formats them
+RUN_LINES = """env {"nproc": 2}
+jets5d fail_frac 0.000000 (0 of 20 operations)
+jets5d passes 10 samples 20
+jets5d wall_setup_s 0.31 s
+jets5d wall_points_per_s 7890.5 points/s
+jets5d probe_ms 6.25 ms
+jets5d invariants_s 4.3 s
+jets5d points_per_s 8218.2 points/s
+desk17 probe_ms 9 ms
+{"correct": true}""".splitlines()
+
+
+def test_the_wall_rate_and_the_probe_time_of_a_run_are_kept(bench_record):
+    assert bench_record.reported(RUN_LINES, "jets5d") == {
+        "wall_points_per_s": {"value": 7890.5, "unit": "points/s"},
+        "probe_ms": {"value": 6.25, "unit": "ms"}}
+
+
+def test_reported_lines_get_medians_quartiles_and_wins_per_side(bench_record):
+    """A scaled gain with a wall loss shows: the change is faster in
+    ``points_per_s`` only because its probe ran slower."""
+    def side(rates, walls, probes):
+        return [{"metrics": {"points_per_s": {"value": r}},
+                 "reported": {"wall_points_per_s": {"value": w},
+                              "probe_ms": {"value": p}}}
+                for r, w, p in zip(rates, walls, probes)]
+
+    runs = {"parent": side([100, 110, 90, 105], [120, 130, 110, 125], [5, 5, 5, 5]),
+            "change": side([108, 112, 95, 100], [110, 120, 100, 126], [6, 6, 6, 5])}
+    scaled = bench_record.summarise(runs, {"points_per_s": "higher"})["points_per_s"]
+    assert (scaled["change_wins"], scaled["parent_wins"]) == (3, 1)
+    out = bench_record.summarise(runs, bench_record.REPORTED, "reported")
+    wall, probe = out["wall_points_per_s"], out["probe_ms"]
+    assert (wall["change_wins"], wall["parent_wins"], wall["pairs"]) == (1, 3, 4)
+    assert wall["parent"]["median"] == 122.5 and wall["change"]["median"] == 115
+    assert (wall["parent"]["q1"], wall["parent"]["q3"]) == (117.5, 126.25)
+    assert wall["parent_iqr"] == 8.75 and wall["median_gap"] == 7.5
+    # a slower probe is the parent's win: its time is better lower
+    assert (probe["better"], probe["change_wins"], probe["parent_wins"]) == ("lower", 0, 3)
+    assert probe["parent"]["runs"] == [5, 5, 5, 5] and probe["change"]["median"] == 6

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cartanheis import darboux, dsl, invariants, jets
-from cartanheis.errors import DegeneratePoint, WrongClass
+from cartanheis.errors import DegeneratePoint, IllConditionedCoframe, WrongClass
 from conftest import analysis_for
 
 
@@ -191,6 +191,14 @@ def test_rigid_motion_invariance(rng):
     assert np.max(np.abs(an1.II_norm2 - an0.II_norm2)) < 1e-10
     assert np.max(np.abs(an1.torsion_norm2 - an0.torsion_norm2)) < 1e-10
     assert np.max(np.abs(an1.curvature["scalar"] - an0.curvature["scalar"])) < 1e-9
+
+
+def test_nan_coframe_condition_fails_the_tanaka_webster_solve():
+    imm = dsl.builtin("sphere", 2, 1.0)
+    ff = darboux.darboux_frame(imm, darboux.ChartGrid(imm.chart, 3))
+    ff.condition = float("nan")
+    with pytest.raises(IllConditionedCoframe, match="condition nan too small"):
+        invariants.Analysis(ff).tanaka_webster
 
 
 def test_tw_solve_well_conditioned(sphere_nu):

@@ -211,6 +211,20 @@ def test_assemble_rejects_bad_shapes(sphere_nu):
         reconstruct.assemble_eta(data)
 
 
+@pytest.mark.parametrize("field, gate", [("gtensor", "symmetric"),
+                                         ("normal_slots", "skew-hermitian")])
+def test_assemble_rejects_nan_intrinsic_data(field, gate):
+    """A NaN fails the symmetry and skew-hermitian gates: the largest defect
+    is then NaN, which no comparison with the tolerance passes."""
+    _, _, _, an = analysis_for("builtin:ellipsoid(3,1,1,1.3)", 3)
+    data = reconstruct.intrinsic_data_from_analysis(an)
+    spoiled = getattr(data, field).copy()
+    spoiled[0, 0, 0, 1, 2, 0, 1, 2] = np.nan
+    setattr(data, field, spoiled)
+    with pytest.raises(DimensionMismatch, match=f"{gate} .defect nan"):
+        reconstruct.assemble_eta(data)
+
+
 def test_corrupted_intrinsic_data_fails_integrability(sphere_nu):
     _, _, ff, an = sphere_nu
     data = reconstruct.intrinsic_data_from_analysis(an)

@@ -4,36 +4,42 @@ import contextlib
 import inspect
 import io
 import json
+import multiprocessing
 import os
+import signal
 import subprocess
 import sys
-import threading
 import time
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from cartanheis import cli, darboux, dsl, invariants, jets
+from cartanheis import cli, darboux, dsl, invariants, jets, reconstruct
 from cartanheis.errors import DimensionMismatch
 
 CORPUS = os.path.join(os.path.dirname(__file__), "corpus")
+SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 ONE_BLOCK = 10 ** 9
+# state that the sweep's forked workers share with this process: made before
+# the sweep, it survives the workers
+FORK = multiprocessing.get_context("fork")
 
 
-def threads(monkeypatch, workers):
-    """Sweeps from now on run on ``workers`` threads wherever they have two
-    blocks, however few jet numbers a block holds."""
+def processes(monkeypatch, workers):
+    """Sweeps from now on run on ``workers`` forked processes wherever they
+    have two blocks, however few jet numbers a block holds."""
     monkeypatch.setattr(invariants, "_workers", lambda: workers)
-    monkeypatch.setattr(invariants, "THREAD_NUMBERS", 0)
+    monkeypatch.setattr(invariants, "PROCESS_NUMBERS", 0)
 
 
 def run(argv, block_points, monkeypatch, workers=1):
     """(exit code, stdout, stderr) of cli.main with the given block size, on
-    ``workers`` threads."""
+    ``workers`` processes."""
     monkeypatch.setattr(invariants, "BLOCK_POINTS", block_points)
-    threads(monkeypatch, workers)
+    processes(monkeypatch, workers)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
@@ -41,14 +47,16 @@ def run(argv, block_points, monkeypatch, workers=1):
 
 
 def counting(monkeypatch, owner, name, planning=False):
-    """Calls of owner.name from now on; with ``planning``, only those given no plan."""
-    calls = []
+    """Calls of owner.name from now on, here and in the sweep's workers (a
+    shared counter: ``.value``); with ``planning``, only those given no plan."""
+    calls = FORK.Value("i", 0)
     original = getattr(owner, name)
     signature = inspect.signature(original)
 
     def counted(*args, **kwargs):
         if not planning or signature.bind(*args, **kwargs).arguments.get("plan") is None:
-            calls.append(name)
+            with calls.get_lock():
+                calls.value += 1
         return original(*args, **kwargs)
 
     monkeypatch.setattr(owner, name, counted)
@@ -67,9 +75,9 @@ def test_blocked_report_is_the_whole_grid_report(spec, grid, blocks, policies,
                                                  monkeypatch):
     points = int(grid) ** dsl.parse_surface_spec(f"builtin:{spec}").nparams
     budget = -(-points // blocks)
-    # two threads run blocks of a third of the budget, so thrice the budget
-    # gives them the blocks of one thread
-    cases = ((1, budget), (2, 3 * budget))
+    # two workers round the block count up to an even one, so on these even
+    # counts they run the blocks of one process
+    cases = ((1, budget), (2, budget))
     for command in ("invariants", "check", "reconstruct", "roundtrip"):
         for policy in policies:
             argv = [command, "--surface", f"builtin:{spec}", "--grid", grid,
@@ -80,7 +88,7 @@ def test_blocked_report_is_the_whole_grid_report(spec, grid, blocks, policies,
             surfaces = counting(monkeypatch, darboux.FrameField, "_build")
             whole = run(argv, ONE_BLOCK, monkeypatch)
             monkeypatch.undo()
-            assert len(whole_plans) == len(surfaces) > 0, (command, policy)
+            assert whole_plans.value == surfaces.value > 0, (command, policy)
             # invariants passes on all of these; the coarse grids fail some
             # reconstruction verdicts, which must fail the same way blocked
             assert whole[0] in ((0,) if command == "invariants" else (0, 1)), \
@@ -92,9 +100,10 @@ def test_blocked_report_is_the_whole_grid_report(spec, grid, blocks, policies,
                 monkeypatch.undo()
                 # one plan over the whole grid per surface, and no block plans
                 # for itself
-                assert (len(plans), len(builds)) \
-                    == (len(surfaces), len(surfaces) * blocks), \
-                    (workers, command, policy, surfaces, plans, builds)
+                assert (plans.value, builds.value) \
+                    == (surfaces.value, surfaces.value * blocks), \
+                    (workers, command, policy, surfaces.value, plans.value,
+                     builds.value)
                 assert blocked == whole, (workers, command, policy)
 
 
@@ -108,8 +117,8 @@ def test_blocked_fd_report_is_the_whole_grid_report(spec, grid, block, monkeypat
         whole = run(argv, ONE_BLOCK, monkeypatch)
         assert whole[0] in ((0,) if command == "invariants" else (0, 1)), \
             (command, whole[2])
-        # two threads on thrice the budget run the blocks of one thread
-        for workers, block_points in ((1, block), (2, 3 * block)):
+        # two workers run the blocks of one process (an even count)
+        for workers, block_points in ((1, block), (2, block)):
             assert run(argv, block_points, monkeypatch, workers) == whole, \
                 (workers, command)
         if grid == "7":
@@ -130,7 +139,7 @@ def test_sweep_is_the_folded_whole_grid_analysis(spec, policy, mode, count,
     whole = invariants.Summary(an.ff.plan, grid).fold(an).close()
     for block, workers in ((ONE_BLOCK, 1), (16, 1), (16, 2)):
         monkeypatch.setattr(invariants, "BLOCK_POINTS", block)
-        threads(monkeypatch, workers)
+        processes(monkeypatch, workers)
         swept = invariants.sweep(imm, grid, policy=policy, mode=mode)
         assert replace(swept.plan, condition=None) == whole.plan, (block, workers)
         assert swept.residuals == whole.residuals, (block, workers)
@@ -223,47 +232,54 @@ def test_blocks_give_the_errors_of_one_block(x2, y2, t, mode, error, tmp_path,
         assert whole[0] == 2 and whole[2].startswith(f"input error: {error}"), \
             (command, whole[2])
         assert "grid index (" in whole[2]
-        for workers, block_points in ((1, 50), (2, 150)):
-            assert run(argv, block_points, monkeypatch, workers) == whole, \
-                (workers, command)
+        # 15 blocks on one process, 16 on two
+        for workers in (1, 2):
+            assert run(argv, 50, monkeypatch, workers) == whole, (workers, command)
 
 
-@pytest.mark.parametrize("grid, where", [("9", "(7, 0, 0)"), ("17", "(14, 0, 0)")])
-def test_threads_raise_the_error_of_the_first_failing_block(grid, where, tmp_path,
-                                                           monkeypatch):
+# block sizes that give an even block count (16 and 90), which two workers
+# keep, so that both run the same blocks
+@pytest.mark.parametrize("grid, where, block", [("9", "(7, 0, 0)", 46),
+                                                ("17", "(14, 0, 0)", 55)])
+def test_workers_raise_the_error_of_the_first_failing_block(grid, where, block,
+                                                           tmp_path, monkeypatch):
     """The plan pass reads first-order jets, which stay finite here; the third-
     order jets of t overflow from the plane p = 0.725 on, in the last blocks
-    of the C order only.  Each of those blocks raises, the lowest first."""
+    of the C order only.  Each of those blocks raises in a worker, and this
+    process runs the lowest of them again, which raises."""
     srf = tmp_path / "late.srf"
     srf.write_text(FAR_END.format(x2="0.5*(p^2 - q^2)", y2="p*q",
                                   t="r + sin(exp(320*p))*exp(-320*p)"))
     for command in ("invariants", "check", "roundtrip"):
         argv = [command, "--surface", str(srf), "--grid", grid]
-        # one thread on the blocks of 50 points that two threads run below
-        one = run(argv, 50, monkeypatch, 1)
+        one = run(argv, block, monkeypatch, 1)
         if command != "roundtrip":
             assert one == (2, "", "input error: DomainError: immersion or its "
                            f"derivatives not finite at grid index {where}\n")
         else:   # the intrinsic data of an earlier block fail first
             assert one[0] == 1 and "DimensionMismatch" in one[2]
-        assert run(argv, 150, monkeypatch, 2) == one, command
+        assert run(argv, block, monkeypatch, 2) == one, command
 
 
 def test_no_block_starts_after_a_block_fails_or_an_interrupt(monkeypatch):
     imm = dsl.builtin("sphere", 2, 1.0)
     grid = darboux.ChartGrid(imm.chart, 9)
-    monkeypatch.setattr(invariants, "BLOCK_POINTS", 81)      # 27 blocks of 27
-    threads(monkeypatch, 2)
+    monkeypatch.setattr(invariants, "BLOCK_POINTS", 27)    # 28 blocks on two workers
+    processes(monkeypatch, 2)
+    starts = [block.start for block in grid.blocks(28)]
     build = invariants.darboux_frame
 
     def frames(fault=None):
-        """Block frames that record their block's index; with ``fault``,
-        block 1 raises it, and block 0 waits until it has."""
-        started, raised = [], threading.Event()
+        """Block frames that record their block's index, here and in the
+        workers; with ``fault``, block 1 raises it, and block 0 waits until
+        it has.  Returns the recorded indices, as a call."""
+        started, count, raised = FORK.Array("i", 64), FORK.Value("i", 0), FORK.Event()
 
         def frame(imm, block, **kwargs):
-            started.append(block.start // 27)
-            if fault is not None and block.start == 27:
+            with count.get_lock():
+                started[count.value] = starts.index(block.start)
+                count.value += 1
+            if fault is not None and block.start == starts[1]:
                 raised.set()
                 raise fault
             if fault is not None and block.start == 0:
@@ -271,14 +287,15 @@ def test_no_block_starts_after_a_block_fails_or_an_interrupt(monkeypatch):
             return build(imm, block, **kwargs)
 
         monkeypatch.setattr(invariants, "darboux_frame", frame)
-        return started
+        return lambda: started[:count.value]
 
     for fault in (DimensionMismatch("block 1"), KeyboardInterrupt()):
         started = frames(fault)
         with pytest.raises(type(fault)):
             invariants.sweep(imm, grid)
-        assert sorted(started) == [0, 1], (fault, started)
-    # an interrupt of the merging thread: no block starts after it
+        # block 1 raised in a worker, and again here, where it was run again
+        assert sorted(started()) == [0, 1, 1], (fault, started())
+    # an interrupt of the merging process: no block starts after it
     started = frames()
     merged = []
 
@@ -291,45 +308,193 @@ def test_no_block_starts_after_a_block_fails_or_an_interrupt(monkeypatch):
     monkeypatch.setattr(invariants.Summary, "merge", merge)
     with pytest.raises(KeyboardInterrupt):
         invariants.sweep(imm, grid)
-    count = len(started)
-    assert count < 27, started
+    count = len(started())
+    assert count < 28, started()
     time.sleep(0.05)
-    assert len(started) == count
+    assert len(started()) == count
 
 
-def test_many_threads_switching_often_give_the_sequential_summary(monkeypatch):
-    """More threads than CPUs, a switch interval of a microsecond and jet
-    tables built from empty caches: the fields, kept slot values and maxima
-    of the blocks, ``visit``'s included, are those of one thread."""
+@pytest.mark.parametrize("ending", ["passes", "raises", "interrupted"])
+def test_no_worker_outlives_a_sweep(ending, monkeypatch):
+    """The pool is joined before the sweep returns or raises: after a sweep
+    that passes, one whose block raises and one interrupted while it merges."""
+    imm = dsl.builtin("sphere", 2, 1.0)
+    grid = darboux.ChartGrid(imm.chart, 9)
+    monkeypatch.setattr(invariants, "BLOCK_POINTS", 100)   # 8 blocks
+    processes(monkeypatch, 2)
+    parent, in_workers = os.getpid(), FORK.Value("i", 0)
+    build = invariants.darboux_frame
+
+    def frame(imm, block, **kwargs):
+        if os.getpid() != parent:
+            with in_workers.get_lock():
+                in_workers.value += 1
+        if ending == "raises" and block.start >= 300:
+            raise DimensionMismatch("a late block")
+        return build(imm, block, **kwargs)
+
+    def merge(self, res, visited=None):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(invariants, "darboux_frame", frame)
+    if ending == "interrupted":
+        monkeypatch.setattr(invariants.Summary, "merge", merge)
+    expected = {"passes": None, "raises": DimensionMismatch,
+                "interrupted": KeyboardInterrupt}[ending]
+    with pytest.raises(expected) if expected else contextlib.nullcontext():
+        invariants.sweep(imm, grid)
+    assert in_workers.value > 0
+    assert multiprocessing.active_children() == []
+
+
+def test_the_blocks_of_a_killed_worker_run_here(monkeypatch):
+    """A worker killed in its block breaks the pool: this process runs that
+    block itself, and every later one that the pool had not returned, and
+    the summary is that of one process."""
+    imm = dsl.builtin("sphere", 2, 1.0)
+    grid = darboux.ChartGrid(imm.chart, 9)
+    monkeypatch.setattr(invariants, "BLOCK_POINTS", 100)   # 8 blocks
+    one = invariants.sweep(imm, grid)
+    processes(monkeypatch, 2)
+    parent, here = os.getpid(), FORK.Array("i", 8)
+    starts = [block.start for block in grid.blocks(8)]
+    build = invariants.darboux_frame
+
+    def frame(imm, block, **kwargs):
+        if os.getpid() != parent and block.start == starts[3]:
+            os.kill(os.getpid(), signal.SIGKILL)
+        if os.getpid() == parent:
+            here[starts.index(block.start)] = 1
+        return build(imm, block, **kwargs)
+
+    monkeypatch.setattr(invariants, "darboux_frame", frame)
+    killed = invariants.sweep(imm, grid)
+    assert here[3] == 1, here[:]
+    assert multiprocessing.active_children() == []
+    assert killed.residuals == one.residuals
+    for key in invariants.FIELDS:
+        assert np.array_equal(killed.fields[key], one.fields[key]), key
+
+
+def test_many_processes_give_the_sequential_summary(monkeypatch):
+    """More processes than CPUs and jet tables built from empty caches: the
+    fields, kept slot values and maxima of the blocks, ``visit``'s included,
+    are those of one process, and so is what ``visit`` writes to a shared
+    array."""
     imm = dsl.builtin("ellipsoid", 2, 1.0, 1.3)
     grid = darboux.ChartGrid(imm.chart, 7)
 
     def swept():
-        corner = {}
+        corner = invariants.shared_array((6, 6))
 
         def visit(block, an):
             if block.start == 0:
-                corner["frame"] = an.ff.matrix_values()[..., 0]
+                corner[:] = an.ff.matrix_values()[..., 0]
             return {"link": an.h_torsion_link_residual(), "start": -block.start}
 
         s = invariants.sweep(imm, grid, policy="nu", keep_slots=True, visit=visit)
-        return s, corner["frame"]
+        return s, corner
 
     one, corner = swept()
     monkeypatch.setattr(invariants, "BLOCK_POINTS", 90)
-    threads(monkeypatch, 2 * (os.cpu_count() or 1) + 1)
+    processes(monkeypatch, 2 * len(os.sched_getaffinity(0)) + 1)
     jets.context.cache_clear()
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        many, many_corner = swept()
-    finally:
-        sys.setswitchinterval(interval)
+    many, many_corner = swept()
     assert (one.residuals, one.visited) == (many.residuals, many.visited)
     assert many.visited["start"] == 0
     assert np.array_equal(one.slots, many.slots) and np.array_equal(corner, many_corner)
+    assert np.any(corner != 0)
     for key in invariants.FIELDS:
         assert np.array_equal(one.fields[key], many.fields[key]), key
+
+
+@pytest.mark.parametrize("action", ["always", "default"])
+def test_a_block_that_warns_gives_the_warnings_of_one_process(action, monkeypatch):
+    """Blocks that warn in a worker run again here, in their turn: the
+    warnings, with their texts, categories and locations, are those of the
+    sequential sweep, also where the ``default`` action shows a repeated
+    warning once."""
+    imm = dsl.builtin("sphere", 2, 1.0)
+    grid = darboux.ChartGrid(imm.chart, 9)
+    monkeypatch.setattr(invariants, "BLOCK_POINTS", 100)   # 8 blocks
+    build = invariants.darboux_frame
+
+    def frame(imm, block, **kwargs):
+        if block.start >= 200 and block.start % 2:
+            text = f"block at {block.start}" if action == "always" else "odd block"
+            warnings.warn(text, UserWarning)
+        return build(imm, block, **kwargs)
+
+    monkeypatch.setattr(invariants, "darboux_frame", frame)
+
+    def swept(workers):
+        processes(monkeypatch, workers)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter(action)
+            s = invariants.sweep(imm, grid)
+        return s, [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
+
+    one, warned = swept(1)
+    two, warned_two = swept(2)
+    assert len(warned) == (3 if action == "always" else 1)
+    assert warned_two == warned
+    assert one.residuals == two.residuals
+    for key in invariants.FIELDS:
+        assert np.array_equal(one.fields[key], two.fields[key]), key
+
+
+def _daemonic_sweep():
+    """In a daemonic process: the worker count and the summary of a sweep."""
+    imm = dsl.builtin("sphere", 2, 1.0)
+    s = invariants.sweep(imm, darboux.ChartGrid(imm.chart, 9))
+    return invariants._workers(), s.residuals, {k: np.array(v) for k, v in s.fields.items()}
+
+
+def test_a_daemonic_process_sweeps_in_process(monkeypatch):
+    """A daemonic process, such as a multiprocessing pool's worker, may not
+    start children: its sweeps run their blocks one after another there,
+    where a process with the same affinity set would start workers."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(invariants, "PROCESS_NUMBERS", 0)
+    monkeypatch.setattr(invariants, "BLOCK_POINTS", 100)
+    assert invariants._workers() == 2
+    imm = dsl.builtin("sphere", 2, 1.0)
+    here = invariants.sweep(imm, darboux.ChartGrid(imm.chart, 9))
+    with FORK.Pool(1) as pool:
+        workers, residuals, fields = pool.apply(_daemonic_sweep)
+    assert workers == 1 and residuals == here.residuals
+    for key in invariants.FIELDS:
+        assert np.array_equal(fields[key], here.fields[key]), key
+
+
+def test_no_affinity_call_gives_one_process(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert invariants._workers() == 1
+    assert invariants._schedule(7 ** 5, 3, 2) == (7, 1)
+
+
+def test_nan_intrinsic_data_fail_in_the_block_run_again_here(monkeypatch):
+    """A NaN in one block's second fundamental form candidate fails the
+    symmetry gate of ``assemble_eta``: the block raises in a worker, and its
+    run in this process raises the error that roundtrip reports."""
+    parent = os.getpid()
+    calls = FORK.Array("i", 2)      # [in workers, here] of the bad block
+    intrinsic = reconstruct.intrinsic_data_from_analysis
+
+    def spoiled(an):
+        data = intrinsic(an)
+        if an.ff.grid.start == 62:
+            data.gtensor[0, 0, 0, 3] = np.nan
+            calls[os.getpid() == parent] += 1
+        return data
+
+    monkeypatch.setattr(reconstruct, "intrinsic_data_from_analysis", spoiled)
+    argv = ["roundtrip", "--surface", "builtin:ellipsoid(2,1,1.3)", "--grid", "5"]
+    code, out, err = run(argv, 32, monkeypatch, 2)     # blocks from 0, 31, 62, 93
+    assert (code, out) == (1, "")
+    assert err == ("error: DimensionMismatch: gtensor must be symmetric "
+                   "(defect nan)\n"), err
+    assert list(calls) == [1, 1]
 
 
 def test_bad_inputs_give_the_errors_of_one_block(tmp_path, monkeypatch):
@@ -343,15 +508,14 @@ def test_bad_inputs_give_the_errors_of_one_block(tmp_path, monkeypatch):
         argv = ["invariants", "--surface", surface, "--grid", "5"]
         whole = run(argv, ONE_BLOCK, monkeypatch)
         assert whole[0] == 2, (surface, whole[2])
-        for workers, block_points in ((1, 16), (2, 48)):
-            assert run(argv, block_points, monkeypatch, workers) == whole, \
-                (surface, workers)
+        for workers in (1, 2):
+            assert run(argv, 16, monkeypatch, workers) == whole, (surface, workers)
 
 
-def _traced_peak(argv, block_points, monkeypatch, workers=1):
+def _traced_peak(argv, block_points, monkeypatch):
     tracemalloc.start()
     try:
-        code = run(argv, block_points, monkeypatch, workers)[0]
+        code = run(argv, block_points, monkeypatch)[0]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -359,25 +523,59 @@ def _traced_peak(argv, block_points, monkeypatch, workers=1):
     return peak
 
 
+# cli.main in a fresh interpreter with a block size and a worker count; it
+# prints the peak RSS in KiB of its largest child, a sweep worker
+PEAK = """
+import resource, sys
+from cartanheis import cli, invariants
+invariants.BLOCK_POINTS, workers = int(sys.argv[1]), int(sys.argv[2])
+invariants._workers, invariants.PROCESS_NUMBERS = lambda: workers, 0
+code = cli.main(sys.argv[3:])
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss, file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def _rss_peaks(argv, block_points, workers):
+    """Peak RSS in KiB of a fresh process running ``argv`` (wait4, as CI
+    measures it) and of its largest child."""
+    child = subprocess.Popen([sys.executable, "-c", PEAK, str(block_points),
+                              str(workers), *argv],
+                             env=dict(os.environ, PYTHONPATH=SRC),
+                             stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+    err = child.stderr.read()
+    _, status, usage = os.wait4(child.pid, 0)
+    child.stderr.close()
+    assert os.waitstatus_to_exitcode(status) == 0, err
+    return usage.ru_maxrss, int(err.split()[-1])
+
+
 def test_blocked_invariants_peak_is_bounded_by_the_block(monkeypatch):
     # check also keeps order-0 arrays of the whole grid (slot values, frame
-    # matrices), a small part of one block's jet fields; two threads share
-    # the budget, each holding a block of a third of it
+    # matrices), a small part of one block's jet fields.  tracemalloc sees
+    # this process alone, so the peak of each of two workers is the peak
+    # RSS of the largest child of a fresh process, against the peak RSS of
+    # a fresh process that builds the whole grid; that one runs on 5^5,
+    # where the 31 MB of an importing process are a smaller share
     for command in ("invariants", "check"):
         argv = [command, "--surface", "builtin:ellipsoid(3,1,1,1.3)", "--grid", "4",
                 "--format", "structured"]
         whole = _traced_peak(argv, ONE_BLOCK, monkeypatch)
-        for workers in (1, 2):
-            blocked = _traced_peak(argv, 256, monkeypatch, workers)
-            assert blocked < 0.5 * whole, (command, workers, blocked, whole)
+        blocked = _traced_peak(argv, 256, monkeypatch)
+        assert blocked < 0.5 * whole, (command, blocked, whole)
+        argv[4] = "5"
+        whole, _ = _rss_peaks(argv, ONE_BLOCK, 1)
+        _, worker = _rss_peaks(argv, 256, 2)
+        assert 0 < worker < 0.5 * whole, (command, worker, whole)
 
 
 def test_block_size_follows_the_frame_size(monkeypatch):
     """Blocks shrink where a point's frame outgrows that of (n, m) = (3, 2),
-    at which BLOCK_POINTS was measured, and nowhere else: on one thread the
+    at which BLOCK_POINTS was measured, and nowhere else: in one process the
     block count of every n <= 3 with m <= 2 is ceil(npoints / BLOCK_POINTS).
-    Two threads share the budget only where the shared blocks are large, and
-    never where the frame outgrows that of (3, 2)."""
+    Two workers round the count up to an even one where the blocks hold
+    PROCESS_NUMBERS jet numbers, and never where the frame outgrows that of
+    (3, 2)."""
     found = []
     monkeypatch.setattr(darboux.ChartGrid, "blocks",
                         lambda grid, count: found.append(count) or [])
@@ -389,10 +587,10 @@ def test_block_size_follows_the_frame_size(monkeypatch):
         invariants.sweep(imm, darboux.ChartGrid(imm.chart, count))
         return found.pop()
 
-    # block counts at 17^3 (m = 1) and 7^5 (m = 2) by (n, m) on two threads,
-    # which share the budget where a shared block holds THREAD_NUMBERS jet
-    # numbers: at (2, 2), (3, 1) and (3, 2)
-    shared = {(1, 1): 3, (2, 1): 3, (2, 2): 22, (3, 1): 7, (3, 2): 22}
+    # block counts at 17^3 (m = 1) and 7^5 (m = 2) by (n, m) on two workers,
+    # which run where a block holds PROCESS_NUMBERS jet numbers: at (2, 2),
+    # (3, 1) and (3, 2)
+    pooled = {(1, 1): 3, (2, 1): 3, (2, 2): 8, (3, 1): 4, (3, 2): 8}
     for workers in (1, 2):
         monkeypatch.setattr(invariants, "_workers", lambda: workers)
         for n in (1, 2, 3):
@@ -402,22 +600,24 @@ def test_block_size_follows_the_frame_size(monkeypatch):
                 points = count ** (2 * m + 1)
                 assert blocks(imm, count) == (
                     -(-points // invariants.BLOCK_POINTS) if workers == 1
-                    else shared[n, m]), (workers, n, m)
+                    else pooled[n, m]), (workers, n, m)
         grown = [blocks(dsl.builtin("heis_sub", 1, n), 9) for n in (3, 8, 16, 32, 64)]
         assert grown == [1, 1, 2, 6, 23], workers
+    # the desk17 benchmark's m = 1 sweeps at 17^3 stay in one process
+    assert invariants._schedule(17 ** 3, 2, 1) == (3, 1)
+    assert invariants._schedule(7 ** 5, 3, 2) == (8, 2)
 
 
-def test_threads_follow_the_affinity_set():
-    """One CPU in the affinity set gives one thread: a sweep then runs the
+def test_workers_follow_the_affinity_set():
+    """One CPU in the affinity set gives one process: a sweep then runs the
     blocks of the sequential rule."""
     code = ("import os\n"
             "from cartanheis import invariants\n"
             "print(invariants._workers() == len(os.sched_getaffinity(0)))\n"
             "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
             "print(invariants._workers(), invariants._schedule(7 ** 5, 3, 2))\n")
-    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
     out = subprocess.run([sys.executable, "-c", code],
-                         env=dict(os.environ, PYTHONPATH=src),
+                         env=dict(os.environ, PYTHONPATH=SRC),
                          capture_output=True, text=True, check=True).stdout
     assert out == "True\n1 (7, 1)\n"
 
@@ -430,7 +630,7 @@ def test_blocked_report_of_a_large_n_is_its_one_block_report(monkeypatch):
     monkeypatch.setattr(darboux.ChartGrid, "blocks",
                         lambda grid, count: counts.append(count) or split(grid, count))
     # 200 points per block at (3, 2) are 10 at n = 32: three blocks of 3^3,
-    # on one thread however many there are
+    # in one process however many workers there are
     for workers in (1, 2):
         blocked = run(argv, 200, monkeypatch, workers)
         assert counts.pop() == 3 and not counts and whole[0] == 0

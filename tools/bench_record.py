@@ -15,7 +15,11 @@ with ``--trace 1`` at ``TRACE_SEED``.  The file holds each side's commit
 and its ``env`` line (platform and ``src_sha256``, the digest of the source
 tree that ran), the seeds, every run's end-to-end metrics, their median and
 quartiles per workload and side, the pairs each side wins, and the traced
-per-layer metrics.  Runs are sequential: run nothing else meanwhile.
+per-layer metrics.  Beside the end-to-end metrics it keeps, the same way,
+the lines ``REPORTED`` that run.py prints: the wall-clock rate that
+``points_per_s`` scales and the host probe time that scales it, so that a
+scaled gain that the probe made, not the program, shows.  Runs are
+sequential: run nothing else meanwhile.
 """
 
 from __future__ import annotations
@@ -36,6 +40,8 @@ BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 BETTER = {m["name"]: m["better"] for m in BENCHMARK["end_to_end"]}
 SECONDS = BENCHMARK["run_seconds"]
 WORKLOADS = [w["name"] for w in BENCHMARK["workloads"]]
+# printed by run.py beside the result line, as "<workload> <name> <value> <unit>"
+REPORTED = {"wall_points_per_s": "higher", "probe_ms": "lower"}
 TRACE_SEED = 1       # the seed of the per-layer figures ROADMAP.md compares
 SIDES = ("parent", "change")
 
@@ -67,8 +73,19 @@ def export(rev, into):
     return commit, tree
 
 
+def reported(lines, workload):
+    """The ``REPORTED`` lines of a run's stdout, as {name: {value, unit}}."""
+    out = {}
+    for line in lines:
+        words = line.split()
+        if len(words) == 4 and words[0] == workload and words[1] in REPORTED:
+            out[words[1]] = {"value": float(words[2]), "unit": words[3]}
+    return out
+
+
 def run(tree, workload, seed, trace):
-    """The result JSON of one run.py invocation, and its ``env`` line."""
+    """The result JSON of one run.py invocation, with its ``REPORTED`` lines
+    under ``reported``, and its ``env`` line."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed",
             str(seed), "--seconds", str(SECONDS), "--trace", str(trace)]
     proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True, timeout=600)
@@ -77,7 +94,7 @@ def run(tree, workload, seed, trace):
         raise RuntimeError(f"{tree}: {' '.join(argv[1:])} exited {proc.returncode}: "
                            f"{proc.stderr.strip()[-500:]}")
     env = next(json.loads(line[4:]) for line in lines if line.startswith("env "))
-    return json.loads(lines[-1]), env
+    return dict(json.loads(lines[-1]), reported=reported(lines, workload)), env
 
 
 def quartiles(values):
@@ -85,17 +102,23 @@ def quartiles(values):
     return {"q1": q1, "median": med, "q3": q3}
 
 
-def summarise(runs):
-    """Median, quartiles and pair wins of each end-to-end metric."""
+def wins(ours, theirs, better):
+    """The pairs in which ``ours`` is strictly better than ``theirs``."""
+    return sum((a < b) if better == "lower" else (a > b) for a, b in zip(ours, theirs))
+
+
+def summarise(runs, metrics=BETTER, key="metrics"):
+    """Median, quartiles and pair wins per side of each metric of
+    ``metrics`` (name: better), read from each run's ``key``."""
     out = {}
-    for metric, better in BETTER.items():
-        sides = {side: [r["metrics"][metric]["value"] for r in runs[side]]
+    for metric, better in metrics.items():
+        sides = {side: [r[key][metric]["value"] for r in runs[side]]
                  for side in SIDES}
-        pairs = list(zip(sides["parent"], sides["change"]))
-        wins = sum((c < p) if better == "lower" else (c > p) for p, c in pairs)
+        parent, change = sides["parent"], sides["change"]
         entry = {side: dict(quartiles(v), runs=v) for side, v in sides.items()}
         p, c = entry["parent"], entry["change"]
-        entry.update(better=better, change_wins=wins, pairs=len(pairs),
+        entry.update(better=better, change_wins=wins(change, parent, better),
+                     parent_wins=wins(parent, change, better), pairs=len(parent),
                      median_gap=abs(c["median"] - p["median"]),
                      parent_iqr=p["q3"] - p["q1"],
                      median_ratio=c["median"] / p["median"])
@@ -122,12 +145,15 @@ def record(revs, seeds, out, into):
                                     if key not in ("seed", "commit")}
                 runs[side].append(result)
                 print(f"{workload} seed {seed} {side} "
-                      f"{result['metrics']['points_per_s']['value']:.1f} points/s "
+                      f"{result['metrics']['points_per_s']['value']:.1f} points/s, "
+                      f"wall {result['reported']['wall_points_per_s']['value']:.1f}, "
+                      f"probe {result['reported']['probe_ms']['value']:.3f} ms "
                       f"({time.monotonic() - t0:.0f} s)", flush=True)
         traced = {side: run(trees[side], workload, TRACE_SEED, 1)[0]["metrics"]
                   for side in SIDES}
         rec["workloads"][workload] = {
-            "end_to_end": summarise(runs), "traced_seed": TRACE_SEED,
+            "end_to_end": summarise(runs),
+            "reported": summarise(runs, REPORTED, "reported"), "traced_seed": TRACE_SEED,
             "traced": {side: {k: v["value"] for k, v in m.items()}
                        for side, m in traced.items()}}
         out.write_text(json.dumps(rec, indent=1, sort_keys=True) + "\n")
