@@ -546,7 +546,9 @@ def _rss_peaks(argv, block_points, workers):
     err = child.stderr.read()
     _, status, usage = os.wait4(child.pid, 0)
     child.stderr.close()
-    assert os.waitstatus_to_exitcode(status) == 0, err
+    # reaped by wait4 above; the Popen object must not wait again
+    child.returncode = os.waitstatus_to_exitcode(status)
+    assert child.returncode == 0, err
     return usage.ru_maxrss, int(err.split()[-1])
 
 
