@@ -230,8 +230,11 @@ def _reconstruction_sweep(imm, grid, args, tols):
     in the nu gauge of a completely non-vertical hypersurface the maxima
     ``link`` and ``theta_nn`` of the two gauge identities; for reconstruct
     and roundtrip ``eta``, the slot values (d, D, D, *grid) of the form
-    assembled from intrinsic data.  Blocks may run in forked workers, so
-    every array that ``keep`` writes is shared (``invariants.shared_array``).
+    assembled from intrinsic data.  The gates of that assembly
+    (``reconstruct.check_intrinsic_defects``) judge the whole grid's
+    maxima after the sweep, so the error they raise does not depend on the
+    blocks.  Blocks may run in forked workers, so every array that ``keep``
+    writes is shared (``invariants.shared_array``).
     """
     check = args.command == "check"
     D, d, N = 2 * imm.n + 2, imm.nparams, grid.npoints
@@ -245,9 +248,11 @@ def _reconstruction_sweep(imm, grid, args, tols):
             corner[:] = an.ff.psh_at((0,) * len(an.batch)).mat
         frames[..., part] = an.ff.matrix_values().reshape(D, D, -1)
         if not check:
-            form = reconstruct.assemble_eta(reconstruct.intrinsic_data_from_analysis(an))
-            eta[..., part] = form.slots.reshape(d, D, D, -1)
-        elif (an.ff.plan.verticality(tols["class"]).kind
+            data = reconstruct.intrinsic_data_from_analysis(an)
+            defects = reconstruct.intrinsic_defects(data)    # gated after the merge
+            eta[..., part] = reconstruct.eta_from_intrinsic(data).slots.reshape(d, D, D, -1)
+            return defects
+        if (an.ff.plan.verticality(tols["class"]).kind
               == rigidity.COMPLETELY_NON_VERTICAL and an.codim == 1
               and an.ff.policy == "nu"):
             return {"link": an.h_torsion_link_residual(),
@@ -255,6 +260,8 @@ def _reconstruction_sweep(imm, grid, args, tols):
 
     summary = invariants.sweep(imm, grid, policy=args.policy, mode=args.mode,
                                tol_class=tols["class"], keep_slots=check, visit=keep)
+    if not check:
+        reconstruct.check_intrinsic_defects(summary.visited)
     kept = dict(summary.visited, frames=frames.reshape((D, D) + grid.shape),
                 corner=psh.PSHElement(imm.n, corner.copy()))
     if not check:
@@ -316,7 +323,7 @@ def _dispatch(args):
                 pass
         return rpt, 0 if rep.all_pass(rpt) else 1
 
-    eta, integrable = _integrability(rpt, n, grid, kept["eta"], tols["holonomy"])
+    eta, integrable = _integrability(rpt, n, grid, kept.pop("eta"), tols["holonomy"])
     if not integrable:
         return rpt, 1
     rng = np.random.default_rng(args.seed)
@@ -325,6 +332,9 @@ def _dispatch(args):
     base = psh.compose(g0, kept["corner"])
     sol = reconstruct.integrate_frame(eta, base, substeps=2, stencil=6,
                                       check_integrability=False)
+    # nothing reads the assembled form again: the moved copy's sweep below
+    # need not hold it
+    del eta
     A = np.moveaxis(frames, (0, 1), (-2, -1))
     f_orig = reconstruct.FrameSolution(imm.n, grid, A, (0,) * grid.ndim, 0.0)
     ghat, const_res = reconstruct.congruence(f_orig, sol)

@@ -323,14 +323,14 @@ def _frame_legs(XiF, grid, n, m, policy, mode, plan=None):
             raise DomainError("chart tangents too large: their square overflows",
                               location=_location(grid, np.argmax(size)))
         worst = np.max(np.abs(th_vals), axis=0)
-        if np.min(worst) < tol_singular * scale:
+        if not np.min(worst) >= tol_singular * scale:
             loc = _location(grid, np.argmin(worst.reshape(-1)))
             raise SingularPoint(
                 "contact form vanishes on the whole tangent space "
                 f"(dim TM ∩ ker Θ > 2m) near grid index {loc}", location=loc)
         mins = np.min(np.abs(th_vals.reshape(d, -1)), axis=1)
         k0 = int(np.argmax(mins))
-        if mins[k0] < tol_singular * scale:
+        if not mins[k0] >= tol_singular * scale:
             raise SingularPoint(
                 "no chart direction is uniformly transverse to ker Θ; "
                 "refine or shrink the chart box")
@@ -450,7 +450,7 @@ def _check_cr_invariance(Vf, n, scale, tol_cr, grid):
     resid = Jf - np.einsum("nia,nab->nib", M, coef)
     err = np.sqrt(np.einsum("nib,nib->nb", resid, resid))
     worst = float(np.max(err))
-    if worst > tol_cr * max(scale, 1.0):
+    if not worst <= tol_cr * max(scale, 1.0):
         loc = _location(grid, np.argmax(np.max(err, axis=1)))
         raise NotCRInvariant(
             f"TM ∩ ker Θ is not J-invariant (residual {worst:.2e}) near grid "

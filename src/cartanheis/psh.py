@@ -22,7 +22,7 @@ __all__ = [
     "PSHElement", "identity", "frame_to_matrix", "apply", "compose", "inverse",
     "decompose", "recompose", "psh_validate", "algebra_validate",
     "random_rotation", "random_element", "left_translation", "rotation_about_t",
-    "exp", "exp_pair",
+    "exp", "exp_pair", "exp_degree",
 ]
 
 
@@ -243,24 +243,43 @@ def _horner(Z, coef):
     return S
 
 
-def _taylor_parts(X):
-    """The Taylor pass of exp on a stack X (..., D, D): E, O and s.
-
-    Each matrix is scaled by 2^-s into the unit 1-norm ball, Y = 2^-s X, and
-    the series is split in Y^2 into an even part E = sum Y^2k/(2k)! and an
-    odd part O = Y sum Y^2k/(2k+1)!, so exp(Y) = E + O and exp(-Y) = E - O.
-    The degree is the least that is exact to rounding at the largest scaled
-    norm of the batch (``_exp_degree``).  A non-finite matrix keeps the full
-    degree and gives non-finite parts; the rest of the batch is unaffected.
-    """
-    X = np.asarray(X, dtype=float)
+def _scaling(X):
+    """The scale 2^-s that takes each matrix of a stack X into the unit
+    1-norm ball, s, and the largest scaled 1-norm, from which the Taylor
+    degree is taken (NaN where a matrix is not finite)."""
     norm = np.max(np.sum(np.abs(X), axis=-2), axis=-1)
     s = np.zeros(norm.shape, dtype=int)
     big = np.isfinite(norm) & (norm > 1.0)
     s[big] = np.ceil(np.log2(norm[big])).astype(int)
     scale = np.ldexp(1.0, -s)
+    return scale, s, float(np.max(norm * scale, initial=0.0))
+
+
+def exp_degree(X) -> int:
+    """The Taylor degree that ``exp`` and ``exp_pair`` take on a stack X.
+
+    It grows with the largest scaled norm of the stack, so a stack cut into
+    pieces gets the values of the whole, bit for bit, when every piece is
+    exponentiated at the largest degree of the pieces.
+    """
+    return _exp_degree(_scaling(np.asarray(X, dtype=float))[2])
+
+
+def _taylor_parts(X, degree=None):
+    """The Taylor pass of exp on a stack X (..., D, D): E, O and s.
+
+    Each matrix is scaled by 2^-s into the unit 1-norm ball, Y = 2^-s X, and
+    the series is split in Y^2 into an even part E = sum Y^2k/(2k)! and an
+    odd part O = Y sum Y^2k/(2k+1)!, so exp(Y) = E + O and exp(-Y) = E - O.
+    The degree is ``degree``, by default the least that is exact to
+    rounding at the largest scaled norm of the batch (``exp_degree``).  A
+    non-finite matrix keeps the full degree and gives non-finite parts; the
+    rest of the batch is unaffected.
+    """
+    X = np.asarray(X, dtype=float)
+    scale, s, theta = _scaling(X)
     Y = X * scale[..., None, None]
-    m = _exp_degree(float(np.max(norm * scale, initial=0.0)))
+    m = _exp_degree(theta) if degree is None else degree
     Z = Y @ Y
     E = _horner(Z, [1 / math.factorial(j) for j in range(0, m + 1, 2)])
     O = Y @ _horner(Z, [1 / math.factorial(j) for j in range(1, m + 1, 2)])
@@ -274,19 +293,19 @@ def _squared(P, s):
     return P
 
 
-def exp_pair(X):
+def exp_pair(X, degree=None):
     """exp(X) and exp(-X) of a stack of algebra values, shape (..., D, D),
-    by scaling and squaring from one shared Taylor pass (``_taylor_parts``);
-    both factors are squared s times."""
-    E, O, s = _taylor_parts(X)
+    by scaling and squaring from one shared Taylor pass (``_taylor_parts``,
+    at ``degree``); both factors are squared s times."""
+    E, O, s = _taylor_parts(X, degree)
     P = _squared(np.stack([E + O, E - O]), s)
     return P[0], P[1]
 
 
-def exp(X):
+def exp(X, degree=None):
     """Group exponential of a stack of algebra values, shape (..., D, D):
     the first factor of ``exp_pair``, with only exp(X) squared."""
-    E, O, s = _taylor_parts(X)
+    E, O, s = _taylor_parts(X, degree)
     return _squared(E + O, s)
 
 

@@ -17,15 +17,18 @@ is the drift guard.
 from __future__ import annotations
 
 from dataclasses import dataclass
+import math
+
 import numpy as np
 
-from . import jets, psh
+from . import invariants, jets, psh
 from .darboux import ChartGrid, MCForm
 from .errors import (DimensionMismatch, IntegrabilityFailure,
                      ProjectionDrift)
 
 __all__ = ["EtaForm", "FrameSolution", "holonomy_residual", "integrate_frame",
-           "congruence", "assemble_eta", "eta_from_frame_field",
+           "congruence", "assemble_eta", "eta_from_intrinsic", "intrinsic_defects",
+           "check_intrinsic_defects", "eta_from_frame_field",
            "IntrinsicData", "intrinsic_data_from_analysis"]
 
 DRIFT_TOL = 1e-3   # largest group-membership residual of integrated frames
@@ -81,9 +84,50 @@ def _interpolate(line, s, stencil=4):
 # holonomy
 # ---------------------------------------------------------------------------
 
-def _edge_propagators(eta: EtaForm, axis: int, substeps=1):
-    """Product-rule propagators along every lattice edge of one axis, and
-    their inverses.
+def _slab_points(eta: EtaForm):
+    """Grid points per slab of the holonomy verdict and per chunk of lines
+    of the Magnus sweep: the invariant sweep's block budget at the form's
+    (n, m)."""
+    return invariants._block_points(eta.n, (eta.d - 1) // 2)
+
+
+def _ranges(count, size):
+    """Near-equal contiguous ranges (lo, hi) that cover range(count), each
+    at most ``size`` long."""
+    k = -(-count // size)
+    cuts = [count * i // k for i in range(k + 1)]
+    return list(zip(cuts[:-1], cuts[1:]))
+
+
+def _half_exponents(eta: EtaForm, axis: int, substeps, lo, hi):
+    """The exponents (h / 2 substeps) w of the half steps along ``axis`` at
+    the substep endpoints of its edges, sample axis first, over the node
+    layers lo:hi of axis 0.
+
+    Along axis 0 they are the endpoints that the layers own, those after the
+    last endpoint of layer lo - 1 up to layer hi - 1, sampled from the whole
+    line, so the interpolation stencil is clamped at the grid's edge, not at
+    the slab's.
+    """
+    h = eta.grid.spacing[axis]
+    slots = eta.slots[axis] if axis == 0 else eta.slots[axis][:, :, lo:hi]
+    line = np.moveaxis(slots, (0, 1, 2 + axis), (-2, -1, 0))
+    N = line.shape[0]
+    # substep endpoints k + j/substeps of every edge k, and the last node
+    pos = np.append(np.arange(N - 1)[:, None] + np.arange(substeps) / substeps,
+                    N - 1)
+    if axis == 0:
+        own = slice(max(0, (lo - 1) * substeps + 1), (hi - 1) * substeps + 1)
+        w = line[own] if substeps == 1 else _interpolate(line, pos[own])
+    else:
+        w = line if substeps == 1 else _interpolate(line, pos)
+    return (0.5 * h / substeps) * w
+
+
+def _edge_propagators(half, back, substeps):
+    """Product-rule propagators along consecutive lattice edges, and their
+    inverses, from the half-step exponentials exp(+-h/2 w) at the substep
+    endpoints of the edges (sample axis first).
 
     With one substep the edge (idx -> idx+1) uses
     exp(h/2 w(u)) exp(h/2 w(u+e)): second-order accurate, leaving an O(h^3)
@@ -92,24 +136,16 @@ def _edge_propagators(eta: EtaForm, axis: int, substeps=1):
     while genuine curvature of the form only shrinks with the plaquette area.
     The inverse of each edge is the product of the exp(-h/2 w) halves, taken
     in reverse order, from the same exponential pass.  Returns (forward,
-    backward), each with the edge index on ``axis``.
+    backward), each with the edge index first.
     """
-    h = eta.grid.spacing[axis]
-    line = np.moveaxis(eta.slots[axis], (0, 1, 2 + axis), (-2, -1, 0))
-    N = line.shape[0]
-    # substep endpoints k + j/substeps of every edge k, and the last node
-    pos = np.append(np.arange(N - 1)[:, None] + np.arange(substeps) / substeps,
-                    N - 1)
-    w = line if substeps == 1 else _interpolate(line, pos)
-    half, back = psh.exp_pair((0.5 * h / substeps) * w)
-    shape = (N - 1, substeps) + half.shape[1:]
+    shape = ((half.shape[0] - 1) // substeps, substeps) + half.shape[1:]
     steps = (half[:-1] @ half[1:]).reshape(shape)
     undo = (back[1:] @ back[:-1]).reshape(shape)
     fwd, bwd = steps[:, 0], undo[:, 0]
     for j in range(1, substeps):
         fwd = fwd @ steps[:, j]
         bwd = undo[:, j] @ bwd
-    return np.moveaxis(fwd, 0, axis), np.moveaxis(bwd, 0, axis)
+    return fwd, bwd
 
 
 @np.errstate(invalid="ignore", over="ignore")
@@ -120,34 +156,71 @@ def holonomy_residual(eta: EtaForm, substeps=1) -> dict:
     normalised by plaquette area, which is the quantity compared against the
     integrability threshold.  A non-finite or overflowing loop makes both
     maxima non-finite, without a warning.
+
+    The edges are built in slabs of node layers along axis 0, each of about
+    ``_slab_points`` points, so no propagator stack covers the grid.  A
+    slab takes the exponentials of every axis over its own layers once,
+    and keeps the half steps along axis 0 and the edges of its last layer
+    for the next slab's plaquettes across the cut.  Every exponential of
+    an axis takes the Taylor degree of the whole axis (``psh.exp_degree``),
+    so the defects are those of a single slab, bit for bit.
     """
     eta.validate_shapes()
     g = eta.grid
     d = g.ndim
-    edges = {ax: _edge_propagators(eta, ax, substeps=substeps)
-             for ax in range(d) if g.shape[ax] > 1}
-    fields = {}
-    per_area = []
+    axes = [ax for ax in range(d) if g.shape[ax] > 1]
+    pairs = [(p, q) for p in axes for q in axes if p < q]
+    fields = {(p, q): np.empty(tuple(k - (a in (p, q)) for a, k in enumerate(g.shape)))
+              for p, q in pairs}
     eye = np.eye(2 * eta.n + 2)
+    slabs = _ranges(g.shape[0], max(1, _slab_points(eta) // math.prod(g.shape[1:])))
+    degree = {ax: None if len(slabs) == 1 else
+              max(psh.exp_degree(_half_exponents(eta, ax, substeps, lo, hi))
+                  for lo, hi in slabs) for ax in axes}
 
     def cut(arr, axis, lo=None, hi=None):
         sl = [slice(None)] * d
         sl[axis] = slice(lo, hi)
         return arr[tuple(sl)]
 
-    for p in range(d):
-        for q in range(p + 1, d):
-            if p not in edges or q not in edges:
-                continue
+    kept = {}
+
+    def slab_edges(ax, lo, hi):
+        """The forward and backward edges along ``ax`` over the node layers
+        lo - 1 (kept from the last slab) to hi - 1: the edges that end in the
+        slab along axis 0, the edges of every layer along the others."""
+        half, back = psh.exp_pair(_half_exponents(eta, ax, substeps, lo, hi), degree[ax])
+        if ax == 0:
+            if lo:
+                half, back = (np.concatenate(pair) for pair in zip(kept[ax], (half, back)))
+            kept[ax] = half[-1:].copy(), back[-1:].copy()
+            return _edge_propagators(half, back, substeps)
+        fwd, bwd = (np.moveaxis(E, 0, ax) for E in _edge_propagators(half, back, substeps))
+        if lo:
+            fwd, bwd = (np.concatenate(pair) for pair in zip(kept[ax], (fwd, bwd)))
+        kept[ax] = fwd[-1:].copy(), bwd[-1:].copy()
+        return fwd, bwd
+
+    def slab_defects(lo, hi):
+        """Fill the defects of the plaquettes whose far corner lies in the
+        node layers lo:hi."""
+        edges = {ax: slab_edges(ax, lo, hi) for ax in axes}
+        first = 1 if lo else 0
+        for p, q in pairs:
             (Ep, Ep_inv), (Eq, Eq_inv) = edges[p], edges[q]
+            if p:
+                Ep, Ep_inv, Eq, Eq_inv = (E[first:] for E in (Ep, Ep_inv, Eq, Eq_inv))
             A = cut(Ep, q, 0, -1)                    # bottom edge
             B = cut(Eq, p, 1, None)                  # right edge
             Ci = cut(Ep_inv, q, 1, None)             # top edge, reversed
             Di = cut(Eq_inv, p, 0, -1)               # left edge, reversed
             loop = A @ B @ Ci @ Di
-            defect = np.sqrt(np.sum((loop - eye) ** 2, axis=(-2, -1)))
-            fields[(p, q)] = defect
-            per_area.append(np.max(defect) / (g.spacing[p] * g.spacing[q]))
+            rows = slice(lo - first, hi - 1) if p == 0 else slice(lo, hi)
+            fields[(p, q)][rows] = np.sqrt(np.sum((loop - eye) ** 2, axis=(-2, -1)))
+
+    for lo, hi in slabs:
+        slab_defects(lo, hi)
+    per_area = [np.max(f) / (g.spacing[p] * g.spacing[q]) for (p, q), f in fields.items()]
     worst = float(np.max([np.max(f) for f in fields.values()], initial=0.0))
     return {"fields": fields, "max": worst,
             "max_per_area": float(np.max(per_area, initial=0.0))}
@@ -224,14 +297,14 @@ class FrameSolution:
         return self.frames[..., 1:, 0]
 
 
-def _magnus_steps(line, h, substeps, stencil):
-    """Propagators of F' = F w(s) over every edge of a sampled line (sample
-    axis first), shape (N - 1, ..., D, D).
+def _magnus_exponents(line, h, substeps, stencil):
+    """Exponents of the Magnus steps of F' = F w(s) over every edge of a
+    sampled line (sample axis first), shape (N - 1, substeps, ..., D, D).
 
     Each substep of length hh samples w at the Gauss nodes 1/2 -+ sqrt(3)/6,
-    A1 before A2, and takes the fourth-order Magnus step
-    exp(hh/2 (A1 + A2) + sqrt(3) hh^2/12 [A1, A2]), the commutator signed
-    for right multiplication.
+    A1 before A2, and its fourth-order Magnus step is the exponential of
+    hh/2 (A1 + A2) + sqrt(3) hh^2/12 [A1, A2], the commutator signed for
+    right multiplication.
     """
     hh = h / substeps
     nodes = 0.5 + np.array([-1.0, 1.0]) * np.sqrt(3.0) / 6.0
@@ -239,7 +312,14 @@ def _magnus_steps(line, h, substeps, stencil):
            + (np.arange(substeps)[:, None] + nodes) / substeps)
     w = _interpolate(line, pos.ravel(), stencil).reshape(pos.shape + line.shape[1:])
     A1, A2 = w[:, :, 0], w[:, :, 1]
-    E = psh.exp(hh / 2 * (A1 + A2) + np.sqrt(3.0) / 12 * hh ** 2 * (A1 @ A2 - A2 @ A1))
+    return hh / 2 * (A1 + A2) + np.sqrt(3.0) / 12 * hh ** 2 * (A1 @ A2 - A2 @ A1)
+
+
+def _magnus_steps(line, h, substeps, stencil, degree=None):
+    """Propagators of F' = F w(s) over every edge of a sampled line (sample
+    axis first), shape (N - 1, ..., D, D): the product of the exponentials
+    of ``_magnus_exponents``, taken at the Taylor ``degree``."""
+    E = psh.exp(_magnus_exponents(line, h, substeps, stencil), degree)
     step = E[:, 0]
     for j in range(1, substeps):
         step = step @ E[:, j]
@@ -258,10 +338,15 @@ def integrate_frame(eta: EtaForm, basepoint_frame: psh.PSHElement, substeps=1,
     fourth-order two-point Gauss Magnus method, which samples eta at the
     Gauss nodes through the ``stencil``-point interpolator and multiplies
     by one group exponential, so for an algebra-valued eta the frames stay
-    in the group up to rounding.  The group-membership residual of all
+    in the group up to rounding.  The lines of a slab are independent once
+    their start frames are known, so their steps are taken in chunks of
+    lines by their index on the first axis, each of about ``_slab_points``
+    points, at the Taylor degree of the whole slab (``psh.exp_degree``):
+    the frames are those of one chunk, bit for bit.  The group-membership residual of all
     swept frames is reported as ``drift`` and must stay under
     ``DRIFT_TOL``; a form that is not algebra-valued fails there, and a
-    step that overflows fails the same way.
+    step that overflows fails the same way, at the first overflowing step
+    of its axis.
     """
     eta.validate_shapes()
     if check_integrability:
@@ -279,17 +364,30 @@ def integrate_frame(eta: EtaForm, basepoint_frame: psh.PSHElement, substeps=1,
     for ax in range(d):
         N = g.shape[ax]
         tail = (0,) * (d - ax - 1)
+        h = g.spacing[ax]
         # the slot line of every slab point, sample axis first: (N, *grid[:ax], D, D)
         line = np.moveaxis(eta.slots[ax][(Ellipsis,) + tail],
                            (0, 1, 2 + ax), (-2, -1, 0))
-        steps = _magnus_steps(line, g.spacing[ax], substeps, stencil)
-        head = (slice(None),) * ax
-        for k in range(1, N):
-            F = frames[head + (k - 1,) + tail] @ steps[k - 1]
-            if not np.all(np.isfinite(F)):
-                raise ProjectionDrift(f"frame integration overflowed along "
-                                      f"axis {ax} at step {k}")
-            frames[head + (k,) + tail] = F
+        # chunks of lines by their index on axis 0 (the leading axes' first)
+        row = N * math.prod(g.shape[1:ax])
+        chunks = [()] if ax == 0 else [(slice(lo, hi),) for lo, hi in
+                                       _ranges(g.shape[0], max(1, _slab_points(eta) // row))]
+        degree = None if len(chunks) == 1 else max(
+            psh.exp_degree(_magnus_exponents(line[(slice(None),) + c], h, substeps, stencil))
+            for c in chunks)
+        overflow = N
+        for c in chunks:
+            step = _magnus_steps(line[(slice(None),) + c], h, substeps, stencil, degree)
+            head = c + (slice(None),) * (ax - len(c))
+            for k in range(1, min(N, overflow)):
+                F = frames[head + (k - 1,) + tail] @ step[k - 1]
+                if not np.all(np.isfinite(F)):
+                    overflow = k
+                    break
+                frames[head + (k,) + tail] = F
+        if overflow < N:
+            raise ProjectionDrift(f"frame integration overflowed along "
+                                  f"axis {ax} at step {overflow}")
     drift = psh.psh_validate(frames).worst
     if not drift <= DRIFT_TOL:
         raise ProjectionDrift(f"group-membership residual {drift:.2e} of the "
@@ -359,8 +457,45 @@ def intrinsic_data_from_analysis(an) -> IntrinsicData:
         normal_slots=normal)
 
 
+def intrinsic_defects(data: IntrinsicData) -> dict:
+    """The defects that ``assemble_eta`` gates, as maxima over the points of
+    ``data``: ``symmetry`` of the second-fundamental-form candidate and
+    ``skew_hermitian`` of the normal connection, NaN where an entry is
+    NaN.  The maxima of a grid's blocks fold into the grid's
+    (``invariants.fold_max``)."""
+    cod, m = data.n - data.m, data.m
+    if data.gtensor.shape[:3] != (cod, m, m):
+        raise DimensionMismatch("second-fundamental-form candidate has wrong shape")
+    if not cod:
+        return {"symmetry": 0.0, "skew_hermitian": 0.0}
+    return {"symmetry": float(np.max(np.abs(
+                data.gtensor - np.swapaxes(data.gtensor, 1, 2)))),
+            "skew_hermitian": float(np.max(np.abs(
+                data.normal_slots + np.conj(np.swapaxes(data.normal_slots, 0, 1)))))}
+
+
+def check_intrinsic_defects(defects: dict):
+    """Raise DimensionMismatch unless both defects of ``intrinsic_defects``
+    are at most 1e-8; a NaN fails."""
+    if not defects["symmetry"] <= 1e-8:
+        raise DimensionMismatch(f"gtensor must be symmetric (defect "
+                                f"{defects['symmetry']:.2e})")
+    if not defects["skew_hermitian"] <= 1e-8:
+        raise DimensionMismatch(f"normal connection must be skew-hermitian "
+                                f"(defect {defects['skew_hermitian']:.2e})")
+
+
 def assemble_eta(data: IntrinsicData) -> EtaForm:
-    """Build the algebra-valued one-form the embedding theorem integrates.
+    """Build the algebra-valued one-form the embedding theorem integrates,
+    after its gates (``check_intrinsic_defects``): the form of
+    ``eta_from_intrinsic``."""
+    check_intrinsic_defects(intrinsic_defects(data))
+    return eta_from_intrinsic(data)
+
+
+def eta_from_intrinsic(data: IntrinsicData) -> EtaForm:
+    """The one-form assembled from intrinsic data, without the gates of
+    ``assemble_eta``: for a caller that gates the maxima of many blocks.
 
     The complex matrix is filled per the structure dictionary: translation
     row from the coframe (tangent slots) and mu theta (normal slots), the
@@ -373,19 +508,6 @@ def assemble_eta(data: IntrinsicData) -> EtaForm:
     n, m = data.n, data.m
     cod = n - m
     d, batch = data.theta.shape[0], data.theta.shape[1:]
-    if data.gtensor.shape[:3] != (cod, m, m):
-        raise DimensionMismatch("second-fundamental-form candidate has wrong shape")
-    sym = float(np.max(np.abs(data.gtensor - np.swapaxes(data.gtensor, 1, 2)))) \
-        if cod else 0.0
-    if not sym <= 1e-8:
-        raise DimensionMismatch(f"gtensor must be symmetric (defect {sym:.2e})")
-    skew = float(np.max(np.abs(
-        data.normal_slots + np.conj(np.swapaxes(data.normal_slots, 0, 1))))) \
-        if cod else 0.0
-    if not skew <= 1e-8:
-        raise DimensionMismatch(f"normal connection must be skew-hermitian "
-                                f"(defect {skew:.2e})")
-
     D = 2 * n + 2
     slots = np.zeros((d, D, D) + batch)
     vart = np.zeros((n, d) + batch, dtype=complex)

@@ -1,4 +1,5 @@
 import math
+import types
 
 import numpy as np
 import pytest
@@ -456,3 +457,48 @@ def test_structure_residual_matches_the_batch_last_reference(spec, count):
     size = float(np.max(np.abs(w))) ** 2 * w.shape[1] + float(np.max(np.abs(dw)))
     assert abs(mc.structure_residual() - ref) <= 8 * np.finfo(float).eps * size
     assert 0 < ref < 1e-12
+
+
+def _tangents_with_nan(where):
+    """The chart tangents of sphere(2,1) at 5^3, with one NaN in the contact
+    pairing theta(d_0) at grid index ``where``: past the finite check that
+    ``_chart_tangents`` makes, as a gate's own input."""
+    imm = dsl.builtin("sphere", 2, 1.0)
+    grid = darboux.ChartGrid(imm.chart, 5)
+    X = darboux._immersion_jets(imm, grid, 1, "ad")
+    XiF = darboux._chart_tangents(X, X.truncated(0), grid)
+    XiF.c[(0,) + where + (4, 0)] = np.nan
+    return XiF, grid
+
+
+def test_nan_contact_pairing_fails_the_contact_gate():
+    XiF, grid = _tangents_with_nan((1, 2, 3))
+    with pytest.raises(SingularPoint, match="contact form vanishes") as err:
+        darboux._frame_legs(XiF, grid, 2, 1, "canonical", "ad")
+    assert err.value.location == (1, 2, 3)
+
+
+def test_nan_pivot_fails_the_pivot_gate(monkeypatch):
+    """The pivot gate closes on NaN by itself: here the contact gate reads
+    maxima that skip NaN, so only the pivot gate can see it."""
+    XiF, grid = _tangents_with_nan((1, 2, 3))
+    blind = types.SimpleNamespace(**vars(np))
+    blind.max = np.nanmax
+    monkeypatch.setattr(darboux, "np", blind)
+    with pytest.raises(SingularPoint, match="no chart direction is uniformly transverse"):
+        darboux._frame_legs(XiF, grid, 2, 1, "canonical", "ad")
+
+
+def test_nan_seed_fails_the_cr_gate():
+    """Seeds (v, Jv) span a J-invariant plane at every point but one, where
+    an entry is NaN: the normal-equations check names that point."""
+    grid = darboux.ChartGrid([(-1, 1)] * 3, 4)
+    v = np.random.default_rng(5).normal(size=grid.shape + (5,))
+    v[..., 4] = 0.0
+    Jv = np.concatenate([-v[..., 2:4], v[..., 0:2], v[..., 4:]], axis=-1)
+    seeds = np.stack([v, Jv], axis=-1)
+    darboux._check_cr_invariance(seeds, 2, 1.0, darboux.TOL_CR, grid)
+    seeds[2, 1, 3, 0, 1] = np.nan
+    with pytest.raises(NotCRInvariant, match="residual nan") as err:
+        darboux._check_cr_invariance(seeds, 2, 1.0, darboux.TOL_CR, grid)
+    assert err.value.location == (2, 1, 3)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -431,3 +433,90 @@ def test_verdict_reports_its_path():
         verdict = reconstruct.integrability_verdict(_eta_of(an))
         assert verdict["pass"] and verdict["path"] == path
         assert ("edge_refinement_order" in verdict) == (path == "subdivided")
+
+
+def _slab_forms(spec, count):
+    """The Maurer-Cartan form of ``spec`` and the form assembled from its
+    intrinsic data, with the frame at the base corner."""
+    _, grid, ff, an = analysis_for(spec, count, "auto")
+    return (_eta_of(an), reconstruct.assemble_eta(
+        reconstruct.intrinsic_data_from_analysis(an))), ff.psh_at((0,) * grid.ndim)
+
+
+def _slab_outputs(eta, base):
+    outputs = []
+    for substeps in (1, 2):
+        hol = reconstruct.holonomy_residual(eta, substeps)
+        sol = reconstruct.integrate_frame(eta, base, substeps=substeps, stencil=6,
+                                          check_integrability=False)
+        outputs.append((hol["max"], hol["max_per_area"], hol["fields"], sol.frames,
+                        sol.drift))
+    return outputs
+
+
+@pytest.mark.parametrize("spec, count", [
+    ("builtin:sphere(2,1)", 9), ("builtin:holograph()", 9),
+    ("builtin:ellipsoid(2,1,1.3)", 9), ("builtin:heis_sub(1,2)", 9),
+    ("builtin:sphere(3,1)", 4), ("builtin:ellipsoid(3,1,1,1.3)", 4)])
+def test_slabs_give_the_values_of_one_slab(spec, count, monkeypatch):
+    """Holonomy defects and integrated frames are the same bits on slabs of
+    one node layer, of two, and of the default budget (one slab here)."""
+    forms, base = _slab_forms(spec, count)
+    for eta in forms:
+        want = _slab_outputs(eta, base)
+        for budget in (1, 2 * eta.grid.npoints // count):
+            monkeypatch.setattr(invariants, "BLOCK_POINTS", budget)
+            got = _slab_outputs(eta, base)
+            for (gmax, garea, gfields, gframes, gdrift), (wmax, warea, wfields, wframes,
+                                                         wdrift) in zip(got, want):
+                assert (gmax, garea, gdrift) == (wmax, warea, wdrift), budget
+                assert gfields.keys() == wfields.keys()
+                for pq in wfields:
+                    assert np.array_equal(gfields[pq], wfields[pq], equal_nan=True)
+                assert np.array_equal(gframes, wframes), budget
+            monkeypatch.undo()
+
+
+@pytest.mark.parametrize("axis, where, first", [
+    (0, (2, 1, 3), (1, 0, 3)), (1, (3, 0, 4), (2, 0, 4)), (2, (1, 4, 0), (0, 4, 0))])
+def test_overflow_on_a_slab_cut_is_found_where_one_slab_finds_it(axis, where, first,
+                                                                 monkeypatch):
+    """A slot value whose edge exponentials overflow, in a node layer that
+    begins a slab: the first non-finite plaquette is the one a single slab
+    names, across the cut as within it."""
+    grid = darboux.ChartGrid([(-1, 1)] * 3, 5)
+    slots = np.zeros((3, 4, 4) + grid.shape)
+    slots[(axis, 1, 0) + where] = 1e300
+    eta = reconstruct.EtaForm(1, grid, slots)
+    reasons = []
+    for budget in (None, 25, 50):       # one slab, slabs of one layer, of two
+        if budget:
+            monkeypatch.setattr(invariants, "BLOCK_POINTS", budget)
+        reasons.append(reconstruct.integrability_verdict(eta)["reason"])
+    assert reasons == [f"plaquette holonomy is not finite: first non-finite "
+                       f"plaquette loop at grid index {first}"] * 3
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_slabs_bound_the_reconstruction_peak(monkeypatch):
+    """With slabs of one node layer (a fifth of the 5^5 grid), neither the
+    holonomy verdict nor the integration holds propagators over the grid:
+    in units of one (D, D) matrix per grid point, the verdict peaks under 12
+    and the integration under 7, where whole-grid stacks took 21 and 14."""
+    (_, eta), base = _slab_forms("builtin:ellipsoid(3,1,1,1.3)", 5)
+    unit = eta.grid.npoints * 8 * 8 * 8
+    monkeypatch.setattr(invariants, "BLOCK_POINTS", 5 ** 4)
+    verdict = _traced_peak(lambda: reconstruct.integrability_verdict(eta))
+    integrate = _traced_peak(lambda: reconstruct.integrate_frame(
+        eta, base, substeps=2, stencil=6, check_integrability=False))
+    assert 0 < verdict < 12 * unit, verdict / unit
+    assert 0 < integrate < 7 * unit, integrate / unit

@@ -243,7 +243,9 @@ def test_workers_raise_the_error_of_the_first_failing_block(grid, where, tmp_pat
     """The plan pass reads first-order jets, which stay finite here; the third-
     order jets of t overflow from the plane p = 0.725 on, in the last blocks
     of the C order only.  Each of those blocks raises in a worker, and this
-    process runs the lowest of them again, which raises."""
+    process runs the lowest of them again, which raises.  The intrinsic data
+    of earlier blocks fail the gates of the assembled form, but roundtrip
+    judges those after the sweep, so it raises the same error."""
     srf = tmp_path / "late.srf"
     srf.write_text(FAR_END.format(x2="0.5*(p^2 - q^2)", y2="p*q",
                                   t="r + sin(exp(320*p))*exp(-320*p)"))
@@ -253,12 +255,32 @@ def test_workers_raise_the_error_of_the_first_failing_block(grid, where, tmp_pat
     for command in ("invariants", "check", "roundtrip"):
         argv = [command, "--surface", str(srf), "--grid", grid]
         one = run(argv, block, monkeypatch, 1)
-        if command != "roundtrip":
-            assert one == (2, "", "input error: DomainError: immersion or its "
-                           f"derivatives not finite at grid index {where}\n")
-        else:   # the intrinsic data of an earlier block fail first
-            assert one[0] == 1 and "DimensionMismatch" in one[2]
+        assert one == (2, "", "input error: DomainError: immersion or its "
+                       f"derivatives not finite at grid index {where}\n")
         assert run(argv, block, monkeypatch, 2) == one, command
+
+
+def test_the_assembly_gates_judge_the_whole_grid(tmp_path, monkeypatch):
+    """The gates of the form assembled from intrinsic data run once, on the
+    maxima of every block: the late-overflow surface's roundtrip raises the
+    DomainError of its one-block run on any blocks, and the FD ellipsoid's
+    symmetry defect is the whole grid's on one worker and on two."""
+    srf = tmp_path / "late.srf"
+    srf.write_text(FAR_END.format(x2="0.5*(p^2 - q^2)", y2="p*q",
+                                  t="r + sin(exp(320*p))*exp(-320*p)"))
+    argv = ["roundtrip", "--surface", str(srf), "--grid", "9"]
+    whole = run(argv, ONE_BLOCK, monkeypatch)
+    assert whole == (2, "", "input error: DomainError: immersion or its "
+                     "derivatives not finite at grid index (7, 0, 0)\n")
+    for workers in (1, 2):
+        assert run(argv, 50, monkeypatch, workers) == whole, workers
+    for command in ("reconstruct", "roundtrip"):
+        argv = [command, "--surface", "builtin:ellipsoid(3,1,1,1.3)", "--grid", "4",
+                "--mode", "fd"]
+        whole = run(argv, ONE_BLOCK, monkeypatch)
+        assert whole[0] == 1 and "gtensor must be symmetric" in whole[2], whole
+        for workers in (1, 2):
+            assert run(argv, 512, monkeypatch, workers) == whole, (command, workers)
 
 
 def test_no_block_starts_after_a_block_fails_or_an_interrupt(monkeypatch):
@@ -473,10 +495,10 @@ def test_no_affinity_call_gives_one_process(monkeypatch):
     assert invariants._schedule(7 ** 5, 3, 2) == (7, 1)
 
 
-def test_nan_intrinsic_data_fail_in_the_block_run_again_here(monkeypatch):
-    """A NaN in one block's second fundamental form candidate fails the
-    symmetry gate of ``assemble_eta``: the block raises in a worker, and its
-    run in this process raises the error that roundtrip reports."""
+def test_nan_intrinsic_data_fail_the_gate_after_the_merge(monkeypatch):
+    """A NaN in one block's second fundamental form candidate sticks in the
+    merged symmetry defect, which fails the gate of the assembled form after
+    the sweep: the block runs once, in a worker, and raises nothing there."""
     parent = os.getpid()
     calls = FORK.Array("i", 2)      # [in workers, here] of the bad block
     intrinsic = reconstruct.intrinsic_data_from_analysis
@@ -494,7 +516,7 @@ def test_nan_intrinsic_data_fail_in_the_block_run_again_here(monkeypatch):
     assert (code, out) == (1, "")
     assert err == ("error: DimensionMismatch: gtensor must be symmetric "
                    "(defect nan)\n"), err
-    assert list(calls) == [1, 1]
+    assert list(calls) == [1, 0]
 
 
 def test_bad_inputs_give_the_errors_of_one_block(tmp_path, monkeypatch):
