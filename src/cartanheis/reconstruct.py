@@ -342,10 +342,10 @@ def integrate_frame(eta: EtaForm, basepoint_frame: psh.PSHElement, substeps=1,
     their start frames are known, so their steps are taken in chunks of
     lines by their index on the first axis, each of about ``_slab_points``
     points, at the Taylor degree of the whole slab (``psh.exp_degree``):
-    the frames are those of one chunk, bit for bit.  The group-membership residual of all
-    swept frames is reported as ``drift`` and must stay under
-    ``DRIFT_TOL``; a form that is not algebra-valued fails there, and a
-    step that overflows fails the same way, at the first overflowing step
+    the frames are those of one chunk, bit for bit.  The group-membership
+    residual of all swept frames is reported as ``drift`` and must stay
+    under ``DRIFT_TOL``; a form that is not algebra-valued fails there, and
+    a step that overflows fails the same way, at the first overflowing step
     of its axis.
     """
     eta.validate_shapes()

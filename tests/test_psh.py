@@ -247,3 +247,17 @@ def test_exp_pair_non_finite_matrix_stays_local(rng):
     assert np.all(np.isnan(E[2, :, 0])) and np.all(np.isnan(Einv[2, :, 0]))
     keep = [0, 1, 3, 4, 5]
     assert np.max(np.abs(E[keep] - _horner18_exp(X[keep]))) < 1e-15
+
+
+def test_pieces_at_the_whole_degree_give_the_whole_exponential(rng):
+    """A stack cut into pieces, each exponentiated at the largest degree of
+    the pieces, gives the bits of the whole stack; each piece at its own
+    degree need not."""
+    X = _algebra_batch(2, rng, np.geomspace(1e-3, 0.5, 6))
+    pieces = (X[:3], X[3:])
+    degree = max(psh.exp_degree(p) for p in pieces)
+    assert degree == psh.exp_degree(X) > psh.exp_degree(pieces[0])
+    whole = psh.exp_pair(X)
+    for got, want in zip(zip(*(psh.exp_pair(p, degree) for p in pieces)), whole):
+        assert np.array_equal(np.concatenate(got), want)
+    assert np.array_equal(np.concatenate([psh.exp(p, degree) for p in pieces]), psh.exp(X))

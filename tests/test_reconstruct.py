@@ -477,24 +477,29 @@ def test_slabs_give_the_values_of_one_slab(spec, count, monkeypatch):
             monkeypatch.undo()
 
 
-@pytest.mark.parametrize("axis, where, first", [
-    (0, (2, 1, 3), (1, 0, 3)), (1, (3, 0, 4), (2, 0, 4)), (2, (1, 4, 0), (0, 4, 0))])
-def test_overflow_on_a_slab_cut_is_found_where_one_slab_finds_it(axis, where, first,
-                                                                 monkeypatch):
-    """A slot value whose edge exponentials overflow, in a node layer that
-    begins a slab: the first non-finite plaquette is the one a single slab
-    names, across the cut as within it."""
+@pytest.mark.parametrize("value, axis, where, first", [
+    (1e300, 0, (2, 1, 3), "plaquette loop at grid index (1, 0, 3)"),
+    (1e300, 1, (3, 0, 4), "plaquette loop at grid index (2, 0, 4)"),
+    (1e300, 2, (1, 4, 0), "plaquette loop at grid index (0, 4, 0)"),
+    (np.nan, 0, (2, 1, 3), "one-form value at grid index (2, 1, 3)"),
+    (np.nan, 2, (4, 0, 1), "one-form value at grid index (4, 0, 1)")])
+def test_non_finite_loops_on_a_slab_cut_are_found_as_by_one_slab(value, axis, where,
+                                                                  first, monkeypatch):
+    """A NaN slot value, or one whose edge exponentials overflow, in a node
+    layer that begins a slab: the verdict names the grid index that a single
+    slab names, across the cut as within it."""
     grid = darboux.ChartGrid([(-1, 1)] * 3, 5)
     slots = np.zeros((3, 4, 4) + grid.shape)
-    slots[(axis, 1, 0) + where] = 1e300
+    slots[(axis, 1, 0) + where] = value
     eta = reconstruct.EtaForm(1, grid, slots)
-    reasons = []
+    verdicts = []
     for budget in (None, 25, 50):       # one slab, slabs of one layer, of two
         if budget:
             monkeypatch.setattr(invariants, "BLOCK_POINTS", budget)
-        reasons.append(reconstruct.integrability_verdict(eta)["reason"])
-    assert reasons == [f"plaquette holonomy is not finite: first non-finite "
-                       f"plaquette loop at grid index {first}"] * 3
+        verdicts.append(reconstruct.integrability_verdict(eta))
+    assert [v["reason"] for v in verdicts] == [
+        f"plaquette holonomy is not finite: first non-finite {first}"] * 3
+    assert not any(np.isfinite(v["holonomy"]) for v in verdicts)
 
 
 def _traced_peak(call):
