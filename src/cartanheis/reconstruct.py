@@ -315,7 +315,7 @@ def _magnus_exponents(line, h, substeps, stencil):
     return hh / 2 * (A1 + A2) + np.sqrt(3.0) / 12 * hh ** 2 * (A1 @ A2 - A2 @ A1)
 
 
-def _magnus_steps(line, h, substeps, stencil, degree=None):
+def _magnus_steps(line, h, substeps, stencil, degree):
     """Propagators of F' = F w(s) over every edge of a sampled line (sample
     axis first), shape (N - 1, ..., D, D): the product of the exponentials
     of ``_magnus_exponents``, taken at the Taylor ``degree``."""
