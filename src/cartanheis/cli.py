@@ -220,52 +220,64 @@ def _invariant_payload(rpt, summary, tols):
         rpt["residuals"][key] = rep.residual_entry(value, tols[key])
 
 
+class _Keep:
+    """What check, reconstruct and roundtrip keep of each block's Analysis,
+    as a sweep's ``visit``; it pickles, so it runs on the sweep's workers.
+
+    Points: ``frames``, the moving-frame matrices (D, D, points), and for
+    reconstruct and roundtrip ``eta``, the slot values (d, D, D, points) of
+    the form assembled from intrinsic data.  Values: ``corner``, the frame
+    at the base corner (block 0 alone); for check in the nu gauge of a
+    completely non-vertical hypersurface the maxima ``link`` and
+    ``theta_nn`` of the two gauge identities; for reconstruct and roundtrip
+    the maxima of the assembly's defects (``reconstruct.intrinsic_defects``).
+    """
+
+    def __init__(self, check, tol_class):
+        self.check, self.tol_class = check, tol_class
+
+    def __call__(self, block, an):
+        D = 2 * an.n + 2
+        values = {}
+        if block.start == 0:
+            values["corner"] = an.ff.psh_at((0,) * len(an.batch)).mat
+        points = {"frames": an.ff.matrix_values().reshape(D, D, -1)}
+        if not self.check:
+            data = reconstruct.intrinsic_data_from_analysis(an)
+            values.update(reconstruct.intrinsic_defects(data))   # gated after the merge
+            points["eta"] = reconstruct.eta_from_intrinsic(data).slots.reshape(
+                an.d, D, D, -1)
+        elif (an.ff.plan.verticality(self.tol_class).kind
+              == rigidity.COMPLETELY_NON_VERTICAL and an.codim == 1
+              and an.ff.policy == "nu"):
+            values.update(link=an.h_torsion_link_residual(),
+                          theta_nn=an.theta_nn_residual())
+        return points, values
+
+
 def _reconstruction_sweep(imm, grid, args, tols):
     """The summary of ``imm`` over ``grid`` and the order-0 arrays that
     check, reconstruct and roundtrip read, from one blocked sweep.
 
     Returns the summary, which for check keeps the Maurer-Cartan slot
-    values, and a dict: ``frames``, the moving-frame matrices (D, D, *grid);
-    ``corner``, the frame at the base corner as a group element; for check
-    in the nu gauge of a completely non-vertical hypersurface the maxima
-    ``link`` and ``theta_nn`` of the two gauge identities; for reconstruct
-    and roundtrip ``eta``, the slot values (d, D, D, *grid) of the form
-    assembled from intrinsic data.  The gates of that assembly
+    values, and a dict of what ``_Keep`` kept, over the grid: ``frames``
+    (D, D, *grid), ``corner`` as a group element, the maxima, and for
+    reconstruct and roundtrip ``eta`` (d, D, D, *grid), which the summary
+    no longer holds.  The gates of that assembly
     (``reconstruct.check_intrinsic_defects``) judge the whole grid's
     maxima after the sweep, so the error they raise does not depend on the
-    blocks.  Blocks may run in forked workers, so every array that ``keep``
-    writes is shared (``invariants.shared_array``).
+    blocks.
     """
     check = args.command == "check"
-    D, d, N = 2 * imm.n + 2, imm.nparams, grid.npoints
-    frames = invariants.shared_array((D, D, N))
-    corner = invariants.shared_array((D, D))
-    eta = None if check else invariants.shared_array((d, D, D, N))
-
-    def keep(block, an):
-        part = slice(block.start, block.stop)
-        if block.start == 0:
-            corner[:] = an.ff.psh_at((0,) * len(an.batch)).mat
-        frames[..., part] = an.ff.matrix_values().reshape(D, D, -1)
-        if not check:
-            data = reconstruct.intrinsic_data_from_analysis(an)
-            defects = reconstruct.intrinsic_defects(data)    # gated after the merge
-            eta[..., part] = reconstruct.eta_from_intrinsic(data).slots.reshape(d, D, D, -1)
-            return defects
-        if (an.ff.plan.verticality(tols["class"]).kind
-              == rigidity.COMPLETELY_NON_VERTICAL and an.codim == 1
-              and an.ff.policy == "nu"):
-            return {"link": an.h_torsion_link_residual(),
-                    "theta_nn": an.theta_nn_residual()}
-
     summary = invariants.sweep(imm, grid, policy=args.policy, mode=args.mode,
-                               tol_class=tols["class"], keep_slots=check, visit=keep)
+                               tol_class=tols["class"], keep_slots=check,
+                               visit=_Keep(check, tols["class"]))
     if not check:
         reconstruct.check_intrinsic_defects(summary.visited)
-    kept = dict(summary.visited, frames=frames.reshape((D, D) + grid.shape),
-                corner=psh.PSHElement(imm.n, corner.copy()))
-    if not check:
-        kept["eta"] = eta.reshape((d, D, D) + grid.shape)
+    kept = dict(summary.visited, corner=psh.PSHElement(imm.n, summary.visited["corner"]))
+    for key, arr in summary.kept.items():
+        kept[key] = arr.reshape(arr.shape[:-1] + grid.shape)
+    summary.kept.clear()
     return summary, kept
 
 

@@ -100,6 +100,10 @@ class ChartGrid:
                         for ax, (lo, hi) in zip(self.axes, self.chart)]
         self.points = list(np.meshgrid(*self.axes, indexing="ij"))
 
+    def __reduce__(self):
+        # pickled as its chart and counts, not its points
+        return ChartGrid, (self.chart, self.counts)
+
     @property
     def ndim(self):
         return len(self.axes)
@@ -130,6 +134,9 @@ class GridBlock:
         self.chart, self.spacing = grid.chart, grid.spacing
         self.shape = (stop - start,)
         self.points = [p.reshape(-1)[start:stop] for p in grid.points]
+
+    def __reduce__(self):
+        return GridBlock, (self.parent, self.start, self.stop)
 
     @property
     def npoints(self):

@@ -49,6 +49,10 @@ class Expr:
         return tuple(v for v in (getattr(self, f) for f in self.__slots__)
                      if isinstance(v, Expr))
 
+    def __reduce__(self):
+        # a frozen dataclass with slots has no state that pickle can set
+        return type(self), tuple(getattr(self, f) for f in self.__slots__)
+
     def __add__(self, other):
         return _fold_add(self, _as_expr(other))
 

@@ -18,8 +18,8 @@ Index conventions (all 0-based in storage, 1-based in the math comments):
 from __future__ import annotations
 
 import math
-import mmap
 import os
+import pickle
 import sys
 import warnings
 from functools import cached_property
@@ -44,27 +44,35 @@ __all__ = ["Analysis", "Summary", "sweep", "ricci_nonpositivity_check",
 BLOCK_POINTS = 2401
 
 # jet numbers, points x s(n, m) of `_size`, that a block must hold for the
-# sweep to run its blocks on forked worker processes (`_pooled`): smaller
-# blocks run one after another in the calling process.  A worker's first
-# blocks pay for copying the calling process's heap pages that it writes,
-# and the pool costs about 10 ms to start and join.  Sweep time in-process
-# against two workers on the blocks of `_schedule`, medians of 5 and of 9
-# interleaved in-process runs on a 2-vCPU host (CPython 3.11, numpy 2.4,
-# BLAS on one thread), policy auto:
+# sweep to run its blocks on the process's pool of forked workers
+# (`_pooled`): smaller blocks run one after another in the calling process.
+# Sweep time in-process against the kept pool of two workers, forked by an
+# earlier sweep, on the blocks of `_schedule`: medians of 9 or 11
+# interleaved in-process runs (two figures: two such runs) on a 2-vCPU host
+# (CPython 3.11, numpy 2.4, BLAS on one thread), policy auto:
 #   (n, m)  surface               grid  blocks x points  jet numbers  ratio
-#   (1, 1)  heis_sub(1,1)         17^3     4 x 1228        6.6e5      1.04
-#   (1, 1)  heis_sub(1,1)         25^3     8 x 1953        1.05e6     1.38-1.52
-#   (2, 1)  sphere(2,1)           17^3     4 x 1228        1.84e6     0.67-0.76
-#   (2, 1)  ellipsoid(2,1,1.3)    17^3     4 x 1228        1.84e6     0.78
-#   (2, 1)  holograph()           25^3     8 x 1953        2.93e6     1.58
-#   (2, 1)  sphere(2,1)           21^3     4 x 2315        3.47e6     1.68
-#   (3, 1)  heis_sub(1,3)         17^3     4 x 1228        3.61e6     0.86-1.32
-#   (3, 2)  ellipsoid(3,1,1,1.3)   4^5     2 x 512         7.02e6     1.25-1.44
-#   (2, 2)  heis_sub(2,2)          5^5     2 x 1562        1.09e7     1.40
-#   (3, 2)  ellipsoid(3,1,1,1.3)   7^5     8 x 2100        2.88e7     1.71
-# The m = 1 builtins with n = 2 at 17^3 (the desk17 benchmark) stay below
-# the cut; heis_sub(1,1) at 25^3 gains but falls below it too.
-PROCESS_NUMBERS = 2_500_000
+#   (2, 1)  sphere(2,1)            9^3     2 x 364         5.5e5      0.99, 1.16
+#   (1, 1)  heis_sub(1,1)         17^3     4 x 1228        6.6e5      0.90, 1.56
+#   (2, 1)  sphere(2,1)           10^3     2 x 500         7.5e5      0.79
+#   (2, 1)  heis_sub(1,2)         10^3     2 x 500         7.5e5      0.83
+#   (1, 1)  heis_sub(1,1)         19^3     4 x 1714        9.3e5      1.33
+#   (2, 1)  sphere(2,1)           11^3     2 x 665         1.0e6      1.53
+#   (1, 1)  heis_sub(1,1)         25^3     8 x 1953        1.05e6     1.43
+#   (1, 1)  heis_sub(1,1)         21^3     4 x 2315        1.25e6     1.28
+#   (2, 1)  sphere(2,1)           13^3     2 x 1098        1.65e6     1.55
+#   (2, 1)  sphere(2,1)           17^3     4 x 1228        1.84e6     1.69
+#   (2, 1)  ellipsoid(2,1,1.3)    17^3     4 x 1228        1.84e6     1.28
+#   (2, 1)  holograph()           17^3     4 x 1228        1.84e6     1.49
+#   (2, 1)  holograph()           25^3     8 x 1953        2.93e6     1.53
+#   (2, 1)  sphere(2,1)           21^3     4 x 2315        3.47e6     1.67
+#   (3, 1)  heis_sub(1,3)         17^3     4 x 1228        3.61e6     1.25
+#   (3, 2)  ellipsoid(3,1,1,1.3)   4^5     2 x 512         7.02e6     1.60
+#   (2, 2)  heis_sub(2,2)          5^5     2 x 1562        1.09e7     1.74
+#   (3, 2)  ellipsoid(3,1,1,1.3)   7^5     8 x 2100        2.88e7     1.87
+# Below the cut the ratios of these 20-90 ms sweeps scatter about 1; from
+# 9.3e5 on every one gains, the desk17 benchmark's (2, 1) sweeps at 17^3
+# among them.
+PROCESS_NUMBERS = 900_000
 
 
 def _size(n, m):
@@ -697,17 +705,11 @@ TABLES = ("nu", "II_norm", "torsion_norm", "R")
 FIELDS = ("nu", "II_norm2", "torsion_norm2", "R")
 
 
-def shared_array(shape):
-    """A float array of zeros in anonymous shared memory: what a sweep's
-    forked workers write to it, the calling process reads."""
-    count = math.prod(shape)
-    buf = mmap.mmap(-1, max(8 * count, 1))
-    return np.frombuffer(buf, dtype=float, count=count).reshape(shape)
-
-
 def fold_max(maxima, key, value):
     """Keep in ``maxima[key]`` the larger of it and ``value`` (NaN sticks)."""
     maxima[key] = float(np.maximum(maxima.get(key, value), value))
+
+
 
 
 class Summary:
@@ -720,66 +722,59 @@ class Summary:
     verticality class of the planned |nu| at the report's tolerance.  An
     ``Analysis`` of a block or of the whole grid is added by ``fold``; its jet
     fields are not kept.  With ``keep_slots`` the Maurer-Cartan slot values
-    of every point are kept too (``slot_values``).  ``visited`` holds the
-    maxima that a sweep's ``visit`` returns.
+    of every point are kept too (``slot_values``).  ``kept`` and ``visited``
+    hold what a sweep's ``visit`` returns: arrays over every grid point, and
+    maxima (or, where ``visit`` returns an array, its first one).
     """
 
     def __init__(self, plan, grid, tol_class=TOL_CLASS, keep_slots=False):
         self.plan, self.grid = plan, grid
         self.shape = grid.shape
         self.kind = plan.verticality(tol_class).kind
-        self.fields = {key: shared_array((grid.npoints,)) for key in FIELDS}
-        self.residuals, self.visited = {}, {}
+        self.fields = {key: np.empty(grid.npoints) for key in FIELDS}
+        self.residuals, self.visited, self.kept = {}, {}, {}
         self.keep_slots = keep_slots
-        D = 2 * plan.n + 2
-        self.slots = shared_array((grid.ndim, D, D, grid.npoints)) if keep_slots else None
+        self.slots = None
 
     def fold(self, an, start=0, residuals=True):
-        """Add the Analysis of the points ``start:`` of the grid (C order):
-        ``fill``, then ``merge``.
+        """Add the Analysis of the points ``start:`` of the grid (C order).
 
         ``residuals=False`` keeps the fields alone.  An FD analysis cannot
         evaluate the structure residual without its neighbours across
         blocks: its slot values are kept, and ``close`` evaluates it over
         the grid.
         """
-        return self.merge(self.fill(an, start, residuals))
+        return self.take((start, *_outputs(an, self.kind, residuals, self.keep_slots), None))
 
-    def fill(self, an, start=0, residuals=True):
-        """Write the fields (and slot values) of ``an`` at points ``start:``
-        and return its residuals, unmerged.  Blocks write disjoint points of
-        shared arrays, so blocks on forked workers fill one summary; the
-        slot array of FD blocks on workers must exist before
-        (``keep_slots``)."""
-        stop = start + int(np.prod(an.batch))
-        fields = (an.ff.nu_norm, an.II_norm2, an.torsion_norm2, an.curvature["scalar"])
+    def take(self, out):
+        """Write the outputs of one block (``_block``) at its points and merge
+        its maxima: in the calling process, in block order."""
+        start, fields, slots, res, visited = out
+        part = slice(start, start + len(fields[0]))
         for key, arr in zip(FIELDS, fields):
-            self.fields[key][start:stop] = arr.reshape(-1)
-        if not residuals:
-            return {}
-        exact = an.mc.mode == "ad"
-        if self.keep_slots or not exact:
-            w = an.mc.values
+            self.fields[key][part] = arr
+        if slots is not None:
             if self.slots is None:
-                self.slots = np.empty(w.shape[:3] + (self.grid.npoints,))
-            self.slots[..., start:stop] = w.reshape(w.shape[:3] + (-1,))
-        res = {"incon2": an.restriction_residuals()["max"]}
-        if exact:
-            res["structure"] = an.mc.structure_residual()
-        if self.kind == VERTICAL:
-            res["gauss"] = an.gauss_residual()
-        if self.kind == COMPLETELY_NON_VERTICAL and an.codim == 1:
-            res["nver15"] = an.cnv_curvature_residual()
-            res["nver28"] = an.scalar_torsion_residual()
-        return res
+                self.slots = np.empty(slots.shape[:-1] + (self.grid.npoints,))
+            self.slots[..., part] = slots
+        points, values = visited or ({}, {})
+        for key, arr in points.items():
+            if key not in self.kept:
+                self.kept[key] = np.empty(arr.shape[:-1] + (self.grid.npoints,))
+            self.kept[key][..., part] = arr
+        return self.merge(res, values)
 
     def merge(self, res, visited=None):
-        """Fold one block's residuals (``fill``), and what ``visit`` returned
-        of it, into the maxima: in the calling process, in block order."""
+        """Fold one block's residuals, and the values that ``visit`` returned
+        of it, into the maxima; an array value is kept from the first block
+        that returns it."""
         for key, value in res.items():
             fold_max(self.residuals, key, value)
         for key, value in (visited or {}).items():
-            fold_max(self.visited, key, value)
+            if np.ndim(value):
+                self.visited.setdefault(key, value)
+            else:
+                fold_max(self.visited, key, value)
         return self
 
     def close(self):
@@ -801,6 +796,30 @@ class Summary:
         return self.field(key) if key in self.fields else np.sqrt(self.field(key + "2"))
 
 
+def _outputs(an, kind, residuals, keep_slots):
+    """What a summary keeps of ``an``: its four fields and, with
+    ``residuals``, its Maurer-Cartan slot values (d, D, D, points) where they
+    are kept (``keep_slots``, or an FD analysis) and its residuals."""
+    fields = [arr.reshape(-1) for arr in (an.ff.nu_norm, an.II_norm2, an.torsion_norm2,
+                                          an.curvature["scalar"])]
+    if not residuals:
+        return fields, None, {}
+    exact = an.mc.mode == "ad"
+    slots = None
+    if keep_slots or not exact:
+        w = an.mc.values
+        slots = w.reshape(w.shape[:3] + (-1,))
+    res = {"incon2": an.restriction_residuals()["max"]}
+    if exact:
+        res["structure"] = an.mc.structure_residual()
+    if kind == VERTICAL:
+        res["gauss"] = an.gauss_residual()
+    if kind == COMPLETELY_NON_VERTICAL and an.codim == 1:
+        res["nver15"] = an.cnv_curvature_residual()
+        res["nver28"] = an.scalar_torsion_residual()
+    return fields, slots, res
+
+
 def sweep(imm, grid, policy="canonical", mode="ad", tol_class=TOL_CLASS,
           residuals=True, keep_slots=False, visit=None) -> Summary:
     """The report summary of ``imm`` over ``grid``, in blocks of points.
@@ -810,94 +829,156 @@ def sweep(imm, grid, policy="canonical", mode="ad", tol_class=TOL_CLASS,
     blocks (``_schedule``), and each runs the frame, Maurer-Cartan and
     invariant pipeline alone, following the plan; peak memory then follows
     the block, not the grid, and the fields and residuals are those of the
-    whole-grid build.  Blocks run one after another, or on forked worker
-    processes where ``_schedule`` says they pay (``_pooled``); either way
-    the residual maxima are merged in block order, and the first failing
-    block raises its error.  ``residuals`` and ``keep_slots`` go to
-    ``Summary``; ``visit(block, an)``, if given, reads what else a caller
-    keeps of each block's Analysis, possibly in a worker, so it writes only
-    into arrays made by ``shared_array`` before the sweep; it may return a
-    dict of maxima to fold into ``Summary.visited``.  In FD mode the
-    structure residual needs neighbours across blocks, so it runs after the
-    sweep on the whole grid's slot values.
+    whole-grid build.  Blocks run one after another, or on the process's
+    pool of forked workers where ``_schedule`` says they pay (``_pooled``);
+    either way their outputs are written and their maxima merged in block
+    order, and the first failing block raises its error.  ``residuals`` and
+    ``keep_slots`` go to ``Summary``.  ``visit(block, an)``, if given, reads
+    what else a caller keeps of each block's Analysis, possibly in a worker,
+    so it must pickle: it returns None or a pair (points, values), where
+    ``points`` maps names to arrays whose last axis runs over the block's
+    points, gathered into ``Summary.kept`` over the grid's points, and
+    ``values`` maps names to maxima (or arrays), folded into
+    ``Summary.visited``.  In FD mode the structure residual needs
+    neighbours across blocks, so it runs after the sweep on the whole
+    grid's slot values.
     """
     plan = plan_frame(imm, grid, policy=policy, mode=mode)
     summary = Summary(plan, grid, tol_class, keep_slots or (residuals and mode == "fd"))
     count, workers = _schedule(grid.npoints, imm.n, imm.m)
-
-    def run(block):
-        an = Analysis(darboux_frame(imm, block, policy=plan.policy, mode=mode, plan=plan))
-        return (summary.fill(an, block.start, residuals),
-                None if visit is None else visit(block, an))
-
+    task = (imm, plan, mode, summary.kind, residuals, summary.keep_slots, visit)
     blocks = grid.blocks(count)
     if workers == 1:
         for block in blocks:
-            summary.merge(*run(block))
+            summary.take(_block(task, block))
     else:
-        _pooled(run, blocks, workers, summary.merge)
+        _pooled(task, blocks, workers, summary.take)
     return summary.close()
 
 
-def _pooled(run, blocks, workers, merge):
-    """``merge(*run(block))`` of every block: ``run`` on ``workers`` forked
-    processes, ``merge`` here, in block order.
+def _block(task, block):
+    """The outputs of ``block`` in a sweep's ``task``: its first point,
+    ``_outputs`` of its Analysis, and what ``visit`` returns of it."""
+    imm, plan, mode, kind, residuals, keep_slots, visit = task
+    an = Analysis(darboux_frame(imm, block, policy=plan.policy, mode=mode, plan=plan))
+    return (block.start, *_outputs(an, kind, residuals, keep_slots),
+            None if visit is None else visit(block, an))
 
-    Only the return values of ``run`` are pickled; what a block writes goes
-    to shared arrays.  A block that raises or warns in a worker returns
-    nothing, and this process runs it again in its turn, so errors,
-    tracebacks and warnings are those of the sequential sweep; every block
-    of a broken pool (a worker killed) runs here the same way.  Once a block
-    fails, or this process stops merging, no worker starts a block.  Workers
-    ignore SIGINT: an interrupt reaches this process, which then waits for
-    the blocks in flight.  The pool is joined before this returns or raises.
+
+# the sweep pool of this process, made by the first sweep that pools
+# (`_pool`): (owner pid, workers, executor, stop flag, its finalizer)
+_POOL = None
+# the number of the last pooled sweep; workers skip the blocks of every sweep
+# numbered at most their pool's stop flag
+_SWEEPS = 0
+# in a worker of the pool: its stop flag
+_STOP = None
+
+
+def _pool(workers):
+    """This process's pool of ``workers`` forked processes: kept from the
+    first sweep that pools, and made again where the worker count changes or
+    in a forked child of its owner.  It is joined at exit, also in a
+    ``multiprocessing`` child, which joins its children before exiting."""
+    global _POOL
+    if _POOL is None or _POOL[:2] != (os.getpid(), workers):
+        _close_pool()
+        import multiprocessing
+        import multiprocessing.util
+        from concurrent.futures import ProcessPoolExecutor
+        context = multiprocessing.get_context("fork")
+        stop = context.RawValue("q", 0)
+        executor = ProcessPoolExecutor(workers, mp_context=context,
+                                       initializer=_pool_worker, initargs=(stop,))
+        # joined at exit before the finalizers of its queues (priority 10),
+        # which would stop them carrying the workers' stop signals
+        _POOL = (os.getpid(), workers, executor, stop,
+                 multiprocessing.util.Finalize(None, executor.shutdown, exitpriority=20))
+    return _POOL[2], _POOL[3]
+
+
+def _close_pool():
+    """Join the workers of this process's pool, if it has one; a forked
+    child forgets the pool of its owner."""
+    global _POOL
+    pool, _POOL = _POOL, None
+    if pool is not None and pool[0] == os.getpid():
+        pool[4]()
+
+
+def _pool_worker(stop):
+    """A worker's start: ignore SIGINT and keep the pool's stop flag."""
+    import signal
+    global _STOP
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    _STOP = stop
+
+
+def _pooled(task, blocks, workers, take):
+    """``take(_block(task, block))`` of every block: ``_block`` on the
+    process's pool of ``workers``, ``take`` here, in block order.
+
+    The task is pickled once and goes to the workers with this process's
+    floating-point error settings, and every output comes back pickled; a
+    task too deep to pickle runs its blocks here.  A block that
+    raises or warns in a worker returns nothing, and this process runs it
+    again in its turn, so errors, tracebacks and warnings are those of the
+    sequential sweep; every block of a broken pool (a worker killed) runs
+    here the same way, and the next pooled sweep makes a new pool.  Once a
+    block fails, or this process stops taking outputs, no worker starts a
+    block of the sweep.  Workers ignore SIGINT: an interrupt reaches this
+    process, which then waits for the blocks in flight.  Every block
+    submitted has finished or been cancelled before this returns or raises.
     """
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures import wait
     from concurrent.futures.process import BrokenProcessPool
 
-    stop = shared_array((1,))
-    # forked workers inherit the arguments of their initializer unpickled
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                               initializer=_pooled_worker, initargs=(run, blocks, stop))
+    global _SWEEPS
+    try:
+        payload = pickle.dumps(task)
+    except RecursionError:      # an expression too deep to pickle: the blocks run here
+        for block in blocks:
+            take(_block(task, block))
+        return
+    pool, stop = _pool(workers)
+    _SWEEPS += 1
+    number, errors = _SWEEPS, np.geterr()
+    futures, broken = [], False
     try:
         try:
-            futures = [pool.submit(_pooled_block, k) for k in range(len(blocks))]
+            for block in blocks:
+                futures.append(pool.submit(_pooled_block, number, payload, errors, block))
         except BrokenProcessPool:
-            futures = [None] * len(blocks)
-        for block, future in zip(blocks, futures):
-            try:
-                out = None if future is None else future.result()
-            except BrokenProcessPool:
-                out = None
-            merge(*(run(block) if out is None else out))
+            broken = True
+        for k, block in enumerate(blocks):
+            out = None
+            if k < len(futures):
+                try:
+                    out = futures[k].result()
+                except BrokenProcessPool:
+                    broken = True
+            take(_block(task, block) if out is None else out)
     finally:
-        stop[0] = 1
-        pool.shutdown(cancel_futures=True)
+        stop.value = number
+        for future in futures:
+            future.cancel()
+        wait(futures)
+        if broken:
+            _close_pool()
 
 
-# in a worker of `_pooled`: the sweep whose blocks it runs, (run, blocks, stop)
-_SWEEP = None
-
-
-def _pooled_worker(run, blocks, stop):
-    """A worker's start: ignore SIGINT and keep the sweep for ``_pooled_block``."""
-    import signal
-    global _SWEEP
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    _SWEEP = run, blocks, stop
-
-
-def _pooled_block(k):
-    """In a worker: ``run`` of block ``k``, or None where it raises or warns,
-    or where a block has failed before it starts."""
-    run, blocks, stop = _SWEEP
-    if stop[0]:
+def _pooled_block(number, payload, errors, block):
+    """In a worker: ``_block`` of the pickled task ``payload`` on ``block``,
+    under the caller's floating-point error settings ``errors``, or None
+    where it raises or warns, or where sweep ``number`` has stopped before
+    it starts."""
+    if _STOP.value >= number:
         return None
     try:
-        with warnings.catch_warnings(record=True) as caught:
-            out = run(blocks[k])
+        with warnings.catch_warnings(record=True) as caught, np.errstate(**errors):
+            warnings.simplefilter("always")
+            out = _block(pickle.loads(payload), block)
     except BaseException:   # the block runs again in the calling process, which raises
-        stop[0] = 1
+        _STOP.value = number
         return None
     return None if caught else out

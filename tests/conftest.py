@@ -45,3 +45,11 @@ def ellipsoid_nu():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture(autouse=True)
+def _fresh_sweep_pool():
+    """Each test's pooled sweeps run on workers forked during the test: a
+    pool kept from an earlier test would carry that test's patches."""
+    yield
+    invariants._close_pool()

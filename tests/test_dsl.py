@@ -323,3 +323,29 @@ def test_deep_nesting_is_a_syntax_error(prefix, suffix):
     assert info.value.line == 6
     shallow = PLANE.replace("x[1] = u1;", "x[1] = " + "(" * 90 + "u1" + ")" * 90 + ";")
     assert dsl.parse(shallow).n == 2
+
+
+def test_immersions_survive_pickle(rng):
+    """Every builtin, a surface file and a rigidly moved copy come back from
+    pickle with the same values and order-3 jets on a 3^d grid."""
+    import os
+    import pickle
+
+    from cartanheis import darboux, psh
+    specs = ["heis_sub(1,2)", "heis_sub(2,3)", "sphere(2,1)", "sphere(3,1)",
+             "holograph()", "holograph(3)", "ellipsoid(2,1,1.3)",
+             "ellipsoid(3,1,1,1.3)", "ellipsoid(3,1,1.2,1.3)"]
+    surfaces = [dsl.parse_surface_spec(f"builtin:{spec}") for spec in specs]
+    surfaces.append(dsl.parse_surface_spec(os.path.join(
+        os.path.dirname(__file__), "corpus", "ellipsoid_2.srf")))
+    surfaces.append(dsl.transform_immersion(surfaces[2], psh.random_element(2, rng)))
+    for imm in surfaces:
+        again = pickle.loads(pickle.dumps(imm))
+        assert again is not imm and again.coord_exprs == imm.coord_exprs
+        assert (again.label, again.n, again.m, again.params, again.chart) == \
+            (imm.label, imm.n, imm.m, imm.params, imm.chart)
+        points = darboux.ChartGrid(imm.chart, 3).points
+        for a, b in zip(imm.values(points), again.values(points)):
+            assert np.array_equal(a, b), imm.label
+        jet, jet_again = imm.jets(points, order=3), again.jets(points, order=3)
+        assert np.array_equal(jet.c, jet_again.c), imm.label

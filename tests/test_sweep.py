@@ -6,6 +6,7 @@ import io
 import json
 import multiprocessing
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -30,9 +31,20 @@ FORK = multiprocessing.get_context("fork")
 
 def processes(monkeypatch, workers):
     """Sweeps from now on run on ``workers`` forked processes wherever they
-    have two blocks, however few jet numbers a block holds."""
+    have two blocks, however few jet numbers a block holds.  The pool is
+    closed, so that the next pooled sweep forks workers that carry what has
+    been patched by now."""
     monkeypatch.setattr(invariants, "_workers", lambda: workers)
     monkeypatch.setattr(invariants, "PROCESS_NUMBERS", 0)
+    invariants._close_pool()
+
+
+def main(argv):
+    """(exit code, stdout, stderr) of cli.main."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
 
 
 def run(argv, block_points, monkeypatch, workers=1):
@@ -40,10 +52,20 @@ def run(argv, block_points, monkeypatch, workers=1):
     ``workers`` processes."""
     monkeypatch.setattr(invariants, "BLOCK_POINTS", block_points)
     processes(monkeypatch, workers)
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
-    return code, out.getvalue(), err.getvalue()
+    return main(argv)
+
+
+def worker_pids():
+    """The pids of this process's sweep workers (its multiprocessing children)."""
+    return sorted(p.pid for p in multiprocessing.active_children())
+
+
+def alive(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
 
 
 def counting(monkeypatch, owner, name, planning=False):
@@ -309,6 +331,7 @@ def test_no_block_starts_after_a_block_fails_or_an_interrupt(monkeypatch):
             return build(imm, block, **kwargs)
 
         monkeypatch.setattr(invariants, "darboux_frame", frame)
+        processes(monkeypatch, 2)
         return lambda: started[:count.value]
 
     for fault in (DimensionMismatch("block 1"), KeyboardInterrupt()):
@@ -336,43 +359,139 @@ def test_no_block_starts_after_a_block_fails_or_an_interrupt(monkeypatch):
     assert len(started()) == count
 
 
-@pytest.mark.parametrize("ending", ["passes", "raises", "interrupted"])
-def test_no_worker_outlives_a_sweep(ending, monkeypatch):
-    """The pool is joined before the sweep returns or raises: after a sweep
-    that passes, one whose block raises and one interrupted while it merges."""
+def test_pooled_runs_in_one_process_share_the_workers(monkeypatch):
+    """The pool outlives a sweep, not its process: a second pooled cli.main
+    run uses the workers of the first and gives its report, and another
+    worker count makes a new pool, whose workers replace the old ones."""
+    argv = ["check", "--surface", "builtin:sphere(2,1)", "--grid", "9",
+            "--format", "structured"]
+    first = run(argv, 100, monkeypatch, 2)
+    pids = worker_pids()
+    assert first[0] == 0 and len(pids) == 2
+    assert main(argv) == first
+    assert worker_pids() == pids
+    monkeypatch.setattr(invariants, "_workers", lambda: 3)
+    assert main(argv) == first
+    assert len(worker_pids()) == 3 and not set(worker_pids()) & set(pids)
+    assert not any(alive(pid) for pid in pids)
+
+
+# cli.main in a fresh interpreter on two workers, which prints the workers'
+# pids and then exits by the ending given
+ENDINGS = """
+import contextlib, io, multiprocessing, os, signal, sys, time
+from cartanheis import cli, invariants
+invariants.BLOCK_POINTS, invariants.PROCESS_NUMBERS = 100, 0
+invariants._workers = lambda: 2
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["invariants", "--surface", "builtin:sphere(2,1)", "--grid", "9"])
+print(*sorted(p.pid for p in multiprocessing.active_children()), flush=True)
+if sys.argv[1] == "input error":
+    code = cli.main(["invariants", "--surface", "builtin:sphere(2,-1)", "--grid", "9"])
+elif sys.argv[1] == "interrupt":
+    os.killpg(0, signal.SIGINT)     # its workers, in its process group, ignore it
+    time.sleep(60)
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("ending, code", [("normal", 0), ("input error", 2),
+                                          ("interrupt", -signal.SIGINT)])
+def test_no_worker_outlives_its_process(ending, code):
+    """The pool is joined when its process exits: normally, with an input
+    error's exit code, and by an interrupt that its workers ignore."""
+    child = subprocess.run([sys.executable, "-c", ENDINGS, ending],
+                           env=dict(os.environ, PYTHONPATH=SRC), capture_output=True,
+                           text=True, start_new_session=True, timeout=120)
+    assert child.returncode == code, child.stderr
+    pids = [int(pid) for pid in child.stdout.split()]
+    assert len(pids) == 2 and not any(alive(pid) for pid in pids), pids
+
+
+def _pooled_sweep_pids(queue):
+    """In a forked child: a pooled sweep, and the pids of its workers."""
+    imm = dsl.builtin("sphere", 2, 1.0)
+    invariants.sweep(imm, darboux.ChartGrid(imm.chart, 9))
+    queue.put(worker_pids())
+
+
+def test_a_forked_child_forks_its_own_pool(monkeypatch):
+    """A (non-daemonic) child forked from the owner of a pool sweeps on a
+    pool of its own, which it joins before it exits; the owner's pool stays."""
+    imm = dsl.builtin("sphere", 2, 1.0)
+    grid = darboux.ChartGrid(imm.chart, 9)
+    monkeypatch.setattr(invariants, "BLOCK_POINTS", 100)
+    processes(monkeypatch, 2)
+    here = invariants.sweep(imm, grid)
+    pids = worker_pids()
+    queue = FORK.SimpleQueue()
+    child = FORK.Process(target=_pooled_sweep_pids, args=(queue,))
+    child.start()
+    theirs = queue.get()
+    child.join(60)
+    if child.exitcode is None:
+        child.kill()
+    assert child.exitcode == 0
+    assert len(theirs) == 2 and not set(theirs) & set(pids)
+    assert not any(alive(pid) for pid in theirs)
+    assert invariants.sweep(imm, grid).residuals == here.residuals
+    assert worker_pids() == pids
+
+
+@pytest.mark.parametrize("setting", ["warnings", "numpy"])
+def test_settings_made_after_the_fork_reach_the_workers(setting, monkeypatch):
+    """The workers are forked while the caller ignores warnings (or numpy's
+    floating-point errors); the caller then turns them into errors.  A later
+    pooled sweep on the same workers raises as one process does: the same
+    exception, message and location."""
     imm = dsl.builtin("sphere", 2, 1.0)
     grid = darboux.ChartGrid(imm.chart, 9)
     monkeypatch.setattr(invariants, "BLOCK_POINTS", 100)   # 8 blocks
-    processes(monkeypatch, 2)
-    parent, in_workers = os.getpid(), FORK.Value("i", 0)
     build = invariants.darboux_frame
 
     def frame(imm, block, **kwargs):
-        if os.getpid() != parent:
-            with in_workers.get_lock():
-                in_workers.value += 1
-        if ending == "raises" and block.start >= 300:
-            raise DimensionMismatch("a late block")
+        if block.start >= 300:
+            if setting == "warnings":
+                warnings.warn(f"block at {block.start}", UserWarning)
+            else:
+                np.log(np.zeros(1))
         return build(imm, block, **kwargs)
 
-    def merge(self, res, visited=None):
-        raise KeyboardInterrupt
-
     monkeypatch.setattr(invariants, "darboux_frame", frame)
-    if ending == "interrupted":
-        monkeypatch.setattr(invariants.Summary, "merge", merge)
-    expected = {"passes": None, "raises": DimensionMismatch,
-                "interrupted": KeyboardInterrupt}[ending]
-    with pytest.raises(expected) if expected else contextlib.nullcontext():
-        invariants.sweep(imm, grid)
-    assert in_workers.value > 0
-    assert multiprocessing.active_children() == []
+
+    @contextlib.contextmanager
+    def acting(action):
+        with warnings.catch_warnings(), np.errstate():
+            if setting == "warnings":
+                warnings.simplefilter(action)
+            else:
+                np.seterr(all=action)
+            yield
+
+    def outcome():
+        strict = "error" if setting == "warnings" else "raise"
+        with acting(strict), pytest.raises(Exception) as info:
+            invariants.sweep(imm, grid)
+        return (info.type, str(info.value), info.traceback[-1].path,
+                info.traceback[-1].lineno)
+
+    processes(monkeypatch, 1)
+    one = outcome()
+    assert one[:2] == ((UserWarning, "block at 364") if setting == "warnings"
+                       else (FloatingPointError, "divide by zero encountered in log"))
+    processes(monkeypatch, 2)
+    with acting("ignore"):
+        invariants.sweep(imm, grid)        # forks the workers
+    pids = worker_pids()
+    assert outcome() == one
+    assert worker_pids() == pids
 
 
 def test_the_blocks_of_a_killed_worker_run_here(monkeypatch):
     """A worker killed in its block breaks the pool: this process runs that
     block itself, and every later one that the pool had not returned, and
-    the summary is that of one process."""
+    the summary is that of one process.  The broken pool is joined, and the
+    next pooled sweep forks a new one, with the same summary."""
     imm = dsl.builtin("sphere", 2, 1.0)
     grid = darboux.ChartGrid(imm.chart, 9)
     monkeypatch.setattr(invariants, "BLOCK_POINTS", 100)   # 8 blocks
@@ -393,29 +512,37 @@ def test_the_blocks_of_a_killed_worker_run_here(monkeypatch):
     killed = invariants.sweep(imm, grid)
     assert here[3] == 1, here[:]
     assert multiprocessing.active_children() == []
-    assert killed.residuals == one.residuals
-    for key in invariants.FIELDS:
-        assert np.array_equal(killed.fields[key], one.fields[key]), key
+    # the next pooled sweep forks a new pool
+    monkeypatch.setattr(invariants, "darboux_frame", build)
+    again = invariants.sweep(imm, grid)
+    assert len(worker_pids()) == 2
+    for swept in (killed, again):
+        assert swept.residuals == one.residuals
+        for key in invariants.FIELDS:
+            assert np.array_equal(swept.fields[key], one.fields[key]), key
+
+
+def _corner_and_link(block, an):
+    """A sweep's ``visit``: the frames of the block's points, the frame at
+    the grid's first point, and two maxima."""
+    frames = an.ff.matrix_values()
+    values = {"link": an.h_torsion_link_residual(), "start": -block.start}
+    if block.start == 0:
+        values["corner"] = frames[..., 0]
+    return {"frames": frames}, values
 
 
 def test_many_processes_give_the_sequential_summary(monkeypatch):
     """More processes than CPUs and jet tables built from empty caches: the
     fields, kept slot values and maxima of the blocks, ``visit``'s included,
-    are those of one process, and so is what ``visit`` writes to a shared
-    array."""
+    are those of one process, and so are the arrays that ``visit`` keeps."""
     imm = dsl.builtin("ellipsoid", 2, 1.0, 1.3)
     grid = darboux.ChartGrid(imm.chart, 7)
 
     def swept():
-        corner = invariants.shared_array((6, 6))
-
-        def visit(block, an):
-            if block.start == 0:
-                corner[:] = an.ff.matrix_values()[..., 0]
-            return {"link": an.h_torsion_link_residual(), "start": -block.start}
-
-        s = invariants.sweep(imm, grid, policy="nu", keep_slots=True, visit=visit)
-        return s, corner
+        s = invariants.sweep(imm, grid, policy="nu", keep_slots=True,
+                             visit=_corner_and_link)
+        return s, s.visited.pop("corner")
 
     one, corner = swept()
     monkeypatch.setattr(invariants, "BLOCK_POINTS", 90)
@@ -425,7 +552,8 @@ def test_many_processes_give_the_sequential_summary(monkeypatch):
     assert (one.residuals, one.visited) == (many.residuals, many.visited)
     assert many.visited["start"] == 0
     assert np.array_equal(one.slots, many.slots) and np.array_equal(corner, many_corner)
-    assert np.any(corner != 0)
+    assert np.array_equal(one.kept["frames"], many.kept["frames"])
+    assert np.array_equal(corner, one.kept["frames"][..., 0]) and np.any(corner != 0)
     for key in invariants.FIELDS:
         assert np.array_equal(one.fields[key], many.fields[key]), key
 
@@ -519,6 +647,26 @@ def test_nan_intrinsic_data_fail_the_gate_after_the_merge(monkeypatch):
     assert list(calls) == [1, 0]
 
 
+def test_an_immersion_too_deep_to_pickle_sweeps_here(tmp_path, monkeypatch):
+    """A 3000-term sum is a chain of 3000 nodes, deeper than pickle recurses:
+    its pooled sweeps run their blocks in this process, with the report of
+    one block."""
+    terms = " + ".join(f"{k}e-9*u1*u2" for k in range(1, 3001))
+    srf = tmp_path / "long_sum.srf"
+    srf.write_text("surface long_sum {\n  n = 2; m = 1;\n  params = [u1, u2, u3];\n"
+                   "  chart = [[-0.5, 0.5], [-0.5, 0.5], [-0.5, 0.5]];\n}\n"
+                   "x[1] = u1;  x[2] = 0.0;\ny[1] = u2;  y[2] = 0.0;\n"
+                   f"t = u3 + {terms};\n")
+    with pytest.raises(RecursionError):
+        pickle.dumps(dsl.parse_surface_spec(str(srf)))
+    for command in ("invariants", "check"):
+        argv = [command, "--surface", str(srf), "--grid", "5", "--format", "structured"]
+        whole = run(argv, ONE_BLOCK, monkeypatch)
+        assert whole[0] in (0, 1), whole[2]
+        assert run(argv, 32, monkeypatch, 2) == whole, command
+    assert worker_pids() == []
+
+
 def test_bad_inputs_give_the_errors_of_one_block(tmp_path, monkeypatch):
     slice_plane = tmp_path / "slice.srf"
     slice_plane.write_text(dsl.pretty_print(dsl.coordinate_slice_plane()))
@@ -546,13 +694,14 @@ def _traced_peak(argv, block_points, monkeypatch):
 
 
 # cli.main in a fresh interpreter with a block size and a worker count; it
-# prints the peak RSS in KiB of its largest child, a sweep worker
+# joins its sweep workers and prints the peak RSS in KiB of the largest
 PEAK = """
 import resource, sys
 from cartanheis import cli, invariants
 invariants.BLOCK_POINTS, workers = int(sys.argv[1]), int(sys.argv[2])
 invariants._workers, invariants.PROCESS_NUMBERS = lambda: workers, 0
 code = cli.main(sys.argv[3:])
+invariants._close_pool()
 print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss, file=sys.stderr)
 sys.exit(code)
 """
@@ -612,9 +761,9 @@ def test_block_size_follows_the_frame_size(monkeypatch):
         return found.pop()
 
     # block counts at 17^3 (m = 1) and 7^5 (m = 2) by (n, m) on two workers,
-    # which run where a block holds PROCESS_NUMBERS jet numbers: at (2, 2),
-    # (3, 1) and (3, 2)
-    pooled = {(1, 1): 3, (2, 1): 3, (2, 2): 8, (3, 1): 4, (3, 2): 8}
+    # which run where a block holds PROCESS_NUMBERS jet numbers: at (2, 1),
+    # (2, 2), (3, 1) and (3, 2)
+    pooled = {(1, 1): 3, (2, 1): 4, (2, 2): 8, (3, 1): 4, (3, 2): 8}
     for workers in (1, 2):
         monkeypatch.setattr(invariants, "_workers", lambda: workers)
         for n in (1, 2, 3):
@@ -625,11 +774,13 @@ def test_block_size_follows_the_frame_size(monkeypatch):
                 assert blocks(imm, count) == (
                     -(-points // invariants.BLOCK_POINTS) if workers == 1
                     else pooled[n, m]), (workers, n, m)
+        # at 9^3 two workers split n = 3 into two blocks of 364 points
+        # (1.07e6 jet numbers); the larger frames shrink the blocks instead
         grown = [blocks(dsl.builtin("heis_sub", 1, n), 9) for n in (3, 8, 16, 32, 64)]
-        assert grown == [1, 1, 2, 6, 23], workers
-    # the desk17 benchmark's m = 1 sweeps at 17^3 stay in one process
+        assert grown == [workers, 1, 2, 6, 23], workers
+    # the desk17 benchmark's m = 1 sweeps at 17^3 run on two workers
     monkeypatch.setattr(invariants, "_workers", lambda: 2)
-    assert invariants._schedule(17 ** 3, 2, 1) == (3, 1)
+    assert invariants._schedule(17 ** 3, 2, 1) == (4, 2)
     assert invariants._schedule(7 ** 5, 3, 2) == (8, 2)
 
 
