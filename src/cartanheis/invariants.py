@@ -957,9 +957,11 @@ def _pooled(task, blocks, workers, take):
                     out = futures[k].result()
                 except BrokenProcessPool:
                     broken = True
+                futures[k] = None       # a done future holds the block's outputs
             take(_block(task, block) if out is None else out)
     finally:
         stop.value = number
+        futures = [future for future in futures if future is not None]
         for future in futures:
             future.cancel()
         wait(futures)
