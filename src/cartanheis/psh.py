@@ -22,7 +22,7 @@ __all__ = [
     "PSHElement", "identity", "frame_to_matrix", "apply", "compose", "inverse",
     "decompose", "recompose", "psh_validate", "algebra_validate",
     "random_rotation", "random_element", "left_translation", "rotation_about_t",
-    "exp", "exp_pair", "exp_degree",
+    "exp", "exp_pair",
 ]
 
 
@@ -212,30 +212,31 @@ _EXP_MAX_DEGREE = 18    # remainder bound 2.2e-17 on the unit 1-norm ball
 _EXP_TOL = 2.0 ** -54   # half the unit roundoff of float64
 
 
-def _exp_degree(theta) -> int:
+def _exp_degree(theta):
     """Smallest Taylor degree m in 1..18 whose remainder bound
-    theta^(m+1) e^theta / (m+1)! is at most half the unit roundoff, for a
-    1-norm theta <= 1; 18 when theta is not finite."""
-    if not math.isfinite(theta):
-        return _EXP_MAX_DEGREE
-    bound = math.exp(theta) * theta
-    for m in range(1, _EXP_MAX_DEGREE):
-        bound *= theta / (m + 1)
-        if bound <= _EXP_TOL:
-            return m
-    return _EXP_MAX_DEGREE
+    theta^(m+1) e^theta / (m+1)! is at most half the unit roundoff, for
+    each 1-norm theta <= 1 of an array; 18 where theta is not finite."""
+    theta = np.asarray(theta, dtype=float)
+    m = np.full(theta.shape, _EXP_MAX_DEGREE)
+    bound = np.exp(theta) * theta
+    for k in range(1, _EXP_MAX_DEGREE):
+        bound = bound * (theta / (k + 1))
+        m[(m == _EXP_MAX_DEGREE) & (bound <= _EXP_TOL)] = k
+    return m
 
 
 def _horner(Z, coef):
-    """sum_k coef[k] Z^k for a stack of square matrices, by Horner's rule.
+    """sum_k coef[k] Z^k for a stack of square matrices, by Horner's rule;
+    each coef[k] is a scalar or holds one value per matrix.
 
     The first step, Z (coef[-1] I), is formed as coef[-1] Z, without a
     product.
     """
+    coef = [np.asarray(c, dtype=float)[..., None] for c in coef]
     if len(coef) == 1:
         S, rest = np.zeros(Z.shape), coef
     else:
-        S, rest = coef[-1] * Z, coef[:-1]
+        S, rest = coef[-1][..., None] * Z, coef[:-1]
     for k, c in enumerate(reversed(rest)):
         if k:
             S = Z @ S
@@ -245,45 +246,38 @@ def _horner(Z, coef):
 
 def _scaling(X):
     """The scale 2^-s that takes each matrix of a stack X into the unit
-    1-norm ball, s, and the largest scaled 1-norm, from which the Taylor
-    degree is taken (NaN where a matrix is not finite)."""
+    1-norm ball, s, and each matrix's scaled 1-norm (NaN where a matrix is
+    not finite)."""
     norm = np.max(np.sum(np.abs(X), axis=-2), axis=-1)
     s = np.zeros(norm.shape, dtype=int)
     big = np.isfinite(norm) & (norm > 1.0)
     s[big] = np.ceil(np.log2(norm[big])).astype(int)
     scale = np.ldexp(1.0, -s)
-    return scale, s, float(np.max(norm * scale, initial=0.0))
+    return scale, s, norm * scale
 
 
-def exp_degree(X) -> int:
-    """The Taylor degree that ``exp`` and ``exp_pair`` take on a stack X.
-
-    It grows with the largest scaled norm of the stack, so a stack cut into
-    pieces gets the values of the whole, bit for bit, when every piece is
-    exponentiated at the largest degree of the pieces.
-    """
-    return _exp_degree(_scaling(np.asarray(X, dtype=float))[2])
-
-
-def _taylor_parts(X, degree=None):
+def _taylor_parts(X):
     """The Taylor pass of exp on a stack X (..., D, D): E, O and s.
 
     Each matrix is scaled by 2^-s into the unit 1-norm ball, Y = 2^-s X, and
     the series is split in Y^2 into an even part E = sum Y^2k/(2k)! and an
     odd part O = Y sum Y^2k/(2k+1)!, so exp(Y) = E + O and exp(-Y) = E - O.
-    The degree is ``degree``, by default the least that is exact to
-    rounding at the largest scaled norm of the batch (``exp_degree``).  A
-    non-finite matrix keeps the full degree and gives non-finite parts; the
-    rest of the batch is unaffected.
+    Each matrix takes the least degree that is exact to rounding at its own
+    scaled norm (``_exp_degree``): one Horner pass runs to the largest
+    degree of the stack, with a matrix's coefficients zero past its own
+    degree, which gives the bits of the shorter rule.  So a matrix's parts
+    do not depend on the stack it sits in.  A non-finite matrix takes the
+    full degree and gives non-finite parts; the rest of the stack is
+    unaffected.
     """
     X = np.asarray(X, dtype=float)
     scale, s, theta = _scaling(X)
     Y = X * scale[..., None, None]
-    m = _exp_degree(theta) if degree is None else degree
+    m = _exp_degree(theta)
+    coef = [np.where(j <= m, 1 / math.factorial(j), 0.0)
+            for j in range(int(np.max(m, initial=1)) + 1)]
     Z = Y @ Y
-    E = _horner(Z, [1 / math.factorial(j) for j in range(0, m + 1, 2)])
-    O = Y @ _horner(Z, [1 / math.factorial(j) for j in range(1, m + 1, 2)])
-    return E, O, s
+    return _horner(Z, coef[0::2]), Y @ _horner(Z, coef[1::2]), s
 
 
 def _squared(P, s):
@@ -293,19 +287,19 @@ def _squared(P, s):
     return P
 
 
-def exp_pair(X, degree=None):
+def exp_pair(X):
     """exp(X) and exp(-X) of a stack of algebra values, shape (..., D, D),
-    by scaling and squaring from one shared Taylor pass (``_taylor_parts``,
-    at ``degree``); both factors are squared s times."""
-    E, O, s = _taylor_parts(X, degree)
+    by scaling and squaring from one shared Taylor pass (``_taylor_parts``);
+    both factors are squared s times."""
+    E, O, s = _taylor_parts(X)
     P = _squared(np.stack([E + O, E - O]), s)
     return P[0], P[1]
 
 
-def exp(X, degree=None):
+def exp(X):
     """Group exponential of a stack of algebra values, shape (..., D, D):
     the first factor of ``exp_pair``, with only exp(X) squared."""
-    E, O, s = _taylor_parts(X, degree)
+    E, O, s = _taylor_parts(X)
     return _squared(E + O, s)
 
 

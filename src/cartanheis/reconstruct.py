@@ -161,9 +161,9 @@ def holonomy_residual(eta: EtaForm, substeps=1) -> dict:
     ``_slab_points`` points, so no propagator stack covers the grid.  A
     slab takes the exponentials of every axis over its own layers once,
     and keeps the half steps along axis 0 and the edges of its last layer
-    for the next slab's plaquettes across the cut.  Every exponential of
-    an axis takes the Taylor degree of the whole axis (``psh.exp_degree``),
-    so the defects are those of a single slab, bit for bit.
+    for the next slab's plaquettes across the cut.  An exponential does
+    not depend on the stack it is taken in (``psh._taylor_parts``), so the
+    defects are those of a single slab, bit for bit.
     """
     eta.validate_shapes()
     g = eta.grid
@@ -174,9 +174,6 @@ def holonomy_residual(eta: EtaForm, substeps=1) -> dict:
               for p, q in pairs}
     eye = np.eye(2 * eta.n + 2)
     slabs = _ranges(g.shape[0], max(1, _slab_points(eta) // math.prod(g.shape[1:])))
-    degree = {ax: None if len(slabs) == 1 else
-              max(psh.exp_degree(_half_exponents(eta, ax, substeps, lo, hi))
-                  for lo, hi in slabs) for ax in axes}
 
     def cut(arr, axis, lo=None, hi=None):
         sl = [slice(None)] * d
@@ -189,7 +186,7 @@ def holonomy_residual(eta: EtaForm, substeps=1) -> dict:
         """The forward and backward edges along ``ax`` over the node layers
         lo - 1 (kept from the last slab) to hi - 1: the edges that end in the
         slab along axis 0, the edges of every layer along the others."""
-        half, back = psh.exp_pair(_half_exponents(eta, ax, substeps, lo, hi), degree[ax])
+        half, back = psh.exp_pair(_half_exponents(eta, ax, substeps, lo, hi))
         if ax == 0:
             if lo:
                 half, back = (np.concatenate(pair) for pair in zip(kept[ax], (half, back)))
@@ -297,9 +294,9 @@ class FrameSolution:
         return self.frames[..., 1:, 0]
 
 
-def _magnus_exponents(line, h, substeps, stencil):
-    """Exponents of the Magnus steps of F' = F w(s) over every edge of a
-    sampled line (sample axis first), shape (N - 1, substeps, ..., D, D).
+def _magnus_steps(line, h, substeps, stencil):
+    """Propagators of F' = F w(s) over every edge of a sampled line (sample
+    axis first), shape (N - 1, ..., D, D).
 
     Each substep of length hh samples w at the Gauss nodes 1/2 -+ sqrt(3)/6,
     A1 before A2, and its fourth-order Magnus step is the exponential of
@@ -312,14 +309,7 @@ def _magnus_exponents(line, h, substeps, stencil):
            + (np.arange(substeps)[:, None] + nodes) / substeps)
     w = _interpolate(line, pos.ravel(), stencil).reshape(pos.shape + line.shape[1:])
     A1, A2 = w[:, :, 0], w[:, :, 1]
-    return hh / 2 * (A1 + A2) + np.sqrt(3.0) / 12 * hh ** 2 * (A1 @ A2 - A2 @ A1)
-
-
-def _magnus_steps(line, h, substeps, stencil, degree):
-    """Propagators of F' = F w(s) over every edge of a sampled line (sample
-    axis first), shape (N - 1, ..., D, D): the product of the exponentials
-    of ``_magnus_exponents``, taken at the Taylor ``degree``."""
-    E = psh.exp(_magnus_exponents(line, h, substeps, stencil), degree)
+    E = psh.exp(hh / 2 * (A1 + A2) + np.sqrt(3.0) / 12 * hh ** 2 * (A1 @ A2 - A2 @ A1))
     step = E[:, 0]
     for j in range(1, substeps):
         step = step @ E[:, j]
@@ -341,11 +331,11 @@ def integrate_frame(eta: EtaForm, basepoint_frame: psh.PSHElement, substeps=1,
     in the group up to rounding.  The lines of a slab are independent once
     their start frames are known, so their steps are taken in chunks of
     lines by their index on the first axis, each of about ``_slab_points``
-    points, at the Taylor degree of the whole slab (``psh.exp_degree``):
-    the frames are those of one chunk, bit for bit.  The group-membership
-    residual of all swept frames is reported as ``drift`` and must stay
-    under ``DRIFT_TOL``; a form that is not algebra-valued fails there, and
-    a step that overflows fails the same way, at the first overflowing step
+    points; an exponential does not depend on its stack, so the frames are
+    those of one chunk, bit for bit.  The group-membership residual of all
+    swept frames is reported as ``drift`` and must stay under
+    ``DRIFT_TOL``; a form that is not algebra-valued fails there, and a
+    step that overflows fails the same way, at the first overflowing step
     of its axis.
     """
     eta.validate_shapes()
@@ -372,12 +362,9 @@ def integrate_frame(eta: EtaForm, basepoint_frame: psh.PSHElement, substeps=1,
         row = N * math.prod(g.shape[1:ax])
         chunks = [()] if ax == 0 else [(slice(lo, hi),) for lo, hi in
                                        _ranges(g.shape[0], max(1, _slab_points(eta) // row))]
-        degree = None if len(chunks) == 1 else max(
-            psh.exp_degree(_magnus_exponents(line[(slice(None),) + c], h, substeps, stencil))
-            for c in chunks)
         overflow = N
         for c in chunks:
-            step = _magnus_steps(line[(slice(None),) + c], h, substeps, stencil, degree)
+            step = _magnus_steps(line[(slice(None),) + c], h, substeps, stencil)
             head = c + (slice(None),) * (ax - len(c))
             for k in range(1, min(N, overflow)):
                 F = frames[head + (k - 1,) + tail] @ step[k - 1]

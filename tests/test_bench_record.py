@@ -86,3 +86,30 @@ def test_reported_lines_get_medians_quartiles_and_wins_per_side(bench_record):
     # a slower probe is the parent's win: its time is better lower
     assert (probe["better"], probe["change_wins"], probe["parent_wins"]) == ("lower", 0, 3)
     assert probe["parent"]["runs"] == [5, 5, 5, 5] and probe["change"]["median"] == 6
+
+
+@pytest.mark.parametrize("parent, change, unresolved", [
+    # a parent spread of 1.0 s against 0.25 x its median 1.5 s, overlapping runs
+    ([1.0, 1.0, 1.5, 2.0, 2.0], [1.2, 1.8, 1.4, 1.6, 2.1], True),
+    # a spread of 0.1 s within 0.25 x 1.1 s
+    ([1.0, 1.1, 1.1, 1.2, 1.0], [1.2, 1.8, 1.4, 1.6, 2.1], False),
+    # the same wide spread, but every change run beats every parent run
+    ([1.0, 1.0, 1.5, 2.0, 2.0], [0.5, 0.6, 0.7, 0.8, 0.9], False)])
+def test_a_spread_wider_than_the_bound_is_unresolved(bench_record, parent, change,
+                                                     unresolved):
+    assert bench_record.BOUND["setup_s"] == 0.25
+    runs = {side: [{"metrics": {"setup_s": {"value": v}}} for v in values]
+            for side, values in (("parent", parent), ("change", change))}
+    entry = bench_record.summarise(runs, {"setup_s": "lower"})["setup_s"]
+    assert entry["unresolved"] is unresolved
+
+
+def test_a_higher_better_metric_separates_upwards(bench_record):
+    runs = {side: [{"metrics": {"points_per_s": {"value": v}}} for v in values]
+            for side, values in (("parent", [80, 100, 120, 140]),
+                                 ("change", [141, 150, 160, 170]))}
+    assert bench_record.summarise(runs, {"points_per_s": "higher"})[
+        "points_per_s"]["unresolved"] is False
+    runs["change"][0]["metrics"]["points_per_s"]["value"] = 139
+    assert bench_record.summarise(runs, {"points_per_s": "higher"})[
+        "points_per_s"]["unresolved"] is True

@@ -226,13 +226,17 @@ def test_exp_pair_matches_degree18_reference(n, rng):
 
 def test_exp_degree_follows_the_norm():
     thetas = np.concatenate([[0.0], np.geomspace(1e-12, 1.0, 60)])
-    degrees = [psh._exp_degree(t) for t in thetas]
+    degrees = psh._exp_degree(thetas)
+    # the degrees of the array are those of each theta alone
+    assert degrees.tolist() == [int(psh._exp_degree(t)) for t in thetas]
     assert all(1 <= m <= 18 for m in degrees)
-    assert degrees == sorted(degrees)
+    assert degrees.tolist() == sorted(degrees)
     assert psh._exp_degree(1.0) == 18
     assert psh._exp_degree(0.086) < 18
     for t in (np.nan, np.inf):
         assert psh._exp_degree(t) == 18
+    assert psh._exp_degree([0.5, np.nan, np.inf, 1e-12]).tolist() == \
+        [int(psh._exp_degree(t)) for t in (0.5, np.nan, np.inf, 1e-12)]
     # the least degree whose remainder bound is at most half the roundoff
     bound = lambda t, m: t ** (m + 1) * math.exp(t) / math.factorial(m + 1)
     for t, m in zip(thetas, degrees):
@@ -249,15 +253,27 @@ def test_exp_pair_non_finite_matrix_stays_local(rng):
     assert np.max(np.abs(E[keep] - _horner18_exp(X[keep]))) < 1e-15
 
 
-def test_pieces_at_the_whole_degree_give_the_whole_exponential(rng):
-    """A stack cut into pieces, each exponentiated at the largest degree of
-    the pieces, gives the bits of the whole stack; each piece at its own
-    degree need not."""
-    X = _algebra_batch(2, rng, np.geomspace(1e-3, 0.5, 6))
-    pieces = (X[:3], X[3:])
-    degree = max(psh.exp_degree(p) for p in pieces)
-    assert degree == psh.exp_degree(X) > psh.exp_degree(pieces[0])
-    whole = psh.exp_pair(X)
-    for got, want in zip(zip(*(psh.exp_pair(p, degree) for p in pieces)), whole):
-        assert np.array_equal(np.concatenate(got), want)
-    assert np.array_equal(np.concatenate([psh.exp(p, degree) for p in pieces]), psh.exp(X))
+def test_each_matrix_is_exponentiated_as_if_alone(rng):
+    """Each matrix takes the Taylor degree of its own norm, so a stack, a
+    matrix alone and a stack cut in two give the same bits."""
+    # scaled norms that take every degree, three that need squaring, a NaN
+    norms = np.concatenate([np.geomspace(1e-12, 0.1, 30), np.linspace(0.1, 1.0, 30),
+                            [3.0, 30.0, 400.0]])
+    X = _algebra_batch(2, rng, norms)
+    X[7, 1, 0] = np.nan
+    scale, s, theta = psh._scaling(X)
+    assert set(psh._exp_degree(theta[np.isfinite(theta)]).tolist()) == set(range(1, 19))
+    assert np.max(s) > 0
+    pair = psh.exp_pair(X)
+    single = psh.exp(X)
+    assert np.all(np.isnan(single[7, :, 0]))
+    for i, x in enumerate(X):
+        for got, want in zip(psh.exp_pair(x), pair):
+            assert np.array_equal(got, want[i], equal_nan=True)
+        assert np.array_equal(psh.exp(x), single[i], equal_nan=True)
+    for cut in range(1, len(X)):
+        pieces = (X[:cut], X[cut:])
+        for got, want in zip(zip(*(psh.exp_pair(p) for p in pieces)), pair):
+            assert np.array_equal(np.concatenate(got), want, equal_nan=True)
+        assert np.array_equal(np.concatenate([psh.exp(p) for p in pieces]), single,
+                              equal_nan=True)

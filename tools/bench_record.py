@@ -15,7 +15,11 @@ with ``--trace 1`` at ``TRACE_SEED``.  The file holds each side's commit
 and its ``env`` line (platform and ``src_sha256``, the digest of the source
 tree that ran), the seeds, every run's end-to-end metrics, their median and
 quartiles per workload and side, the pairs each side wins, and the traced
-per-layer metrics.  Beside the end-to-end metrics it keeps, the same way,
+per-layer metrics.  An end-to-end metric is marked ``unresolved`` where
+the quartile spread of the parent's runs is wider than the metric's
+``BENCHMARK.json`` bound times their median, unless every run of the
+change is better than every run of the parent: such a spread cannot tell
+a change within the bound from none.  Beside the end-to-end metrics it keeps, the same way,
 the lines ``REPORTED`` that run.py prints: the wall-clock rate that
 ``points_per_s`` scales and the host probe time that scales it, so that a
 scaled gain that the probe made, not the program, shows.  Runs are
@@ -38,6 +42,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 BETTER = {m["name"]: m["better"] for m in BENCHMARK["end_to_end"]}
+BOUND = {m["name"]: m["bound"] for m in BENCHMARK["end_to_end"]}
 SECONDS = BENCHMARK["run_seconds"]
 WORKLOADS = [w["name"] for w in BENCHMARK["workloads"]]
 # printed by run.py beside the result line, as "<workload> <name> <value> <unit>"
@@ -107,9 +112,16 @@ def wins(ours, theirs, better):
     return sum((a < b) if better == "lower" else (a > b) for a, b in zip(ours, theirs))
 
 
+def separated(ours, theirs, better):
+    """Whether every run of ``ours`` is strictly better than every run of
+    ``theirs``."""
+    return max(ours) < min(theirs) if better == "lower" else min(ours) > max(theirs)
+
+
 def summarise(runs, metrics=BETTER, key="metrics"):
     """Median, quartiles and pair wins per side of each metric of
-    ``metrics`` (name: better), read from each run's ``key``."""
+    ``metrics`` (name: better), read from each run's ``key``; a metric with
+    a ``BOUND`` also says whether it is ``unresolved``."""
     out = {}
     for metric, better in metrics.items():
         sides = {side: [r[key][metric]["value"] for r in runs[side]]
@@ -122,6 +134,9 @@ def summarise(runs, metrics=BETTER, key="metrics"):
                      median_gap=abs(c["median"] - p["median"]),
                      parent_iqr=p["q3"] - p["q1"],
                      median_ratio=c["median"] / p["median"])
+        if metric in BOUND:
+            entry["unresolved"] = (entry["parent_iqr"] > BOUND[metric] * abs(p["median"])
+                                   and not separated(change, parent, better))
         out[metric] = entry
     return out
 
