@@ -309,7 +309,10 @@ def _magnus_steps(line, h, substeps, stencil):
            + (np.arange(substeps)[:, None] + nodes) / substeps)
     w = _interpolate(line, pos.ravel(), stencil).reshape(pos.shape + line.shape[1:])
     A1, A2 = w[:, :, 0], w[:, :, 1]
-    E = psh.exp(hh / 2 * (A1 + A2) + np.sqrt(3.0) / 12 * hh ** 2 * (A1 @ A2 - A2 @ A1))
+    X = hh / 2 * (A1 + A2) + np.sqrt(3.0) / 12 * hh ** 2 * (A1 @ A2 - A2 @ A1)
+    # the samples need not outlive the exponential's temporaries
+    del w, A1, A2
+    E = psh.exp(X)
     step = E[:, 0]
     for j in range(1, substeps):
         step = step @ E[:, j]

@@ -261,7 +261,7 @@ def test_each_matrix_is_exponentiated_as_if_alone(rng):
                             [3.0, 30.0, 400.0]])
     X = _algebra_batch(2, rng, norms)
     X[7, 1, 0] = np.nan
-    scale, s, theta = psh._scaling(X)
+    _, s, theta = psh._scaling(X)
     assert set(psh._exp_degree(theta[np.isfinite(theta)]).tolist()) == set(range(1, 19))
     assert np.max(s) > 0
     pair = psh.exp_pair(X)
