@@ -19,11 +19,11 @@ per-layer metrics.  An end-to-end metric is marked ``unresolved`` where
 the quartile spread of the parent's runs is wider than the metric's
 ``BENCHMARK.json`` bound times their median, unless every run of the
 change is better than every run of the parent: such a spread cannot tell
-a change within the bound from none.  Beside the end-to-end metrics it keeps, the same way,
-the lines ``REPORTED`` that run.py prints: the wall-clock rate that
-``points_per_s`` scales and the host probe time that scales it, so that a
-scaled gain that the probe made, not the program, shows.  Runs are
-sequential: run nothing else meanwhile.
+a change within the bound from none.  Beside the end-to-end metrics it
+keeps, the same way, the lines ``REPORTED`` that run.py prints: the
+wall-clock rate that ``points_per_s`` scales and the host probe time that
+scales it, so that a scaled gain that the probe made, not the program,
+shows.  Runs are sequential: run nothing else meanwhile.
 """
 
 from __future__ import annotations
