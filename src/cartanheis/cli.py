@@ -224,13 +224,16 @@ class _Keep:
     """What check, reconstruct and roundtrip keep of each block's Analysis,
     as a sweep's ``visit``; it pickles, so it runs on the sweep's workers.
 
-    Points: ``frames``, the moving-frame matrices (D, D, points), and for
-    reconstruct and roundtrip ``eta``, the slot values (d, D, D, points) of
-    the form assembled from intrinsic data.  Values: ``corner``, the frame
-    at the base corner (block 0 alone); for check in the nu gauge of a
-    completely non-vertical hypersurface the maxima ``link`` and
-    ``theta_nn`` of the two gauge identities; for reconstruct and roundtrip
-    the maxima of the assembly's defects (``reconstruct.intrinsic_defects``).
+    Points: ``frames``, the moving-frame matrices (D, D, points), and the
+    slot values (d, D, D, points) of the one-form that the holonomy verdict
+    reads: for check ``slots``, the Maurer-Cartan form's, which an FD
+    sweep's structure residual reads too; for reconstruct and roundtrip
+    ``eta``, those of the form assembled from intrinsic data.  Values:
+    ``corner``, the frame at the base corner (block 0 alone); for check in
+    the nu gauge of a completely non-vertical hypersurface the maxima
+    ``link`` and ``theta_nn`` of the two gauge identities; for reconstruct
+    and roundtrip the maxima of the assembly's defects
+    (``reconstruct.intrinsic_defects``).
     """
 
     def __init__(self, check, tol_class):
@@ -247,9 +250,11 @@ class _Keep:
             values.update(reconstruct.intrinsic_defects(data))   # gated after the merge
             points["eta"] = reconstruct.eta_from_intrinsic(data).slots.reshape(
                 an.d, D, D, -1)
-        elif (an.ff.plan.verticality(self.tol_class).kind
-              == rigidity.COMPLETELY_NON_VERTICAL and an.codim == 1
-              and an.ff.policy == "nu"):
+            return points, values
+        points["slots"] = an.mc.values.reshape(an.d, D, D, -1)
+        if (an.ff.plan.verticality(self.tol_class).kind
+                == rigidity.COMPLETELY_NON_VERTICAL and an.codim == 1
+                and an.ff.policy == "nu"):
             values.update(link=an.h_torsion_link_residual(),
                           theta_nn=an.theta_nn_residual())
         return points, values
@@ -259,25 +264,23 @@ def _reconstruction_sweep(imm, grid, args, tols):
     """The summary of ``imm`` over ``grid`` and the order-0 arrays that
     check, reconstruct and roundtrip read, from one blocked sweep.
 
-    Returns the summary, which for check keeps the Maurer-Cartan slot
-    values, and a dict of what ``_Keep`` kept, over the grid: ``frames``
-    (D, D, *grid), ``corner`` as a group element, the maxima, and for
-    reconstruct and roundtrip ``eta`` (d, D, D, *grid), which the summary
-    no longer holds.  The gates of that assembly
+    Returns the summary and a dict of what ``_Keep`` kept, over the grid:
+    ``frames`` (D, D, *grid), ``slots`` or ``eta`` (d, D, D, *grid),
+    ``corner`` as a group element and the maxima; the summary no longer
+    holds the arrays.  The gates of that assembly
     (``reconstruct.check_intrinsic_defects``) judge the whole grid's
     maxima after the sweep, so the error they raise does not depend on the
     blocks.
     """
     check = args.command == "check"
     summary = invariants.sweep(imm, grid, policy=args.policy, mode=args.mode,
-                               tol_class=tols["class"], keep_slots=check,
-                               visit=_Keep(check, tols["class"]))
+                               tol_class=tols["class"], visit=_Keep(check, tols["class"]))
     if not check:
         reconstruct.check_intrinsic_defects(summary.visited)
     kept = dict(summary.visited, corner=psh.PSHElement(imm.n, summary.visited["corner"]))
-    for key, arr in summary.kept.items():
-        kept[key] = arr.reshape(arr.shape[:-1] + grid.shape)
-    summary.kept.clear()
+    for key in [key for key in summary.fields if key not in invariants.FIELDS]:
+        kept[key] = summary.field(key)
+        del summary.fields[key]
     return summary, kept
 
 
@@ -314,7 +317,7 @@ def _dispatch(args):
                                 tol_class=tols["class"], residuals=False)
 
     if args.command == "check":
-        _integrability(rpt, n, grid, summary.slot_values(), tols["holonomy"])
+        _integrability(rpt, n, grid, kept.pop("slots"), tols["holonomy"])
         if "link" in kept:
             rpt["verdicts"]["h_torsion_link"] = kept["link"] <= tols["link"]
             rpt["verdicts"]["theta_nn"] = kept["theta_nn"] <= tols["theta_nn"]

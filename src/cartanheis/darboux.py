@@ -117,8 +117,14 @@ class ChartGrid:
 
     def blocks(self, count):
         """``count`` near-equal contiguous ranges of the C-order flat index."""
-        bounds = [k * self.npoints // count for k in range(count + 1)]
-        return [GridBlock(self, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+        return [GridBlock(self, lo, hi) for lo, hi in partition(self.npoints, count)]
+
+
+def partition(size, count):
+    """``count`` near-equal contiguous ranges (lo, hi) that cover range(size):
+    the sweep's blocks, the holonomy's slabs and the Magnus sweep's chunks."""
+    bounds = [k * size // count for k in range(count + 1)]
+    return list(zip(bounds, bounds[1:]))
 
 
 class GridBlock:

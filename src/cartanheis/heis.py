@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DimensionMismatch
 
-__all__ = ["HPoint", "origin", "group_mul", "group_inv", "frame_t_component",
+__all__ = ["HPoint", "origin", "group_inv", "frame_t_component",
            "coord_t_component", "standard_j_block"]
 
 
@@ -82,13 +82,6 @@ class HPoint:
 
 def origin(n: int) -> HPoint:
     return HPoint(n, np.zeros(n), np.zeros(n), 0.0)
-
-
-def group_mul(p: HPoint, q: HPoint) -> HPoint:
-    if p.n != q.n:
-        raise DimensionMismatch(f"cannot multiply points of H_{p.n} and H_{q.n}")
-    t = p.t + q.t + float(p.y @ q.x - p.x @ q.y)
-    return HPoint(p.n, p.x + q.x, p.y + q.y, t)
 
 
 def group_inv(p: HPoint) -> HPoint:

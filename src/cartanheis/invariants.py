@@ -45,7 +45,7 @@ BLOCK_POINTS = 2401
 
 # jet numbers, points x s(n, m) of `_size`, that a block must hold for the
 # sweep to run its blocks on the process's pool of forked workers
-# (`_pooled`): smaller blocks run one after another in the calling process.
+# (`_run_blocks`): smaller blocks run one after another in the calling process.
 # Sweep time in-process against the kept pool of two workers, forked by an
 # earlier sweep, on the blocks of `_schedule`: medians of 9 or 11
 # interleaved in-process runs (two figures: two such runs) on a 2-vCPU host
@@ -710,31 +710,28 @@ def fold_max(maxima, key, value):
     maxima[key] = float(np.maximum(maxima.get(key, value), value))
 
 
-
-
 class Summary:
-    """What a report keeps of one surface: order-0 fields and residual maxima.
+    """What a report keeps of one surface: per-point arrays and residual maxima.
 
-    ``fields`` holds |nu|, |II|^2, |A|^2 and the Webster curvature R at every
-    grid point (C order), and ``table`` the report's tables (the norms as
-    square roots); ``residuals`` the largest structure, restriction (incon2)
-    and, by ``kind``, Gauss or torsion-curvature residuals.  ``kind`` is the
-    verticality class of the planned |nu| at the report's tolerance.  An
-    ``Analysis`` of a block or of the whole grid is added by ``fold``; its jet
-    fields are not kept.  With ``keep_slots`` the Maurer-Cartan slot values
-    of every point are kept too (``slot_values``).  ``kept`` and ``visited``
-    hold what a sweep's ``visit`` returns: arrays over every grid point, and
-    maxima (or, where ``visit`` returns an array, its first one).
+    ``fields`` maps names to arrays over every grid point (C order, along
+    the last axis): |nu|, |II|^2, |A|^2 and the Webster curvature R
+    (``FIELDS``), the Maurer-Cartan slot values (d, D, D, points) as
+    ``slots`` where an FD structure residual needs them, and the arrays
+    that a sweep's ``visit`` returns.  ``table`` gives the report's tables
+    (the norms as square roots); ``residuals`` the largest structure,
+    restriction (incon2) and, by ``kind``, Gauss or torsion-curvature
+    residuals.  ``kind`` is the verticality class of the planned |nu| at
+    the report's tolerance.  An ``Analysis`` of a block or of the whole grid
+    is added by ``fold``; its jet fields are not kept.  ``visited`` holds
+    the maxima that ``visit`` returns (or, where it returns an array there,
+    its first one).
     """
 
-    def __init__(self, plan, grid, tol_class=TOL_CLASS, keep_slots=False):
+    def __init__(self, plan, grid, tol_class=TOL_CLASS):
         self.plan, self.grid = plan, grid
         self.shape = grid.shape
         self.kind = plan.verticality(tol_class).kind
-        self.fields = {key: np.empty(grid.npoints) for key in FIELDS}
-        self.residuals, self.visited, self.kept = {}, {}, {}
-        self.keep_slots = keep_slots
-        self.slots = None
+        self.fields, self.residuals, self.visited = {}, {}, {}
 
     def fold(self, an, start=0, residuals=True):
         """Add the Analysis of the points ``start:`` of the grid (C order).
@@ -744,25 +741,18 @@ class Summary:
         blocks: its slot values are kept, and ``close`` evaluates it over
         the grid.
         """
-        return self.take((start, *_outputs(an, self.kind, residuals, self.keep_slots), None))
+        return self.take((start, *_outputs(an, self.kind, residuals), {}))
 
     def take(self, out):
         """Write the outputs of one block (``_block``) at its points and merge
         its maxima: in the calling process, in block order."""
-        start, fields, slots, res, visited = out
-        part = slice(start, start + len(fields[0]))
-        for key, arr in zip(FIELDS, fields):
-            self.fields[key][part] = arr
-        if slots is not None:
-            if self.slots is None:
-                self.slots = np.empty(slots.shape[:-1] + (self.grid.npoints,))
-            self.slots[..., part] = slots
-        points, values = visited or ({}, {})
+        start, points, res, visited = out
+        part = slice(start, start + len(points["nu"]))
         for key, arr in points.items():
-            if key not in self.kept:
-                self.kept[key] = np.empty(arr.shape[:-1] + (self.grid.npoints,))
-            self.kept[key][..., part] = arr
-        return self.merge(res, values)
+            if key not in self.fields:
+                self.fields[key] = np.empty(arr.shape[:-1] + (self.grid.npoints,))
+            self.fields[key][..., part] = arr
+        return self.merge(res, visited)
 
     def merge(self, res, visited=None):
         """Fold one block's residuals, and the values that ``visit`` returned
@@ -779,36 +769,33 @@ class Summary:
 
     def close(self):
         """After the last block: the structure residual of FD blocks, by
-        central differences over the kept slot values of the whole grid."""
-        if self.slots is not None and "structure" not in self.residuals:
+        central differences over the slot values of the whole grid."""
+        if "slots" in self.fields and "structure" not in self.residuals:
             fold_max(self.residuals, "structure",
-                     grid_structure_residual(self.slot_values(), self.grid))
+                     grid_structure_residual(self.field("slots"), self.grid))
         return self
 
-    def slot_values(self):
-        """The kept Maurer-Cartan slot values, (d, D, D, *grid)."""
-        return self.slots.reshape(self.slots.shape[:3] + self.shape)
-
     def field(self, key):
-        return self.fields[key].reshape(self.shape)
+        """``fields[key]`` with its points along the grid's axes."""
+        arr = self.fields[key]
+        return arr.reshape(arr.shape[:-1] + self.shape)
 
     def table(self, key):
         return self.field(key) if key in self.fields else np.sqrt(self.field(key + "2"))
 
 
-def _outputs(an, kind, residuals, keep_slots):
-    """What a summary keeps of ``an``: its four fields and, with
-    ``residuals``, its Maurer-Cartan slot values (d, D, D, points) where they
-    are kept (``keep_slots``, or an FD analysis) and its residuals."""
-    fields = [arr.reshape(-1) for arr in (an.ff.nu_norm, an.II_norm2, an.torsion_norm2,
-                                          an.curvature["scalar"])]
+def _outputs(an, kind, residuals):
+    """What a summary keeps of ``an``: its per-point arrays, the four fields
+    and, with ``residuals``, the Maurer-Cartan slot values (d, D, D, points)
+    of an FD analysis, and its residuals."""
+    points = {key: arr.reshape(-1) for key, arr in zip(FIELDS, (
+        an.ff.nu_norm, an.II_norm2, an.torsion_norm2, an.curvature["scalar"]))}
     if not residuals:
-        return fields, None, {}
+        return points, {}
     exact = an.mc.mode == "ad"
-    slots = None
-    if keep_slots or not exact:
+    if not exact:
         w = an.mc.values
-        slots = w.reshape(w.shape[:3] + (-1,))
+        points["slots"] = w.reshape(w.shape[:3] + (-1,))
     res = {"incon2": an.restriction_residuals()["max"]}
     if exact:
         res["structure"] = an.mc.structure_residual()
@@ -817,11 +804,11 @@ def _outputs(an, kind, residuals, keep_slots):
     if kind == COMPLETELY_NON_VERTICAL and an.codim == 1:
         res["nver15"] = an.cnv_curvature_residual()
         res["nver28"] = an.scalar_torsion_residual()
-    return fields, slots, res
+    return points, res
 
 
 def sweep(imm, grid, policy="canonical", mode="ad", tol_class=TOL_CLASS,
-          residuals=True, keep_slots=False, visit=None) -> Summary:
+          residuals=True, visit=None) -> Summary:
     """The report summary of ``imm`` over ``grid``, in blocks of points.
 
     Every invariant in the summary is pointwise, so after one ``FramePlan``
@@ -829,40 +816,38 @@ def sweep(imm, grid, policy="canonical", mode="ad", tol_class=TOL_CLASS,
     blocks (``_schedule``), and each runs the frame, Maurer-Cartan and
     invariant pipeline alone, following the plan; peak memory then follows
     the block, not the grid, and the fields and residuals are those of the
-    whole-grid build.  Blocks run one after another, or on the process's
-    pool of forked workers where ``_schedule`` says they pay (``_pooled``);
-    either way their outputs are written and their maxima merged in block
-    order, and the first failing block raises its error.  ``residuals`` and
-    ``keep_slots`` go to ``Summary``.  ``visit(block, an)``, if given, reads
-    what else a caller keeps of each block's Analysis, possibly in a worker,
-    so it must pickle: it returns None or a pair (points, values), where
-    ``points`` maps names to arrays whose last axis runs over the block's
-    points, gathered into ``Summary.kept`` over the grid's points, and
-    ``values`` maps names to maxima (or arrays), folded into
-    ``Summary.visited``.  In FD mode the structure residual needs
-    neighbours across blocks, so it runs after the sweep on the whole
-    grid's slot values.
+    whole-grid build.  Blocks run in the calling process, or on the
+    process's pool of forked workers where ``_schedule`` says they pay
+    (``_run_blocks``); either way their outputs are written and their
+    maxima merged in block order, and the first failing block raises its
+    error.  ``residuals`` goes to ``_outputs``.  ``visit(block, an)``, if
+    given, reads what else a caller keeps of each block's Analysis,
+    possibly in a worker, so it must pickle: it returns a pair (points,
+    values), where ``points`` maps names to arrays whose last axis runs over
+    the block's points, gathered into ``Summary.fields`` with the sweep's
+    own (where both give a name, ``visit``'s array is kept), and ``values``
+    maps names to maxima (or arrays), folded into ``Summary.visited``.  In
+    FD mode the structure residual needs neighbours across blocks, so it
+    runs after the sweep on the whole grid's slot values.
     """
     plan = plan_frame(imm, grid, policy=policy, mode=mode)
-    summary = Summary(plan, grid, tol_class, keep_slots or (residuals and mode == "fd"))
+    summary = Summary(plan, grid, tol_class)
     count, workers = _schedule(grid.npoints, imm.n, imm.m)
-    task = (imm, plan, mode, summary.kind, residuals, summary.keep_slots, visit)
-    blocks = grid.blocks(count)
-    if workers == 1:
-        for block in blocks:
-            summary.take(_block(task, block))
-    else:
-        _pooled(task, blocks, workers, summary.take)
+    task = (imm, plan, mode, summary.kind, residuals, visit)
+    _run_blocks(task, grid.blocks(count), workers, summary.take)
     return summary.close()
 
 
 def _block(task, block):
-    """The outputs of ``block`` in a sweep's ``task``: its first point,
-    ``_outputs`` of its Analysis, and what ``visit`` returns of it."""
-    imm, plan, mode, kind, residuals, keep_slots, visit = task
+    """The outputs of ``block`` in a sweep's ``task``: its first point, its
+    per-point arrays by name (``_outputs`` of its Analysis, then the points
+    that ``visit`` returns), its residuals and the values that ``visit``
+    returns."""
+    imm, plan, mode, kind, residuals, visit = task
     an = Analysis(darboux_frame(imm, block, policy=plan.policy, mode=mode, plan=plan))
-    return (block.start, *_outputs(an, kind, residuals, keep_slots),
-            None if visit is None else visit(block, an))
+    points, res = _outputs(an, kind, residuals)
+    kept, values = ({}, {}) if visit is None else visit(block, an)
+    return block.start, {**points, **kept}, res, values
 
 
 # the sweep pool of this process, made by the first sweep that pools
@@ -914,42 +899,43 @@ def _pool_worker(stop):
     _STOP = stop
 
 
-def _pooled(task, blocks, workers, take):
-    """``take(_block(task, block))`` of every block: ``_block`` on the
-    process's pool of ``workers``, ``take`` here, in block order.
+def _run_blocks(task, blocks, workers, take):
+    """``take(_block(task, block))`` of every block, in block order: with
+    ``workers`` > 1 ``_block`` runs on the process's pool of that many
+    workers, and ``take`` here.
 
     The task is pickled once and goes to the workers with this process's
     floating-point error settings, and every output comes back pickled; a
-    task too deep to pickle runs its blocks here.  A block that
-    raises or warns in a worker returns nothing, and this process runs it
-    again in its turn, so errors, tracebacks and warnings are those of the
-    sequential sweep; every block of a broken pool (a worker killed) runs
-    here the same way, and the next pooled sweep makes a new pool.  Once a
-    block fails, or this process stops taking outputs, no worker starts a
-    block of the sweep.  Workers ignore SIGINT: an interrupt reaches this
-    process, which then waits for the blocks in flight.  Every block
-    submitted has finished or been cancelled before this returns or raises.
+    task too deep to pickle runs its blocks here, as one worker does.  A
+    block that raises or warns in a worker returns nothing, and this
+    process runs it again in its turn, so errors, tracebacks and warnings
+    are those of the sequential sweep; every block of a broken pool (a
+    worker killed) runs here the same way, and the next pooled sweep makes
+    a new pool.  Once a block fails, or this process stops taking outputs,
+    no worker starts a block of the sweep.  Workers ignore SIGINT: an
+    interrupt reaches this process, which then waits for the blocks in
+    flight.  Every block submitted has finished or been cancelled before
+    this returns or raises.
     """
-    from concurrent.futures import wait
-    from concurrent.futures.process import BrokenProcessPool
-
     global _SWEEPS
     try:
-        payload = pickle.dumps(task)
+        payload = pickle.dumps(task) if workers > 1 else None
     except RecursionError:      # an expression too deep to pickle: the blocks run here
-        for block in blocks:
-            take(_block(task, block))
-        return
-    pool, stop = _pool(workers)
-    _SWEEPS += 1
-    number, errors = _SWEEPS, np.geterr()
+        payload = None
     futures, broken = [], False
+    if payload is not None:
+        from concurrent.futures import wait
+        from concurrent.futures.process import BrokenProcessPool
+        pool, stop = _pool(workers)
+        _SWEEPS += 1
+        number, errors = _SWEEPS, np.geterr()
     try:
-        try:
-            for block in blocks:
-                futures.append(pool.submit(_pooled_block, number, payload, errors, block))
-        except BrokenProcessPool:
-            broken = True
+        if payload is not None:
+            try:
+                for block in blocks:
+                    futures.append(pool.submit(_pooled_block, number, payload, errors, block))
+            except BrokenProcessPool:
+                broken = True
         for k, block in enumerate(blocks):
             out = None
             if k < len(futures):
@@ -960,13 +946,14 @@ def _pooled(task, blocks, workers, take):
                 futures[k] = None       # a done future holds the block's outputs
             take(_block(task, block) if out is None else out)
     finally:
-        stop.value = number
-        futures = [future for future in futures if future is not None]
-        for future in futures:
-            future.cancel()
-        wait(futures)
-        if broken:
-            _close_pool()
+        if payload is not None:
+            stop.value = number
+            futures = [future for future in futures if future is not None]
+            for future in futures:
+                future.cancel()
+            wait(futures)
+            if broken:
+                _close_pool()
 
 
 def _pooled_block(number, payload, errors, block):

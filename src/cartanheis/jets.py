@@ -216,14 +216,6 @@ class Jet:
         # the degree-one monomials follow the constant, in variable order
         return self.c[1:1 + self.ctx.nvars]
 
-    def second(self, i, j):
-        """Second partial derivative d2/du_i du_j (not the Taylor coefficient)."""
-        alpha = [0] * self.ctx.nvars
-        alpha[i] += 1
-        alpha[j] += 1
-        mult = 2.0 if i == j else 1.0
-        return mult * self.c[self.ctx.index[tuple(alpha)]]
-
     def deriv(self, v: int) -> "Jet":
         """Partial derivative as a jet of one order lower."""
         return self._partials([v], ())

@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from . import invariants, jets, psh
-from .darboux import ChartGrid, MCForm
+from .darboux import ChartGrid, MCForm, partition
 from .errors import (DimensionMismatch, IntegrabilityFailure,
                      ProjectionDrift)
 
@@ -84,19 +84,14 @@ def _interpolate(line, s, stencil=4):
 # holonomy
 # ---------------------------------------------------------------------------
 
-def _slab_points(eta: EtaForm):
-    """Grid points per slab of the holonomy verdict and per chunk of lines
-    of the Magnus sweep: the invariant sweep's block budget at the form's
-    (n, m)."""
-    return invariants._block_points(eta.n, (eta.d - 1) // 2)
-
-
-def _ranges(count, size):
-    """Near-equal contiguous ranges (lo, hi) that cover range(count), each
-    at most ``size`` long."""
-    k = -(-count // size)
-    cuts = [count * i // k for i in range(k + 1)]
-    return list(zip(cuts[:-1], cuts[1:]))
+def _slabs(eta: EtaForm, count, unit):
+    """Near-equal ranges (lo, hi) of ``count`` node layers or lines of
+    ``unit`` points each: the slabs of the holonomy verdict and the chunks
+    of the Magnus sweep.  Each holds at most the invariant sweep's block
+    budget at the form's (n, m) (``invariants._block_points``) and at least
+    one layer or line."""
+    size = max(1, invariants._block_points(eta.n, (eta.d - 1) // 2) // unit)
+    return partition(count, -(-count // size))
 
 
 def _half_exponents(eta: EtaForm, axis: int, substeps, lo, hi):
@@ -157,13 +152,13 @@ def holonomy_residual(eta: EtaForm, substeps=1) -> dict:
     integrability threshold.  A non-finite or overflowing loop makes both
     maxima non-finite, without a warning.
 
-    The edges are built in slabs of node layers along axis 0, each of about
-    ``_slab_points`` points, so no propagator stack covers the grid.  A
-    slab takes the exponentials of every axis over its own layers once,
-    and keeps the half steps along axis 0 and the edges of its last layer
-    for the next slab's plaquettes across the cut.  An exponential does
-    not depend on the stack it is taken in (``psh._taylor_parts``), so the
-    defects are those of a single slab, bit for bit.
+    The edges are built in slabs of node layers along axis 0 (``_slabs``),
+    so no propagator stack covers the grid.  A slab takes the exponentials
+    of every axis over its own layers once, and keeps the half steps along
+    axis 0 and the edges of its last layer for the next slab's plaquettes
+    across the cut.  An exponential does not depend on the stack it is
+    taken in (``psh._taylor_parts``), so the defects are those of a single
+    slab, bit for bit.
     """
     eta.validate_shapes()
     g = eta.grid
@@ -173,7 +168,7 @@ def holonomy_residual(eta: EtaForm, substeps=1) -> dict:
     fields = {(p, q): np.empty(tuple(k - (a in (p, q)) for a, k in enumerate(g.shape)))
               for p, q in pairs}
     eye = np.eye(2 * eta.n + 2)
-    slabs = _ranges(g.shape[0], max(1, _slab_points(eta) // math.prod(g.shape[1:])))
+    slabs = _slabs(eta, g.shape[0], math.prod(g.shape[1:]))
 
     def cut(arr, axis, lo=None, hi=None):
         sl = [slice(None)] * d
@@ -333,13 +328,12 @@ def integrate_frame(eta: EtaForm, basepoint_frame: psh.PSHElement, substeps=1,
     by one group exponential, so for an algebra-valued eta the frames stay
     in the group up to rounding.  The lines of a slab are independent once
     their start frames are known, so their steps are taken in chunks of
-    lines by their index on the first axis, each of about ``_slab_points``
-    points; an exponential does not depend on its stack, so the frames are
-    those of one chunk, bit for bit.  The group-membership residual of all
-    swept frames is reported as ``drift`` and must stay under
-    ``DRIFT_TOL``; a form that is not algebra-valued fails there, and a
-    step that overflows fails the same way, at the first overflowing step
-    of its axis.
+    lines by their index on the first axis (``_slabs``); an exponential
+    does not depend on its stack, so the frames are those of one chunk, bit
+    for bit.  The group-membership residual of all swept frames is reported
+    as ``drift`` and must stay under ``DRIFT_TOL``; a form that is not
+    algebra-valued fails there, and a step that overflows fails the same
+    way, at the first overflowing step of its axis.
     """
     eta.validate_shapes()
     if check_integrability:
@@ -364,7 +358,7 @@ def integrate_frame(eta: EtaForm, basepoint_frame: psh.PSHElement, substeps=1,
         # chunks of lines by their index on axis 0 (the leading axes' first)
         row = N * math.prod(g.shape[1:ax])
         chunks = [()] if ax == 0 else [(slice(lo, hi),) for lo, hi in
-                                       _ranges(g.shape[0], max(1, _slab_points(eta) // row))]
+                                       _slabs(eta, g.shape[0], row)]
         overflow = N
         for c in chunks:
             step = _magnus_steps(line[(slice(None),) + c], h, substeps, stencil)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from cartanheis import cli, dsl, errors, psh, report
+from conftest import coordinate_slice_plane
 
 CORPUS = os.path.join(os.path.dirname(__file__), "corpus")
 
@@ -52,7 +53,7 @@ def test_unknown_builtin_exit_two(capsys):
 
 def test_singular_surface_exit_two(tmp_path, capsys):
     srf = tmp_path / "slice.srf"
-    srf.write_text(dsl.pretty_print(dsl.coordinate_slice_plane()))
+    srf.write_text(dsl.pretty_print(coordinate_slice_plane()))
     assert run_cli("invariants", "--surface", str(srf), "--grid", "5") == 2
 
 

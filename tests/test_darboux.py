@@ -7,7 +7,7 @@ import pytest
 from cartanheis import darboux, dsl, heis, invariants, jets, psh
 from cartanheis.jets import Jet
 from cartanheis.errors import NotCRInvariant, SingularPoint
-from conftest import analysis_for
+from conftest import analysis_for, coordinate_slice_plane
 
 
 def test_contact_intersection_heis_sub():
@@ -29,7 +29,7 @@ def test_contact_intersection_sphere_j_invariant():
 
 
 def test_slice_plane_failures():
-    imm = dsl.coordinate_slice_plane()
+    imm = coordinate_slice_plane()
     with pytest.raises(SingularPoint):
         darboux.contact_intersection(imm, [0.0, 0.0, 0.3])
     with pytest.raises(NotCRInvariant):

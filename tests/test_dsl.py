@@ -6,6 +6,7 @@ import pytest
 from cartanheis import dsl
 from cartanheis.errors import (DomainError, DslDimensionMismatch, DslSyntaxError,
                                NotImmersed, UndeclaredParameter, UnknownBuiltin)
+from conftest import second
 
 PLANE = """\
 surface plane {
@@ -85,7 +86,7 @@ def test_ad_jets_match_fd_jets():
         assert np.allclose(jA[c].gradient(), jF[c].gradient(), atol=1e-7)
         for i in range(3):
             for k in range(3):
-                assert np.allclose(jA[c].second(i, k), jF[c].second(i, k),
+                assert np.allclose(second(jA[c], i, k), second(jF[c], i, k),
                                    atol=1e-4)
     # Richardson first derivatives: O(step^4), so 1e-9 at steps of 1e-3
     sphere = dsl.parse_surface_spec("builtin:sphere(2,1)")

@@ -16,8 +16,9 @@ def test_frame_to_matrix_is_left_translation(rng):
     g = psh.frame_to_matrix(p, np.eye(5))
     for _ in range(5):
         q = heis.HPoint(2, rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2), -0.2)
-        assert np.allclose(psh.apply(g, q).coords, heis.group_mul(p, q).coords,
-                           atol=1e-14)
+        # the group law p q = (x + x', y + y', t + t' + y.x' - x.y')
+        pq = heis.HPoint(2, p.x + q.x, p.y + q.y, p.t + q.t + p.y @ q.x - p.x @ q.y)
+        assert np.allclose(psh.apply(g, q).coords, pq.coords, atol=1e-14)
 
 
 def test_rotation_about_t_fixes_origin(rng):

@@ -3,7 +3,7 @@ import pytest
 
 from cartanheis import darboux, dsl, heis, invariants, psh, rigidity
 from cartanheis.errors import NotFlat, NotTorsionFree, WrongClass
-from conftest import analysis_for
+from conftest import analysis_for, mixed_verticality_example
 
 
 def test_classify_three_ways(heis_sub12, sphere2_nu, ellipsoid_nu):
@@ -16,7 +16,7 @@ def test_classify_three_ways(heis_sub12, sphere2_nu, ellipsoid_nu):
 
 
 def test_classify_mixed():
-    imm = dsl.mixed_verticality_example()
+    imm = mixed_verticality_example()
     grid = darboux.ChartGrid(imm.chart, 7)
     ff = darboux.darboux_frame(imm, grid)
     assert rigidity.classify(ff.nu_norm).kind == "Mixed"

@@ -20,6 +20,7 @@ import pytest
 
 from cartanheis import cli, darboux, dsl, invariants, jets, reconstruct
 from cartanheis.errors import DimensionMismatch
+from conftest import coordinate_slice_plane
 
 CORPUS = os.path.join(os.path.dirname(__file__), "corpus")
 SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
@@ -132,7 +133,7 @@ def test_blocked_report_is_the_whole_grid_report(spec, grid, blocks, policies,
 @pytest.mark.parametrize("spec, grid, block", [("ellipsoid(2,1,1.3)", "7", 100),
                                                ("sphere(3,1)", "3", 122)])
 def test_blocked_fd_report_is_the_whole_grid_report(spec, grid, block, monkeypatch):
-    # check reads the same kept slot values for its holonomy verdict
+    # check reads the same gathered slot values for its holonomy verdict
     for command in ("invariants", "check"):
         argv = [command, "--surface", f"builtin:{spec}", "--grid", grid,
                 "--mode", "fd", "--format", "structured"]
@@ -523,25 +524,25 @@ def test_the_blocks_of_a_killed_worker_run_here(monkeypatch):
 
 
 def _corner_and_link(block, an):
-    """A sweep's ``visit``: the frames of the block's points, the frame at
-    the grid's first point, and two maxima."""
-    frames = an.ff.matrix_values()
+    """A sweep's ``visit``: the frames and the Maurer-Cartan slot values of
+    the block's points, the frame at the grid's first point, and two
+    maxima."""
+    frames, slots = an.ff.matrix_values(), an.mc.values
     values = {"link": an.h_torsion_link_residual(), "start": -block.start}
     if block.start == 0:
         values["corner"] = frames[..., 0]
-    return {"frames": frames}, values
+    return {"frames": frames, "slots": slots.reshape(slots.shape[:3] + (-1,))}, values
 
 
 def test_many_processes_give_the_sequential_summary(monkeypatch):
     """More processes than CPUs and jet tables built from empty caches: the
-    fields, kept slot values and maxima of the blocks, ``visit``'s included,
-    are those of one process, and so are the arrays that ``visit`` keeps."""
+    gathered arrays (fields, frames and slot values) and the maxima of the
+    blocks, ``visit``'s included, are those of one process."""
     imm = dsl.builtin("ellipsoid", 2, 1.0, 1.3)
     grid = darboux.ChartGrid(imm.chart, 7)
 
     def swept():
-        s = invariants.sweep(imm, grid, policy="nu", keep_slots=True,
-                             visit=_corner_and_link)
+        s = invariants.sweep(imm, grid, policy="nu", visit=_corner_and_link)
         return s, s.visited.pop("corner")
 
     one, corner = swept()
@@ -551,10 +552,10 @@ def test_many_processes_give_the_sequential_summary(monkeypatch):
     many, many_corner = swept()
     assert (one.residuals, one.visited) == (many.residuals, many.visited)
     assert many.visited["start"] == 0
-    assert np.array_equal(one.slots, many.slots) and np.array_equal(corner, many_corner)
-    assert np.array_equal(one.kept["frames"], many.kept["frames"])
-    assert np.array_equal(corner, one.kept["frames"][..., 0]) and np.any(corner != 0)
-    for key in invariants.FIELDS:
+    assert np.array_equal(corner, many_corner)
+    assert np.array_equal(corner, one.fields["frames"][..., 0]) and np.any(corner != 0)
+    assert list(one.fields) == list(many.fields) == [*invariants.FIELDS, "frames", "slots"]
+    for key in one.fields:
         assert np.array_equal(one.fields[key], many.fields[key]), key
 
 
@@ -669,7 +670,7 @@ def test_an_immersion_too_deep_to_pickle_sweeps_here(tmp_path, monkeypatch):
 
 def test_bad_inputs_give_the_errors_of_one_block(tmp_path, monkeypatch):
     slice_plane = tmp_path / "slice.srf"
-    slice_plane.write_text(dsl.pretty_print(dsl.coordinate_slice_plane()))
+    slice_plane.write_text(dsl.pretty_print(coordinate_slice_plane()))
     with open(os.path.join(CORPUS, "manifest.json")) as f:
         manifest = json.load(f)
     surfaces = [os.path.join(CORPUS, f"{name}.srf") for name in manifest["invalid"]]
