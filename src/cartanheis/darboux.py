@@ -64,8 +64,14 @@ class VerticalityClass:
 
 
 def classify(nu_norm, tol=TOL_CLASS) -> VerticalityClass:
-    """Vertical / completely non-vertical / mixed, from the |nu| field."""
+    """Vertical / completely non-vertical / mixed, from the |nu| field.
+
+    A non-finite |nu| is a DomainError at its first index: no class holds it.
+    """
     nu = np.asarray(nu_norm, dtype=float)
+    bad = ~np.isfinite(nu)
+    if bad.any():
+        raise DomainError.where("|nu| not finite", bad)
     lo, hi = float(np.min(nu)), float(np.max(nu))
     if hi < tol:
         kind = VERTICAL

@@ -693,7 +693,23 @@ def parse(text: str) -> "Immersion":
     return Immersion(name, n, m, params, chart, exprs)
 
 
+def _moved_exprs(mat, exprs):
+    """The expressions of the coordinates moved by the affine map ``mat``,
+    (2n+2, 2n+2) on (1, x, y, t), with zero terms folded away."""
+    out = []
+    for row in mat[1:]:
+        e = num(row[0])
+        for a, x in zip(row[1:], exprs):
+            if a != 0.0:
+                e = e + num(a) * x
+        out.append(e)
+    return out
+
+
 def pretty_print(imm: "Immersion") -> str:
+    """Surface-file text of an immersion; a moved one prints its moved map."""
+    exprs = imm.coord_exprs if imm.motion is None else _moved_exprs(imm.motion,
+                                                                    imm.coord_exprs)
     lines = [f"surface {imm.label} {{",
              f"  n = {imm.n}; m = {imm.m};",
              "  params = [" + ", ".join(imm.params) + "];",
@@ -702,10 +718,10 @@ def pretty_print(imm: "Immersion") -> str:
              "}"]
     n = imm.n
     for b in range(1, n + 1):
-        lines.append(f"x[{b}] = {expr_to_text(imm.coord_exprs[b - 1])};")
+        lines.append(f"x[{b}] = {expr_to_text(exprs[b - 1])};")
     for b in range(1, n + 1):
-        lines.append(f"y[{b}] = {expr_to_text(imm.coord_exprs[n + b - 1])};")
-    lines.append(f"t = {expr_to_text(imm.coord_exprs[2 * n])};")
+        lines.append(f"y[{b}] = {expr_to_text(exprs[n + b - 1])};")
+    lines.append(f"t = {expr_to_text(exprs[2 * n])};")
     return "\n".join(lines) + "\n"
 
 
@@ -720,7 +736,14 @@ MAX_CHART_AXES = 27
 
 
 class Immersion:
-    """A parametrized map from a chart box in R^{2m+1} into H_n."""
+    """A parametrized map from a chart box in R^{2m+1} into H_n.
+
+    ``coord_exprs`` are the surface's own coordinate expressions.  A rigidly
+    moved immersion (``transform_immersion``) keeps them and carries its
+    motion as ``motion``, the (2n+2, 2n+2) matrix of the affine map on
+    (1, x, y, t), which ``values`` and ``jets`` apply to their results;
+    ``motion`` is None for an unmoved one.
+    """
 
     def __init__(self, label, n, m, params, chart, coord_exprs):
         if len(coord_exprs) != 2 * n + 1:
@@ -736,30 +759,43 @@ class Immersion:
         self.params = list(params)
         self.chart = [(float(lo), float(hi)) for lo, hi in chart]
         self.coord_exprs = list(coord_exprs)
+        self.motion = None
 
     @property
     def nparams(self) -> int:
         return 2 * self.m + 1
 
     def values(self, u_arrays):
+        """The ambient coordinates at a batch of chart points, one array each."""
         env = dict(zip(self.params, [np.asarray(u, dtype=float) for u in u_arrays]))
         shape = np.broadcast_shapes(*[np.shape(v) for v in env.values()])
-        return [np.broadcast_to(np.asarray(v, dtype=float), shape).copy()
+        vals = [np.broadcast_to(np.asarray(v, dtype=float), shape)
                 for v in evaluate(self.coord_exprs, env)]
+        if self.motion is None:
+            return [v.copy() for v in vals]
+        return list(np.moveaxis(self._moved(np.stack(vals, axis=-1)), -1, 0))
 
     def jets(self, u_arrays, order=3):
         """Taylor-expand the ambient coordinates at a batch of chart points.
 
         Returns one jet of tensor shape (2n+1,), one entry per coordinate,
-        with exact derivatives (``fd_jets`` takes them by differences).
+        with exact derivatives (``fd_jets`` takes them by differences).  A
+        moved immersion's motion acts on the stacked jet as one affine map,
+        which commutes with Taylor arithmetic, so its derivatives stay exact.
         """
         ctx = jets.context(self.nparams, order)
         seeds = jets.variables(ctx, [np.asarray(u, dtype=float) for u in u_arrays])
         env = dict(zip(self.params, seeds))
         shape = np.broadcast_shapes(*[np.shape(u) for u in u_arrays])
-        return jets.stack([v if isinstance(v, Jet)
-                           else jets.constant(ctx, float(v), shape)
-                           for v in evaluate(self.coord_exprs, env)])
+        X = jets.stack([v if isinstance(v, Jet) else jets.constant(ctx, float(v), shape)
+                        for v in evaluate(self.coord_exprs, env)])
+        return X if self.motion is None else self._moved(X)
+
+    def _moved(self, X):
+        """``motion`` applied to coordinates stacked on the last axis (an
+        array, or a vector jet): one matrix product and one shift."""
+        g = self.motion
+        return X @ g[1:, 1:].T + g[1:, 0]
 
     def rank_check(self, jac, floor=1e-8):
         """Raise NotImmersed unless all Jacobian singular values clear the floor.
@@ -1099,19 +1135,16 @@ def parse_surface_spec(spec: str) -> Immersion:
 
 
 def transform_immersion(imm: Immersion, g) -> Immersion:
-    """Compose an immersion with a rigid motion, keeping expressions exact.
+    """Compose an immersion with a rigid motion.
 
-    The motion acts affinely on ambient coordinates, so the new coordinate
-    expressions are constant-coefficient combinations of the old ones and
-    automatic differentiation stays exact.
+    The moved immersion shares ``imm``'s coordinate expressions and carries
+    the motion's matrix, composed with ``imm``'s own motion if it has one;
+    its values and jets apply it as one affine map on the arrays, so no
+    expression is rewritten and automatic differentiation stays exact.
+    ``pretty_print`` writes the moved map out as expressions.
     """
-    n = imm.n
-    mat = g.mat
-    exprs = []
-    for r in range(1, 2 * n + 2):
-        e = num(mat[r, 0])
-        for c in range(2 * n + 1):
-            if mat[r, c + 1] != 0.0:
-                e = e + num(mat[r, c + 1]) * imm.coord_exprs[c]
-        exprs.append(e)
-    return Immersion(imm.label + "_moved", n, imm.m, imm.params, imm.chart, exprs)
+    moved = Immersion(imm.label + "_moved", imm.n, imm.m, imm.params, imm.chart,
+                      imm.coord_exprs)
+    moved.motion = np.array(g.mat if imm.motion is None else g.mat @ imm.motion,
+                            dtype=float)
+    return moved

@@ -658,7 +658,7 @@ def theta_nn_from_intrinsic(an: Analysis):
     if an.codim != 1:
         raise WrongClass("normal-form reconstruction needs codimension one")
     nu2min = float(np.min(an.ff.nu_norm2.value))
-    if nu2min <= 1e-14:
+    if not nu2min > 1e-14:
         raise WrongClass("normal-form reconstruction needs a completely "
                          "non-vertical surface")
     m, d = an.m, an.d

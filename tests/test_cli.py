@@ -344,6 +344,25 @@ def test_nan_restriction_entry_fails_incon2(monkeypatch, capsys):
     assert np.isnan(incon2["value"]) and incon2["pass"] is False
 
 
+def test_nan_nu_is_a_located_domain_error(monkeypatch, capsys):
+    # a NaN in the |nu| field has no verticality class: the plan pass stops
+    # at its grid index instead of classifying the grid as mixed
+    from cartanheis import darboux
+    exact = darboux.classify
+
+    def nan_entry(nu_norm, tol=darboux.TOL_CLASS):
+        nu = np.array(nu_norm, dtype=float)
+        nu.flat[5] = np.nan
+        return exact(nu, tol)
+
+    monkeypatch.setattr(darboux, "classify", nan_entry)
+    code = run_cli("classify", "--surface", "builtin:sphere(2,1)", "--grid", "3",
+                   "--format", "structured")
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "DomainError: |nu| not finite at grid index (0, 1, 2)" in err
+
+
 # the class behind each gauge and the normal candidates its frame used
 DECISIONS = {"builtin:sphere(2,1)": ("CompletelyNonVertical", ["-nu"]),
              "builtin:heis_sub(1,2)": ("Vertical", ["X2"])}

@@ -1,3 +1,4 @@
+import math
 import time
 
 import numpy as np
@@ -195,17 +196,53 @@ def test_builtin_spec_parsing_errors():
         dsl.builtin("nope")
 
 
+# every builtin, at m = 1 and at m = 2
+MOVED_SPECS = ["heis_sub(1,2)", "heis_sub(2,3)", "sphere(2,1)", "sphere(3,1)",
+               "holograph()", "ellipsoid(2,1,1.3)", "ellipsoid(3,1,1,1.3)"]
+
+
 def test_transform_immersion_matches_action(rng):
-    from cartanheis import heis, psh
-    imm = dsl.builtin("sphere", 2, 1.0)
-    g = psh.random_element(2, rng)
-    moved = dsl.transform_immersion(imm, g)
-    u = [rng.uniform(lo, hi, 10) for lo, hi in imm.chart]
-    v0 = np.stack(imm.values(u))
-    v1 = np.stack(moved.values(u))
-    for k in range(10):
-        p = heis.HPoint.from_coords(2, v0[:, k])
-        assert np.allclose(v1[:, k], psh.apply(g, p).coords, atol=1e-13)
+    """A moved copy takes the surface's points to their images under the
+    motion, and its values and order-3 jets, exact and by differences, are
+    those of the composed-expression map that ``pretty_print`` writes out
+    and ``parse`` reads back; moving twice is moving by the product."""
+    from cartanheis import darboux, heis, psh
+    for spec in MOVED_SPECS:
+        imm = dsl.parse_surface_spec(f"builtin:{spec}")
+        g, h = psh.random_element(imm.n, rng), psh.random_element(imm.n, rng)
+        moved = dsl.transform_immersion(imm, g)
+        assert moved.coord_exprs == imm.coord_exprs and imm.motion is None
+        # the map as moved expressions, sharing the surface's nodes
+        composed = dsl.Immersion(imm.label, imm.n, imm.m, imm.params, imm.chart,
+                                 dsl._moved_exprs(moved.motion, imm.coord_exprs))
+        text = dsl.pretty_print(moved)
+        printed = dsl.parse(text)
+        assert printed.motion is None and dsl.pretty_print(printed) == text
+        u = [rng.uniform(lo, hi, 10) for lo, hi in imm.chart]
+        v0 = np.stack(imm.values(u))
+        v1 = np.stack(moved.values(u))
+        for k in range(10):
+            p = heis.HPoint.from_coords(imm.n, v0[:, k])
+            assert np.allclose(v1[:, k], psh.apply(g, p).coords, atol=1e-13), spec
+        for other in (composed, printed):
+            assert np.max(np.abs(v1 - np.stack(other.values(u)))) < 1e-13, spec
+        assert np.max(np.abs(moved.jets(u, 3).c - composed.jets(u, 3).c)) < 1e-13, spec
+        # the FD pipeline's steps at 3^d, half a spacing: the coefficient of
+        # x^alpha is a difference of values over step^alpha, so its rounding
+        # is compared at the scale of the values
+        steps = [0.5 * s for s in darboux.ChartGrid(imm.chart, 3).spacing]
+        fd = [dsl.fd_jets(x.values, imm.nparams, u, 3, steps) for x in (moved, composed)]
+        scale = [math.prod(step ** a for step, a in zip(steps, alpha))
+                 for alpha in fd[0].ctx.monomials]
+        gap = np.abs(fd[0].c - fd[1].c).reshape(len(scale), -1)
+        assert np.max(gap * np.array(scale)[:, None]) < 1e-13, spec
+        twice = dsl.transform_immersion(moved, h)
+        once = dsl.transform_immersion(imm, h @ g)
+        assert np.array_equal(twice.jets(u, 3).c, once.jets(u, 3).c), spec
+        assert np.array_equal(np.stack(twice.values(u)), np.stack(once.values(u))), spec
+        # the same map under labels that count the moves
+        assert dsl.pretty_print(twice).replace("_moved_moved", "_moved") == \
+            dsl.pretty_print(once)
 
 
 from hypothesis import given, settings, strategies as st
@@ -343,6 +380,10 @@ def test_immersions_survive_pickle(rng):
     for imm in surfaces:
         again = pickle.loads(pickle.dumps(imm))
         assert again is not imm and again.coord_exprs == imm.coord_exprs
+        if imm.motion is None:
+            assert again.motion is None
+        else:
+            assert np.array_equal(again.motion, imm.motion)
         assert (again.label, again.n, again.m, again.params, again.chart) == \
             (imm.label, imm.n, imm.m, imm.params, imm.chart)
         points = darboux.ChartGrid(imm.chart, 3).points

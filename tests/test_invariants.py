@@ -153,6 +153,16 @@ def test_theta_nn_rejects_vertical(holograph):
         invariants.theta_nn_from_intrinsic(an)
 
 
+def test_theta_nn_rejects_a_nan_nu():
+    # a NaN minimum of |nu|^2 does not clear the completely non-vertical gate
+    imm = dsl.builtin("sphere", 2, 1.0)
+    ff = darboux.darboux_frame(imm, darboux.ChartGrid(imm.chart, 3), policy="nu")
+    an = invariants.Analysis(ff)
+    an.lifted.ff.nu_norm2.c[0].flat[4] = np.nan
+    with pytest.raises(WrongClass, match="completely non-vertical"):
+        invariants.theta_nn_from_intrinsic(an)
+
+
 def test_nu_from_curvature_values():
     assert np.isclose(invariants.nu_from_curvature(2.0, 0.0, 1), 1.0)
     assert np.isclose(invariants.nu_from_curvature(0.5, 0.0, 1), 0.25)
