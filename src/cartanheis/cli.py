@@ -44,10 +44,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "of the Heisenberg groups")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, surface=True):
-        if surface:
-            sp.add_argument("--surface", required=True,
-                            help="builtin:name(args) or a surface file path")
+    def common(sp):
+        sp.add_argument("--surface", required=True,
+                        help="builtin:name(args) or a surface file path")
         sp.add_argument("--grid", default="17",
                         help="per-axis sample counts, e.g. 17 or 17,17,9")
         sp.add_argument("--mode", choices=("ad", "fd"), default="ad")
@@ -368,21 +367,27 @@ def _dispatch(args):
         rpt["diagnostics"].append(
             "re-extracted field gaps " +
             " ".join(f"{k}={v:.3e}" for k, v in sorted(gaps.items())))
-    if kind == rigidity.COMPLETELY_NON_VERTICAL and codim == 1 \
-            and float(np.max(summary.table("torsion_norm"))) < tols["torsion"]:
-        if summary.plan.policy == "nu":
-            fit = rigidity.fit_sphere(kind, codim, summary.plan.policy, frames[1:, 0],
-                                      frames[1:2 * n + 1, 1 + n + imm.m],
-                                      summary.field("nu"), summary.field("torsion_norm2"),
-                                      tols["torsion"])
-            rpt["fits"]["sphere"] = {
-                "center": fit.center.coords.tolist(), "radius": fit.radius,
-                "center_residual": fit.center_residual,
-                "radius_residual": fit.radius_residual}
-        else:
+    if kind == rigidity.COMPLETELY_NON_VERTICAL and codim == 1:
+        torsion = summary.table("torsion_norm")
+        bad = ~np.isfinite(torsion)
+        if bad.any():
+            where = tuple(int(i) for i in np.argwhere(bad)[0])
             rpt["diagnostics"].append(
-                f"no sphere fit: it reads frames in the nu gauge, and these were "
-                f"built in the {summary.plan.policy} gauge")
+                f"no sphere fit: the torsion table is not finite at grid index {where}")
+        elif float(np.max(torsion)) < tols["torsion"]:
+            if summary.plan.policy == "nu":
+                fit = rigidity.fit_sphere(kind, codim, summary.plan.policy, frames[1:, 0],
+                                          frames[1:2 * n + 1, 1 + n + imm.m],
+                                          summary.field("nu"),
+                                          summary.field("torsion_norm2"), tols["torsion"])
+                rpt["fits"]["sphere"] = {
+                    "center": fit.center.coords.tolist(), "radius": fit.radius,
+                    "center_residual": fit.center_residual,
+                    "radius_residual": fit.radius_residual}
+            else:
+                rpt["diagnostics"].append(
+                    f"no sphere fit: it reads frames in the nu gauge, and these were "
+                    f"built in the {summary.plan.policy} gauge")
     return rpt, 0 if rep.all_pass(rpt) else 1
 
 

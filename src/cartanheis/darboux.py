@@ -730,8 +730,8 @@ class MCForm:
     """The psh(n)-valued one-form omega = A^{-1} dA, one slot per chart axis.
 
     Its slots are one order below the frame: first order on a planned
-    frame, values alone on a first-order one (``FrameField``).  ``d1`` and
-    the AD structure residual read the slots of ``lifted``.
+    frame, values alone on a first-order one (``FrameField``).  The AD
+    structure residual reads the slots of ``lifted``.
     """
 
     def __init__(self, ff: FrameField):
@@ -798,17 +798,6 @@ class MCForm:
         return darboux_derivative(darboux_frame(
             ff.imm, ff.grid, ff.policy, ff.mode, normal_phases=ff.normal_phases,
             plan=replace(ff.plan, condition=ff.condition)))
-
-    @cached_property
-    def d1(self):
-        """d1[i, r, c, p] = d/du_p slot i entry (r + 1, c), a view of the
-        lifted slot jet.
-
-        The first row and the last column of every slot are constant zero.
-        """
-        g = self.lifted._slots.gradient()            # (p, *batch, i, r, c)
-        nb = len(self.ff.batch)
-        return g.transpose((nb + 1, nb + 2, nb + 3, 0) + tuple(range(1, nb + 1)))
 
     @property
     def translation(self):

@@ -797,8 +797,8 @@ class Immersion:
         g = self.motion
         return X @ g[1:, 1:].T + g[1:, 0]
 
-    def rank_check(self, jac, floor=1e-8):
-        """Raise NotImmersed unless all Jacobian singular values clear the floor.
+    def rank_check(self, jac):
+        """Raise NotImmersed unless all Jacobian singular values clear 1e-8.
 
         ``jac`` is the Jacobian as the gradient of the coordinate jets,
         (d, *batch, 2n+1), e.g. ``self.jets(points, order=1).gradient()``.
@@ -806,6 +806,7 @@ class Immersion:
         per-point SVD runs only when some point is not certified, and it
         alone decides and names the failing grid index.
         """
+        floor = 1e-8
         batch = jac.shape[1:-1]
         jac = jac.reshape(jac.shape[0], -1, jac.shape[-1])
         if certify.rank_clears(jac, floor):

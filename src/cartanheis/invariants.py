@@ -258,18 +258,6 @@ class Analysis:
         conn = _pair(self.conn_slots["normal"], zhat)          # (b, a, j)
         return out + np.einsum("b...,baj...->aj...", self.nu_comp_vals, conn)
 
-    @cached_property
-    def normal_conn_coeffs(self):
-        """theta_a^b expanded on (theta-hat^k, theta-hat^kbar, theta-hat)."""
-        normal = self.conn_slots["normal"]
-        zhat = self.zhat1.T
-        hol = _pair(normal, zhat)
-        anti = _pair(normal, zhat.conj())
-        reeb = _pair(normal, self.that1)
-        blk = jets.values(normal)
-        return {"hol": hol, "anti": anti, "reeb": reeb,
-                "skew_hermitian": _sup(blk + np.conj(np.swapaxes(blk, 0, 1)))}
-
     # -- intrinsic Tanaka-Webster connection ---------------------------------
 
     def _pairings(self):
@@ -608,12 +596,13 @@ def nu_from_curvature(scalar_R, torsion_sq, m):
     return (R + np.sqrt(R * R + 4 * mm * A2)) / (2 * mm)
 
 
-def h_from_curvature(an: Analysis, tol=1e-6):
+def h_from_curvature(an: Analysis):
     """|h| recovered from curvature alone (vertical, codim one, nondegenerate).
 
     Picks the tangent index with the most negative diagonal curvature, uses it
     to normalise the gauge phase, and rebuilds the full matrix; absolute
     values are gauge-independent and comparable with the ambient extraction.
+    A point whose most negative diagonal entry is above -1e-6 is degenerate.
     """
     if an.codim != 1:
         raise WrongClass("curvature-determines-h needs codimension one")
@@ -624,7 +613,7 @@ def h_from_curvature(an: Analysis, tol=1e-6):
     diag = np.stack([np.real(cur[j, j, j, j]) for j in range(m)])  # (m, batch)
     j0 = np.argmin(diag, axis=0)
     best = np.take_along_axis(diag, j0[None], axis=0)[0]
-    degenerate = best > -tol
+    degenerate = best > -1e-6
     if np.all(degenerate):
         raise DegeneratePoint("curvature diagonal vanishes on the whole grid; "
                               "surface has no nondegenerate points")
@@ -721,10 +710,10 @@ class Summary:
     (the norms as square roots); ``residuals`` the largest structure,
     restriction (incon2) and, by ``kind``, Gauss or torsion-curvature
     residuals.  ``kind`` is the verticality class of the planned |nu| at
-    the report's tolerance.  An ``Analysis`` of a block or of the whole grid
-    is added by ``fold``; its jet fields are not kept.  ``visited`` holds
-    the maxima that ``visit`` returns (or, where it returns an array there,
-    its first one).
+    the report's tolerance.  An ``Analysis`` of the whole grid is added by
+    ``fold``, the outputs of a block by ``take``; no jet field is kept.
+    ``visited`` holds the maxima that ``visit`` returns (or, where it
+    returns an array there, its first one).
     """
 
     def __init__(self, plan, grid, tol_class=TOL_CLASS):
@@ -733,15 +722,14 @@ class Summary:
         self.kind = plan.verticality(tol_class).kind
         self.fields, self.residuals, self.visited = {}, {}, {}
 
-    def fold(self, an, start=0, residuals=True):
-        """Add the Analysis of the points ``start:`` of the grid (C order).
+    def fold(self, an):
+        """Add the Analysis of the whole grid: its fields and residuals.
 
-        ``residuals=False`` keeps the fields alone.  An FD analysis cannot
-        evaluate the structure residual without its neighbours across
-        blocks: its slot values are kept, and ``close`` evaluates it over
-        the grid.
+        An FD analysis cannot evaluate the structure residual without its
+        neighbours across blocks: its slot values are kept, and ``close``
+        evaluates it over the grid.
         """
-        return self.take((start, *_outputs(an, self.kind, residuals), {}))
+        return self.take((0, *_outputs(an, self.kind, True), {}))
 
     def take(self, out):
         """Write the outputs of one block (``_block``) at its points and merge

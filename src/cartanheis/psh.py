@@ -105,14 +105,14 @@ def inverse(g: PSHElement) -> PSHElement:
     return PSHElement(g.n, np.linalg.inv(g.mat))
 
 
-def decompose(g: PSHElement, tol=1e-8):
+def decompose(g: PSHElement):
     """Factor g as (left translation by p) followed by a rotation about t.
 
     Returns (p, R) with R the SO(2n) block of the rotation.  The translation
     point is the image of the origin; the rotation is what remains after
-    undoing it.
+    undoing it.  g must be a group element to 1e-8.
     """
-    diag = psh_validate(g.mat, tol)
+    diag = psh_validate(g.mat, 1e-8)
     if not diag.ok:
         raise InvalidFrame(f"not a valid group element: {diag.residuals}")
     p = g.translation
@@ -191,9 +191,9 @@ def psh_validate(mat, tol=1e-10) -> Diagnostics:
 #   first row and last column: zero.
 # ---------------------------------------------------------------------------
 
-def algebra_validate(mat, tol=1e-10) -> Diagnostics:
+def algebra_validate(mat) -> Diagnostics:
     """Residuals of membership in the Lie algebra, each the largest over a
-    stack of matrices (..., 2n+2, 2n+2)."""
+    stack of matrices (..., 2n+2, 2n+2), judged against 1e-10."""
     mat, n = _check_stack(mat)
     res = {"first_row": _max_abs(mat[..., 0, :]),
            "last_column": _max_abs(mat[..., :, -1])}
@@ -205,7 +205,7 @@ def algebra_validate(mat, tol=1e-10) -> Diagnostics:
     tied = np.concatenate([mat[..., n + 1:2 * n + 1, 0], -mat[..., 1:n + 1, 0]],
                           axis=-1)
     res["bottom_row"] = _max_abs(bottom - tied)
-    return Diagnostics(res, tol)
+    return Diagnostics(res, 1e-10)
 
 
 _EXP_MAX_DEGREE = 18    # remainder bound 2.2e-17 on the unit 1-norm ball
@@ -316,7 +316,6 @@ def random_rotation(n: int, rng: np.random.Generator) -> np.ndarray:
     return np.block([[A, -B], [B, A]])
 
 
-def random_element(n: int, rng: np.random.Generator, scale=1.0) -> PSHElement:
-    p = HPoint(n, scale * rng.uniform(-1, 1, n), scale * rng.uniform(-1, 1, n),
-               scale * rng.uniform(-1, 1))
+def random_element(n: int, rng: np.random.Generator) -> PSHElement:
+    p = HPoint(n, rng.uniform(-1, 1, n), rng.uniform(-1, 1, n), rng.uniform(-1, 1))
     return recompose(p, random_rotation(n, rng))

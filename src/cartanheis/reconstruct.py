@@ -22,14 +22,13 @@ import math
 import numpy as np
 
 from . import invariants, jets, psh
-from .darboux import ChartGrid, MCForm, partition
+from .darboux import ChartGrid, partition
 from .errors import (DimensionMismatch, IntegrabilityFailure,
                      ProjectionDrift)
 
 __all__ = ["EtaForm", "FrameSolution", "holonomy_residual", "integrate_frame",
            "congruence", "assemble_eta", "eta_from_intrinsic", "intrinsic_defects",
-           "check_intrinsic_defects", "eta_from_frame_field",
-           "IntrinsicData", "intrinsic_data_from_analysis"]
+           "check_intrinsic_defects", "IntrinsicData", "intrinsic_data_from_analysis"]
 
 DRIFT_TOL = 1e-3   # largest group-membership residual of integrated frames
 
@@ -51,10 +50,6 @@ class EtaForm:
         want = (self.grid.ndim, D, D) + self.grid.shape
         if self.slots.shape != want:
             raise DimensionMismatch(f"slot array must have shape {want}")
-
-
-def eta_from_frame_field(mc: MCForm) -> EtaForm:
-    return EtaForm(mc.n, mc.grid, mc.values)
 
 
 def _interpolate(line, s, stencil=4):

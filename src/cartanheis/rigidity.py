@@ -98,9 +98,10 @@ def fit_sphere(kind, codim, policy, X, leg, nu, torsion_norm2, tol=1e-7) -> Sphe
                      radius_resid)
 
 
-def curvature_spread(kind, torsion_norm2, R, tol=1e-7) -> dict:
+def curvature_spread(kind, torsion_norm2, R) -> dict:
     """Spread of the scalar curvature ``R`` over the grid for torsion-free
-    surfaces (``torsion_norm2`` |A|^2)."""
+    surfaces (``torsion_norm2`` |A|^2), both judged against 1e-7."""
+    tol = 1e-7
     _require(kind == COMPLETELY_NON_VERTICAL, WrongClass,
              f"constant-curvature check needs class CompletelyNonVertical "
              f"(got {kind})")
@@ -113,21 +114,22 @@ def curvature_spread(kind, torsion_norm2, R, tol=1e-7) -> dict:
             "pass": spread < tol * (1 + abs(mean))}
 
 
-# the fits of one Analysis, with the class its frame's plan gives at TOL_CLASS
+# the fits of one Analysis at their default tolerance, with the class its
+# frame's plan gives at TOL_CLASS
 
-def detect_flat(an: Analysis, tol=1e-7) -> RigidMotionFit:
+def detect_flat(an: Analysis) -> RigidMotionFit:
     return fit_flat(an.ff.plan.verticality().kind, an.codim,
                     an.ff.psh_at((0,) * len(an.batch)), jets.values(an.ff.X),
-                    an.II_norm2, tol)
+                    an.II_norm2)
 
 
-def detect_sphere(an: Analysis, tol=1e-7) -> SphereFit:
+def detect_sphere(an: Analysis) -> SphereFit:
     ff = an.ff
     leg = jets.values(ff.legs_jn[0][:2 * an.n]) if an.codim else None
     return fit_sphere(ff.plan.verticality().kind, an.codim, ff.policy,
-                      jets.values(ff.X), leg, ff.nu_norm, an.torsion_norm2, tol)
+                      jets.values(ff.X), leg, ff.nu_norm, an.torsion_norm2)
 
 
-def constant_curvature_check(an: Analysis, tol=1e-7) -> dict:
+def constant_curvature_check(an: Analysis) -> dict:
     return curvature_spread(an.ff.plan.verticality().kind, an.torsion_norm2,
-                            an.curvature["scalar"], tol)
+                            an.curvature["scalar"])

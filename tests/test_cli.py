@@ -363,6 +363,27 @@ def test_nan_nu_is_a_located_domain_error(monkeypatch, capsys):
     assert "DomainError: |nu| not finite at grid index (0, 1, 2)" in err
 
 
+def test_nan_torsion_skips_the_sphere_fit_with_a_note(monkeypatch, capsys):
+    # a torsion table that is not finite fits no sphere, and the report says
+    # at which grid index
+    from cartanheis import invariants
+    exact = invariants.Analysis.torsion_norm2.func
+
+    def nan_entry(self):
+        A2 = np.array(exact(self))
+        A2.flat[3] = np.nan
+        return A2
+
+    monkeypatch.setattr(invariants.Analysis, "torsion_norm2", property(nan_entry))
+    code = run_cli("roundtrip", "--surface", "builtin:sphere(2,1)", "--grid", "5",
+                   "--format", "structured")
+    rpt = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert rpt["fits"]["sphere"] is None
+    assert ("no sphere fit: the torsion table is not finite at grid index (0, 0, 3)"
+            in rpt["diagnostics"])
+
+
 # the class behind each gauge and the normal candidates its frame used
 DECISIONS = {"builtin:sphere(2,1)": ("CompletelyNonVertical", ["-nu"]),
              "builtin:heis_sub(1,2)": ("Vertical", ["X2"])}

@@ -446,7 +446,11 @@ def test_structure_residual_matches_the_batch_last_reference(spec, count):
     imm = dsl.parse_surface_spec(f"builtin:{spec}")
     mc = darboux.darboux_derivative(darboux.darboux_frame(imm, darboux.ChartGrid(imm.chart,
                                                                                  count)))
-    w, dw = mc.lifted.values, mc.d1
+    # dw[i, r, c, p] = d/du_p slot i entry (r + 1, c), from the lifted slot jet
+    g = mc.lifted._slots.gradient()                  # (p, *batch, i, r, c)
+    nb = len(mc.ff.batch)
+    w = mc.lifted.values
+    dw = g.transpose((nb + 1, nb + 2, nb + 3, 0) + tuple(range(1, nb + 1)))
     ref = 0.0
     for p in range(mc.d):
         for q in range(p + 1, mc.d):

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cartanheis import darboux, dsl, invariants, jets
+from cartanheis import darboux, dsl, invariants, jets, reconstruct
 from cartanheis.errors import DegeneratePoint, IllConditionedCoframe, WrongClass
 from conftest import analysis_for
 
@@ -19,9 +19,11 @@ def test_flat_model_everything_vanishes(heis_sub12):
     tw = an.tanaka_webster
     for key in ("gamma_hol", "gamma_bar", "gamma_0"):
         assert np.max(np.abs(jets.values(tw[key]))) < 1e-13
-    nc = an.normal_conn_coeffs
-    for key in ("hol", "anti", "reeb"):
-        assert np.max(np.abs(nc[key])) < 1e-13
+    # theta_a^b paired with Zhat_k, Zhat_kbar and That vanishes
+    normal = an.conn_slots["normal"].truncated(0)
+    zhat = an.zhat1.T.truncated(0)
+    for vec in (zhat, zhat.conj(), an.that1.truncated(0)):
+        assert np.max(np.abs(jets.values(normal @ vec))) < 1e-13
     assert an.restriction_residuals()["max"] < 1e-13
 
 
@@ -44,12 +46,17 @@ def test_sphere_normal_connection_is_contact_multiple(sphere_nu):
     assert np.max(np.abs(got - 1j * th)) < 1e-12
 
 
+def _normal_skew_hermitian_defect(an):
+    data = reconstruct.intrinsic_data_from_analysis(an)
+    return reconstruct.intrinsic_defects(data)["skew_hermitian"]
+
+
 def test_codim_one_normal_connection_imaginary(ellipsoid_nu):
     _, _, ff, an = ellipsoid_nu
     slots = an.conn_slots["normal"][0][0]
     got = jets.values(slots)
     assert np.max(np.abs(got.real)) < 1e-13  # skew-hermitian 1x1 block
-    assert an.normal_conn_coeffs["skew_hermitian"] < 1e-13
+    assert _normal_skew_hermitian_defect(an) < 1e-13
 
 
 def test_holograph_h_and_gauss(holograph):
@@ -296,7 +303,7 @@ def test_codimension_two_flat():
     an = invariants.Analysis(ff)
     assert an.codim == 2
     assert an.restriction_residuals()["max"] < 1e-13
-    assert an.normal_conn_coeffs["skew_hermitian"] < 1e-13
+    assert _normal_skew_hermitian_defect(an) < 1e-13
     assert np.max(an.II_norm2) < 1e-26
 
 
@@ -426,7 +433,7 @@ def test_rigidity_reads_build_no_twin(spec, policy, detect, monkeypatch):
     assert builds == [order - 1] and max(evaluated) < order
     an.curvature
     assert builds == [order - 1, order] and evaluated.count(order) == 1
-    an.consistency, an.mc.d1, an.mc.structure_residual(), an.gauss_residual()
+    an.consistency, an.mc.structure_residual(), an.gauss_residual()
     invariants.Summary(an.ff.plan, grid).fold(an).close()
     assert builds == [order - 1, order] and evaluated.count(order) == 1
     assert len(conditions) == 1

@@ -10,7 +10,7 @@ from conftest import analysis_for
 
 
 def _eta_of(an):
-    return reconstruct.eta_from_frame_field(an.mc)
+    return reconstruct.EtaForm(an.mc.n, an.mc.grid, an.mc.values)
 
 
 def test_zero_form_zero_holonomy():
